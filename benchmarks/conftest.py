@@ -1,7 +1,8 @@
 """Shared fixtures for the benchmark harness.
 
-Every bench regenerates one table or figure of the paper (see DESIGN.md's
-per-experiment index) on a synthetic suite.  Suite size is controlled by
+Every bench regenerates one table or figure of the paper (``repro list
+experiments`` indexes them by name, backed by
+:mod:`repro.analysis.experiments`) on a synthetic suite.  Suite size is controlled by
 environment variables so that the same harness scales from a quick smoke
 run to an overnight full-suite run:
 

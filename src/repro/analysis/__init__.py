@@ -1,7 +1,7 @@
 """Experiment drivers regenerating the paper's tables and figures.
 
-Each experiment of the paper's evaluation (see DESIGN.md's per-experiment
-index) has a driver function in :mod:`repro.analysis.experiments` that
+Each experiment of the paper's evaluation (``repro list experiments``
+names them all) has a driver function in :mod:`repro.analysis.experiments` that
 takes a list of traces, runs the required simulations and returns a
 structured result with a ``to_table()`` rendering.  The benchmark harness
 under ``benchmarks/`` is a thin wrapper over these drivers; they can also

@@ -1,7 +1,7 @@
 """Drivers for every experiment of the paper's evaluation.
 
-Each ``run_*`` function corresponds to one row of the per-experiment index
-in DESIGN.md (one table, figure or reported group of numbers of the
+Each ``run_*`` function corresponds to one entry of ``repro list
+experiments`` (one table, figure or reported group of numbers of the
 paper).  They all take a list of traces so that tests can use tiny suites
 and the benchmark harness can use larger ones, and they all return an
 :class:`ExperimentTable` whose rows are plain Python values, ready to be

@@ -234,16 +234,27 @@ def _snapshot_by_label(snapshot: dict, name: str) -> dict[str, float]:
     return out
 
 
+def _scheduled(snapshot: dict) -> dict[str, float]:
+    """Scheduled work by route, exact-mode shard jobs counted as ``exact``."""
+    scheduled = _snapshot_by_label(snapshot, "repro_sched_tasks_total")
+    exact = _snapshot_sum(snapshot, "repro_sched_exact_shards_total")
+    if exact:
+        scheduled["exact"] = exact
+    return scheduled
+
+
 def _batch_timings(snapshot: dict, wall_seconds: float) -> dict[str, Any]:
     """The ``--timings`` fallback when tracing is sampled off: the same
     section shape, from the (global, cumulative) metrics snapshot."""
     return {
         "wall_seconds": round(wall_seconds, 6),
         "plan_seconds": round(_snapshot_sum(snapshot, "repro_runner_plan_seconds"), 6),
+        "resolve_seconds": None,  # only spans time trace generation
         "kernel_seconds": round(_snapshot_sum(snapshot, "repro_backend_kernel_seconds"), 6),
         "pool_task_seconds": round(_snapshot_sum(snapshot, "repro_pool_task_seconds"), 6),
-        "scheduled": _snapshot_by_label(snapshot, "repro_sched_tasks_total"),
+        "scheduled": _scheduled(snapshot),
         "cache": _snapshot_by_label(snapshot, "repro_cache_lookups_total"),
+        "breakdown": {},
     }
 
 
@@ -265,12 +276,14 @@ def _span_timings(spans: list[dict], snapshot: dict,
     return {
         "wall_seconds": round(wall_seconds, 6),
         "plan_seconds": round(by_name.get("runner.plan", 0.0), 6),
+        "resolve_seconds": round(by_name.get("trace.resolve", 0.0), 6),
         "kernel_seconds": round(by_name.get("backend.kernel", 0.0), 6),
         "pool_task_seconds": round(
             by_name.get("pool.task", 0.0) + by_name.get("pool.shard", 0.0), 6),
-        "scheduled": _snapshot_by_label(snapshot, "repro_sched_tasks_total"),
+        "scheduled": _scheduled(snapshot),
         "cache": cache,
         "spans": len(spans),
+        "breakdown": {name: round(seconds, 6) for name, seconds in sorted(by_name.items())},
     }
 
 
@@ -375,8 +388,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else:
             for request, result in zip(requests, results):
                 print(f"{request.trace} {request.scenario.label}: {result.summary()}")
+            resolve = timings["resolve_seconds"]
+            resolve_text = "-" if resolve is None else f"{resolve:.3f}s"
             print(f"trace_id {trace_id}: wall {timings['wall_seconds']:.3f}s, "
-                  f"plan {timings['plan_seconds']:.3f}s, "
+                  f"plan {timings['plan_seconds']:.3f}s, resolve {resolve_text}, "
                   f"kernel {timings['kernel_seconds']:.3f}s, "
                   f"pool {timings['pool_task_seconds']:.3f}s")
             scheduled = ", ".join(f"{k}={int(v)}" for k, v in sorted(timings["scheduled"].items()))
@@ -963,8 +978,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="print the request JSON and exit without simulating")
     run.add_argument("--json", action="store_true", help="machine-readable output")
     run.add_argument("--timings", action="store_true",
-                     help="append a trace_id + timings section (plan/kernel/"
-                          "pool seconds, cache hits) after the results")
+                     help="append a trace_id + timings section (plan/resolve/"
+                          "kernel/pool seconds, per-span breakdown, cache hits) "
+                          "after the results")
     _add_pipeline_options(run)
     _add_shard_options(run)
     _add_runner_options(run)

@@ -9,6 +9,13 @@ pool via :func:`~repro.pipeline.parallel.run_simulations` — the
 multi-spec scheduling the ROADMAP called for: workers stay busy across
 spec and experiment boundaries instead of draining one suite at a time.
 
+Requests are planned from trace handles
+(:class:`~repro.traces.trace.TraceHandle`: name, length, identity and
+window), not from records.  With a result cache configured the runner
+also keeps a per-reference trace manifest (each trace's name and actual
+length) in the cache directory, so a fully cached request generates
+nothing; records are generated only for traces with a cache miss.
+
 Three altitudes, one engine:
 
 * :meth:`Runner.run` — one :class:`~repro.api.request.RunRequest`;
@@ -31,6 +38,7 @@ exit and Ctrl-C) shuts the pool down without orphaning workers.
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -51,11 +59,24 @@ from repro.pipeline.parallel import (
 from repro.pipeline.scenarios import UpdateScenario
 from repro.predictors.base import Predictor
 from repro.predictors.registry import PredictorSpec, spec_of
-from repro.traces.refs import parse_trace_ref, resolve_trace_ref
-from repro.traces.sharding import auto_shard_count, plan_shards, shard_trace
-from repro.traces.trace import Trace
+from repro.traces.refs import TraceRef, parse_trace_ref, resolve_trace_ref, trace_handles
+from repro.traces.sharding import (
+    ShardWindow,
+    auto_shard_count,
+    plan_shards,
+    shard_handle,
+    shard_trace,
+)
+from repro.traces.trace import Trace, TraceHandle
 
-__all__ = ["Runner", "active_runner", "using_runner"]
+__all__ = ["RESOLVED_BRANCH_LIMIT", "Runner", "active_runner", "using_runner"]
+
+#: Branches of resolved traces one runner keeps for reuse across batches
+#: (about 113 bytes each resident).  Past it the least recently used
+#: references are dropped — the newest is always kept — and regenerated
+#: if asked for again, which bounds persistent serve lanes and fleet
+#: workers however many distinct references they see.
+RESOLVED_BRANCH_LIMIT = 1_000_000
 
 #: A suite job: (spec, traces, scenario, pipeline config or None).
 SuiteJob = tuple  # noqa: N816 - simple alias, kept loose for call-site brevity
@@ -88,7 +109,8 @@ class Runner:
 
     def __post_init__(self) -> None:
         self.cache: SuiteCache | None = self.config.make_cache()
-        self._resolved: dict[str, list[Trace]] = {}
+        self._resolved: OrderedDict[str, list[Trace]] = OrderedDict()
+        self._resolved_branches = 0
         self._pool: WorkerPool | None = None
 
     @classmethod
@@ -132,22 +154,37 @@ class Runner:
     # Trace resolution
     # ------------------------------------------------------------------
 
-    def resolve(self, ref: str) -> list[Trace]:
-        """Resolve a trace reference, memoised for the runner's lifetime.
+    def resolve(self, ref: str | TraceRef) -> list[Trace]:
+        """Resolve a trace reference, memoised (LRU, see :data:`RESOLVED_BRANCH_LIMIT`).
 
         Memoisation is keyed on the *canonical* form, so two requests
         spelling the same reference differently (parameter order,
-        explicit defaults) still share trace objects — which is what lets
-        the scheduler deduplicate identical (spec, trace, scenario,
-        config) tasks within a batch.
+        explicit defaults) still share trace objects.  Generation runs
+        in a ``trace.resolve`` span and, with a result cache configured,
+        refreshes the reference's trace manifest there.
         """
-        parsed = parse_trace_ref(ref)
-        if parsed.canonical not in self._resolved:
-            self._resolved[parsed.canonical] = resolve_trace_ref(parsed)
+        parsed = parse_trace_ref(ref) if isinstance(ref, str) else ref
+        traces = self._resolved.get(parsed.canonical)
+        if traces is not None:
+            self._resolved.move_to_end(parsed.canonical)
+        else:
+            with span("trace.resolve", ref=parsed.canonical) as resolve_span:
+                traces = resolve_trace_ref(parsed)
+                resolve_span.set(branches=sum(len(trace) for trace in traces))
+            self._resolved[parsed.canonical] = traces
+            self._resolved_branches += sum(len(trace) for trace in traces)
+            while self._resolved_branches > RESOLVED_BRANCH_LIMIT and len(self._resolved) > 1:
+                _, dropped = self._resolved.popitem(last=False)
+                self._resolved_branches -= sum(len(trace) for trace in dropped)
+            if self.cache is not None:
+                # A shard ref's manifest lists its base trace (the shard's source).
+                lengths = [
+                    (t.source_name, t.window[2]) if t.window else (t.name, len(t)) for t in traces
+                ]
+                self.cache.put_manifest(parsed.base, lengths)
         # A copy: callers may sort/extend their list without corrupting
-        # later resolutions; the Trace objects themselves stay shared,
-        # which is what the scheduler's dedup keys on.
-        return list(self._resolved[parsed.canonical])
+        # later resolutions; the Trace objects themselves stay shared.
+        return list(traces)
 
     # ------------------------------------------------------------------
     # Request execution
@@ -177,9 +214,9 @@ class Runner:
     # -- sharding ------------------------------------------------------
 
     def _shard_plan(
-        self, request: RunRequest, trace: Trace
+        self, request: RunRequest, handle: TraceHandle
     ) -> tuple[list, str] | None:
-        """The (windows, mode) sharding decision for one resolved trace.
+        """The (windows, mode) sharding decision for one trace handle.
 
         ``None`` means run whole.  An explicit request policy wins;
         otherwise traces at least ``config.auto_shard_branches`` long are
@@ -188,9 +225,9 @@ class Runner:
         request shards the same way on every machine.  Traces that *are*
         shards already (a ``#shard=`` reference) are never re-sharded.
         """
-        if trace.window is not None:
+        if handle.window is not None:
             return None
-        length = len(trace)
+        length = handle.length
         policy = request.sharding
         if policy is not None:
             count = policy.shards or auto_shard_count(length)
@@ -238,70 +275,67 @@ class Runner:
         batch_start = time.perf_counter()
         plan_span = span("runner.plan").__enter__()
         validate_shard_coverage(requests)
+        traces = _BatchTraces(self)
         flat: list[tuple] = []
         flat_backends: list[str] = []
-        chains: list[ExactShardChain] = []
+        chain_plans: list[tuple] = []
         chain_cached: list[SimulationResult | None] = []
         chain_keys: list[str | None] = []
         layout: list[list[tuple]] = []  # per request: ("one"|"merge"|"chain", positions)
-        # Both memos are per-batch: identical sharded requests within the
-        # batch share slices (so the scheduler deduplicates their tasks)
-        # and exact chains (so the chain runs once), without the runner
-        # retaining record copies for its whole lifetime.
-        sliced: dict[tuple, list[Trace]] = {}
+        # Identical sharded requests within the batch plan the same shard
+        # handles (so the scheduler deduplicates their tasks) and share
+        # one exact chain (so the chain runs once).
         chain_index: dict[tuple, int] = {}
         for request in requests:
             spec, scenario, config = request.predictor, request.scenario, request.pipeline
             backend = self.backend_for(request)
             units: list[tuple] = []
-            for trace in self.resolve(request.trace):
-                plan = self._shard_plan(request, trace)
+            for handle in traces.handles(request.trace):
+                plan = self._shard_plan(request, handle)
                 if plan is None:
                     units.append(("one", len(flat)))
-                    flat.append((spec, trace, scenario, config))
+                    flat.append((spec, handle, scenario, config))
                     flat_backends.append(backend)
                     continue
                 windows, mode = plan
-                plan_key = tuple((w.warmup_start, w.start, w.stop) for w in windows)
                 if mode == "exact":
-                    key = (spec, id(trace), scenario, config, plan_key)
+                    plan_key = tuple((w.warmup_start, w.start, w.stop) for w in windows)
+                    key = (spec, handle.identity, scenario, config, plan_key)
                     if key not in chain_index:
-                        chain_index[key] = len(chains)
-                        chains.append(ExactShardChain(spec, trace, windows, scenario, config))
+                        chain_index[key] = len(chain_plans)
+                        chain_plans.append((spec, handle, windows, scenario, config))
                         cache_key = cached = None
                         if self.cache is not None:
                             # Exact mode reproduces the unsharded run bit
                             # for bit, so the whole-trace key applies.
-                            cache_key = self.cache.key_for(spec, trace, scenario, config)
+                            cache_key = self.cache.key_for(spec, handle, scenario, config)
                             cached = self.cache.get(cache_key)
                         chain_keys.append(cache_key)
                         chain_cached.append(cached)
                     units.append(("chain", chain_index[key]))
                 else:
-                    slice_key = (id(trace), plan_key)
-                    shards = sliced.get(slice_key)
-                    if shards is None:
-                        shards = sliced[slice_key] = [
-                            shard_trace(trace, window) for window in windows
-                        ]
                     positions = []
-                    for shard in shards:
+                    for window in windows:
                         positions.append(len(flat))
-                        flat.append((spec, shard, scenario, config))
+                        flat.append((spec, traces.shard(handle, window), scenario, config))
                         flat_backends.append(backend)
                     units.append(("merge", positions))
             layout.append(units)
 
-        pending = [
-            chain for chain, cached in zip(chains, chain_cached) if cached is None
-        ]
-        # Planning covers trace resolution, shard planning and cache
-        # probes — everything before the scheduling pass takes over.
+        # Planning covers handle lookup (resolving references without a
+        # manifest), shard planning and chain cache probes — everything
+        # before the scheduling pass takes over.
         plan_span.__exit__(None, None, None)
         registry.histogram(
             "repro_runner_plan_seconds",
-            "Batch planning time: resolve, shard-plan, cache-probe.",
+            "Batch planning time: handles, shard-plan, cache-probe.",
         ).observe(time.perf_counter() - batch_start)
+        pending = [
+            ExactShardChain(spec, traces.trace(handle), windows, scenario, config)
+            for (spec, handle, windows, scenario, config), cached
+            in zip(chain_plans, chain_cached)
+            if cached is None
+        ]
         results, pending_results = run_scheduled(
             flat,
             pending,
@@ -309,6 +343,7 @@ class Runner:
             cache=self.cache,
             pool=self._acquire_pool(),
             backend=flat_backends,
+            materialize=traces.trace,
         )
         fresh = iter(pending_results)
         chain_results: list[SimulationResult] = []
@@ -436,6 +471,71 @@ class Runner:
                 suite.add(result)
             suites.append(suite)
         return suites
+
+
+class _BatchTraces:
+    """One batch's trace handles, and the traces behind them on demand.
+
+    Planning sees handles only; :meth:`trace` builds a handle's trace —
+    resolving its reference through the runner and cutting the shard —
+    the first time a task on it misses the result cache.
+    """
+
+    def __init__(self, runner: Runner) -> None:
+        self._runner = runner
+        self._handles: dict[str, list[TraceHandle]] = {}
+        #: identity -> (parsed ref, index among its traces, shard window)
+        self._sources: dict[str, tuple[TraceRef, int, ShardWindow | None]] = {}
+        self._resolved: dict[str, list[Trace]] = {}
+        self._traces: dict[str, Trace] = {}
+
+    def handles(self, ref: str) -> list[TraceHandle]:
+        """``ref``'s handles: from the runner's memo, the cache's manifest, or by resolving."""
+        parsed = parse_trace_ref(ref)
+        handles = self._handles.get(parsed.canonical)
+        if handles is None:
+            runner = self._runner
+            lengths = None
+            if runner.cache is not None and parsed.canonical not in runner._resolved:
+                lengths = runner.cache.get_manifest(parsed.base)
+            if lengths is not None:
+                try:
+                    handles = trace_handles(parsed, lengths)
+                except ValueError:
+                    pass  # a manifest that cannot be this ref's: resolve instead
+            if handles is None:
+                # Kept for the batch, whatever the runner's LRU drops meanwhile.
+                traces = self._resolved[parsed.canonical] = runner.resolve(parsed)
+                handles = [TraceHandle.of(trace) for trace in traces]
+            self._handles[parsed.canonical] = handles
+            for index, handle in enumerate(handles):
+                self._sources.setdefault(handle.identity, (parsed, index, None))
+        return handles
+
+    def shard(self, handle: TraceHandle, window: ShardWindow) -> TraceHandle:
+        shard = shard_handle(handle, window)
+        parsed, index, _ = self._sources[handle.identity]
+        self._sources.setdefault(shard.identity, (parsed, index, window))
+        return shard
+
+    def trace(self, handle: TraceHandle) -> Trace:
+        trace = self._traces.get(handle.identity)
+        if trace is not None:
+            return trace
+        parsed, index, window = self._sources[handle.identity]
+        resolved = self._resolved.get(parsed.canonical)
+        if resolved is None:
+            resolved = self._resolved[parsed.canonical] = self._runner.resolve(parsed)
+        planned = self._handles[parsed.canonical][index]
+        if TraceHandle.of(resolved[index]) != planned:
+            raise RuntimeError(
+                f"trace {planned.name!r} was planned as {planned.length} branches from its "
+                f"cache manifest but generates {len(resolved[index])}: the generators "
+                f"changed without a GENERATOR_VERSION bump (the manifest is now rewritten)"
+            )
+        trace = resolved[index] if window is None else shard_trace(resolved[index], window)
+        self._traces[handle.identity] = trace
+        return trace
 
 
 # ---------------------------------------------------------------------------

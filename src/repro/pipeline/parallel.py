@@ -15,7 +15,9 @@ process pool:
   :class:`~repro.pipeline.metrics.SuiteResult` is identical to the serial
   path's,
 * an opt-in on-disk cache keyed by (spec, trace, scenario, pipeline
-  config) lets repeated sweeps skip traces they have already simulated.
+  config) lets repeated sweeps skip traces they have already simulated;
+  it also stores the per-reference trace manifests that let a
+  :class:`~repro.api.runner.Runner` plan a request without generating.
 
 With ``max_workers=1`` (or a single trace) the runner degrades to the
 serial in-process loop, which keeps it usable on single-core boxes and
@@ -25,9 +27,11 @@ inside already-parallel harnesses.
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import os
 import pickle
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
@@ -47,8 +51,9 @@ from repro.pipeline.metrics import SimulationResult, SuiteResult
 from repro.pipeline.scenarios import UpdateScenario
 from repro.predictors.base import Predictor
 from repro.predictors.registry import PredictorSpec, spec_of
+from repro.traces.refs import GENERATOR_VERSION
 from repro.traces.sharding import ShardWindow
-from repro.traces.trace import Trace
+from repro.traces.trace import Trace, TraceHandle
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -63,9 +68,13 @@ __all__ = [
 ]
 
 #: Version token of the cached-result schema.  Bump whenever the pickled
-#: :class:`SimulationResult` layout or the cache key recipe changes, so
-#: stale entries from older builds are never served.
-CACHE_SCHEMA_VERSION = 2
+#: :class:`SimulationResult` layout, the trace manifest layout or the
+#: cache key recipe changes, so stale entries from older builds are never
+#: served.
+CACHE_SCHEMA_VERSION = 3
+
+#: File suffixes of cache entries (results, trace manifests) the LRU bound covers.
+_ENTRY_SUFFIXES = (".pkl", ".manifest")
 
 _LOG = get_logger("pipeline")
 
@@ -112,28 +121,29 @@ def _pool_task_metrics(kind: str, seconds: float) -> None:
         ("kind",)).observe(seconds, kind=kind)
 
 
-def trace_fingerprint(trace: Trace) -> str:
-    """A content digest of a trace (used by the result cache key).
+def trace_fingerprint(trace: Trace | TraceHandle) -> str:
+    """The trace part of a result-cache key.
 
-    Hashes the full (pc, taken, preceding_instructions) stream, so two
-    traces with the same name but different generator parameters never
-    share a cache entry.
+    A trace resolved from a reference — and every shard cut from one, and
+    every :class:`~repro.traces.trace.TraceHandle` — carries an
+    ``identity`` derived from the generator version, canonical reference,
+    name and window; it is returned as is, so keying never touches the
+    records.  Any other trace (live lists, :func:`~repro.traces.io.load_trace`
+    files) falls back to :meth:`~repro.traces.trace.Trace.content_digest`,
+    a hash of its name and full (pc, taken, preceding_instructions)
+    stream computed once per object — two such traces with the same name
+    but different content never share a cache entry.
     """
-    digest = hashlib.sha256()
-    digest.update(trace.name.encode())
-    for record in trace:
-        digest.update(
-            b"%d,%d,%d;" % (record.pc, 1 if record.taken else 0, record.preceding_instructions)
-        )
-    return digest.hexdigest()[:32]
+    return trace.identity or trace.content_digest()
 
 
 class SuiteCache:
     """On-disk cache of per-(spec, trace, scenario, config) simulation results.
 
-    One pickle file per result under ``directory``.  The key includes a
-    content fingerprint of the trace, so regenerating a suite with
-    different lengths or seeds never produces stale hits, and a
+    One pickle file per result under ``directory``.  The key includes the
+    trace's :func:`trace_fingerprint` — its reference identity, or a
+    content digest — so regenerating a suite with different lengths or
+    seeds never produces stale hits, and a
     ``cache_version`` label (see
     :attr:`~repro.api.config.RunnerConfig.cache_version`) that lets
     operators invalidate a shared cache directory wholesale without
@@ -144,6 +154,10 @@ class SuiteCache:
     the mtime of served entries) until the directory fits, which is what
     makes a default-on shared cache safe.  :meth:`prune` runs the same
     eviction on demand.
+
+    Next to the results (``<key>.pkl``) the cache keeps small trace
+    manifests (``<key>.manifest``, see :meth:`get_manifest`), under the
+    same LRU bound; :meth:`stats` counts results only.
     """
 
     def __init__(
@@ -162,13 +176,13 @@ class SuiteCache:
         # real directory total by every prune() scan, bumped per write.
         self._approx_bytes: int | None = None
 
-    def _path(self, key: str) -> str:
-        return os.path.join(self.directory, f"{key}.pkl")
+    def _path(self, key: str, suffix: str = ".pkl") -> str:
+        return os.path.join(self.directory, f"{key}{suffix}")
 
     @staticmethod
     def key(
         spec: PredictorSpec,
-        trace: Trace,
+        trace: Trace | TraceHandle,
         scenario: UpdateScenario,
         config: PipelineConfig,
         cache_version: str = "",
@@ -199,7 +213,7 @@ class SuiteCache:
     def key_for(
         self,
         spec: PredictorSpec,
-        trace: Trace,
+        trace: Trace | TraceHandle,
         scenario: UpdateScenario,
         config: PipelineConfig,
     ) -> str:
@@ -248,7 +262,7 @@ class SuiteCache:
         except OSError:
             names = []
         for name in names:
-            if not name.endswith(".pkl"):
+            if not name.endswith(_ENTRY_SUFFIXES):
                 continue
             path = os.path.join(self.directory, name)
             try:
@@ -282,9 +296,9 @@ class SuiteCache:
     def clear(self) -> int:
         """Delete every cached result; returns the number of entries removed.
 
-        Orphaned ``.pkl.tmp.*`` files from interrupted :meth:`put` calls
-        are deleted too but not counted, keeping the number comparable
-        with :meth:`stats`'s ``entries``.
+        Trace manifests and orphaned ``.tmp.*`` files from interrupted
+        writes are deleted too but not counted, keeping the number
+        comparable with :meth:`stats`'s ``entries``.
         """
         removed = 0
         self._approx_bytes = None  # directory emptied; resync lazily
@@ -294,7 +308,7 @@ class SuiteCache:
             return 0
         for name in names:
             is_entry = name.endswith(".pkl")
-            if not (is_entry or ".pkl.tmp." in name):
+            if not (name.endswith(_ENTRY_SUFFIXES) or ".tmp." in name):
                 continue
             try:
                 os.remove(os.path.join(self.directory, name))
@@ -340,40 +354,109 @@ class SuiteCache:
         With a ``max_bytes`` limit configured, the write is followed by an
         LRU eviction pass keeping the directory within bounds.
         """
-        path = self._path(key)
-        tmp = f"{path}.tmp.{os.getpid()}"
+        self._write(self._path(key), pickle.dumps(result))
+
+    def _write(self, path: str, blob: bytes) -> None:
+        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
         with open(tmp, "wb") as handle:
-            pickle.dump(result, handle)
+            handle.write(blob)
         os.replace(tmp, path)
         if self.max_bytes is None:
             return
         if self._approx_bytes is None:
             self.prune()  # first bounded write: one full scan seeds the estimate
             return
-        try:
-            self._approx_bytes += os.path.getsize(path)
-        except OSError:
-            pass
+        self._approx_bytes += len(blob)
         if self._approx_bytes > self.max_bytes:
             self.prune()
 
+    # -- trace manifests -------------------------------------------------
 
-#: Per-process predictor instances, keyed by spec, reused via ``reset()``
-#: across the tasks a pool worker executes (building a large TAGE-LSC is
-#: far more expensive than resetting one).  Bounded because the serial
-#: fallback runs in the long-lived driving process, where a sweep over
-#: many specs would otherwise pin one multi-megabit predictor per spec.
-_WORKER_PREDICTORS: dict[PredictorSpec, Predictor] = {}
+    def _manifest_path(self, ref: str) -> str:
+        raw = "|".join(
+            (
+                "manifest",
+                f"schema{CACHE_SCHEMA_VERSION}",
+                f"generator{GENERATOR_VERSION}",
+                self.cache_version,
+                ref,
+            )
+        )
+        return self._path(hashlib.sha256(raw.encode()).hexdigest()[:40], ".manifest")
+
+    def get_manifest(self, ref: str) -> list[tuple[str, int]] | None:
+        """The ``(name, length)`` of every trace ``ref`` resolves to, or None.
+
+        ``ref`` is a canonical trace reference without a shard fragment.
+        Manifests are keyed by :data:`~repro.traces.refs.GENERATOR_VERSION`
+        plus the reference, so a generator change (and its version bump)
+        never reads an old one.  A missing, unreadable or malformed
+        manifest is ``None``: the caller resolves the reference instead.
+        """
+        path = self._manifest_path(ref)
+        try:
+            with open(path, "rb") as handle:
+                document = json.loads(handle.read())
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError) as error:
+            log_event(
+                _LOG, logging.WARNING, "trace manifest unreadable", ref=ref, error=repr(error)
+            )
+            return None
+        traces = _manifest_traces(document, ref)
+        if traces is None:
+            log_event(_LOG, logging.WARNING, "trace manifest malformed", ref=ref)
+            return None
+        try:
+            os.utime(path)  # refresh recency so LRU keeps hot manifests
+        except OSError:
+            pass
+        return traces
+
+    def put_manifest(self, ref: str, traces: list[tuple[str, int]]) -> None:
+        """Store the ``(name, length)`` list of ``ref``'s traces (see :meth:`get_manifest`)."""
+        document = {"ref": ref, "traces": [[name, length] for name, length in traces]}
+        self._write(self._manifest_path(ref), json.dumps(document, sort_keys=True).encode())
+
+
+def _manifest_traces(document, ref: str) -> list[tuple[str, int]] | None:
+    """The trace list of a well-formed manifest for ``ref``, else None."""
+    if not isinstance(document, dict) or document.get("ref") != ref:
+        return None
+    traces = document.get("traces")
+    if not isinstance(traces, list) or not traces:
+        return None
+    for entry in traces:
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
+            return None
+        if type(entry[1]) is not int or entry[1] <= 0:
+            return None
+    return [(name, length) for name, length in traces]
+
+
+#: Predictor instances, keyed by spec, reused via ``reset()`` across the
+#: tasks one thread executes (building a large TAGE-LSC is far more
+#: expensive than resetting one).  Per thread, not per process: the serial
+#: path runs in the driving process, where several runners (service lanes,
+#: fleet workers) may simulate the same spec at once, and a shared
+#: instance would be reset under a running simulation.  Bounded because
+#: that process is long-lived, and a sweep over many specs would
+#: otherwise pin one multi-megabit predictor per spec.
+_WORKER_PREDICTORS = threading.local()
 _WORKER_PREDICTOR_LIMIT = 4
 
 
 def _predictor_for(spec: PredictorSpec) -> tuple[Predictor, bool]:
-    """Build or reset-and-reuse this process's predictor for ``spec``.
+    """Build or reset-and-reuse this thread's predictor for ``spec``.
 
     Returns the predictor and whether it was served warm (reset-reuse of
     a cached instance rather than a fresh construction).
     """
-    predictor = _WORKER_PREDICTORS.pop(spec, None)
+    cache: dict[PredictorSpec, Predictor] | None = getattr(_WORKER_PREDICTORS, "cache", None)
+    if cache is None:
+        cache = _WORKER_PREDICTORS.cache = {}
+    predictor = cache.pop(spec, None)
     warm = predictor is not None
     if predictor is None:
         predictor = spec.build()
@@ -383,9 +466,9 @@ def _predictor_for(spec: PredictorSpec) -> tuple[Predictor, bool]:
         except NotImplementedError:
             predictor = spec.build()
             warm = False
-    while len(_WORKER_PREDICTORS) >= _WORKER_PREDICTOR_LIMIT:
-        _WORKER_PREDICTORS.pop(next(iter(_WORKER_PREDICTORS)))
-    _WORKER_PREDICTORS[spec] = predictor
+    while len(cache) >= _WORKER_PREDICTOR_LIMIT:
+        cache.pop(next(iter(cache)))
+    cache[spec] = predictor
     return predictor, warm
 
 
@@ -681,12 +764,13 @@ def _resolve_selection(selection):
 
 
 def run_scheduled(
-    tasks: list[tuple[PredictorSpec, Trace, UpdateScenario, PipelineConfig]],
+    tasks: list[tuple[PredictorSpec, Trace | TraceHandle, UpdateScenario, PipelineConfig]],
     chains: list[ExactShardChain] | None = None,
     max_workers: int | None = None,
     cache: SuiteCache | None = None,
     pool: WorkerPool | None = None,
     backend=None,
+    materialize=None,
 ) -> tuple[list[SimulationResult], list[SimulationResult]]:
     """One scheduling pass over flat tasks, exact-shard chains and backends.
     See :func:`_run_scheduled`; this wrapper owns the ``sched.run`` span
@@ -694,16 +778,17 @@ def run_scheduled(
     under one node of the request's trace tree.
     """
     with span("sched.run", tasks=len(tasks), chains=len(chains or [])):
-        return _run_scheduled(tasks, chains, max_workers, cache, pool, backend)
+        return _run_scheduled(tasks, chains, max_workers, cache, pool, backend, materialize)
 
 
 def _run_scheduled(
-    tasks: list[tuple[PredictorSpec, Trace, UpdateScenario, PipelineConfig]],
+    tasks: list[tuple[PredictorSpec, Trace | TraceHandle, UpdateScenario, PipelineConfig]],
     chains: list[ExactShardChain] | None = None,
     max_workers: int | None = None,
     cache: SuiteCache | None = None,
     pool: WorkerPool | None = None,
     backend=None,
+    materialize=None,
 ) -> tuple[list[SimulationResult], list[SimulationResult]]:
     """One scheduling pass over flat tasks, exact-shard chains and backends.
 
@@ -727,6 +812,12 @@ def _run_scheduled(
     ``backend`` is a name, a live :class:`~repro.backends.base.Backend`,
     ``None`` (interp), or a per-task sequence of those (the
     :class:`~repro.api.runner.Runner` resolves selection per request).
+
+    With ``materialize`` set, tasks carry trace handles
+    (:class:`~repro.traces.trace.TraceHandle`) instead of traces: cache
+    keys and deduplication only need a handle's identity, and
+    ``materialize(handle) -> Trace`` is called for the tasks that miss
+    the cache — so a fully cached pass never builds a trace.
     """
     chains = list(chains or [])
     if not tasks and not chains:
@@ -745,13 +836,19 @@ def _run_scheduled(
             if cached is not None:
                 slots[position] = cached
                 continue
-        group_key = (spec, id(trace), scenario, config)
+        group_key = (spec, trace.identity or id(trace), scenario, config)
         index = index_of.get(group_key)
         if index is None:
             index = index_of[group_key] = len(unique_tasks)
             unique_tasks.append(task)
             unique_positions.append([])
         unique_positions[index].append(position)
+
+    if materialize is not None:
+        unique_tasks = [
+            (spec, materialize(trace), scenario, config)
+            for spec, trace, scenario, config in unique_tasks
+        ]
 
     selections = (
         list(backend) if isinstance(backend, (list, tuple)) else [backend] * len(tasks)
@@ -940,8 +1037,9 @@ def run_simulations(
     so workers stay busy across suite and experiment boundaries.
 
     Results are returned in task order.  Tasks that are literally
-    identical (same spec, same trace object, same scenario and config)
-    are simulated once and share their result.  With ``cache`` set,
+    identical (same spec, same trace — the same object, or the same
+    identity — same scenario and config) are simulated once and share
+    their result.  With ``cache`` set,
     results already on disk are served without simulating; fresh results
     are written back.  ``max_workers=None`` means ``os.cpu_count()``;
     with one worker (or one pending task) everything runs in-process.

@@ -24,9 +24,11 @@ synthetic substitute:
 
 from repro.traces.io import load_trace, save_trace
 from repro.traces.refs import (
+    GENERATOR_VERSION,
     TraceRef,
     parse_trace_ref,
     resolve_trace_ref,
+    trace_handles,
     trace_ref_catalogue,
 )
 from repro.traces.sharding import (
@@ -35,6 +37,7 @@ from repro.traces.sharding import (
     ShardWindow,
     auto_shard_count,
     plan_shards,
+    shard_handle,
     shard_refs,
     shard_trace,
 )
@@ -57,7 +60,7 @@ from repro.traces.synthetic import (
     WorkloadSpec,
     generate_workload,
 )
-from repro.traces.trace import BranchRecord, Trace
+from repro.traces.trace import BranchRecord, Trace, TraceHandle
 
 __all__ = [
     "BiasedBranch",
@@ -65,6 +68,7 @@ __all__ = [
     "BranchSite",
     "CATEGORIES",
     "DEFAULT_WARMUP",
+    "GENERATOR_VERSION",
     "GeneratorContext",
     "GloballyCorrelatedBranch",
     "HARD_TRACES",
@@ -75,6 +79,7 @@ __all__ = [
     "ShardingPolicy",
     "SuiteSpec",
     "Trace",
+    "TraceHandle",
     "TraceRef",
     "WorkloadSpec",
     "auto_shard_count",
@@ -86,8 +91,10 @@ __all__ = [
     "plan_shards",
     "resolve_trace_ref",
     "save_trace",
+    "shard_handle",
     "shard_refs",
     "shard_trace",
+    "trace_handles",
     "trace_names",
     "trace_ref_catalogue",
 ]

@@ -33,7 +33,11 @@ service, and :func:`resolve_trace_ref` cuts the deterministic slice (see
 
 Resolution is deterministic: the same reference always yields bit-identical
 traces, which is what lets references key result caches and travel through
-JSON run requests.
+JSON run requests.  Every resolved trace therefore carries a cheap
+``identity`` — a hash of :data:`GENERATOR_VERSION`, the canonical reference
+and the trace name — that stands in for a content digest of its records;
+:func:`trace_handles` derives the same identities (and shard windows) from
+the traces' names and lengths alone, without generating anything.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.traces.sharding import DEFAULT_WARMUP, plan_shards, shard_trace
+from repro.traces.sharding import DEFAULT_WARMUP, plan_shards, shard_handle, shard_trace
 from repro.traces.suite import CATEGORIES, HARD_TRACES, generate_trace
 from repro.traces.synthetic import (
     BiasedBranch,
@@ -52,16 +56,26 @@ from repro.traces.synthetic import (
     WorkloadSpec,
     generate_workload,
 )
-from repro.traces.trace import Trace
+from repro.traces.trace import Trace, TraceHandle, derive_identity
 
 __all__ = [
     "GENERATORS",
+    "GENERATOR_VERSION",
     "TRACE_REF_SCHEMES",
     "TraceRef",
     "parse_trace_ref",
     "resolve_trace_ref",
+    "trace_handles",
     "trace_ref_catalogue",
 ]
+
+#: Version of the trace generators' output.  A resolved trace's identity,
+#: and with it every result-cache key and trace manifest, is derived from
+#: this number instead of the generated records, so it must be bumped
+#: whenever any generator (suite, hard or synthetic) can emit a different
+#: branch stream for the same reference.  ``tests/traces/
+#: test_generator_pins.py`` pins the output and fails until it is.
+GENERATOR_VERSION = 1
 
 TRACE_REF_SCHEMES: tuple[str, ...] = ("suite", "hard", "synthetic")
 
@@ -194,6 +208,11 @@ class TraceRef:
     canonical: str
     shard: tuple[int, int] | None = None
     shard_warmup: int = 0
+
+    @property
+    def base(self) -> str:
+        """The canonical form without the shard fragment."""
+        return self.canonical.partition("#")[0]
 
     def param(self, key: str) -> int | float:
         """Return one resolved parameter value."""
@@ -406,12 +425,17 @@ def _suite_names(ref: TraceRef) -> list[str]:
     return [ref.name]
 
 
+def _identity(base_ref: str, name: str) -> str:
+    return derive_identity("ref", GENERATOR_VERSION, base_ref, name)
+
+
 def resolve_trace_ref(ref: str | TraceRef) -> list[Trace]:
     """Resolve a trace reference to the (deterministic) traces it names.
 
     A shard fragment resolves the *whole* base trace first, then cuts the
     warmup+measure slice the fragment selects, so every shard of a plan
-    sees exactly the records an unsharded run would.
+    sees exactly the records an unsharded run would.  Every returned
+    trace carries its identity (see :func:`trace_handles`).
     """
     parsed = parse_trace_ref(ref) if isinstance(ref, str) else ref
     if parsed.scheme in ("suite", "hard"):
@@ -425,22 +449,49 @@ def resolve_trace_ref(ref: str | TraceRef) -> list[Trace]:
         _, builder, _ = GENERATORS[parsed.name]
         params = dict(parsed.params)
         spec = builder(params)
-        base_name, _, _ = parsed.canonical.partition("#")
         traces = [
             generate_workload(
                 spec,
                 branch_count=int(params["length"]),
                 seed=int(params["seed"]),
-                name=base_name,
+                name=parsed.base,
                 category="SYNTHETIC",
             )
         ]
+    for trace in traces:
+        trace.identity = _identity(parsed.base, trace.name)
     if parsed.shard is None:
         return traces
     index, count = parsed.shard
     (trace,) = traces  # parse_trace_ref guarantees single-trace refs here
     window = plan_shards(len(trace), count, parsed.shard_warmup)[index]
     return [shard_trace(trace, window)]
+
+
+def trace_handles(ref: str | TraceRef, lengths: list[tuple[str, int]]) -> list[TraceHandle]:
+    """The handles :func:`resolve_trace_ref` would yield, without generating.
+
+    ``lengths`` lists ``(name, length)`` of every trace the reference's
+    *base* (its shard fragment dropped) resolves to, in resolution order;
+    generators overshoot the requested length, so these must be the
+    actual lengths of earlier resolutions.  A shard fragment is planned
+    against the base length exactly as :func:`resolve_trace_ref` plans it.
+    Raises :class:`ValueError` if the names or lengths cannot be the
+    reference's (wrong names, or shorter than requested).
+    """
+    parsed = parse_trace_ref(ref) if isinstance(ref, str) else ref
+    if parsed.scheme in ("suite", "hard"):
+        names, requested = _suite_names(parsed), int(parsed.param("branches"))
+    else:
+        names, requested = [parsed.base], int(parsed.param("length"))
+    if [name for name, _ in lengths] != names or any(n < requested for _, n in lengths):
+        raise ValueError(f"trace lengths {lengths!r} do not fit trace ref {parsed.canonical!r}")
+    handles = [TraceHandle(name, length, _identity(parsed.base, name)) for name, length in lengths]
+    if parsed.shard is None:
+        return handles
+    index, count = parsed.shard
+    (handle,) = handles
+    return [shard_handle(handle, plan_shards(handle.length, count, parsed.shard_warmup)[index])]
 
 
 def trace_ref_catalogue() -> list[tuple[str, str]]:

@@ -13,7 +13,8 @@ idled.  This module is the *planner* for fanning such a trace out:
 * :class:`ShardWindow` describes one such window in source-trace branch
   indices, and :func:`shard_trace` cuts the matching
   :class:`~repro.traces.trace.Trace` slice (warmup prefix included,
-  shard metadata attached);
+  shard metadata attached), and :func:`shard_handle` names the same
+  shard without records (a :class:`~repro.traces.trace.TraceHandle`);
 * :func:`shard_refs` spells a plan as *shard references* —
   ``suite:NAME#shard=i/n&warmup=K`` — the serializable form that travels
   through :class:`~repro.api.request.RunRequest` and the HTTP service
@@ -33,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from repro.traces.trace import Trace
+from repro.traces.trace import Trace, TraceHandle, derive_identity
 
 __all__ = [
     "DEFAULT_WARMUP",
@@ -43,6 +44,7 @@ __all__ = [
     "ShardingPolicy",
     "auto_shard_count",
     "plan_shards",
+    "shard_handle",
     "shard_refs",
     "shard_trace",
 ]
@@ -138,25 +140,44 @@ def shard_trace(trace: Trace, window: ShardWindow) -> Trace:
     The returned trace holds the warmup prefix followed by the measured
     window; ``warmup_count`` marks where measurement starts, ``window``
     and ``source_name`` carry the position so results can be merged back
-    (and mis-merges rejected).  The shard's own ``name`` spells the plan
-    (``<base>#shard=i/n&warmup=K``), which keeps result-cache
-    fingerprints distinct per window *and* per warmup depth.
+    (and mis-merges rejected).  Its name and identity are those of
+    :func:`shard_handle`.
     """
-    if window.stop > len(trace):
-        raise ValueError(
-            f"shard window [{window.start}, {window.stop}) exceeds "
-            f"trace {trace.name!r} of {len(trace)} branches"
-        )
-    if trace.window is not None:
-        raise ValueError(f"trace {trace.name!r} is already a shard and cannot be re-sharded")
+    shard = shard_handle(TraceHandle(trace.name, len(trace), trace.identity, trace.window), window)
     return Trace(
-        name=f"{trace.name}#shard={window.index}/{window.count}&warmup={window.warmup}",
+        name=shard.name,
         category=trace.category,
         records=trace.records[window.warmup_start : window.stop],
         hard=trace.hard,
         warmup_count=window.start - window.warmup_start,
-        window=(window.start, window.stop, window.total),
+        window=shard.window,
         source_name=trace.name,
+        identity=shard.identity,
+    )
+
+
+def shard_handle(handle: TraceHandle, window: ShardWindow) -> TraceHandle:
+    """The handle of one shard window of the trace behind ``handle``.
+
+    The shard's ``name`` spells the plan (``<base>#shard=i/n&warmup=K``),
+    which keeps content digests distinct per window *and* per warmup
+    depth.  A source with an ``identity`` passes on one derived from it,
+    the shard's name and its window, so a cached shard result can never
+    be served for another shard of the same trace.
+    """
+    if window.stop > handle.length:
+        raise ValueError(
+            f"shard window [{window.start}, {window.stop}) exceeds "
+            f"trace {handle.name!r} of {handle.length} branches"
+        )
+    if handle.window is not None:
+        raise ValueError(f"trace {handle.name!r} is already a shard and cannot be re-sharded")
+    name = f"{handle.name}#shard={window.index}/{window.count}&warmup={window.warmup}"
+    identity = handle.identity and derive_identity(
+        "shard", handle.identity, name, window.warmup_start, window.start, window.stop, window.total
+    )
+    return TraceHandle(
+        name, window.stop - window.warmup_start, identity, (window.start, window.stop, window.total)
     )
 
 

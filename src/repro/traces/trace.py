@@ -8,13 +8,19 @@ number of executed micro-ops, not by the number of branches).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - numpy only needed when arrays() is used
     import numpy as np
 
-__all__ = ["BranchRecord", "Trace", "TraceArrays"]
+__all__ = ["BranchRecord", "Trace", "TraceArrays", "TraceHandle", "derive_identity"]
+
+
+def derive_identity(*parts: object) -> str:
+    """A short digest naming a trace by how it was made, not by its records."""
+    return hashlib.sha256("|".join(map(str, parts)).encode()).hexdigest()[:32]
 
 
 @dataclass(frozen=True)
@@ -99,6 +105,14 @@ class Trace:
     source_name:
         Name of the unsharded source trace (empty for whole traces);
         results carry it so shards of one trace can be merged back.
+    identity:
+        A cheap stand-in for the records' content digest, set on traces
+        generated from a trace reference (see
+        :func:`repro.traces.refs.resolve_trace_ref`) and on shards cut from
+        them.  It hashes the generator version, the canonical reference,
+        the name and (for shards) the window, so result-cache keys never
+        need the records.  Empty for traces of any other origin; code
+        that edits the records of a trace must clear it.
     """
 
     name: str
@@ -108,6 +122,7 @@ class Trace:
     warmup_count: int = 0
     window: tuple[int, int, int] | None = None
     source_name: str = ""
+    identity: str = field(default="", compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -154,6 +169,26 @@ class Trace:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
 
+    def content_digest(self) -> str:
+        """A digest of the name and the full (pc, taken, preceding) stream.
+
+        Computed once per object (recomputed only if the name or the
+        record count changes), so repeated cache-key derivations of a
+        trace without an ``identity`` hash its records once.
+        """
+        cached = self.__dict__.get("_digest")
+        if cached is not None and cached[0] == (self.name, len(self.records)):
+            return cached[1]
+        digest = hashlib.sha256()
+        digest.update(self.name.encode())
+        for record in self.records:
+            digest.update(
+                b"%d,%d,%d;" % (record.pc, 1 if record.taken else 0, record.preceding_instructions)
+            )
+        value = digest.hexdigest()[:32]
+        self.__dict__["_digest"] = ((self.name, len(self.records)), value)
+        return value
+
     @property
     def branch_count(self) -> int:
         """Number of dynamic conditional branches."""
@@ -194,3 +229,25 @@ class Trace:
             f"taken rate {self.taken_rate:.2f}"
             f"{', hard' if self.hard else ''}"
         )
+
+
+@dataclass(frozen=True)
+class TraceHandle:
+    """What planning needs of one trace: name, length, identity and window.
+
+    A handle stands in for a :class:`Trace` until its records are needed:
+    the :class:`~repro.api.runner.Runner` shard-plans and derives every
+    result-cache key from handles, and generates records only for traces
+    with at least one cache miss.  ``length`` is ``len(trace)``: every
+    record, a shard's warmup prefix included.
+    """
+
+    name: str
+    length: int
+    identity: str
+    window: tuple[int, int, int] | None = None
+
+    @classmethod
+    def of(cls, trace: Trace) -> "TraceHandle":
+        """The handle of a live trace (content-hashed if it has no identity)."""
+        return cls(trace.name, len(trace), trace.identity or trace.content_digest(), trace.window)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -238,3 +239,35 @@ class TestPythonDashM:
         proc = self._run("run", "gshare", "--trace", "nope")
         assert proc.returncode == 2
         assert "repro:" in proc.stderr
+
+
+class TestRunTimings:
+    REF = "synthetic:mixed?length=3000&seed=9"
+
+    @pytest.fixture(autouse=True)
+    def fresh_obs(self):
+        from repro.obs import MetricsRegistry, SpanRecorder, set_metrics, set_tracer
+
+        previous = set_metrics(MetricsRegistry()), set_tracer(SpanRecorder(sample_rate=1.0))
+        yield
+        set_metrics(previous[0])
+        set_tracer(previous[1])
+
+    def test_generation_is_its_own_row_and_absent_on_a_hit(self, capsys, tmp_path):
+        argv = ["run", "gshare", "--trace", self.REF, "--cache-dir", str(tmp_path),
+                "--timings", "--json"]
+        cold = run_cli_json(capsys, *argv)["timings"]
+        assert cold["resolve_seconds"] > 0
+        assert cold["breakdown"]["trace.resolve"] == cold["resolve_seconds"]
+        warm = run_cli_json(capsys, *argv)["timings"]
+        assert warm["resolve_seconds"] == 0
+        assert "trace.resolve" not in warm["breakdown"]
+        assert warm["cache"] == {"hit": 1}
+
+    def test_exact_chains_count_as_scheduled(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_SUITE_CACHE", "off")
+        code, out = run_cli(capsys, "run", "gshare", "--trace", self.REF, "--shards", "3",
+                            "--shard-mode", "exact", "--timings")
+        assert code == 0
+        assert "scheduled: exact=3;" in out
+        assert re.search(r", resolve \d+\.\d{3}s,", out), out
