@@ -19,12 +19,17 @@ from repro.analysis.experiments import ExperimentTable
 from repro.core.augmented import AugmentedTAGE
 from repro.core.config import make_reference_tage_config
 from repro.core.tage import TAGEPredictor
+from repro.pipeline.engine import SimulationEngine
+from repro.pipeline.metrics import SuiteResult
 from repro.pipeline.scenarios import UpdateScenario
-from repro.pipeline.simulator import simulate_suite
 
 
 def _mppki(factory, traces, scenario=UpdateScenario.IMMEDIATE, config=None):
-    return simulate_suite(factory, traces, scenario=scenario, config=config).mppki
+    """Suite MPPKI of ``factory``'s predictor, built fresh for every trace."""
+    suite = SuiteResult(predictor_name="ablation")
+    for trace in traces:
+        suite.add(SimulationEngine(factory(), scenario, config).run(trace))
+    return suite.mppki
 
 
 def test_bench_ablation_allocation_count(benchmark, bench_suite):

@@ -2,7 +2,7 @@
 
 Not a paper experiment — this bench tracks the cost of the staged
 simulation engine itself and the scaling of
-:class:`~repro.pipeline.parallel.ParallelSuiteRunner`.  It uses gshare
+:meth:`~repro.api.runner.Runner.run_suite` over a worker pool.  It uses gshare
 (the cheapest real predictor) so that the loop and dispatch overhead, not
 the predictor maths, dominates the measurement.
 

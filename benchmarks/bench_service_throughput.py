@@ -14,9 +14,9 @@ many-small-requests scenario).  Three measurements:
   against a live in-process server, reporting requests/sec and
   p50/p95 latency,
 * **mixed load** — 64 interactive clients waiting on tiny submissions
-  while one fig10-sized batch occupies the service: the async server
-  with priority lanes must beat the retired threaded/single-lane
-  baseline by at least 2x on interactive p95 (the PR's headline claim,
+  while one fig10-sized batch occupies the service: the server with
+  priority lanes must beat the same server with a single dispatch lane
+  by at least 2x on interactive p95 (the lanes' headline claim,
   asserted in-bench so it stays regression-gated).
 
 Quick mode (``REPRO_BENCH_BRANCHES=500``) keeps the whole file under ~60 s.
@@ -32,12 +32,7 @@ import urllib.request
 
 from benchmarks.conftest import BENCH_BRANCHES, run_once
 from repro.api import Runner, RunnerConfig, RunRequest
-from repro.service import (
-    ServiceClient,
-    SimulationService,
-    make_server,
-    make_threaded_server,
-)
+from repro.service import ServiceClient, SimulationService, make_server
 
 #: Each round is one small mixed-spec batch — two tasks, so the pool
 #: (not the serial fallback) executes it.
@@ -169,15 +164,13 @@ def _post_json(url: str, payload, timeout: float = 300.0) -> dict:
         return json.loads(response.read())
 
 
-def _mixed_load(base_url: str, runs_path: str) -> list[float]:
+def _mixed_load(base_url: str) -> list[float]:
     """Drive the mixed scenario against one server; interactive latencies.
 
-    Same raw-urllib transport for both servers so the comparison measures
-    the service, not the client.  ``runs_path`` is ``/v1/runs`` for the
-    threaded baseline (it serves nothing newer) and ``/v2/runs`` for the
-    async server.
+    Raw urllib against ``/v2/runs``, the same for both configurations,
+    so the comparison measures the dispatch, not the client.
     """
-    url = f"{base_url}{runs_path}"
+    url = f"{base_url}/v2/runs"
     # Warm both execution paths so process-spawn cost (hundreds of ms,
     # paid once) does not pollute either side's percentiles.
     _post_json(f"{url}?wait=1&timeout=120",
@@ -220,60 +213,55 @@ def _mixed_load(base_url: str, runs_path: str) -> list[float]:
     return latencies
 
 
-def test_bench_mixed_load_lanes_vs_threaded(benchmark):
+def _serve_mixed_load(service: SimulationService) -> tuple[list[float], dict]:
+    """Run the mixed scenario against ``service``; latencies and lane stats."""
+    service.start()
+    server = make_server(service)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        return _mixed_load(server.url), service.stats()["lanes"]["by_lane"]
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.close()
+        thread.join(timeout=10)
+
+
+def test_bench_mixed_load_lanes_vs_single_lane(benchmark):
     def measure():
-        # Baseline: the retired threaded server, one dispatch lane — every
-        # interactive submission queues behind the monopolising batch.
-        service = SimulationService(
+        # Baseline: one ``default`` dispatch lane — every interactive
+        # submission queues behind the monopolising batch.
+        single, single_stats = _serve_mixed_load(SimulationService(
             runner=Runner(RunnerConfig(workers=1), persistent=True),
             queue_size=256,
-        ).start()
-        server = make_threaded_server(service)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            threaded = _mixed_load(server.url, "/v1/runs")
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.close()
-            thread.join(timeout=10)
-
-        # Contender: the asyncio server with priority lanes — tiny jobs
-        # take the interactive lane and never see the batch.
-        service = SimulationService(
+        ))
+        # Contender: priority lanes — tiny jobs take the interactive lane
+        # and never see the batch.
+        lanes, lane_stats = _serve_mixed_load(SimulationService(
             runner=Runner(RunnerConfig(workers=1), persistent=True),
             interactive_runner=Runner(RunnerConfig(workers=1), persistent=True),
             small_job_branches=_LANE_THRESHOLD,
             queue_size=256,
-        ).start()
-        server = make_server(service)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            async_lanes = _mixed_load(server.url, "/v2/runs")
-            lane_stats = service.stats()["lanes"]["by_lane"]
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.close()
-            thread.join(timeout=10)
-        return threaded, async_lanes, lane_stats
+        ))
+        return single, single_stats, lanes, lane_stats
 
-    threaded, async_lanes, lane_stats = run_once(benchmark, measure)
-    _report(f"threaded baseline, {MIXED_CLIENTS} clients vs batch", threaded)
-    _report(f"async + lanes,     {MIXED_CLIENTS} clients vs batch", async_lanes)
-    threaded_p95 = _percentile(threaded, 0.95)
-    async_p95 = _percentile(async_lanes, 0.95)
-    ratio = threaded_p95 / async_p95
-    print(f"interactive p95: threaded {1000 * threaded_p95:.0f} ms, "
-          f"async+lanes {1000 * async_p95:.0f} ms ({ratio:.1f}x better)")
-    benchmark.extra_info["threaded_p95_ms"] = round(1000 * threaded_p95, 2)
-    benchmark.extra_info["async_lanes_p95_ms"] = round(1000 * async_p95, 2)
+    single, single_stats, lanes, lane_stats = run_once(benchmark, measure)
+    _report(f"single lane, {MIXED_CLIENTS} clients vs batch", single)
+    _report(f"lanes,       {MIXED_CLIENTS} clients vs batch", lanes)
+    single_p95 = _percentile(single, 0.95)
+    lanes_p95 = _percentile(lanes, 0.95)
+    ratio = single_p95 / lanes_p95
+    print(f"interactive p95: single lane {1000 * single_p95:.0f} ms, "
+          f"lanes {1000 * lanes_p95:.0f} ms ({ratio:.1f}x better)")
+    benchmark.extra_info["single_lane_p95_ms"] = round(1000 * single_p95, 2)
+    benchmark.extra_info["lanes_p95_ms"] = round(1000 * lanes_p95, 2)
     benchmark.extra_info["p95_ratio"] = round(ratio, 2)
-    # The tiny jobs really took the interactive lane (not a mislabel win).
+    # The baseline really had one lane, and the tiny jobs really took the
+    # interactive lane in the contender (not a mislabel win).
+    assert set(single_stats) == {"default"}, single_stats
     assert lane_stats["interactive"]["executed"] >= MIXED_CLIENTS
     assert lane_stats["batch"]["executed"] >= 1
     # The headline claim: lanes keep interactive latency at least 2x
     # better than the single-lane baseline under a monopolising batch.
-    assert ratio >= 2.0, (threaded_p95, async_p95)
+    assert ratio >= 2.0, (single_p95, lanes_p95)

@@ -6,7 +6,7 @@ Shows the extension points of the library:
 * attach any subset of the paper's side predictors through the
   ``"augmented-tage"`` registry kind (a thin front over
   :class:`repro.core.AugmentedTAGE`; the resulting specs are picklable
-  and ready for the parallel suite runner),
+  and ready for :class:`repro.api.Runner`'s worker pool),
 * describe a workload explicitly with the synthetic behaviour classes and
   check which behaviours each predictor variant captures.
 

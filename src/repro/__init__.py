@@ -53,14 +53,12 @@ from repro.core import (
     make_reference_tage_config,
 )
 from repro.pipeline import (
-    ParallelSuiteRunner,
     PipelineConfig,
     SimulationEngine,
     SimulationResult,
     UpdateScenario,
     simulate,
     simulate_delayed,
-    simulate_suite,
 )
 from repro.predictors import (
     BimodalPredictor,
@@ -81,7 +79,6 @@ __all__ = [
     "ISLTAGEPredictor",
     "LTAGEPredictor",
     "LoopPredictor",
-    "ParallelSuiteRunner",
     "PerceptronPredictor",
     "PipelineConfig",
     "Predictor",
@@ -102,6 +99,5 @@ __all__ = [
     "make_reference_tage_config",
     "simulate",
     "simulate_delayed",
-    "simulate_suite",
     "__version__",
 ]

@@ -8,7 +8,7 @@ factor relative to the reference (~512 Kbit-class) predictor.
 They are also exposed through the predictor registry as the
 ``scaled-tage`` and ``scaled-tage-lsc`` kinds (config key
 ``log2_factor``), so sweeps can be described as picklable specs and fanned
-out with :class:`~repro.pipeline.parallel.ParallelSuiteRunner`::
+out with :meth:`~repro.api.runner.Runner.run_suites`::
 
     PredictorSpec("scaled-tage-lsc", {"log2_factor": 2})
 """

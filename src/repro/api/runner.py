@@ -1,12 +1,13 @@
 """The execution facade: one object that runs requests, batches and products.
 
-:class:`Runner` is the single entry point callers use to execute
-simulations.  It owns a :class:`~repro.api.config.RunnerConfig` (workers +
-cache), resolves :mod:`trace references <repro.traces.refs>` (memoised, so
-requests naming the same reference share trace objects), and schedules
-every (spec, trace) pair of a batch or cross-product into **one** process
-pool via :func:`~repro.pipeline.parallel.run_simulations` — the
-multi-spec scheduling the ROADMAP called for: workers stay busy across
+:class:`Runner` is the entry point callers use to execute simulations
+(a single predictor-over-trace run can also use
+:class:`~repro.pipeline.engine.SimulationEngine` directly).  It owns a
+:class:`~repro.api.config.RunnerConfig` (workers + cache), resolves
+:mod:`trace references <repro.traces.refs>` (memoised, so requests naming
+the same reference share trace objects), and schedules every (spec,
+trace) pair of a batch or cross-product into **one** scheduling pass,
+:func:`~repro.pipeline.parallel.run_scheduled`: workers stay busy across
 spec and experiment boundaries instead of draining one suite at a time.
 
 Requests are planned from trace handles
@@ -49,13 +50,7 @@ from repro.api.request import RunRequest, coerce_scenario, validate_shard_covera
 from repro.backends import DEFAULT_BACKEND
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.metrics import SimulationResult, SuiteResult
-from repro.pipeline.parallel import (
-    ExactShardChain,
-    SuiteCache,
-    WorkerPool,
-    run_scheduled,
-    run_simulations,
-)
+from repro.pipeline.parallel import ExactShardChain, SuiteCache, WorkerPool, run_scheduled
 from repro.pipeline.scenarios import UpdateScenario
 from repro.predictors.base import Predictor
 from repro.predictors.registry import PredictorSpec, spec_of
@@ -438,8 +433,12 @@ class Runner:
         """Many (spec, traces, scenario, pipeline) suites through one pool.
 
         The flattened (spec, trace) tasks of every job are interleaved
-        into a single :func:`run_simulations` call, so a sweep over many
+        into a single :func:`run_scheduled` pass, so a sweep over many
         specs keeps every worker busy until the whole batch drains.
+        Every trace sees a power-on-state predictor (traces never warm
+        each other up — the CBP rule): the executing thread builds one
+        per spec, then resets and reuses it, or rebuilds it for
+        predictors whose ``reset()`` is not implemented.
         """
         flat: list[tuple] = []
         shape: list[tuple[PredictorSpec, int]] = []
@@ -453,7 +452,7 @@ class Runner:
             shape.append((spec, len(traces)))
             flat.extend((spec, trace, scenario, config) for trace in traces)
 
-        results = run_simulations(
+        results, _ = run_scheduled(
             flat,
             max_workers=self.config.workers,
             cache=self.cache,

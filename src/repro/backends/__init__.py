@@ -11,9 +11,9 @@ package registers the built-in backends::
     if backend.supports(spec, scenario, config):
         results = backend.run_group([spec], trace, scenario, config)
 
-Schedulers (:func:`repro.pipeline.parallel.run_simulations`, the
-:class:`~repro.api.runner.Runner`) select backends by name and fall back
-to ``interp`` for anything a backend does not support.
+The scheduler (:func:`repro.pipeline.parallel.run_scheduled`, behind
+:class:`~repro.api.runner.Runner`) selects backends by name and falls
+back to ``interp`` for anything a backend does not support.
 """
 
 from repro.backends.base import (

@@ -12,8 +12,6 @@ coordinator/broker/worker shape:
   and single-host composition),
 * :mod:`repro.distrib.fsbroker` — :class:`FileBroker`, a shared
   directory usable across processes and hosts (no new dependencies),
-* :mod:`repro.distrib.redis_broker` — an optional redis-backed broker,
-  imported only when a ``redis://`` URL is used,
 * :mod:`repro.distrib.worker` — :class:`FleetWorker`, the ``repro
   worker`` loop: lease → execute → heartbeat → complete, with graceful
   drain.
@@ -22,8 +20,8 @@ Topology: N ``repro serve --broker <spec>`` front ends publish jobs and
 watch for their completion; M ``repro worker --broker <spec>`` processes
 execute them; one shared result store (``--store-dir``) keeps the
 terminal documents.  ``connect_broker`` turns the shared ``--broker``
-spec (a directory path, ``memory``, or a ``redis://`` URL) into a live
-broker.
+spec (a directory path or ``memory``) into a live broker.  Another
+backing store plugs in by implementing the :class:`Broker` contract.
 """
 
 from __future__ import annotations
@@ -61,17 +59,18 @@ def connect_broker(spec: str, **policy: Any) -> Broker:
     * ``memory`` (or ``memory:``) — an in-process :class:`MemoryBroker`
       (only useful when front end and workers share one process, e.g.
       tests and benchmarks),
-    * ``redis://...`` / ``rediss://...`` — the optional redis broker
-      (raises a clear :class:`BrokerError` when the package is absent),
     * anything else — a directory path for the :class:`FileBroker`
       (created on first use; share it between hosts to span machines).
+
+    ``redis://`` and ``rediss://`` URLs raise :class:`ValueError`: no
+    redis broker ships, and such a spec must not silently become a
+    directory named ``redis:``.
     """
-    if not spec:
-        raise ValueError("broker spec must be a directory path, 'memory' or a redis:// URL")
+    if not spec or spec.startswith(("redis://", "rediss://")):
+        raise ValueError(
+            f"unsupported broker spec {spec!r}: use a directory path (FileBroker) "
+            "or 'memory' (MemoryBroker)"
+        )
     if spec in ("memory", "memory:"):
         return MemoryBroker(**policy)
-    if spec.startswith(("redis://", "rediss://")):
-        from repro.distrib.redis_broker import RedisBroker
-
-        return RedisBroker(spec, **policy)
     return FileBroker(spec, **policy)

@@ -27,11 +27,12 @@ is observable from any front end (``GET /v1/stats``, ``repro fleet``).
 Two implementations ship: :class:`~repro.distrib.memory.MemoryBroker`
 (in-process, for tests and single-host composition) and
 :class:`~repro.distrib.fsbroker.FileBroker` (a shared directory; usable
-across processes and across hosts on a shared filesystem).  A
-redis-backed broker (:mod:`repro.distrib.redis_broker`) is available
-behind an optional import.  All implementations accept an injectable
-``clock`` so lease-expiry and backoff semantics are testable without
-sleeping.
+across processes and across hosts on a shared filesystem).  Another
+backing store (a redis or SQL queue, say) plugs in by subclassing
+:class:`Broker` and passing the same contract tests the two shipped
+implementations pass (``tests/distrib``).  All implementations accept an
+injectable ``clock`` so lease-expiry and backoff semantics are testable
+without sleeping.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Every structure lives behind one lock, so the memory broker is safe for
 any number of front-end and worker *threads* within one process — which
 is exactly what the unit tests and the single-host composition
 (``SimulationService`` + in-thread ``FleetWorker``) need.  It cannot
-span processes; deploys use :class:`~repro.distrib.fsbroker.FileBroker`
-or the optional redis broker, which implement the same semantics.
+span processes; deploys use :class:`~repro.distrib.fsbroker.FileBroker`,
+which implements the same semantics.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 On real hardware the predictor tables are updated when a branch retires,
 many cycles after the prediction was made.  This subpackage models that
-with one staged machine and the suite-level drivers built on top of it:
+with one staged machine and the scheduler built on top of it:
 
 * :class:`~repro.pipeline.engine.SimulationEngine` — **the** simulation
   core: an explicit fetch → execute → retire loop over the in-flight
@@ -10,16 +10,14 @@ with one staged machine and the suite-level drivers built on top of it:
   degenerate zero-delay configuration (window depth zero, update from
   fresh values at fetch), so every scenario shares one code path,
 * :func:`~repro.pipeline.simulator.simulate` /
-  :func:`~repro.pipeline.simulator.simulate_delayed` — thin compatibility
-  wrappers over the engine, preserved because experiments and papers
-  reference them,
-* :func:`~repro.pipeline.simulator.simulate_suite` — one predictor
-  configuration over a trace suite, resetting and reusing a single
-  predictor instance when the predictor supports ``reset()``,
-* :class:`~repro.pipeline.parallel.ParallelSuiteRunner` — the same suite
-  semantics fanned out over a process pool; workers receive picklable
-  predictor *specs* (see :mod:`repro.predictors.registry`), and an opt-in
-  on-disk cache skips (spec, trace, scenario) runs already simulated,
+  :func:`~repro.pipeline.simulator.simulate_delayed` — one-line shims
+  over the engine, preserved because experiments and papers reference
+  them,
+* :func:`~repro.pipeline.parallel.run_scheduled` — the scheduling pass
+  behind :class:`~repro.api.runner.Runner`: (spec, trace, scenario,
+  config) tasks fanned out over a worker pool or run in-process, routed
+  to the batched backends (:mod:`repro.backends`) where supported, with
+  an opt-in on-disk :class:`~repro.pipeline.parallel.SuiteCache`,
 * :class:`~repro.pipeline.scenarios.UpdateScenario` — the four update
   policies compared in Section 4.1.2 ([I] oracle immediate update, [A]
   re-read at retire, [B] fetch-time read only, [C] re-read only on
@@ -29,26 +27,17 @@ with one staged machine and the suite-level drivers built on top of it:
   misprediction penalty used by the MPPKI metric,
 * :class:`~repro.pipeline.metrics.SimulationResult` and
   :class:`~repro.pipeline.metrics.SuiteResult` — accuracy and access
-  metrics, including MPKI and the CBP-3 MPPKI,
-* :func:`~repro.pipeline.engine.run_with_backend` — the dispatch hook
-  into the pluggable execution backends (:mod:`repro.backends`): one
-  (spec, trace) run on the named backend, interp fallback included.
+  metrics, including MPKI and the CBP-3 MPPKI.
 """
 
 from repro.pipeline.config import PipelineConfig
-from repro.pipeline.engine import SimulationEngine, run_with_backend
+from repro.pipeline.engine import SimulationEngine
 from repro.pipeline.metrics import SimulationResult, SuiteResult
-from repro.pipeline.parallel import (
-    ParallelSuiteRunner,
-    SuiteCache,
-    run_scheduled,
-    run_simulations,
-)
+from repro.pipeline.parallel import SuiteCache, run_scheduled
 from repro.pipeline.scenarios import UpdateScenario
-from repro.pipeline.simulator import simulate, simulate_delayed, simulate_suite
+from repro.pipeline.simulator import simulate, simulate_delayed
 
 __all__ = [
-    "ParallelSuiteRunner",
     "PipelineConfig",
     "SimulationEngine",
     "SimulationResult",
@@ -56,9 +45,6 @@ __all__ = [
     "SuiteResult",
     "UpdateScenario",
     "run_scheduled",
-    "run_simulations",
-    "run_with_backend",
     "simulate",
     "simulate_delayed",
-    "simulate_suite",
 ]

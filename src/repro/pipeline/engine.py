@@ -51,8 +51,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from typing import TYPE_CHECKING
-
 from repro.hardware.access_counter import AccessProfile
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.metrics import SimulationResult
@@ -60,37 +58,7 @@ from repro.pipeline.scenarios import UpdateScenario
 from repro.predictors.base import Predictor
 from repro.traces.trace import BranchRecord, Trace
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.backends.base import Backend
-    from repro.predictors.registry import PredictorSpec
-
-__all__ = ["SimulationEngine", "run_with_backend"]
-
-
-def run_with_backend(
-    spec: "PredictorSpec",
-    trace: Trace,
-    scenario: UpdateScenario = UpdateScenario.IMMEDIATE,
-    config: PipelineConfig | None = None,
-    backend: "str | Backend | None" = None,
-) -> SimulationResult:
-    """Execute one (spec, trace) run on the selected execution backend.
-
-    The dispatch hook between the staged engine and the pluggable
-    backends (:mod:`repro.backends`): the named backend runs the
-    combination when it supports it and the staged engine takes it
-    otherwise, so callers can request ``backend="numpy"`` for anything
-    and still get the bit-identical interpreter semantics for predictor
-    kinds without a batched kernel.  ``backend=None`` (or ``"interp"``)
-    is exactly ``SimulationEngine(spec.build(), scenario, config).run(trace)``.
-    """
-    from repro.backends import resolve_backend
-
-    config = config or PipelineConfig()
-    resolved = resolve_backend(backend)
-    if not resolved.supports(spec, scenario, config):
-        resolved = resolve_backend(None)
-    return resolved.run_one(spec, trace, scenario, config)
+__all__ = ["SimulationEngine"]
 
 
 def _ium_overrides(predictor: Predictor) -> int:

@@ -1,27 +1,24 @@
-"""Parallel suite execution.
+"""Simulation scheduling: the process pool, exact-shard chains and the result cache.
 
-A full experiment sweeps one predictor configuration over dozens of
-traces; each (predictor, trace) run is independent, so the suite is
-embarrassingly parallel.  :class:`ParallelSuiteRunner` fans
-:func:`~repro.pipeline.simulator.simulate_suite`-style work out across a
-process pool:
+A full experiment sweeps predictor configurations over dozens of traces;
+each (predictor, trace) run is independent, so the work is
+embarrassingly parallel.  :func:`run_scheduled` is the one scheduling
+pass every :class:`~repro.api.runner.Runner` call goes through:
 
 * workers receive a picklable
   :class:`~repro.predictors.registry.PredictorSpec` — never a live
   predictor — and build (or :meth:`~repro.predictors.base.Predictor.reset`
   and reuse) their own instance per process,
 * results come back as plain :class:`~repro.pipeline.metrics.SimulationResult`
-  values and are aggregated in trace order, so the
-  :class:`~repro.pipeline.metrics.SuiteResult` is identical to the serial
-  path's,
+  values in task order, identical to the in-process path's,
 * an opt-in on-disk cache keyed by (spec, trace, scenario, pipeline
   config) lets repeated sweeps skip traces they have already simulated;
   it also stores the per-reference trace manifests that let a
   :class:`~repro.api.runner.Runner` plan a request without generating.
 
-With ``max_workers=1`` (or a single trace) the runner degrades to the
-serial in-process loop, which keeps it usable on single-core boxes and
-inside already-parallel harnesses.
+With ``max_workers=1`` (or a single job) the pass runs in-process, which
+keeps it usable on single-core boxes and inside already-parallel
+harnesses.
 """
 
 from __future__ import annotations
@@ -47,10 +44,10 @@ from repro.obs import (
 )
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.engine import SimulationEngine
-from repro.pipeline.metrics import SimulationResult, SuiteResult
+from repro.pipeline.metrics import SimulationResult
 from repro.pipeline.scenarios import UpdateScenario
 from repro.predictors.base import Predictor
-from repro.predictors.registry import PredictorSpec, spec_of
+from repro.predictors.registry import PredictorSpec
 from repro.traces.refs import GENERATOR_VERSION
 from repro.traces.sharding import ShardWindow
 from repro.traces.trace import Trace, TraceHandle
@@ -58,12 +55,9 @@ from repro.traces.trace import Trace, TraceHandle
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "ExactShardChain",
-    "ParallelSuiteRunner",
     "SuiteCache",
     "WorkerPool",
-    "run_exact_chains",
     "run_scheduled",
-    "run_simulations",
     "trace_fingerprint",
 ]
 
@@ -107,8 +101,7 @@ def _pool_task_metrics(kind: str, seconds: float) -> None:
 
     In a pool child this lands in the child's own registry and is
     shipped back as a drained delta with the task result; in the serial
-    path it lands directly in the driving process's registry (the
-    caller merges the delta back, a no-op there).
+    path it lands directly in the driving process's registry.
     """
     registry = get_metrics()
     registry.counter(
@@ -511,43 +504,50 @@ def _drain_child_spans() -> list:
     return drain_spans()
 
 
+def _simulate_shard(payload: tuple) -> tuple[SimulationResult, bytes | None]:
+    """Simulate one exact-mode shard of a trace, in the calling process.
+
+    ``payload`` is ``(spec, records, name, window, scenario, config,
+    state, final)``.  With ``state=None`` (first shard) the predictor
+    starts from power-on state, exactly like an unsharded run; otherwise
+    ``state`` is the pickled ``(predictor, in-flight window)`` handed over
+    by the previous shard, so measurement resumes mid-pipeline — partially
+    executed branches retire here, under the same scenario policy, with
+    their update accounted to the shard that retires them.  Returns the
+    shard's window result and the pickled state for the next shard
+    (``None`` after the final shard, which drains).
+    """
+    spec, records, name, window, scenario, config, state, final = payload
+    with span("pool.shard", kind="exact", trace=name, start_branch=window[0], final=final):
+        if state is None:
+            predictor, _ = _predictor_for(spec)
+            entries: list[tuple] = []
+        else:
+            predictor, entries = pickle.loads(state)
+        engine = SimulationEngine(predictor, scenario, config)
+        engine.start()
+        engine.import_state(entries)
+        engine.feed(records)
+        if final:
+            engine.drain_window()
+        result = engine.result(name, window=window)
+        handoff = None if final else pickle.dumps((predictor, engine.export_state()))
+    return result, handoff
+
+
 def _run_exact_shard(
     envelope: tuple,
 ) -> tuple[SimulationResult, bytes | None, dict, list]:
-    """Pool worker: one exact-mode shard of a trace.
+    """Pool worker: :func:`_simulate_shard` plus the child's instrumentation.
 
-    ``envelope`` is ``(payload, span_context)`` where ``payload`` is
-    ``(spec, records, name, window, scenario, config, state, final)``.
-    With ``state=None`` (first shard) the predictor starts from power-on
-    state, exactly like an unsharded run; otherwise ``state`` is the
-    pickled ``(predictor, in-flight window)`` handed over by the
-    previous shard, so measurement resumes mid-pipeline — partially
-    executed branches retire here, under the same scenario policy, with
-    their update accounted to the shard that retires them.  Returns the
-    shard's window result, the pickled state for the next shard
-    (``None`` after the final shard, which drains), and the executing
-    process's drained metrics delta and completed spans.
+    ``envelope`` is ``(payload, span_context)``.  Returns the shard's
+    result and handoff state, and the executing process's drained metrics
+    delta and completed spans.
     """
     payload, context = envelope
     start = time.perf_counter()
-    spec, records, name, window, scenario, config, state, final = payload
     with bind_span_context(context):
-        with span("pool.shard", kind="exact", trace=name,
-                  start_branch=window[0], final=final):
-            if state is None:
-                predictor, _ = _predictor_for(spec)
-                entries: list[tuple] = []
-            else:
-                predictor, entries = pickle.loads(state)
-            engine = SimulationEngine(predictor, scenario, config)
-            engine.start()
-            engine.import_state(entries)
-            engine.feed(records)
-            if final:
-                engine.drain_window()
-            result = engine.result(name, window=window)
-            handoff = (None if final
-                       else pickle.dumps((predictor, engine.export_state())))
+        result, handoff = _simulate_shard(payload)
     _pool_task_metrics("exact", time.perf_counter() - start)
     return result, handoff, get_metrics().drain(), _drain_child_spans()
 
@@ -591,41 +591,18 @@ class ExactShardChain:
         )
 
 
-def run_exact_chains(
-    chains: list[ExactShardChain],
-    pool: "WorkerPool | None" = None,
-    max_workers: int | None = None,
-) -> list[SimulationResult]:
-    """Execute exact-mode shard chains, pipelined across one pool.
-
-    Shards *within* a chain are strictly sequential (each consumes the
-    predictor state its predecessor pickled), so a single chain gains no
-    wall-clock speedup — exactness, not speed, is this mode's point.
-    Chains *of different traces* overlap: whenever one chain's next shard
-    is dispatched, other chains' shards keep the remaining workers busy.
-    Results come back in chain order, each the merge of its shard
-    results — bit-identical to the unsharded runs.
-
-    This is :func:`run_scheduled` with no flat tasks; callers holding
-    both (the :class:`~repro.api.runner.Runner`) schedule them together
-    so chain shards overlap with the flat work instead of waiting for it.
-    """
-    _, chain_results = run_scheduled([], chains, max_workers=max_workers, pool=pool)
-    return chain_results
-
-
 class WorkerPool:
-    """A long-lived process pool with warm per-worker predictor caches.
+    """A process pool with warm per-worker predictor caches.
 
-    Where :func:`run_simulations` normally builds (and tears down) a
-    :class:`ProcessPoolExecutor` per call, a ``WorkerPool`` keeps its
-    worker processes alive across calls: each worker's module-level
-    ``{spec: predictor}`` cache then persists, so repeated small batches
-    pay neither process spawn nor predictor construction — the warm path
-    a long-running service needs.
+    The only pool :func:`run_scheduled` submits to.  Passed in by the
+    caller, it lives across batches: each worker's ``{spec: predictor}``
+    cache then persists, so repeated small batches pay neither process
+    spawn nor predictor construction — the warm path a long-running
+    service needs.  Without one, :func:`run_scheduled` runs the batch on
+    a short-lived pool of its own.
 
-    The pool is lazy (processes start on the first :meth:`map`),
-    reusable across batches, and a context manager.  ``warm_hits`` /
+    The pool is lazy (processes start on the first submit), reusable
+    across batches, and a context manager.  ``warm_hits`` /
     ``tasks_executed`` count how often workers served a task by
     resetting a cached predictor instead of building one.
     """
@@ -658,37 +635,8 @@ class WorkerPool:
                 max_workers=self.max_workers, initializer=_reset_child_metrics)
         return self._executor
 
-    def map(self, tasks: list[tuple]) -> list[SimulationResult]:
-        """Execute tasks on the persistent workers, in task order.
-
-        An ordinary task exception (e.g. a predictor factory rejecting
-        its config) propagates with the pool — and every worker's warm
-        predictor cache — left intact: one bad task must not cost the
-        warm state of all the good ones.  Only a dead executor
-        (:class:`BrokenExecutor`) or an interrupt (Ctrl-C /
-        ``SystemExit``) closes the pool, cancelling pending tasks and
-        joining workers so none are orphaned.
-        """
-        executor = self._ensure()
-        context = current_span_context()
-        envelopes = [(task, context) for task in tasks]
-        try:
-            outcomes = list(executor.map(_simulate_one_warm, envelopes))
-        except (BrokenExecutor, KeyboardInterrupt, SystemExit):
-            self.close(cancel=True)
-            raise
-        self.batches += 1
-        self.tasks_executed += len(outcomes)
-        self.warm_hits += sum(1 for _, warm, _, _ in outcomes if warm)
-        registry = get_metrics()
-        tracer = get_tracer()
-        for _, _, deltas, spans in outcomes:
-            registry.merge(deltas)
-            tracer.merge(spans)
-        return [result for result, _, _, _ in outcomes]
-
     def submit(self, payload: tuple) -> Future:
-        """Dispatch one exact-mode shard job (see :func:`run_exact_chains`).
+        """Dispatch one exact-mode shard job (see :class:`ExactShardChain`).
 
         Exact shards are excluded from the warm-hit accounting: only the
         first shard of a chain touches the worker's predictor cache, the
@@ -700,12 +648,12 @@ class WorkerPool:
         return future
 
     def submit_sim(self, task: tuple) -> Future:
-        """Dispatch one flat simulation task; resolves to (result, warm).
+        """Dispatch one flat simulation task.
 
-        The future-based sibling of :meth:`map`, used by
-        :func:`run_scheduled` to interleave flat tasks with exact-shard
-        chains in one pass.  The caller aggregates the warm flags and
-        reports them through :meth:`record_batch`.
+        The future resolves to ``(result, warm, metrics delta, spans)``
+        (see :func:`_simulate_one_warm`).  :func:`run_scheduled`
+        interleaves these with exact-shard jobs in one pass, aggregates
+        the warm flags and reports them through :meth:`record_batch`.
         """
         return self._ensure().submit(
             _simulate_one_warm, (task, current_span_context()))
@@ -792,16 +740,24 @@ def _run_scheduled(
 ) -> tuple[list[SimulationResult], list[SimulationResult]]:
     """One scheduling pass over flat tasks, exact-shard chains and backends.
 
-    Flat (spec, trace, scenario, config) tasks are deduplicated and
-    cache-checked as in :func:`run_simulations`; the survivors are routed
-    by ``backend``:
+    Flat (spec, trace, scenario, config) tasks are deduplicated — tasks
+    with the same spec, trace (the same object, or the same identity),
+    scenario and config are simulated once and share their result — and,
+    with ``cache`` set, served from it when already simulated; fresh
+    results are written back.  The survivors are routed by ``backend``:
 
     * tasks the selected backend supports are grouped by (trace,
       scenario, config) and executed as **one batched kernel call per
       group** in the driving process (:mod:`repro.backends`) — while any
-      pool/executor futures for the rest are already in flight;
+      pool futures for the rest are already in flight;
     * everything else (and the default ``interp`` selection) runs on the
-      worker pool exactly as before.
+      worker pool.
+
+    With ``pool`` set, the pool work runs on that persistent
+    :class:`WorkerPool` (``max_workers`` is then ignored).  Otherwise a
+    short-lived pool of ``min(max_workers, jobs)`` workers runs it, or —
+    with one worker or at most one job — this process does.
+    ``max_workers=None`` means ``os.cpu_count()``.
 
     ``chains`` are exact-mode shard pipelines; their first shards are
     submitted **into the same pass** as the flat tasks, so the
@@ -933,81 +889,71 @@ def _run_scheduled(
             with span("pool.task", kind="sim", trace=task[1].name):
                 fresh[index] = _simulate_one(task)
             _pool_task_metrics("sim", time.perf_counter() - start)
-        context = current_span_context()
         for position, chain in enumerate(chains):
             state: bytes | None = None
             for shard in range(len(chain.windows)):
-                result, state, deltas, spans = _run_exact_shard(
-                    (chain.payload(shard, state), context))
-                registry.merge(deltas)
-                tracer.merge(spans)
+                start = time.perf_counter()
+                result, state = _simulate_shard(chain.payload(shard, state))
+                _pool_task_metrics("exact", time.perf_counter() - start)
                 chain_parts[position].append(result)
 
-    def drive(submit_task, submit_shard) -> tuple[int, int]:
-        """Fan everything out, overlap kernels, pump chain continuations."""
-        cursor = [0] * len(chains)
-        pending: dict[Future, tuple[str, int]] = {}
-        for index, task in zip(interp_indices, interp_tasks):
-            pending[submit_task(task)] = ("task", index)
-        for position, chain in enumerate(chains):
-            pending[submit_shard(chain.payload(0, None))] = ("chain", position)
-        # The batched kernels crunch in this process while the workers
-        # chew on the interp tasks and first shards just submitted.
-        run_kernel_groups()
-        executed = 0
-        warm = 0
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                kind, index = pending.pop(future)
-                if kind == "task":
-                    result, was_warm, deltas, spans = future.result()
-                    registry.merge(deltas)
-                    tracer.merge(spans)
-                    fresh[index] = result
-                    executed += 1
-                    warm += 1 if was_warm else 0
-                else:
-                    result, state, deltas, spans = future.result()
-                    registry.merge(deltas)
-                    tracer.merge(spans)
-                    chain_parts[index].append(result)
-                    cursor[index] += 1
-                    if cursor[index] < len(chains[index].windows):
-                        payload = chains[index].payload(cursor[index], state)
-                        pending[submit_shard(payload)] = ("chain", index)
-        return executed, warm
+    def drive(pool: WorkerPool) -> None:
+        """Fan everything out, overlap kernels, pump chain continuations.
 
-    if pool is not None:
+        An ordinary task exception (e.g. a predictor factory rejecting
+        its config) leaves the pool and its warm predictors intact; a
+        dead executor or an interrupt closes it without orphaning
+        workers: queued tasks are dropped, running ones finish.
+        """
         try:
-            executed, warm = drive(pool.submit_sim, pool.submit)
+            cursor = [0] * len(chains)
+            pending: dict[Future, tuple[str, int]] = {}
+            for index, task in zip(interp_indices, interp_tasks):
+                pending[pool.submit_sim(task)] = ("task", index)
+            for position, chain in enumerate(chains):
+                pending[pool.submit(chain.payload(0, None))] = ("chain", position)
+            # The batched kernels crunch in this process while the workers
+            # chew on the interp tasks and first shards just submitted.
+            run_kernel_groups()
+            executed = 0
+            warm = 0
+            while pending:
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    kind, index = pending.pop(future)
+                    if kind == "task":
+                        result, was_warm, deltas, spans = future.result()
+                        registry.merge(deltas)
+                        tracer.merge(spans)
+                        fresh[index] = result
+                        executed += 1
+                        warm += 1 if was_warm else 0
+                    else:
+                        result, state, deltas, spans = future.result()
+                        registry.merge(deltas)
+                        tracer.merge(spans)
+                        chain_parts[index].append(result)
+                        cursor[index] += 1
+                        if cursor[index] < len(chains[index].windows):
+                            payload = chains[index].payload(cursor[index], state)
+                            pending[pool.submit(payload)] = ("chain", index)
+            if executed:
+                pool.record_batch(executed, warm)
         except (BrokenExecutor, KeyboardInterrupt, SystemExit):
             pool.close(cancel=True)
             raise
-        if executed:
-            pool.record_batch(executed, warm)
+
+    limit = max_workers if max_workers is not None else (os.cpu_count() or 1)
+    parallel_jobs = len(interp_tasks) + len(chains)
+    if pool is not None:
+        drive(pool)
+    elif limit <= 1 or parallel_jobs <= 1:
+        run_serial()
     else:
-        limit = max_workers if max_workers is not None else (os.cpu_count() or 1)
-        parallel_jobs = len(interp_tasks) + len(chains)
-        if limit <= 1 or parallel_jobs <= 1:
-            run_serial()
-        else:
-            executor = ProcessPoolExecutor(
-                max_workers=min(limit, parallel_jobs),
-                initializer=_reset_child_metrics)
-            try:
-                drive(
-                    lambda task: executor.submit(
-                        _simulate_one_warm, (task, current_span_context())),
-                    lambda payload: executor.submit(
-                        _run_exact_shard, (payload, current_span_context())),
-                )
-            except BaseException:
-                # Ctrl-C (or a worker crash) must not orphan workers:
-                # drop queued tasks, let running ones finish, join.
-                executor.shutdown(wait=True, cancel_futures=True)
-                raise
-            executor.shutdown()
+        # No persistent pool: one for this pass, closed (cancelling
+        # queued work on any error) when it ends.
+        with WorkerPool(max_workers=min(limit, parallel_jobs)) as batch_pool:
+            drive(batch_pool)
 
     for index, positions in enumerate(unique_positions):
         result = fresh[index]
@@ -1019,105 +965,3 @@ def _run_scheduled(
     assert all(result is not None for result in slots)
     chain_results = [SimulationResult.merge(parts) for parts in chain_parts]
     return slots, chain_results  # type: ignore[return-value]
-
-
-def run_simulations(
-    tasks: list[tuple[PredictorSpec, Trace, UpdateScenario, PipelineConfig]],
-    max_workers: int | None = None,
-    cache: SuiteCache | None = None,
-    pool: WorkerPool | None = None,
-    backend=None,
-) -> list[SimulationResult]:
-    """Execute (spec, trace, scenario, config) runs through one process pool.
-
-    This is the scheduling core shared by :class:`ParallelSuiteRunner`
-    (one spec over many traces) and :class:`~repro.api.runner.Runner`
-    (batches and cross-products of specs, traces and scenarios): every
-    task, whatever spec it belongs to, is interleaved into the same pool,
-    so workers stay busy across suite and experiment boundaries.
-
-    Results are returned in task order.  Tasks that are literally
-    identical (same spec, same trace — the same object, or the same
-    identity — same scenario and config) are simulated once and share
-    their result.  With ``cache`` set,
-    results already on disk are served without simulating; fresh results
-    are written back.  ``max_workers=None`` means ``os.cpu_count()``;
-    with one worker (or one pending task) everything runs in-process.
-
-    With ``pool`` set, every uncached task runs on that persistent
-    :class:`WorkerPool` instead (``max_workers`` is then ignored): the
-    warm path used by a :class:`~repro.api.runner.Runner` in persistent
-    mode and by the HTTP service.
-
-    ``backend`` selects an execution backend (:mod:`repro.backends`) for
-    the tasks it supports — e.g. ``"numpy"`` collapses a sweep of table
-    predictor variants over one trace into one batched kernel call;
-    unsupported tasks transparently take the interp pool path.
-    """
-    results, _ = run_scheduled(
-        tasks, [], max_workers=max_workers, cache=cache, pool=pool, backend=backend
-    )
-    return results
-
-
-@dataclass
-class ParallelSuiteRunner:
-    """Runs one predictor spec over a trace suite with a process pool.
-
-    Parameters
-    ----------
-    spec:
-        What to simulate: a :class:`~repro.predictors.registry.PredictorSpec`,
-        a registered kind name (``"tage"``), or an already-built
-        registry predictor (its spec is extracted).
-    max_workers:
-        Process count; ``None`` means ``os.cpu_count()``.  With one worker
-        (or one trace) everything runs in-process.
-    cache_dir:
-        Opt-in result cache directory; ``None`` disables caching.
-    cache_version:
-        Operator-controlled label mixed into every cache key (see
-        :class:`SuiteCache`).
-
-    The aggregates of the returned
-    :class:`~repro.pipeline.metrics.SuiteResult` are identical to the
-    serial :func:`~repro.pipeline.simulator.simulate_suite` path — workers
-    run the same :class:`~repro.pipeline.engine.SimulationEngine` on the
-    same power-on-state predictors, and results are collected in trace
-    order.
-    """
-
-    spec: PredictorSpec
-    max_workers: int | None = None
-    cache_dir: str | None = None
-    cache_version: str = ""
-
-    def __post_init__(self) -> None:
-        if isinstance(self.spec, str):
-            self.spec = PredictorSpec(self.spec)
-        elif isinstance(self.spec, Predictor):
-            self.spec = spec_of(self.spec)
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
-        self.cache = (
-            SuiteCache(self.cache_dir, cache_version=self.cache_version)
-            if self.cache_dir
-            else None
-        )
-
-    def run(
-        self,
-        traces: list[Trace],
-        scenario: UpdateScenario = UpdateScenario.IMMEDIATE,
-        config: PipelineConfig | None = None,
-    ) -> SuiteResult:
-        """Simulate the spec over every trace and aggregate in trace order."""
-        if not traces:
-            raise ValueError("ParallelSuiteRunner.run needs at least one trace")
-        config = config or PipelineConfig()
-        tasks = [(self.spec, trace, scenario, config) for trace in traces]
-        results = run_simulations(tasks, max_workers=self.max_workers, cache=self.cache)
-        suite = SuiteResult(predictor_name=results[0].predictor_name)
-        for result in results:
-            suite.add(result)
-        return suite

@@ -17,25 +17,21 @@ degenerate zero-delay case:
   younger branches, and the retire-time read policy follows the selected
   :class:`~repro.pipeline.scenarios.UpdateScenario`.
 
-:func:`simulate_suite` runs one predictor configuration over a whole
-trace suite, reusing a single :meth:`~repro.predictors.base.Predictor.reset`
-predictor instance when the predictor supports it (traces still never warm
-each other up — the CBP rule).  For multi-process suite execution see
-:class:`~repro.pipeline.parallel.ParallelSuiteRunner`.
+Both run one predictor over one trace.  Everything larger — a suite, a
+sweep, a batch of requests, in-process or over a worker pool — goes
+through :class:`~repro.api.runner.Runner`.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.engine import SimulationEngine
-from repro.pipeline.metrics import SimulationResult, SuiteResult
+from repro.pipeline.metrics import SimulationResult
 from repro.pipeline.scenarios import UpdateScenario
 from repro.predictors.base import Predictor
 from repro.traces.trace import Trace
 
-__all__ = ["simulate", "simulate_delayed", "simulate_suite"]
+__all__ = ["simulate", "simulate_delayed"]
 
 
 def simulate(
@@ -72,106 +68,3 @@ def simulate_delayed(
     """
     return SimulationEngine(predictor, scenario, config).run(trace)
 
-
-def _supports_reset(predictor: Predictor) -> bool:
-    """Whether ``predictor.reset()`` is implemented (probed by calling it)."""
-    try:
-        predictor.reset()
-    except NotImplementedError:
-        return False
-    return True
-
-
-class _PredictorProvider:
-    """Hands out a power-on-state predictor for each trace of a suite.
-
-    The factory is consulted twice: once for the first trace and once for
-    the second, which doubles as a consistency check — every instance the
-    factory produces must report the same ``name``, because mixing
-    differently-configured predictors inside one
-    :class:`~repro.pipeline.metrics.SuiteResult` silently corrupts its
-    aggregates.  From the third trace on, the previous instance is
-    :meth:`~repro.predictors.base.Predictor.reset` back to power-on state
-    and reused instead of rebuilt; predictors that do not implement
-    ``reset()`` keep the historical fresh-instance-per-trace behaviour.
-    """
-
-    def __init__(self, factory: Callable[[], Predictor]) -> None:
-        self._factory = factory
-        self._current: Predictor | None = self._build()
-        self.name = self._current.name
-        self._last: Predictor | None = None
-        self._reusable: bool | None = None  # unknown until the second trace
-
-    def _build(self) -> Predictor:
-        predictor = self._factory()
-        if not isinstance(predictor, Predictor):
-            raise TypeError(
-                f"predictor_factory must build Predictor instances, "
-                f"got {type(predictor).__name__}"
-            )
-        return predictor
-
-    def next(self) -> Predictor:
-        """Return a predictor in power-on state for the next trace."""
-        if self._current is not None:
-            predictor, self._current = self._current, None
-            return predictor
-        if self._reusable:
-            self._last.reset()
-            return self._last
-        predictor = self._build()
-        if predictor.name != self.name:
-            raise ValueError(
-                f"predictor_factory is not consistent: built {predictor.name!r} "
-                f"after {self.name!r}; one SuiteResult must aggregate a single "
-                f"predictor configuration"
-            )
-        if self._reusable is None:
-            # Second trace: probe reset support on the retiring first
-            # instance (about to be discarded, so the probe is harmless).
-            self._reusable = _supports_reset(self._last)
-        return predictor
-
-    def mark_used(self, predictor: Predictor) -> None:
-        """Record the instance that just ran, for reset-reuse on the next trace."""
-        self._last = predictor
-
-
-def simulate_suite(
-    predictor_factory: Callable[[], Predictor],
-    traces: list[Trace],
-    scenario: UpdateScenario = UpdateScenario.IMMEDIATE,
-    config: PipelineConfig | None = None,
-) -> SuiteResult:
-    """Simulate a predictor configuration over every trace of a suite.
-
-    Parameters
-    ----------
-    predictor_factory:
-        A zero-argument callable returning a new predictor.  Every trace
-        sees a power-on-state predictor so that traces do not warm each
-        other up (the CBP rule); when the predictor implements ``reset()``
-        only two instances are ever built (the second doubles as a factory
-        consistency check), the rest reset-and-reuse.  Predictors without
-        ``reset()`` are rebuilt per trace.  The factory must be
-        consistent: every instance it builds must report the same
-        ``name``, otherwise a :class:`ValueError` is raised.
-    traces:
-        The traces to run (typically from
-        :func:`repro.traces.suite.generate_suite`).
-    scenario:
-        Update scenario; immediate update by default.
-    config:
-        Pipeline configuration shared by every run.
-    """
-    if not traces:
-        raise ValueError("simulate_suite needs at least one trace")
-    config = config or PipelineConfig()
-    provider = _PredictorProvider(predictor_factory)
-    suite = SuiteResult(predictor_name=provider.name)
-    for trace in traces:
-        predictor = provider.next()
-        suite.add(SimulationEngine(predictor, scenario, config).run(trace))
-        provider.mark_used(predictor)
-    return suite

@@ -29,7 +29,7 @@ retire-time update of a real pipeline (see :mod:`repro.pipeline`).
 factories for every predictor in the package (including the composed
 TAGE-family predictors of :mod:`repro.core`); a
 :class:`~repro.predictors.registry.PredictorSpec` is the picklable unit
-the parallel suite runner and result caches work with.
+the runner's worker pool and result caches work with.
 """
 
 from repro.predictors.base import PredictionInfo, Predictor, UpdateStats

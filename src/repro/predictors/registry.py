@@ -1,11 +1,11 @@
 """The predictor registry: names + config dicts → predictor factories.
 
-Experiments, benchmarks, examples and the parallel suite runner all need
+Experiments, benchmarks, examples and the runner's worker pool all need
 to describe *which* predictor to build without holding a live (heavily
 stateful, numpy-backed) predictor object.  A :class:`PredictorSpec` is
 that description: a registered ``kind`` string plus a configuration dict
 of constructor keyword arguments.  Specs are small, picklable and
-hashable, so they can cross process boundaries (the parallel runner ships
+hashable, so they can cross process boundaries (pool workers receive
 specs, not predictors) and key result caches.
 
 Round trip::
@@ -179,10 +179,10 @@ def create(kind: str, **config: Any) -> Predictor:
 
 
 def factory(kind: str, **config: Any) -> Callable[[], Predictor]:
-    """A zero-argument factory for ``kind`` (the `simulate_suite` contract).
+    """A zero-argument factory for ``kind``: ``PredictorSpec(kind, config).build``.
 
-    The spec is validated eagerly so that a typo fails at call site, not
-    inside the suite loop.
+    The kind is validated eagerly so that a typo fails at the call site,
+    not where the factory is first called.
     """
     _require_kind(kind)
     return PredictorSpec(kind, config).build

@@ -20,8 +20,6 @@ Layers (each usable on its own):
 * :mod:`repro.service.app` — the application: the current ``/v2/``
   API (error envelope, pagination, capabilities) plus the frozen
   ``/v1/`` deprecation shim,
-* :mod:`repro.service.threaded` — the retired ``http.server`` front
-  end, kept as the benchmark baseline,
 * :mod:`repro.service.client` — a urllib client (used by
   ``repro submit`` and the tests),
 * :mod:`repro.service.spec` — the machine-readable endpoint table
@@ -60,7 +58,6 @@ from repro.service.protocol import (
 )
 from repro.service.quota import ClientQuota, QuotaPolicy, RateLimitedError
 from repro.service.store import DiskResultStore, MemoryResultStore, ResultStore
-from repro.service.threaded import make_threaded_server
 
 __all__ = [
     "AuthError",
@@ -85,7 +82,6 @@ __all__ = [
     "estimate_branches",
     "is_loopback_host",
     "make_server",
-    "make_threaded_server",
     "parse_submission",
     "serve",
 ]

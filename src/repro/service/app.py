@@ -28,10 +28,10 @@ non-2xx, paginated run listing, capability discovery:
 ``GET /v2/traces/<id>``            one trace's stitched span tree
 =================================  ==========================================
 
-**v1** (deprecated shim) — the original endpoints with responses
-byte-identical to the threaded server, plus a ``Deprecation: true``
-header.  New clients should use v2; v1 exists so deployed scripts keep
-working unchanged.
+**v1** (deprecated shim) — the original endpoints with frozen response
+bodies, byte-identical to what they were before v2 existed, plus a
+``Deprecation: true`` header.  New clients should use v2; v1 exists so
+deployed scripts keep working unchanged.
 
 Auth: when a :class:`~repro.service.auth.TokenAuth` is configured,
 every endpoint except ``*/healthz`` requires ``Authorization: Bearer
@@ -96,7 +96,7 @@ _TRUTHY = {"1", "true", "yes", "on"}
 
 #: The frozen ``/v1/stats`` key set (and order): the deprecation shim
 #: must not grow keys as the service does, or v1 bodies stop being
-#: byte-identical to the threaded server's.
+#: byte-identical to the frozen v1 API's.
 _V1_STATS_KEYS = (
     "uptime_seconds", "mode", "queue", "jobs", "dispatcher",
     "pool", "result_cache", "store", "fleet",
@@ -252,8 +252,8 @@ class ServiceHTTPServer(AsyncHTTPServer):
         return wait, max(0.0, min(timeout, MAX_WAIT_TIMEOUT))
 
     # ------------------------------------------------------------------
-    # v1 — the deprecation shim (bodies byte-identical to the threaded
-    # server; the only addition is the Deprecation header)
+    # v1 — the deprecation shim (bodies byte-identical to the frozen v1
+    # API; the only addition is the Deprecation header)
     # ------------------------------------------------------------------
 
     @staticmethod
@@ -319,7 +319,7 @@ class ServiceHTTPServer(AsyncHTTPServer):
 
     async def _v1_post(self, request: HTTPRequest, path: str, client: str) -> HTTPResponse:
         service = self.service
-        # Reconstruct the threaded server's Content-Length view so every
+        # Reconstruct the frozen v1 API's Content-Length view so every
         # error body (and its Connection: close decision) stays
         # byte-identical: chunked uploads had no Content-Length there.
         if request.body_issue == "bad_length":

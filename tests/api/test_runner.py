@@ -13,7 +13,7 @@ from repro.api.config import (
     default_cache_dir,
 )
 from repro.pipeline.parallel import SuiteCache
-from repro.pipeline.simulator import simulate_suite
+from repro.pipeline.engine import SimulationEngine
 from repro.predictors.registry import PredictorSpec
 
 REF_A = "synthetic:biased?length=250&seed=4"
@@ -67,12 +67,12 @@ class TestRunnerConfig:
 
 
 class TestRunnerExecution:
-    def test_run_suite_matches_simulate_suite(self, mini_suite):
+    def test_run_suite_matches_fresh_engine_runs(self, mini_suite):
         spec = PredictorSpec("gshare", {"log2_entries": 12})
         facade = Runner().run_suite(spec, mini_suite)
-        serial = simulate_suite(spec.build, mini_suite)
-        assert facade.predictor_name == serial.predictor_name
-        assert [vars(a) for a in facade.results] == [vars(b) for b in serial.results]
+        serial = [SimulationEngine(spec.build()).run(trace) for trace in mini_suite]
+        assert facade.predictor_name == serial[0].predictor_name
+        assert [vars(a) for a in facade.results] == [vars(b) for b in serial]
 
     def test_batch_matches_individual_runs(self):
         requests = [

@@ -18,12 +18,18 @@ from repro.api import Runner, RunnerConfig, RunRequest
 from repro.api.cli import main
 from repro.api.config import ENV_BACKEND, parse_backend
 from repro.pipeline.config import PipelineConfig
-from repro.pipeline.parallel import run_simulations
+from repro.pipeline.parallel import run_scheduled
 from repro.pipeline.scenarios import UpdateScenario
 from repro.predictors.registry import PredictorSpec
 from repro.traces.suite import generate_trace
 
 TINY = "synthetic:biased?length=250&seed=4"
+
+
+def _run(tasks, **options):
+    """Flat results of one scheduling pass."""
+    results, _ = run_scheduled(tasks, **options)
+    return results
 
 
 class TestConfig:
@@ -81,7 +87,7 @@ class TestPrecedence:
 
 
 class TestSchedulerRouting:
-    def test_run_simulations_backend_matches_interp(self):
+    def test_run_scheduled_backend_matches_interp(self):
         trace = generate_trace("WS01", branches_per_trace=800, seed=5)
         specs = [
             PredictorSpec("gshare", {"log2_entries": n}) for n in (8, 10, 12)
@@ -91,8 +97,8 @@ class TestSchedulerRouting:
             for spec in specs
             for scenario in (UpdateScenario.IMMEDIATE, UpdateScenario.FETCH_READ_ONLY)
         ]
-        via_interp = run_simulations(tasks, max_workers=1)
-        via_numpy = run_simulations(tasks, max_workers=1, backend="numpy")
+        via_interp = _run(tasks, max_workers=1)
+        via_numpy = _run(tasks, max_workers=1, backend="numpy")
         assert [pickle.dumps(r) for r in via_numpy] == [pickle.dumps(r) for r in via_interp]
 
     def test_mixed_support_falls_back_per_task(self):
@@ -103,8 +109,8 @@ class TestSchedulerRouting:
              UpdateScenario.IMMEDIATE, PipelineConfig()),
             (PredictorSpec("tage-lsc"), trace, UpdateScenario.IMMEDIATE, PipelineConfig()),
         ]
-        via_numpy = run_simulations(tasks, max_workers=1, backend="numpy")
-        via_interp = run_simulations(tasks, max_workers=1)
+        via_numpy = _run(tasks, max_workers=1, backend="numpy")
+        via_interp = _run(tasks, max_workers=1)
         assert [pickle.dumps(r) for r in via_numpy] == [pickle.dumps(r) for r in via_interp]
 
     def test_singleton_delayed_groups_stay_on_the_interp_path(self):
@@ -125,14 +131,14 @@ class TestSchedulerRouting:
 
         spec = PredictorSpec("gshare", {"log2_entries": 10})
         delayed_trace = generate_trace("CLIENT01", branches_per_trace=300, seed=9)
-        run_simulations(
+        _run(
             [(spec, delayed_trace, UpdateScenario.REREAD_AT_RETIRE, PipelineConfig())],
             max_workers=1, backend="numpy",
         )
         assert "_arrays" not in delayed_trace.__dict__  # interp path: no decode
 
         immediate_trace = generate_trace("CLIENT01", branches_per_trace=300, seed=9)
-        run_simulations(
+        _run(
             [(spec, immediate_trace, UpdateScenario.IMMEDIATE, PipelineConfig())],
             max_workers=1, backend="numpy",
         )
@@ -142,10 +148,10 @@ class TestSchedulerRouting:
         trace = generate_trace("INT03", branches_per_trace=400, seed=5)
         task = (PredictorSpec("gshare", {"log2_entries": 10}), trace,
                 UpdateScenario.IMMEDIATE, PipelineConfig())
-        mixed = run_simulations([task, task], max_workers=1, backend=["numpy", None])
+        mixed = _run([task, task], max_workers=1, backend=["numpy", None])
         assert mixed[0] == mixed[1]
         with pytest.raises(ValueError, match="per-task backend"):
-            run_simulations([task], max_workers=1, backend=["numpy", "numpy"])
+            _run([task], max_workers=1, backend=["numpy", "numpy"])
 
 
 class TestRunnerEndToEnd:

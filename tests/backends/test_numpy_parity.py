@@ -16,7 +16,8 @@ import pytest
 
 from repro.backends import get_backend
 from repro.pipeline.config import PipelineConfig
-from repro.pipeline.engine import SimulationEngine, run_with_backend
+from repro.pipeline.engine import SimulationEngine
+from repro.pipeline.parallel import run_scheduled
 from repro.pipeline.scenarios import UpdateScenario
 from repro.predictors.registry import PredictorSpec
 from repro.traces.sharding import plan_shards, shard_trace
@@ -138,16 +139,21 @@ def test_unsupported_specs_are_declined(numpy_backend):
         assert not numpy_backend.supports(spec, scenario, config)
 
 
-def test_run_with_backend_falls_back_transparently(tiny_trace):
-    """The engine dispatch hook runs unsupported kinds on the interpreter."""
+def test_scheduler_falls_back_transparently(tiny_trace):
+    """Selecting numpy runs unsupported kinds on the interpreter."""
     spec = PredictorSpec("bimodal", {"entries": 128, "hysteresis_sharing": 4})
-    via_hook = run_with_backend(spec, tiny_trace, backend="numpy")
-    assert via_hook == engine_result(spec, tiny_trace, UpdateScenario.IMMEDIATE)
+    config = PipelineConfig()
+    (via_scheduler,), _ = run_scheduled(
+        [(spec, tiny_trace, UpdateScenario.IMMEDIATE, config)], max_workers=1, backend="numpy"
+    )
+    assert via_scheduler == engine_result(spec, tiny_trace, UpdateScenario.IMMEDIATE)
 
     supported = SUPPORTED_SPECS["gshare-small"]
-    assert run_with_backend(supported, tiny_trace, backend="numpy") == engine_result(
-        supported, tiny_trace, UpdateScenario.IMMEDIATE
+    (via_kernel,), _ = run_scheduled(
+        [(supported, tiny_trace, UpdateScenario.IMMEDIATE, config)],
+        max_workers=1, backend="numpy",
     )
+    assert via_kernel == engine_result(supported, tiny_trace, UpdateScenario.IMMEDIATE)
 
 
 def test_shared_decode_is_cached_on_the_trace(numpy_backend, tiny_trace):

@@ -171,16 +171,16 @@ def test_run_tasks_rejects_unsupported_specs(numpy_backend, tiny_trace):
 
 
 def test_suite_trace_parity_through_scheduler(mini_suite):
-    """fig10-shaped run: one config across a suite, through run_simulations."""
+    """fig10-shaped run: one config across a suite, through run_scheduled."""
     import pickle
 
-    from repro.pipeline.parallel import run_simulations
+    from repro.pipeline.parallel import run_scheduled
 
     spec = HEADLINE_SPECS["gehl-small"]
     tasks = [
         (spec, trace, UpdateScenario.REREAD_AT_RETIRE, PipelineConfig())
         for trace in mini_suite
     ]
-    via_numpy = run_simulations(tasks, max_workers=1, backend="numpy")
-    via_interp = run_simulations(tasks, max_workers=1)
+    via_numpy, _ = run_scheduled(tasks, max_workers=1, backend="numpy")
+    via_interp, _ = run_scheduled(tasks, max_workers=1)
     assert [pickle.dumps(r) for r in via_numpy] == [pickle.dumps(r) for r in via_interp]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.distrib import FileBroker, MemoryBroker, connect_broker
@@ -139,11 +141,11 @@ def test_connect_broker_specs(tmp_path):
         connect_broker("")
 
 
-def test_redis_spec_without_redis_package_is_a_clear_error():
-    try:
-        import redis  # noqa: F401
-        pytest.skip("redis is installed here; the lazy-import error cannot fire")
-    except ImportError:
-        pass
-    with pytest.raises(BrokerError, match="optional 'redis' package"):
-        connect_broker("redis://localhost:6379/0")
+@pytest.mark.parametrize("spec", ["redis://localhost:6379/0", "rediss://cache.example:6380"])
+def test_redis_spec_is_rejected_and_creates_no_directory(spec, tmp_path, monkeypatch):
+    """No redis broker ships: the spec must fail loudly, not become a
+    FileBroker directory named ``redis:`` under the working directory."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match="directory path .* or 'memory'"):
+        connect_broker(spec)
+    assert os.listdir(tmp_path) == []

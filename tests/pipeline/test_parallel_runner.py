@@ -1,17 +1,29 @@
-"""Tests for the parallel suite runner, the result cache and suite reuse."""
+"""Suites through the runner: pool vs in-process parity, the result cache
+and per-trace predictor reuse."""
 
 import pytest
 
+from repro.api import Runner, RunnerConfig
+from repro.pipeline import parallel
 from repro.pipeline.config import PipelineConfig
-from repro.pipeline.parallel import ParallelSuiteRunner, SuiteCache, trace_fingerprint
+from repro.pipeline.engine import SimulationEngine
+from repro.pipeline.metrics import SuiteResult
+from repro.pipeline.parallel import SuiteCache, trace_fingerprint
 from repro.pipeline.scenarios import UpdateScenario
-from repro.pipeline.simulator import simulate_suite
-from repro.predictors.base import PredictionInfo, Predictor, UpdateStats
+from repro.predictors import registry
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.gshare import GSharePredictor
 from repro.predictors.registry import PredictorSpec
 
 SPEC = PredictorSpec("gshare", {"log2_entries": 12})
+
+
+def _fresh_suite(build, traces, scenario=UpdateScenario.IMMEDIATE, config=None):
+    """The reference: a newly built predictor per trace, one engine run each."""
+    suite = SuiteResult(predictor_name=build().name)
+    for trace in traces:
+        suite.add(SimulationEngine(build(), scenario, config).run(trace))
+    return suite
 
 
 def _assert_same_suite(left, right):
@@ -25,49 +37,45 @@ def _assert_same_suite(left, right):
 
 class TestParallelMatchesSerial:
     def test_two_workers_equal_serial(self, mini_suite):
-        serial = simulate_suite(SPEC.build, mini_suite)
-        parallel = ParallelSuiteRunner(SPEC, max_workers=2).run(mini_suite)
-        _assert_same_suite(parallel, serial)
+        serial = _fresh_suite(SPEC.build, mini_suite)
+        parallel_suite = Runner(RunnerConfig(workers=2)).run_suite(SPEC, mini_suite)
+        _assert_same_suite(parallel_suite, serial)
 
     def test_two_workers_equal_serial_delayed(self, mini_suite):
         scenario = UpdateScenario.REREAD_ON_MISPREDICTION
         config = PipelineConfig(retire_delay=8, execute_delay=2)
-        serial = simulate_suite(SPEC.build, mini_suite, scenario=scenario, config=config)
-        parallel = ParallelSuiteRunner(SPEC, max_workers=2).run(
-            mini_suite, scenario=scenario, config=config
+        serial = _fresh_suite(SPEC.build, mini_suite, scenario, config)
+        parallel_suite = Runner(RunnerConfig(workers=2)).run_suite(
+            SPEC, mini_suite, scenario=scenario, pipeline=config
         )
-        _assert_same_suite(parallel, serial)
+        _assert_same_suite(parallel_suite, serial)
 
     def test_single_worker_runs_in_process(self, mini_suite):
-        serial = simulate_suite(SPEC.build, mini_suite)
-        inproc = ParallelSuiteRunner(SPEC, max_workers=1).run(mini_suite)
+        serial = _fresh_suite(SPEC.build, mini_suite)
+        inproc = Runner(RunnerConfig(workers=1)).run_suite(SPEC, mini_suite)
         _assert_same_suite(inproc, serial)
 
     def test_spec_accepts_kind_string_and_predictor(self, tiny_trace):
-        by_string = ParallelSuiteRunner("always-taken", max_workers=1).run([tiny_trace])
-        by_predictor = ParallelSuiteRunner(
-            PredictorSpec("always-taken").build(), max_workers=1
-        ).run([tiny_trace])
+        runner = Runner(RunnerConfig(workers=1))
+        by_string = runner.run_suite("always-taken", [tiny_trace])
+        by_predictor = runner.run_suite(PredictorSpec("always-taken").build(), [tiny_trace])
         _assert_same_suite(by_string, by_predictor)
 
     def test_empty_suite_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelSuiteRunner(SPEC, max_workers=1).run([])
-
-    def test_bad_worker_count_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelSuiteRunner(SPEC, max_workers=0)
+        with pytest.raises(ValueError, match="at least one trace"):
+            Runner(RunnerConfig(workers=1)).run_suite(SPEC, [])
 
 
 class TestSuiteCache:
     def test_second_run_is_served_from_cache(self, mini_suite, tmp_path):
-        runner = ParallelSuiteRunner(SPEC, max_workers=1, cache_dir=str(tmp_path))
-        first = runner.run(mini_suite)
+        config = RunnerConfig(workers=1, cache_dir=str(tmp_path))
+        runner = Runner(config)
+        first = runner.run_suite(SPEC, mini_suite)
         assert runner.cache.hits == 0
         assert runner.cache.misses == len(mini_suite)
 
-        rerun = ParallelSuiteRunner(SPEC, max_workers=1, cache_dir=str(tmp_path))
-        second = rerun.run(mini_suite)
+        rerun = Runner(config)
+        second = rerun.run_suite(SPEC, mini_suite)
         assert rerun.cache.hits == len(mini_suite)
         assert rerun.cache.misses == 0
         _assert_same_suite(second, first)
@@ -95,57 +103,57 @@ class TestSuiteCache:
         assert trace_fingerprint(shorter) != trace_fingerprint(tiny_trace)
 
 
-class _CountingFactory:
-    """Factory wrapper that counts how many instances it built."""
+class _NoResetGShare(GSharePredictor):
+    """A learning predictor that does not implement reset(): reusing one
+    instance across traces would carry trained tables over."""
 
-    def __init__(self, factory):
-        self.factory = factory
-        self.builds = 0
-
-    def __call__(self):
-        self.builds += 1
-        return self.factory()
+    def reset(self):
+        raise NotImplementedError("no reset")
 
 
-class _NoResetPredictor(Predictor):
-    """A learning-free predictor that does not implement reset()."""
+@pytest.fixture
+def counting_kind(monkeypatch):
+    """Register a test-only kind that counts its builds; start the
+    in-process predictor cache empty so earlier tests cannot serve it."""
+    monkeypatch.setattr(parallel._WORKER_PREDICTORS, "cache", {}, raising=False)
+    registered = []
 
-    name = "no-reset"
+    def register(kind, predictor_class, **config):
+        builds = []
 
-    def predict(self, pc):
-        return PredictionInfo(taken=True)
+        def build():
+            builds.append(1)
+            return predictor_class(**config)
 
-    def update_history(self, pc, taken, info):
-        pass
+        registry.register(kind, build, description="test-only counting kind")
+        registered.append(kind)
+        return PredictorSpec(kind), builds
 
-    def update(self, pc, taken, info, reread=True):
-        return UpdateStats()
-
-    def storage_report(self):
-        from repro.common.storage import StorageReport
-
-        return StorageReport(self.name)
+    yield register
+    for kind in registered:
+        registry._REGISTRY.pop(kind, None)
+        registry._DESCRIPTIONS.pop(kind, None)
+        registry._BACKEND_SUPPORT.pop(kind, None)
 
 
 class TestSuiteReuse:
-    def test_resettable_predictor_build_count_is_constant(self, mini_suite):
-        """Resettable predictors are built twice (the second build is the
-        factory consistency check), however many traces the suite has."""
-        factory = _CountingFactory(lambda: BimodalPredictor(entries=1024))
-        suite = simulate_suite(factory, mini_suite)
+    def test_resettable_predictor_build_count_is_constant(self, mini_suite, counting_kind):
+        """In-process, a resettable predictor is built once and reset for
+        every further trace, however many traces the suite has."""
+        spec, builds = counting_kind("test-counting-bimodal", BimodalPredictor, entries=1024)
+        suite = Runner(RunnerConfig(workers=1)).run_suite(spec, mini_suite)
         assert len(suite) == len(mini_suite) > 2
-        assert factory.builds == 2
+        assert len(builds) == 1
 
-    def test_single_trace_builds_once(self, tiny_trace):
-        factory = _CountingFactory(lambda: BimodalPredictor(entries=1024))
-        simulate_suite(factory, [tiny_trace])
-        assert factory.builds == 1
+    def test_single_trace_builds_once(self, tiny_trace, counting_kind):
+        spec, builds = counting_kind("test-counting-bimodal", BimodalPredictor, entries=1024)
+        Runner(RunnerConfig(workers=1)).run_suite(spec, [tiny_trace])
+        assert len(builds) == 1
 
     def test_interleaved_reset_clears_the_bank_selector(self, tiny_trace, loop_trace):
         """reset() must restore power-on state for interleaved organisations
         too — including the shared BankSelector's recent-bank window."""
         from repro.pipeline.simulator import simulate
-        from repro.predictors.registry import PredictorSpec
 
         spec = PredictorSpec(
             "augmented-tage", {"use_ium": False, "name": "tage-il", "interleaved": True}
@@ -159,44 +167,27 @@ class TestSuiteReuse:
         assert second.mispredictions == fresh.mispredictions
         assert vars(second.accesses) == vars(fresh.accesses)
 
-    def test_reset_reuse_matches_fresh_instances(self, mini_suite):
-        reused = simulate_suite(lambda: GSharePredictor(log2_entries=12), mini_suite)
-        # A factory returning new objects cannot be distinguished by the
-        # caller: per-trace results must match a never-reused baseline.
-        per_trace = []
-        for trace in mini_suite:
-            from repro.pipeline.simulator import simulate
-
-            per_trace.append(simulate(GSharePredictor(log2_entries=12), trace))
-        assert [r.mispredictions for r in reused.results] == [
-            r.mispredictions for r in per_trace
+    def test_reset_reuse_matches_fresh_instances(self, mini_suite, counting_kind):
+        """Reset-and-reuse must be indistinguishable from building a new
+        predictor per trace: per-trace results equal fresh engine runs."""
+        spec, builds = counting_kind("test-counting-gshare", GSharePredictor, log2_entries=12)
+        reused = Runner(RunnerConfig(workers=1)).run_suite(spec, mini_suite)
+        assert len(builds) == 1  # really reused, not rebuilt
+        fresh = [
+            SimulationEngine(GSharePredictor(log2_entries=12)).run(trace)
+            for trace in mini_suite
         ]
+        assert [vars(r) for r in reused.results] == [vars(r) for r in fresh]
 
-    def test_factory_without_reset_is_rebuilt_per_trace(self, mini_suite):
-        factory = _CountingFactory(_NoResetPredictor)
-        suite = simulate_suite(factory, mini_suite)
+    def test_factory_without_reset_is_rebuilt_per_trace(self, mini_suite, counting_kind):
+        """A predictor whose reset() raises NotImplementedError is rebuilt
+        for every trace, so no trace sees tables another trained."""
+        spec, builds = counting_kind("test-no-reset-gshare", _NoResetGShare, log2_entries=12)
+        suite = Runner(RunnerConfig(workers=1)).run_suite(spec, mini_suite)
         assert len(suite) == len(mini_suite)
-        assert factory.builds == len(mini_suite)
-
-    def test_inconsistent_factory_names_rejected(self, mini_suite):
-        sizes = iter([10, 12, 14, 16])
-
-        def flaky_factory():
-            return _NoResetPredictor() if next(sizes) == 10 else GSharePredictor()
-
-        with pytest.raises(ValueError, match="not consistent"):
-            simulate_suite(flaky_factory, mini_suite)
-
-    def test_inconsistent_resettable_factory_also_rejected(self, mini_suite):
-        """Mixing is detected even when every instance supports reset()."""
-        sizes = iter([10, 12, 14, 16])
-
-        def flaky_factory():
-            return GSharePredictor(log2_entries=next(sizes))
-
-        with pytest.raises(ValueError, match="not consistent"):
-            simulate_suite(flaky_factory, mini_suite)
-
-    def test_non_predictor_factory_rejected(self, mini_suite):
-        with pytest.raises(TypeError, match="must build Predictor"):
-            simulate_suite(lambda: object(), mini_suite)
+        assert len(builds) == len(mini_suite)
+        fresh = [
+            SimulationEngine(_NoResetGShare(log2_entries=12)).run(trace)
+            for trace in mini_suite
+        ]
+        assert [vars(r) for r in suite.results] == [vars(r) for r in fresh]

@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.api import Runner, RunnerConfig
 from repro.core.tage import make_reference_tage
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.metrics import SimulationResult, SuiteResult
 from repro.pipeline.scenarios import UpdateScenario
-from repro.pipeline.simulator import simulate, simulate_delayed, simulate_suite
+from repro.pipeline.simulator import simulate, simulate_delayed
 from repro.predictors.gshare import GSharePredictor
+from repro.predictors.registry import PredictorSpec
 from repro.predictors.static import AlwaysTakenPredictor
 
 
@@ -148,16 +150,18 @@ class TestSimulateDelayed:
         assert large.mispredictions >= small.mispredictions
 
 
-class TestSimulateSuite:
+class TestRunSuite:
+    SPEC = PredictorSpec("gshare", {"log2_entries": 12})
+
     def test_one_result_per_trace(self, mini_suite):
-        suite = simulate_suite(lambda: GSharePredictor(log2_entries=12), mini_suite)
+        suite = Runner(RunnerConfig(workers=1)).run_suite(self.SPEC, mini_suite)
         assert len(suite) == len(mini_suite)
         assert suite.predictor_name.startswith("gshare")
 
     def test_empty_suite_rejected(self):
         with pytest.raises(ValueError):
-            simulate_suite(lambda: GSharePredictor(), [])
+            Runner(RunnerConfig(workers=1)).run_suite(self.SPEC, [])
 
     def test_access_profile_merged(self, mini_suite):
-        suite = simulate_suite(lambda: GSharePredictor(log2_entries=12), mini_suite)
+        suite = Runner(RunnerConfig(workers=1)).run_suite(self.SPEC, mini_suite)
         assert suite.access_profile.branches == suite.branches

@@ -9,19 +9,17 @@ everything here asserts bitwise equality against the separate paths.
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 
 import pytest
 
 from repro.api import Runner, RunnerConfig, RunRequest
+from repro.obs import MetricsRegistry, SpanRecorder, bind_trace_id, set_metrics, set_tracer
+from repro.pipeline import parallel
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.engine import SimulationEngine
-from repro.pipeline.parallel import (
-    ExactShardChain,
-    WorkerPool,
-    run_exact_chains,
-    run_scheduled,
-)
+from repro.pipeline.parallel import ExactShardChain, WorkerPool, run_scheduled
 from repro.pipeline.scenarios import UpdateScenario
 from repro.predictors.registry import PredictorSpec
 from repro.traces.sharding import plan_shards
@@ -93,12 +91,85 @@ class TestCombinedPass:
             ).run(traces[0])
         assert chain_results[0] == expected_whole(traces[1])
 
-    def test_run_exact_chains_delegates_unchanged(self, traces):
+    def test_chains_only_pass_matches_whole_runs(self, traces):
         chains = [make_chain(traces[1]), make_chain(traces[2])]
-        assert [pickle.dumps(r) for r in run_exact_chains(chains, max_workers=2)] == [
+        results, chain_results = run_scheduled([], chains, max_workers=2)
+        assert results == []
+        assert [pickle.dumps(r) for r in chain_results] == [
             pickle.dumps(expected_whole(traces[1])),
             pickle.dumps(expected_whole(traces[2])),
         ]
+
+
+class TestSchedulingPaths:
+    """Which pool a pass runs on: the caller's, a short-lived one, or none."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Every WorkerPool the scheduler builds itself, in creation order."""
+        created = []
+
+        class RecordingPool(WorkerPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self)
+
+        monkeypatch.setattr(parallel, "WorkerPool", RecordingPool)
+        return created
+
+    def test_without_a_pool_runs_on_one_short_lived_worker_pool(self, traces, pools):
+        flat = [(SPEC, trace, UpdateScenario.IMMEDIATE, CONFIG) for trace in traces[:2]]
+        results, _ = run_scheduled(flat, max_workers=3)
+        (pool,) = pools
+        assert pool.max_workers == 2  # min(max_workers, jobs)
+        assert pool.closed and pool.stats()["tasks_executed"] == 2
+        assert multiprocessing.active_children() == []
+        assert results == [expected_whole(trace) for trace in traces[:2]]
+
+    def test_short_lived_pool_closes_when_a_task_fails(self, traces, pools):
+        bad = PredictorSpec("gshare", {"bogus": 1})
+        flat = [
+            (SPEC, traces[0], UpdateScenario.IMMEDIATE, CONFIG),
+            (bad, traces[1], UpdateScenario.IMMEDIATE, CONFIG),
+        ]
+        with pytest.raises(TypeError):
+            run_scheduled(flat, max_workers=2)
+        (pool,) = pools
+        assert pool.closed
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("max_workers, jobs", [(1, 3), (4, 1)], ids=["one-worker", "one-job"])
+    def test_one_worker_or_one_job_starts_no_pool(self, traces, pools, max_workers, jobs):
+        flat = [(SPEC, trace, UpdateScenario.IMMEDIATE, CONFIG) for trace in traces[:jobs]]
+        results, _ = run_scheduled(flat, max_workers=max_workers)
+        assert pools == []
+        assert results == [expected_whole(trace) for trace in traces[:jobs]]
+
+    def test_in_process_shards_record_in_the_driving_process(self, traces):
+        """In-process exact shards add their metrics and spans to this
+        process's registry and recorder, leaving what was there alone."""
+        registry = MetricsRegistry()
+        recorder = SpanRecorder(sample_rate=1.0)
+        previous_registry, previous_recorder = set_metrics(registry), set_tracer(recorder)
+        try:
+            registry.counter("repro_test_marker_total").inc()
+            chain = make_chain(traces[1])
+            with bind_trace_id("tr-inproc-shards"):
+                _, (merged,) = run_scheduled([], [chain], max_workers=1)
+        finally:
+            set_metrics(previous_registry)
+            set_tracer(previous_recorder)
+        assert merged == expected_whole(traces[1])
+        assert registry.counter("repro_test_marker_total").value() == 1
+        tasks = registry.counter("repro_pool_tasks_total", "", ("kind",))
+        assert tasks.value(kind="exact") == 3
+        spans = recorder.drain()
+        (scheduled,) = [record for record in spans if record["name"] == "sched.run"]
+        shards = [record for record in spans if record["name"] == "pool.shard"]
+        assert [record["attrs"]["start_branch"] for record in shards] == [
+            window.start for window in chain.windows
+        ]
+        assert {record["parent_id"] for record in shards} == {scheduled["span_id"]}
 
 
 class TestExactChainCache:

@@ -13,12 +13,7 @@ import pytest
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.engine import SimulationEngine
 from repro.pipeline.metrics import SimulationResult, SuiteResult
-from repro.pipeline.parallel import (
-    ExactShardChain,
-    WorkerPool,
-    run_exact_chains,
-    run_simulations,
-)
+from repro.pipeline.parallel import ExactShardChain, WorkerPool, run_scheduled
 from repro.pipeline.scenarios import UpdateScenario
 from repro.predictors.registry import PredictorSpec
 from repro.traces.refs import resolve_trace_ref
@@ -34,6 +29,18 @@ PIPELINE = PipelineConfig(retire_delay=16, execute_delay=4)
 
 def _unsharded(spec, trace, scenario, config=PIPELINE):
     return SimulationEngine(spec.build(), scenario, config).run(trace)
+
+
+def _run_chains(chains, **options):
+    """Merged chain results of one scheduling pass with no flat tasks."""
+    _, chain_results = run_scheduled([], chains, **options)
+    return chain_results
+
+
+def _run_tasks(tasks, **options):
+    """Flat results of one scheduling pass."""
+    results, _ = run_scheduled(tasks, **options)
+    return results
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +64,7 @@ class TestExactMode:
         chain = ExactShardChain(
             spec, long_trace, plan_shards(len(long_trace), 4, 0), scenario, PIPELINE
         )
-        (merged,) = run_exact_chains([chain], max_workers=1)
+        (merged,) = _run_chains([chain], max_workers=1)
         assert merged == base  # full dataclass equality: mpki, accuracy, accesses
         assert merged.mpki == base.mpki and merged.accuracy == base.accuracy
 
@@ -69,7 +76,7 @@ class TestExactMode:
         chain = ExactShardChain(
             spec, short_trace, plan_shards(len(short_trace), 3, 0), scenario, PIPELINE
         )
-        (merged,) = run_exact_chains([chain], max_workers=1)
+        (merged,) = _run_chains([chain], max_workers=1)
         assert merged == base
 
     def test_boundary_mid_window_drains_correctly(self, short_trace):
@@ -84,7 +91,7 @@ class TestExactMode:
         chain = ExactShardChain(
             spec, short_trace, plan_shards(len(short_trace), 7, 0), scenario, config
         )
-        (merged,) = run_exact_chains([chain], max_workers=1)
+        (merged,) = _run_chains([chain], max_workers=1)
         assert merged == base
 
     def test_shard_results_report_their_windows(self, short_trace):
@@ -108,7 +115,7 @@ class TestExactMode:
             ExactShardChain(spec_b, short_trace, windows, scenario, PIPELINE),
         ]
         with WorkerPool(max_workers=2) as pool:
-            merged = run_exact_chains(chains, pool=pool)
+            merged = _run_chains(chains, pool=pool)
             assert pool.stats()["exact_shards"] == 6
         assert merged == bases
 
@@ -122,7 +129,7 @@ class TestWarmupMode:
             shard_trace(long_trace, window)
             for window in plan_shards(len(long_trace), 4, 2000)
         ]
-        results = run_simulations(
+        results = _run_tasks(
             [(spec, shard, scenario, PIPELINE) for shard in shards], max_workers=1
         )
         merged = SimulationResult.merge(results)
@@ -140,7 +147,7 @@ class TestWarmupMode:
             shard_trace(short_trace, window)
             for window in plan_shards(len(short_trace), 3, 0)
         ]
-        results = run_simulations(
+        results = _run_tasks(
             [(spec, shard, UpdateScenario.IMMEDIATE, PIPELINE) for shard in shards],
             max_workers=1,
         )
@@ -153,7 +160,7 @@ class TestWarmupMode:
         spec = PredictorSpec("bimodal")
         window = plan_shards(len(short_trace), 2, 500)[1]
         shard = shard_trace(short_trace, window)
-        (result,) = run_simulations(
+        (result,) = _run_tasks(
             [(spec, shard, UpdateScenario.IMMEDIATE, PIPELINE)], max_workers=1
         )
         assert result.branches == window.measured
