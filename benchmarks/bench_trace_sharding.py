@@ -10,9 +10,9 @@ trace:
 * **sharded (warmup mode)** — the same trace as ``SHARDS`` independent
   shard tasks on the same pool, merged back into one result; wall-clock
   speedup should approach the shard count when enough cores exist,
-* **exact-mode parity** — the pickled state-handoff chain, asserted
-  bit-identical to the unsharded run (no speedup for a single trace:
-  the chain is sequential by construction).
+* **exact-mode parity** — an exact-mode request, which runs the trace
+  whole (no speedup by design), asserted bit-identical to the unsharded
+  run.
 
 The warmup-mode result is also checked against the unsharded numbers
 (MPKI within a documented tolerance).  The ≥2x speedup assertion only
@@ -82,14 +82,15 @@ def test_sharded_speedup_on_warm_pool(benchmark):
     assert merged.branches == base.branches
     assert merged.instructions == base.instructions
     assert abs(merged.mpki - base.mpki) <= MPKI_TOLERANCE * max(base.mpki, 1.0)
-    assert exact == base, "exact-mode chain must be bit-identical to the unsharded run"
+    assert exact == base, "an exact-mode run must be bit-identical to the unsharded run"
 
     speedup = base_seconds / shard_seconds if shard_seconds else float("inf")
     print(
         f"\ntrace {TRACE} ({merged.branches} branches), {SHARDS} shards, "
         f"warmup {WARMUP}: unsharded {base_seconds:.2f}s, "
         f"sharded {shard_seconds:.2f}s, speedup {speedup:.2f}x "
-        f"(mpki {merged.mpki:.3f} vs {base.mpki:.3f}, exact parity OK)"
+        f"(mpki {merged.mpki:.3f} vs {base.mpki:.3f}; exact mode, run whole, "
+        f"matches the unsharded run)"
     )
 
     cores = os.cpu_count() or 1

@@ -148,8 +148,8 @@ def _add_shard_options(parser: argparse.ArgumentParser) -> None:
                             f"window (default {DEFAULT_WARMUP})")
     group.add_argument("--shard-mode", choices=list(SHARD_MODES), default=None,
                        help="warmup: independent approximate shards (fast); "
-                            "exact: predictor state handed shard-to-shard "
-                            "(bit-identical, pipelined)")
+                            "exact: each trace runs whole (bit-identical to "
+                            "the unsharded run)")
 
 
 def _sharding_policy(args: argparse.Namespace) -> ShardingPolicy | None:
@@ -234,15 +234,6 @@ def _snapshot_by_label(snapshot: dict, name: str) -> dict[str, float]:
     return out
 
 
-def _scheduled(snapshot: dict) -> dict[str, float]:
-    """Scheduled work by route, exact-mode shard jobs counted as ``exact``."""
-    scheduled = _snapshot_by_label(snapshot, "repro_sched_tasks_total")
-    exact = _snapshot_sum(snapshot, "repro_sched_exact_shards_total")
-    if exact:
-        scheduled["exact"] = exact
-    return scheduled
-
-
 def _batch_timings(snapshot: dict, wall_seconds: float) -> dict[str, Any]:
     """The ``--timings`` fallback when tracing is sampled off: the same
     section shape, from the (global, cumulative) metrics snapshot."""
@@ -252,7 +243,7 @@ def _batch_timings(snapshot: dict, wall_seconds: float) -> dict[str, Any]:
         "resolve_seconds": None,  # only spans time trace generation
         "kernel_seconds": round(_snapshot_sum(snapshot, "repro_backend_kernel_seconds"), 6),
         "pool_task_seconds": round(_snapshot_sum(snapshot, "repro_pool_task_seconds"), 6),
-        "scheduled": _scheduled(snapshot),
+        "scheduled": _snapshot_by_label(snapshot, "repro_sched_tasks_total"),
         "cache": _snapshot_by_label(snapshot, "repro_cache_lookups_total"),
         "breakdown": {},
     }
@@ -278,9 +269,8 @@ def _span_timings(spans: list[dict], snapshot: dict,
         "plan_seconds": round(by_name.get("runner.plan", 0.0), 6),
         "resolve_seconds": round(by_name.get("trace.resolve", 0.0), 6),
         "kernel_seconds": round(by_name.get("backend.kernel", 0.0), 6),
-        "pool_task_seconds": round(
-            by_name.get("pool.task", 0.0) + by_name.get("pool.shard", 0.0), 6),
-        "scheduled": _scheduled(snapshot),
+        "pool_task_seconds": round(by_name.get("pool.task", 0.0), 6),
+        "scheduled": _snapshot_by_label(snapshot, "repro_sched_tasks_total"),
         "cache": cache,
         "spans": len(spans),
         "breakdown": {name: round(seconds, 6) for name, seconds in sorted(by_name.items())},

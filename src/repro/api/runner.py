@@ -50,7 +50,7 @@ from repro.api.request import RunRequest, coerce_scenario, validate_shard_covera
 from repro.backends import DEFAULT_BACKEND
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.metrics import SimulationResult, SuiteResult
-from repro.pipeline.parallel import ExactShardChain, SuiteCache, WorkerPool, run_scheduled
+from repro.pipeline.parallel import SuiteCache, WorkerPool, run_scheduled
 from repro.pipeline.scenarios import UpdateScenario
 from repro.predictors.base import Predictor
 from repro.predictors.registry import PredictorSpec, spec_of
@@ -208,27 +208,29 @@ class Runner:
 
     # -- sharding ------------------------------------------------------
 
-    def _shard_plan(
-        self, request: RunRequest, handle: TraceHandle
-    ) -> tuple[list, str] | None:
-        """The (windows, mode) sharding decision for one trace handle.
+    def _shard_plan(self, request: RunRequest, handle: TraceHandle) -> list[ShardWindow] | None:
+        """The shard windows for one trace handle, or ``None`` to run it whole.
 
-        ``None`` means run whole.  An explicit request policy wins;
-        otherwise traces at least ``config.auto_shard_branches`` long are
-        split in bounded-warmup mode.  Both derive the shard count from
-        the trace length alone (:func:`auto_shard_count`), so the same
-        request shards the same way on every machine.  Traces that *are*
-        shards already (a ``#shard=`` reference) are never re-sharded.
+        An explicit request policy wins; otherwise traces at least
+        ``config.auto_shard_branches`` long are split in bounded-warmup
+        mode.  Both derive the shard count from the trace length alone
+        (:func:`auto_shard_count`), so the same request shards the same
+        way on every machine.  An ``exact`` policy runs the trace whole:
+        that is the run it promises to match bit for bit.  Traces that
+        *are* shards already (a ``#shard=`` reference) are never
+        re-sharded.
         """
         if handle.window is not None:
             return None
         length = handle.length
         policy = request.sharding
         if policy is not None:
+            if policy.mode == "exact":
+                return None
             count = policy.shards or auto_shard_count(length)
             if count <= 1:
                 return None
-            return plan_shards(length, count, policy.warmup), policy.mode
+            return plan_shards(length, count, policy.warmup)
         threshold = self.config.auto_shard_branches
         if threshold is None or length < threshold:
             return None
@@ -238,29 +240,25 @@ class Runner:
         count = auto_shard_count(length, min_branches=max(1, threshold // 2))
         if count <= 1:
             return None
-        return plan_shards(length, count), "warmup"
+        return plan_shards(length, count)
 
     def run_batch(self, requests: Sequence[RunRequest]) -> list[SuiteResult]:
         """Execute many requests with every (spec, trace) pair in one pool.
 
         Results come back in request order; identical runs appearing in
         several requests are simulated once per batch.  Traces selected
-        for sharding (an explicit request policy, or the auto-shard
+        for sharding (an explicit warmup-mode policy, or the auto-shard
         length threshold) are fanned out as warmup+measure shard tasks
-        in the same pool — or as exact-mode state-handoff chains — and
-        their window results are merged back, so a caller always
-        receives one result per trace.  Flat tasks, warmup-mode shards
-        and the *first shard of every exact chain* all go into one
-        scheduling pass (:func:`run_scheduled`), so the latency-bound
-        chains overlap with the flat work.  Each request's backend
-        selection (:meth:`backend_for`) routes its supported tasks to
-        the batched kernels.
+        in the same pool and their window results are merged back, so a
+        caller always receives one result per trace.  Every task of the
+        batch goes into one scheduling pass (:func:`run_scheduled`).
+        Each request's backend selection (:meth:`backend_for`) routes
+        its supported tasks to the batched kernels.
 
-        Exact-mode chains are bit-identical to unsharded runs, so they
-        share the *whole-trace* cache entry: a repeated exact-sharded
-        run hits the cache instead of re-running the chain, and an
-        exact chain can even serve a later whole-trace request (and
-        vice versa).
+        An exact-mode policy runs each trace whole, one task per trace,
+        which is bit-identical to the unsharded run by construction; it
+        therefore shares the unsharded run's cache entry in both
+        directions.
         """
         with span("runner.batch", requests=len(requests)):
             return self._run_batch(requests)
@@ -273,94 +271,50 @@ class Runner:
         traces = _BatchTraces(self)
         flat: list[tuple] = []
         flat_backends: list[str] = []
-        chain_plans: list[tuple] = []
-        chain_cached: list[SimulationResult | None] = []
-        chain_keys: list[str | None] = []
-        layout: list[list[tuple]] = []  # per request: ("one"|"merge"|"chain", positions)
-        # Identical sharded requests within the batch plan the same shard
-        # handles (so the scheduler deduplicates their tasks) and share
-        # one exact chain (so the chain runs once).
-        chain_index: dict[tuple, int] = {}
+        # Per request, per trace: its task position, or its shards' positions.
+        layout: list[list[int | range]] = []
         for request in requests:
             spec, scenario, config = request.predictor, request.scenario, request.pipeline
             backend = self.backend_for(request)
-            units: list[tuple] = []
+            units: list[int | range] = []
             for handle in traces.handles(request.trace):
-                plan = self._shard_plan(request, handle)
-                if plan is None:
-                    units.append(("one", len(flat)))
+                windows = self._shard_plan(request, handle)
+                if windows is None:
+                    units.append(len(flat))
                     flat.append((spec, handle, scenario, config))
-                    flat_backends.append(backend)
-                    continue
-                windows, mode = plan
-                if mode == "exact":
-                    plan_key = tuple((w.warmup_start, w.start, w.stop) for w in windows)
-                    key = (spec, handle.identity, scenario, config, plan_key)
-                    if key not in chain_index:
-                        chain_index[key] = len(chain_plans)
-                        chain_plans.append((spec, handle, windows, scenario, config))
-                        cache_key = cached = None
-                        if self.cache is not None:
-                            # Exact mode reproduces the unsharded run bit
-                            # for bit, so the whole-trace key applies.
-                            cache_key = self.cache.key_for(spec, handle, scenario, config)
-                            cached = self.cache.get(cache_key)
-                        chain_keys.append(cache_key)
-                        chain_cached.append(cached)
-                    units.append(("chain", chain_index[key]))
                 else:
-                    positions = []
-                    for window in windows:
-                        positions.append(len(flat))
-                        flat.append((spec, traces.shard(handle, window), scenario, config))
-                        flat_backends.append(backend)
-                    units.append(("merge", positions))
+                    units.append(range(len(flat), len(flat) + len(windows)))
+                    flat.extend(
+                        (spec, traces.shard(handle, window), scenario, config)
+                        for window in windows
+                    )
+            flat_backends.extend([backend] * (len(flat) - len(flat_backends)))
             layout.append(units)
 
         # Planning covers handle lookup (resolving references without a
-        # manifest), shard planning and chain cache probes — everything
-        # before the scheduling pass takes over.
+        # manifest) and shard planning — everything before the
+        # scheduling pass takes over.
         plan_span.__exit__(None, None, None)
         registry.histogram(
             "repro_runner_plan_seconds",
-            "Batch planning time: handles, shard-plan, cache-probe.",
+            "Batch planning time: trace handles and shard plans.",
         ).observe(time.perf_counter() - batch_start)
-        pending = [
-            ExactShardChain(spec, traces.trace(handle), windows, scenario, config)
-            for (spec, handle, windows, scenario, config), cached
-            in zip(chain_plans, chain_cached)
-            if cached is None
-        ]
-        results, pending_results = run_scheduled(
+        results = run_scheduled(
             flat,
-            pending,
             max_workers=self.config.workers,
             cache=self.cache,
             pool=self._acquire_pool(),
             backend=flat_backends,
             materialize=traces.trace,
         )
-        fresh = iter(pending_results)
-        chain_results: list[SimulationResult] = []
-        for cached, cache_key in zip(chain_cached, chain_keys):
-            if cached is not None:
-                chain_results.append(cached)
-                continue
-            result = next(fresh)
-            chain_results.append(result)
-            if self.cache is not None and cache_key is not None and result.window is None:
-                self.cache.put(cache_key, result)
 
         suites: list[SuiteResult] = []
-        for request, units in zip(requests, layout):
-            merged: list[SimulationResult] = []
-            for kind, positions in units:
-                if kind == "one":
-                    merged.append(results[positions])
-                elif kind == "chain":
-                    merged.append(chain_results[positions])
-                else:
-                    merged.append(SimulationResult.merge([results[p] for p in positions]))
+        for units in layout:
+            merged = [
+                results[unit] if isinstance(unit, int)
+                else SimulationResult.merge([results[position] for position in unit])
+                for unit in units
+            ]
             suite = SuiteResult(predictor_name=merged[0].predictor_name)
             for result in merged:
                 suite.add(result)
@@ -371,8 +325,8 @@ class Runner:
             "repro_runner_requests_total", "Run requests executed.").inc(len(requests))
         registry.counter(
             "repro_runner_tasks_total",
-            "Scheduled tasks (flat + exact shards) produced by batch planning.",
-        ).inc(len(flat) + sum(len(chain.windows) for chain in pending))
+            "Scheduled tasks produced by batch planning.",
+        ).inc(len(flat))
         registry.histogram(
             "repro_runner_batch_seconds",
             "End-to-end wall time of one Runner.run_batch call.",
@@ -452,7 +406,7 @@ class Runner:
             shape.append((spec, len(traces)))
             flat.extend((spec, trace, scenario, config) for trace in traces)
 
-        results, _ = run_scheduled(
+        results = run_scheduled(
             flat,
             max_workers=self.config.workers,
             cache=self.cache,

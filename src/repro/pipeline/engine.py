@@ -31,19 +31,13 @@ engine, see :mod:`repro.pipeline.simulator`):
 At end-of-trace the window is drained through the same retire stage, so
 in-flight branches are never dropped.
 
-Two refinements serve trace sharding (:mod:`repro.traces.sharding`):
-
-* a branch may be fed as **warmup** — it runs through every stage
-  (predict, history, execute, update) so the predictor state evolves
-  exactly as in a longer run, but contributes nothing to the metrics;
-  :meth:`run` treats the first :attr:`Trace.warmup_count` records of a
-  trace this way;
-* the loop is exposed as a **streaming API** (:meth:`start` /
-  :meth:`feed` / :meth:`drain_window` / :meth:`result`, with
-  :meth:`export_state` / :meth:`import_state` for the in-flight window)
-  so exact-mode sharding can stop mid-trace, pickle the predictor plus
-  the un-retired window, and resume on another worker without draining —
-  the partial in-flight window crosses the shard boundary intact.
+For warmup-mode trace sharding (:mod:`repro.traces.sharding`) a branch
+may be fed as **warmup**: it runs through every stage (predict, history,
+execute, update) so the predictor state evolves exactly as in a longer
+run, but contributes nothing to the metrics.  :meth:`run` treats the
+first :attr:`Trace.warmup_count` records of a trace this way, driving
+the loop through its stages (:meth:`start` / :meth:`feed` /
+:meth:`drain_window` / :meth:`result`).
 """
 
 from __future__ import annotations
@@ -180,8 +174,7 @@ class SimulationEngine:
     def start(self) -> None:
         """Begin a run: clear the window, zero the metrics.
 
-        The predictor is *not* reset — exact-mode shards deliberately
-        continue from handed-over state; callers wanting power-on state
+        The predictor is *not* reset; callers wanting power-on state
         reset or rebuild the predictor themselves.
         """
         self._window.clear()
@@ -229,20 +222,6 @@ class SimulationEngine:
             window=window,
             warmup_branches=self._warmup_branches,
         )
-
-    def export_state(self) -> list[tuple]:
-        """The in-flight window as picklable tuples (for exact sharding)."""
-        return [
-            (entry.record, entry.info, entry.mispredicted, entry.executed, entry.measured)
-            for entry in self._window
-        ]
-
-    def import_state(self, entries: Iterable[tuple]) -> None:
-        """Restore an :meth:`export_state` window (oldest first)."""
-        for record, info, mispredicted, executed, measured in entries:
-            entry = _InflightEntry(record, info, mispredicted, measured)
-            entry.executed = executed
-            self._window.append(entry)
 
     # -- driving --------------------------------------------------------------
 

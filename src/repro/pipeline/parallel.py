@@ -1,4 +1,4 @@
-"""Simulation scheduling: the process pool, exact-shard chains and the result cache.
+"""Simulation scheduling: the process pool and the result cache.
 
 A full experiment sweeps predictor configurations over dozens of traces;
 each (predictor, trace) run is independent, so the work is
@@ -31,7 +31,6 @@ import pickle
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor, wait
-from dataclasses import dataclass
 
 from repro.obs import (
     bind_span_context,
@@ -49,12 +48,10 @@ from repro.pipeline.scenarios import UpdateScenario
 from repro.predictors.base import Predictor
 from repro.predictors.registry import PredictorSpec
 from repro.traces.refs import GENERATOR_VERSION
-from repro.traces.sharding import ShardWindow
 from repro.traces.trace import Trace, TraceHandle
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
-    "ExactShardChain",
     "SuiteCache",
     "WorkerPool",
     "run_scheduled",
@@ -96,22 +93,23 @@ def _reset_child_metrics() -> None:
     set_tracer(None)  # next span() builds a fresh recorder
 
 
-def _pool_task_metrics(kind: str, seconds: float) -> None:
+def _pool_task_metrics(seconds: float) -> None:
     """Per-task accounting recorded *inside* the executing process.
 
     In a pool child this lands in the child's own registry and is
     shipped back as a drained delta with the task result; in the serial
-    path it lands directly in the driving process's registry.
+    path it lands directly in the driving process's registry.  Every
+    task is one simulation, labelled ``kind="sim"``.
     """
     registry = get_metrics()
     registry.counter(
         "repro_pool_tasks_total",
         "Simulation tasks executed by pool workers (or serially).",
-        ("kind",)).inc(kind=kind)
+        ("kind",)).inc(kind="sim")
     registry.histogram(
         "repro_pool_task_seconds",
         "Wall time of one simulation task on its worker.",
-        ("kind",)).observe(seconds, kind=kind)
+        ("kind",)).observe(seconds, kind="sim")
 
 
 def trace_fingerprint(trace: Trace | TraceHandle) -> str:
@@ -493,7 +491,7 @@ def _simulate_one_warm(
         with span("pool.task", kind="sim", trace=trace.name):
             predictor, warm = _predictor_for(spec)
             result = SimulationEngine(predictor, scenario, config).run(trace)
-    _pool_task_metrics("sim", time.perf_counter() - start)
+    _pool_task_metrics(time.perf_counter() - start)
     return result, warm, get_metrics().drain(), _drain_child_spans()
 
 
@@ -502,93 +500,6 @@ def _drain_child_spans() -> list:
     from repro.obs.spans import drain_spans
 
     return drain_spans()
-
-
-def _simulate_shard(payload: tuple) -> tuple[SimulationResult, bytes | None]:
-    """Simulate one exact-mode shard of a trace, in the calling process.
-
-    ``payload`` is ``(spec, records, name, window, scenario, config,
-    state, final)``.  With ``state=None`` (first shard) the predictor
-    starts from power-on state, exactly like an unsharded run; otherwise
-    ``state`` is the pickled ``(predictor, in-flight window)`` handed over
-    by the previous shard, so measurement resumes mid-pipeline — partially
-    executed branches retire here, under the same scenario policy, with
-    their update accounted to the shard that retires them.  Returns the
-    shard's window result and the pickled state for the next shard
-    (``None`` after the final shard, which drains).
-    """
-    spec, records, name, window, scenario, config, state, final = payload
-    with span("pool.shard", kind="exact", trace=name, start_branch=window[0], final=final):
-        if state is None:
-            predictor, _ = _predictor_for(spec)
-            entries: list[tuple] = []
-        else:
-            predictor, entries = pickle.loads(state)
-        engine = SimulationEngine(predictor, scenario, config)
-        engine.start()
-        engine.import_state(entries)
-        engine.feed(records)
-        if final:
-            engine.drain_window()
-        result = engine.result(name, window=window)
-        handoff = None if final else pickle.dumps((predictor, engine.export_state()))
-    return result, handoff
-
-
-def _run_exact_shard(
-    envelope: tuple,
-) -> tuple[SimulationResult, bytes | None, dict, list]:
-    """Pool worker: :func:`_simulate_shard` plus the child's instrumentation.
-
-    ``envelope`` is ``(payload, span_context)``.  Returns the shard's
-    result and handoff state, and the executing process's drained metrics
-    delta and completed spans.
-    """
-    payload, context = envelope
-    start = time.perf_counter()
-    with bind_span_context(context):
-        result, handoff = _simulate_shard(payload)
-    _pool_task_metrics("exact", time.perf_counter() - start)
-    return result, handoff, get_metrics().drain(), _drain_child_spans()
-
-
-@dataclass
-class ExactShardChain:
-    """One trace's exact-mode shard pipeline: sequential jobs, shared state.
-
-    ``windows`` must tile the whole trace (that is what makes the merged
-    result bit-identical to the unsharded run); each shard job feeds its
-    measured records only — no warmup replay, the predictor state *is*
-    the warmup.
-    """
-
-    spec: PredictorSpec
-    trace: Trace
-    windows: list[ShardWindow]
-    scenario: UpdateScenario
-    config: PipelineConfig
-
-    def __post_init__(self) -> None:
-        if not self.windows:
-            raise ValueError("an exact shard chain needs at least one window")
-        if self.trace.window is not None:
-            raise ValueError(
-                f"trace {self.trace.name!r} is already a shard and cannot chain"
-            )
-
-    def payload(self, index: int, state: bytes | None) -> tuple:
-        """The worker payload for shard ``index`` given the handed-over state."""
-        window = self.windows[index]
-        return (
-            self.spec,
-            self.trace.records[window.start : window.stop],
-            self.trace.name,
-            (window.start, window.stop, window.total),
-            self.scenario,
-            self.config,
-            state,
-            index == len(self.windows) - 1,
-        )
 
 
 class WorkerPool:
@@ -616,7 +527,6 @@ class WorkerPool:
         self.batches = 0
         self.tasks_executed = 0
         self.warm_hits = 0
-        self.exact_shards = 0
 
     @property
     def closed(self) -> bool:
@@ -635,25 +545,13 @@ class WorkerPool:
                 max_workers=self.max_workers, initializer=_reset_child_metrics)
         return self._executor
 
-    def submit(self, payload: tuple) -> Future:
-        """Dispatch one exact-mode shard job (see :class:`ExactShardChain`).
-
-        Exact shards are excluded from the warm-hit accounting: only the
-        first shard of a chain touches the worker's predictor cache, the
-        rest resume from pickled state.
-        """
-        future = self._ensure().submit(
-            _run_exact_shard, (payload, current_span_context()))
-        self.exact_shards += 1
-        return future
-
     def submit_sim(self, task: tuple) -> Future:
         """Dispatch one flat simulation task.
 
         The future resolves to ``(result, warm, metrics delta, spans)``
         (see :func:`_simulate_one_warm`).  :func:`run_scheduled`
-        interleaves these with exact-shard jobs in one pass, aggregates
-        the warm flags and reports them through :meth:`record_batch`.
+        aggregates the warm flags of one pass and reports them through
+        :meth:`record_batch`.
         """
         return self._ensure().submit(
             _simulate_one_warm, (task, current_span_context()))
@@ -675,7 +573,9 @@ class WorkerPool:
             "tasks_executed": tasks,
             "warm_hits": self.warm_hits,
             "warm_hit_rate": self.warm_hits / tasks if tasks else 0.0,
-            "exact_shards": self.exact_shards,
+            # Always 0 (exact-mode requests run whole traces); kept
+            # because /v1/stats serves this dict as a frozen shape.
+            "exact_shards": 0,
         }
 
     def close(self, cancel: bool = False) -> None:
@@ -713,34 +613,32 @@ def _resolve_selection(selection):
 
 def run_scheduled(
     tasks: list[tuple[PredictorSpec, Trace | TraceHandle, UpdateScenario, PipelineConfig]],
-    chains: list[ExactShardChain] | None = None,
     max_workers: int | None = None,
     cache: SuiteCache | None = None,
     pool: WorkerPool | None = None,
     backend=None,
     materialize=None,
-) -> tuple[list[SimulationResult], list[SimulationResult]]:
-    """One scheduling pass over flat tasks, exact-shard chains and backends.
+) -> list[SimulationResult]:
+    """One scheduling pass over simulation tasks and backends.
     See :func:`_run_scheduled`; this wrapper owns the ``sched.run`` span
     so routing, cache probes, kernel calls and pool dispatch all nest
     under one node of the request's trace tree.
     """
-    with span("sched.run", tasks=len(tasks), chains=len(chains or [])):
-        return _run_scheduled(tasks, chains, max_workers, cache, pool, backend, materialize)
+    with span("sched.run", tasks=len(tasks)):
+        return _run_scheduled(tasks, max_workers, cache, pool, backend, materialize)
 
 
 def _run_scheduled(
     tasks: list[tuple[PredictorSpec, Trace | TraceHandle, UpdateScenario, PipelineConfig]],
-    chains: list[ExactShardChain] | None = None,
     max_workers: int | None = None,
     cache: SuiteCache | None = None,
     pool: WorkerPool | None = None,
     backend=None,
     materialize=None,
-) -> tuple[list[SimulationResult], list[SimulationResult]]:
-    """One scheduling pass over flat tasks, exact-shard chains and backends.
+) -> list[SimulationResult]:
+    """One scheduling pass over simulation tasks and backends.
 
-    Flat (spec, trace, scenario, config) tasks are deduplicated — tasks
+    (spec, trace, scenario, config) tasks are deduplicated — tasks
     with the same spec, trace (the same object, or the same identity),
     scenario and config are simulated once and share their result — and,
     with ``cache`` set, served from it when already simulated; fresh
@@ -757,13 +655,8 @@ def _run_scheduled(
     :class:`WorkerPool` (``max_workers`` is then ignored).  Otherwise a
     short-lived pool of ``min(max_workers, jobs)`` workers runs it, or —
     with one worker or at most one job — this process does.
-    ``max_workers=None`` means ``os.cpu_count()``.
-
-    ``chains`` are exact-mode shard pipelines; their first shards are
-    submitted **into the same pass** as the flat tasks, so the
-    latency-bound chains overlap with the flat work instead of waiting
-    for it to drain.  Returns (flat results in task order, chain results
-    in chain order).
+    ``max_workers=None`` means ``os.cpu_count()``.  Returns the results
+    in task order.
 
     ``backend`` is a name, a live :class:`~repro.backends.base.Backend`,
     ``None`` (interp), or a per-task sequence of those (the
@@ -775,9 +668,8 @@ def _run_scheduled(
     ``materialize(handle) -> Trace`` is called for the tasks that miss
     the cache — so a fully cached pass never builds a trace.
     """
-    chains = list(chains or [])
-    if not tasks and not chains:
-        return [], []
+    if not tasks:
+        return []
     slots: list[SimulationResult | None] = [None] * len(tasks)
     keys: dict[int, str] = {}
     unique_tasks: list[tuple] = []
@@ -857,11 +749,6 @@ def _run_scheduled(
             route="kernel")
     if interp_indices:
         route_counter.inc(len(interp_indices), route="interp")
-    if chains:
-        registry.counter(
-            "repro_sched_exact_shards_total",
-            "Exact-mode shard jobs dispatched by the scheduler.").inc(
-            sum(len(chain.windows) for chain in chains))
     kernel_seconds = registry.histogram(
         "repro_backend_kernel_seconds",
         "Wall time of one batched backend kernel call.", ("backend",))
@@ -878,7 +765,6 @@ def _run_scheduled(
                 fresh[index] = result
 
     interp_tasks = [unique_tasks[index] for index in interp_indices]
-    chain_parts: list[list[SimulationResult]] = [[] for _ in chains]
 
     tracer = get_tracer()
 
@@ -888,17 +774,10 @@ def _run_scheduled(
             start = time.perf_counter()
             with span("pool.task", kind="sim", trace=task[1].name):
                 fresh[index] = _simulate_one(task)
-            _pool_task_metrics("sim", time.perf_counter() - start)
-        for position, chain in enumerate(chains):
-            state: bytes | None = None
-            for shard in range(len(chain.windows)):
-                start = time.perf_counter()
-                result, state = _simulate_shard(chain.payload(shard, state))
-                _pool_task_metrics("exact", time.perf_counter() - start)
-                chain_parts[position].append(result)
+            _pool_task_metrics(time.perf_counter() - start)
 
     def drive(pool: WorkerPool) -> None:
-        """Fan everything out, overlap kernels, pump chain continuations.
+        """Fan the interp tasks out, run the kernels meanwhile, collect.
 
         An ordinary task exception (e.g. a predictor factory rejecting
         its config) leaves the pool and its warm predictors intact; a
@@ -906,37 +785,24 @@ def _run_scheduled(
         workers: queued tasks are dropped, running ones finish.
         """
         try:
-            cursor = [0] * len(chains)
-            pending: dict[Future, tuple[str, int]] = {}
-            for index, task in zip(interp_indices, interp_tasks):
-                pending[pool.submit_sim(task)] = ("task", index)
-            for position, chain in enumerate(chains):
-                pending[pool.submit(chain.payload(0, None))] = ("chain", position)
+            pending = {
+                pool.submit_sim(task): index for index, task in zip(interp_indices, interp_tasks)
+            }
             # The batched kernels crunch in this process while the workers
-            # chew on the interp tasks and first shards just submitted.
+            # chew on the interp tasks just submitted.
             run_kernel_groups()
             executed = 0
             warm = 0
             while pending:
                 done, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
-                    kind, index = pending.pop(future)
-                    if kind == "task":
-                        result, was_warm, deltas, spans = future.result()
-                        registry.merge(deltas)
-                        tracer.merge(spans)
-                        fresh[index] = result
-                        executed += 1
-                        warm += 1 if was_warm else 0
-                    else:
-                        result, state, deltas, spans = future.result()
-                        registry.merge(deltas)
-                        tracer.merge(spans)
-                        chain_parts[index].append(result)
-                        cursor[index] += 1
-                        if cursor[index] < len(chains[index].windows):
-                            payload = chains[index].payload(cursor[index], state)
-                            pending[pool.submit(payload)] = ("chain", index)
+                    index = pending.pop(future)
+                    result, was_warm, deltas, spans = future.result()
+                    registry.merge(deltas)
+                    tracer.merge(spans)
+                    fresh[index] = result
+                    executed += 1
+                    warm += 1 if was_warm else 0
             if executed:
                 pool.record_batch(executed, warm)
         except (BrokenExecutor, KeyboardInterrupt, SystemExit):
@@ -944,15 +810,14 @@ def _run_scheduled(
             raise
 
     limit = max_workers if max_workers is not None else (os.cpu_count() or 1)
-    parallel_jobs = len(interp_tasks) + len(chains)
     if pool is not None:
         drive(pool)
-    elif limit <= 1 or parallel_jobs <= 1:
+    elif limit <= 1 or len(interp_tasks) <= 1:
         run_serial()
     else:
         # No persistent pool: one for this pass, closed (cancelling
         # queued work on any error) when it ends.
-        with WorkerPool(max_workers=min(limit, parallel_jobs)) as batch_pool:
+        with WorkerPool(max_workers=min(limit, len(interp_tasks))) as batch_pool:
             drive(batch_pool)
 
     for index, positions in enumerate(unique_positions):
@@ -963,5 +828,4 @@ def _run_scheduled(
             cache.put(keys[positions[0]], result)
 
     assert all(result is not None for result in slots)
-    chain_results = [SimulationResult.merge(parts) for parts in chain_parts]
-    return slots, chain_results  # type: ignore[return-value]
+    return slots  # type: ignore[return-value]

@@ -611,9 +611,6 @@ class SimulationService:
                 )
             job.status = JobStatus.CANCELLED
             job.finished = time.time()
-            self.cancelled += 1
-            self._remote.pop(job.id, None)
-        _job_counter().inc(status="cancelled")
         log_event(_LOG, logging.INFO, "job cancelled",
                   trace_id=job.trace_id, job=job.id)
         # Drop the tombstone from the channel too: without this, a client
@@ -627,12 +624,7 @@ class SimulationService:
                 lane_queue.queue.remove(job)
             except ValueError:
                 pass
-        # Store before unlisting so job() never sees a gap (same protocol
-        # as _execute's terminal hand-off).
-        self.store.put(job.id, job.to_dict())
-        with self._lock:
-            self._live.pop(job.id, None)
-        job.mark_done()
+        self._settle(job, JobStatus.CANCELLED)
         return job.to_dict()
 
     def wait(self, job_id: str, timeout: float | None = None) -> dict[str, Any]:
@@ -851,11 +843,7 @@ class SimulationService:
                 job.error = f"{type(error).__name__}: {message}"
                 outcome = JobStatus.FAILED
             job.finished = time.time()
-            # Spans land in the store before the document turns terminal,
-            # so a poller that sees "done" can immediately fetch the trace.
-            self._record_request_spans(job, outcome=outcome)
-            job.status = outcome
-            if job.status is JobStatus.DONE:
+            if outcome is JobStatus.DONE:
                 log_event(_LOG, logging.INFO, "job done", job=job.id,
                           seconds=round(job.finished - job.started, 6))
             else:
@@ -865,23 +853,47 @@ class SimulationService:
             lane.busy_seconds += job.finished - (lane.busy_since or job.finished)
             lane.busy_since = None
             lane.executed += 1
-            if job.status is JobStatus.DONE:
+        self._settle(job, outcome)
+
+    def _settle(self, job: Job, outcome: JobStatus, shipped=None) -> None:
+        """The one terminal hand-off every finished job goes through.
+
+        Counts the outcome, samples the job latency and files the
+        request's spans (``shipped`` are spans a fleet worker sent back)
+        — except for cancelled jobs, which keep neither — then publishes
+        ``outcome`` on the job, stores its document and unlists it.
+        Spans land before the document turns terminal, so a poller that
+        sees "done" can immediately fetch the trace; the store write
+        lands before unlisting, so :meth:`job` never sees a gap.
+        """
+        with self._lock:
+            if outcome is JobStatus.DONE:
                 self.completed += 1
-            else:
+            elif outcome is JobStatus.FAILED:
                 self.failed += 1
-        _job_counter().inc(status=job.status.value)
-        registry.histogram(
-            "repro_service_job_seconds",
-            "Submit-to-terminal latency of one job.",
-        ).observe(job.finished - job.created)
-        # Store before unlisting so job() never sees a gap between the two.
-        self.store.put(job.id, job.to_dict())
+            else:
+                self.cancelled += 1
+        _job_counter().inc(status=outcome.value)
+        if outcome is not JobStatus.CANCELLED:
+            get_metrics().histogram(
+                "repro_service_job_seconds",
+                "Submit-to-terminal latency of one job.",
+            ).observe(job.finished - job.created)
+            self._record_request_spans(job, outcome, shipped)
+        job.status = outcome
+        # put_new keeps the first copy when several front ends share one
+        # disk store — unless the existing copy is a drain marker (status
+        # "queued"), which a real terminal document must replace.
+        if not self.store.put_new(job.id, job.to_dict()):
+            existing = self.store.get(job.id)
+            if existing is not None and existing.get("status") == "queued":
+                self.store.put(job.id, job.to_dict())
         with self._lock:
             self._live.pop(job.id, None)
+            self._remote.pop(job.id, None)
         job.mark_done()
 
-    def _record_request_spans(self, job: Job, shipped=None,
-                              outcome: JobStatus | None = None) -> None:
+    def _record_request_spans(self, job: Job, outcome: JobStatus, shipped=None) -> None:
         """Synthesize the request-level spans and file everything by trace.
 
         The root (``service.request``) and lane-queue spans are built
@@ -890,11 +902,10 @@ class SimulationService:
         threads — then the process recorder is drained so runner/pool
         spans recorded during dispatch land in the span store alongside
         ``shipped`` spans a fleet worker sent back with its completion.
-        ``outcome`` is the terminal status when the caller has not yet
-        published it on the job (spans are stored before the document
-        turns terminal so trace queries never race the status flip).
+        ``outcome`` is the terminal status, not yet published on the job
+        (spans are stored before the document turns terminal so trace
+        queries never race the status flip).
         """
-        status = outcome if outcome is not None else job.status
         if shipped:
             self.spans.ingest(shipped)
         if job.root_span is not None:
@@ -902,7 +913,7 @@ class SimulationService:
             synthesized = [make_span(
                 job.trace_id, job.root_span, None, "service.request",
                 job.created, max(0.0, finished - job.created),
-                status="ok" if status is JobStatus.DONE else "error",
+                status="ok" if outcome is JobStatus.DONE else "error",
                 attrs={"job": job.id, "lane": job.lane, "proc": "serve"})]
             if job.started is not None:
                 synthesized.append(make_span(
@@ -946,11 +957,8 @@ class SimulationService:
                 if job.status is not JobStatus.QUEUED:
                     return
                 job.error = f"{type(error).__name__}: {message}"
-                job.status = JobStatus.FAILED
                 job.finished = time.time()
-                self.failed += 1
-            _job_counter().inc(status="failed")
-            self._finalize(job)
+            self._settle(job, JobStatus.FAILED)
 
     def _watch(self) -> None:
         """Follow published jobs through the broker until terminal.
@@ -1022,7 +1030,6 @@ class SimulationService:
             elif state == "done":
                 job.results = snapshot["results"]
                 job.finished = snapshot.get("finished") or time.time()
-                self.completed += 1
                 outcome = JobStatus.DONE
                 event = (logging.INFO, "job done",
                          {"worker": job.worker, "attempt": job.attempts})
@@ -1031,7 +1038,6 @@ class SimulationService:
                 error = snapshot.get("error") or "no error recorded"
                 job.error = f"dead-letter after {attempts} attempts: {error}"
                 job.finished = snapshot.get("finished") or time.time()
-                self.failed += 1
                 outcome = JobStatus.FAILED
                 event = (logging.WARNING, "job dead-lettered",
                          {"error": job.error})
@@ -1040,30 +1046,4 @@ class SimulationService:
             log_event(_LOG, level, message,
                       trace_id=job.trace_id, job=job.id, **fields)
         if outcome is not None:
-            _job_counter().inc(status=outcome.value)
-            registry.histogram(
-                "repro_service_job_seconds",
-                "Submit-to-terminal latency of one job.",
-            ).observe(job.finished - job.created)
-            # Spans must be in the store BEFORE the document turns
-            # terminal, or a poller that sees "done" and immediately
-            # asks /v2/traces/{id} races a 404.
-            self._record_request_spans(job, shipped=snapshot.get("spans"),
-                                       outcome=outcome)
-            job.status = outcome
-            self._finalize(job)
-
-    def _finalize(self, job: Job) -> None:
-        # Store before unlisting so job() never sees a gap (same protocol
-        # as _execute's terminal hand-off).  put_new keeps the first copy
-        # when several front ends share one disk store — unless the
-        # existing copy is a drain marker (status "queued"), which a real
-        # terminal document must replace.
-        if not self.store.put_new(job.id, job.to_dict()):
-            existing = self.store.get(job.id)
-            if existing is not None and existing.get("status") == "queued":
-                self.store.put(job.id, job.to_dict())
-        with self._lock:
-            self._live.pop(job.id, None)
-            self._remote.pop(job.id, None)
-        job.mark_done()
+            self._settle(job, outcome, shipped=snapshot.get("spans"))

@@ -20,9 +20,9 @@ idled.  This module is the *planner* for fanning such a trace out:
   through :class:`~repro.api.request.RunRequest` and the HTTP service
   (see :mod:`repro.traces.refs` for resolution);
 * :class:`ShardingPolicy` is the pure-data knob a request carries to ask
-  the :class:`~repro.api.runner.Runner` to shard for it, including the
-  *exact* mode (predictor state pickled and handed shard-to-shard
-  instead of approximated by warmup replay).
+  the :class:`~repro.api.runner.Runner` to shard for it — or, in *exact*
+  mode, to run each trace whole so its numbers are bit-identical to the
+  unsharded run.
 
 Sharding is deterministic: the plan depends only on (length, count,
 warmup), never on worker count or timing, so a sharded request produces
@@ -232,9 +232,10 @@ class ShardingPolicy:
         Warmup prefix per shard (bounded-warmup mode only).
     mode:
         ``"warmup"`` — shards are independent jobs, each replaying a
-        bounded prefix; fast, approximate.  ``"exact"`` — predictor
-        state is pickled and handed shard-to-shard; bit-identical to the
-        unsharded run, but shards of one trace execute as a pipeline.
+        bounded prefix; fast, approximate.  ``"exact"`` — each trace
+        runs whole as one task (``shards`` and ``warmup`` are ignored),
+        so the result is bit-identical to the unsharded run by
+        construction.
     """
 
     shards: int = 0

@@ -2,7 +2,7 @@
 
 The runner plans from trace handles and keeps a per-reference manifest of
 trace names and lengths in the cache directory, so a fresh runner can key
-every task of a request — whole runs, warmup shards, exact chains and
+every task of a request — whole runs, warmup shards, exact-mode runs and
 ``#shard=`` references — without resolving the reference.  These tests
 warm the cache, make the generators raise, and require byte-identical
 payloads with no ``trace.resolve`` span; a missing or corrupt manifest
@@ -25,7 +25,7 @@ REF = "synthetic:mixed?length=5000&seed=21"
 CASES = {
     "whole": (RunRequest("gshare", REF), {}),
     "auto-sharded": (RunRequest("gshare", REF), {"auto_shard_branches": 2000}),
-    "exact-chain": (RunRequest("gshare", REF, sharding={"shards": 3, "mode": "exact"}), {}),
+    "exact": (RunRequest("gshare", REF, sharding={"shards": 3, "mode": "exact"}), {}),
     "shard-ref": (RunRequest("gshare", REF + "#shard=1/3&warmup=200"), {}),
 }
 

@@ -264,10 +264,10 @@ class TestRunTimings:
         assert "trace.resolve" not in warm["breakdown"]
         assert warm["cache"] == {"hit": 1}
 
-    def test_exact_chains_count_as_scheduled(self, capsys, monkeypatch):
+    def test_exact_request_schedules_one_whole_trace_task(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SUITE_CACHE", "off")
         code, out = run_cli(capsys, "run", "gshare", "--trace", self.REF, "--shards", "3",
                             "--shard-mode", "exact", "--timings")
         assert code == 0
-        assert "scheduled: exact=3;" in out
+        assert "scheduled: interp=1;" in out
         assert re.search(r", resolve \d+\.\d{3}s,", out), out

@@ -26,12 +26,6 @@ from repro.traces.suite import generate_trace
 TINY = "synthetic:biased?length=250&seed=4"
 
 
-def _run(tasks, **options):
-    """Flat results of one scheduling pass."""
-    results, _ = run_scheduled(tasks, **options)
-    return results
-
-
 class TestConfig:
     def test_env_selection(self):
         assert RunnerConfig.from_env({}).backend is None
@@ -97,8 +91,8 @@ class TestSchedulerRouting:
             for spec in specs
             for scenario in (UpdateScenario.IMMEDIATE, UpdateScenario.FETCH_READ_ONLY)
         ]
-        via_interp = _run(tasks, max_workers=1)
-        via_numpy = _run(tasks, max_workers=1, backend="numpy")
+        via_interp = run_scheduled(tasks, max_workers=1)
+        via_numpy = run_scheduled(tasks, max_workers=1, backend="numpy")
         assert [pickle.dumps(r) for r in via_numpy] == [pickle.dumps(r) for r in via_interp]
 
     def test_mixed_support_falls_back_per_task(self):
@@ -109,8 +103,8 @@ class TestSchedulerRouting:
              UpdateScenario.IMMEDIATE, PipelineConfig()),
             (PredictorSpec("tage-lsc"), trace, UpdateScenario.IMMEDIATE, PipelineConfig()),
         ]
-        via_numpy = _run(tasks, max_workers=1, backend="numpy")
-        via_interp = _run(tasks, max_workers=1)
+        via_numpy = run_scheduled(tasks, max_workers=1, backend="numpy")
+        via_interp = run_scheduled(tasks, max_workers=1)
         assert [pickle.dumps(r) for r in via_numpy] == [pickle.dumps(r) for r in via_interp]
 
     def test_singleton_delayed_groups_stay_on_the_interp_path(self):
@@ -131,14 +125,14 @@ class TestSchedulerRouting:
 
         spec = PredictorSpec("gshare", {"log2_entries": 10})
         delayed_trace = generate_trace("CLIENT01", branches_per_trace=300, seed=9)
-        _run(
+        run_scheduled(
             [(spec, delayed_trace, UpdateScenario.REREAD_AT_RETIRE, PipelineConfig())],
             max_workers=1, backend="numpy",
         )
         assert "_arrays" not in delayed_trace.__dict__  # interp path: no decode
 
         immediate_trace = generate_trace("CLIENT01", branches_per_trace=300, seed=9)
-        _run(
+        run_scheduled(
             [(spec, immediate_trace, UpdateScenario.IMMEDIATE, PipelineConfig())],
             max_workers=1, backend="numpy",
         )
@@ -148,10 +142,10 @@ class TestSchedulerRouting:
         trace = generate_trace("INT03", branches_per_trace=400, seed=5)
         task = (PredictorSpec("gshare", {"log2_entries": 10}), trace,
                 UpdateScenario.IMMEDIATE, PipelineConfig())
-        mixed = _run([task, task], max_workers=1, backend=["numpy", None])
+        mixed = run_scheduled([task, task], max_workers=1, backend=["numpy", None])
         assert mixed[0] == mixed[1]
         with pytest.raises(ValueError, match="per-task backend"):
-            _run([task], max_workers=1, backend=["numpy", "numpy"])
+            run_scheduled([task], max_workers=1, backend=["numpy", "numpy"])
 
 
 class TestRunnerEndToEnd:

@@ -143,13 +143,13 @@ def test_scheduler_falls_back_transparently(tiny_trace):
     """Selecting numpy runs unsupported kinds on the interpreter."""
     spec = PredictorSpec("bimodal", {"entries": 128, "hysteresis_sharing": 4})
     config = PipelineConfig()
-    (via_scheduler,), _ = run_scheduled(
+    (via_scheduler,) = run_scheduled(
         [(spec, tiny_trace, UpdateScenario.IMMEDIATE, config)], max_workers=1, backend="numpy"
     )
     assert via_scheduler == engine_result(spec, tiny_trace, UpdateScenario.IMMEDIATE)
 
     supported = SUPPORTED_SPECS["gshare-small"]
-    (via_kernel,), _ = run_scheduled(
+    (via_kernel,) = run_scheduled(
         [(supported, tiny_trace, UpdateScenario.IMMEDIATE, config)],
         max_workers=1, backend="numpy",
     )

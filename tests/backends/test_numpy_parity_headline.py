@@ -181,6 +181,6 @@ def test_suite_trace_parity_through_scheduler(mini_suite):
         (spec, trace, UpdateScenario.REREAD_AT_RETIRE, PipelineConfig())
         for trace in mini_suite
     ]
-    via_numpy, _ = run_scheduled(tasks, max_workers=1, backend="numpy")
-    via_interp, _ = run_scheduled(tasks, max_workers=1)
+    via_numpy = run_scheduled(tasks, max_workers=1, backend="numpy")
+    via_interp = run_scheduled(tasks, max_workers=1)
     assert [pickle.dumps(r) for r in via_numpy] == [pickle.dumps(r) for r in via_interp]

@@ -128,6 +128,32 @@ def test_dead_letter_fails_the_job():
     assert "bogus" in document["error"]
 
 
+class _UnpublishableBroker(MemoryBroker):
+    def publish(self, job_id, payload, max_attempts=None):
+        raise OSError("broker disk full")
+
+
+def test_publish_failure_settles_like_every_failed_job(fresh_registry):
+    from repro.obs import SpanRecorder, get_metrics, set_tracer
+
+    previous = set_tracer(SpanRecorder(sample_rate=1.0))
+    try:
+        latency = get_metrics().histogram("repro_service_job_seconds", "")
+        before = latency.count()
+        with SimulationService(broker=_UnpublishableBroker(), broker_poll=0.01) as service:
+            job = service.submit_payload({"predictor": {"kind": "gshare"}, "trace": REF_A})
+            document = service.wait(job.id, timeout=10)
+    finally:
+        set_tracer(previous)
+    assert document["status"] == "failed"
+    assert "OSError: broker disk full" in document["error"]
+    (root,) = [record for record in service.spans.get(job.trace_id)
+               if record["name"] == "service.request"]
+    assert root["parent_id"] is None and root["status"] == "error"
+    assert latency.count() == before + 1
+    assert service.stats()["jobs"]["failed"] == 1
+
+
 def test_stats_carry_the_fleet_section():
     broker = MemoryBroker()
     with SimulationService(broker=broker, broker_poll=0.01) as service:

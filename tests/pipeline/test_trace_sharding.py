@@ -1,19 +1,20 @@
 """Sharded-vs-unsharded parity and shard-result merging.
 
-The acceptance bar for trace sharding: exact mode (predictor state handed
-shard-to-shard) reproduces the unsharded run *bit-identically* — metrics,
-access profile, in-flight windows crossing shard boundaries and all —
-while bounded-warmup mode (independent shards, each replaying a warmup
-prefix) stays within a documented tolerance.  Merging is validated: any
-overlap or gap between shard windows is an error, never a wrong sum.
+The acceptance bar for trace sharding: an exact-mode request (each trace
+run whole) reproduces the unsharded run *bit-identically* — metrics,
+access profile, in-flight windows and all — while bounded-warmup mode
+(independent shards, each replaying a warmup prefix) stays within a
+documented tolerance.  Merging is validated: any overlap or gap between
+shard windows is an error, never a wrong sum.
 """
 
 import pytest
 
+from repro.api import Runner, RunnerConfig, RunRequest, ShardingPolicy
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.engine import SimulationEngine
 from repro.pipeline.metrics import SimulationResult, SuiteResult
-from repro.pipeline.parallel import ExactShardChain, WorkerPool, run_scheduled
+from repro.pipeline.parallel import run_scheduled
 from repro.pipeline.scenarios import UpdateScenario
 from repro.predictors.registry import PredictorSpec
 from repro.traces.refs import resolve_trace_ref
@@ -26,34 +27,34 @@ WARMUP_MPKI_TOLERANCE = 0.05
 
 PIPELINE = PipelineConfig(retire_delay=16, execute_delay=4)
 
+LONG_REF = "synthetic:mixed?length=200000&seed=3"
+SHORT_REF = "synthetic:mixed?length=5000&seed=11"
+
 
 def _unsharded(spec, trace, scenario, config=PIPELINE):
     return SimulationEngine(spec.build(), scenario, config).run(trace)
 
 
-def _run_chains(chains, **options):
-    """Merged chain results of one scheduling pass with no flat tasks."""
-    _, chain_results = run_scheduled([], chains, **options)
-    return chain_results
-
-
-def _run_tasks(tasks, **options):
-    """Flat results of one scheduling pass."""
-    results, _ = run_scheduled(tasks, **options)
-    return results
+def _run_exact(kind, ref, shards, scenario, config=PIPELINE):
+    """The one result of an exact-mode request, through a fresh runner."""
+    request = RunRequest(
+        kind, ref, scenario, config, sharding=ShardingPolicy(shards, mode="exact")
+    )
+    (result,) = Runner(RunnerConfig(workers=1)).run(request).results
+    return result
 
 
 @pytest.fixture(scope="module")
 def long_trace():
     """The acceptance-criteria trace: a >=200k-branch synthetic stream."""
-    trace = resolve_trace_ref("synthetic:mixed?length=200000&seed=3")[0]
+    trace = resolve_trace_ref(LONG_REF)[0]
     assert len(trace) >= 200_000
     return trace
 
 
 @pytest.fixture(scope="module")
 def short_trace():
-    return resolve_trace_ref("synthetic:mixed?length=5000&seed=11")[0]
+    return resolve_trace_ref(SHORT_REF)[0]
 
 
 class TestExactMode:
@@ -61,63 +62,24 @@ class TestExactMode:
         spec = PredictorSpec("bimodal")
         scenario = UpdateScenario.REREAD_AT_RETIRE
         base = _unsharded(spec, long_trace, scenario)
-        chain = ExactShardChain(
-            spec, long_trace, plan_shards(len(long_trace), 4, 0), scenario, PIPELINE
-        )
-        (merged,) = _run_chains([chain], max_workers=1)
+        merged = _run_exact("bimodal", LONG_REF, 4, scenario)
         assert merged == base  # full dataclass equality: mpki, accuracy, accesses
         assert merged.mpki == base.mpki and merged.accuracy == base.accuracy
 
     @pytest.mark.parametrize("kind", ["gshare", "tage"])
     @pytest.mark.parametrize("scenario", list(UpdateScenario))
     def test_every_scenario_bit_identical(self, short_trace, kind, scenario):
-        spec = PredictorSpec(kind)
-        base = _unsharded(spec, short_trace, scenario)
-        chain = ExactShardChain(
-            spec, short_trace, plan_shards(len(short_trace), 3, 0), scenario, PIPELINE
-        )
-        (merged,) = _run_chains([chain], max_workers=1)
-        assert merged == base
+        base = _unsharded(PredictorSpec(kind), short_trace, scenario)
+        assert _run_exact(kind, SHORT_REF, 3, scenario) == base
 
-    def test_boundary_mid_window_drains_correctly(self, short_trace):
-        """Shard boundaries that fall inside the in-flight window: the
-        partially-executed branches must cross the boundary as state, not
-        be drained early — a deep window with misaligned shard sizes
-        would show any drain-path bug as a metrics mismatch."""
-        spec = PredictorSpec("gshare")
+    def test_deep_window_bit_identical(self, short_trace):
+        """A deep in-flight window with a shard count that does not divide
+        the trace: the exact run must still drain exactly like the
+        unsharded one."""
         config = PipelineConfig(retire_delay=64, execute_delay=48)
         scenario = UpdateScenario.REREAD_ON_MISPREDICTION
-        base = _unsharded(spec, short_trace, scenario, config)
-        chain = ExactShardChain(
-            spec, short_trace, plan_shards(len(short_trace), 7, 0), scenario, config
-        )
-        (merged,) = _run_chains([chain], max_workers=1)
-        assert merged == base
-
-    def test_shard_results_report_their_windows(self, short_trace):
-        spec = PredictorSpec("bimodal")
-        windows = plan_shards(len(short_trace), 2, 0)
-        chain = ExactShardChain(spec, short_trace, windows, UpdateScenario.IMMEDIATE, PIPELINE)
-        payload = chain.payload(0, None)
-        assert payload[3] == (0, windows[0].stop, len(short_trace))
-        assert payload[-1] is False  # not final: no drain, state handed on
-
-    def test_pipelined_on_a_worker_pool(self, short_trace):
-        """Two chains through a real WorkerPool: shards of each chain run
-        sequentially (state handoff) while the chains overlap."""
-        spec_a, spec_b = PredictorSpec("bimodal"), PredictorSpec("gshare")
-        scenario = UpdateScenario.REREAD_AT_RETIRE
-        bases = [_unsharded(spec_a, short_trace, scenario),
-                 _unsharded(spec_b, short_trace, scenario)]
-        windows = plan_shards(len(short_trace), 3, 0)
-        chains = [
-            ExactShardChain(spec_a, short_trace, windows, scenario, PIPELINE),
-            ExactShardChain(spec_b, short_trace, windows, scenario, PIPELINE),
-        ]
-        with WorkerPool(max_workers=2) as pool:
-            merged = _run_chains(chains, pool=pool)
-            assert pool.stats()["exact_shards"] == 6
-        assert merged == bases
+        base = _unsharded(PredictorSpec("gshare"), short_trace, scenario, config)
+        assert _run_exact("gshare", SHORT_REF, 7, scenario, config) == base
 
 
 class TestWarmupMode:
@@ -129,7 +91,7 @@ class TestWarmupMode:
             shard_trace(long_trace, window)
             for window in plan_shards(len(long_trace), 4, 2000)
         ]
-        results = _run_tasks(
+        results = run_scheduled(
             [(spec, shard, scenario, PIPELINE) for shard in shards], max_workers=1
         )
         merged = SimulationResult.merge(results)
@@ -147,7 +109,7 @@ class TestWarmupMode:
             shard_trace(short_trace, window)
             for window in plan_shards(len(short_trace), 3, 0)
         ]
-        results = _run_tasks(
+        results = run_scheduled(
             [(spec, shard, UpdateScenario.IMMEDIATE, PIPELINE) for shard in shards],
             max_workers=1,
         )
@@ -160,7 +122,7 @@ class TestWarmupMode:
         spec = PredictorSpec("bimodal")
         window = plan_shards(len(short_trace), 2, 500)[1]
         shard = shard_trace(short_trace, window)
-        (result,) = _run_tasks(
+        (result,) = run_scheduled(
             [(spec, shard, UpdateScenario.IMMEDIATE, PIPELINE)], max_workers=1
         )
         assert result.branches == window.measured

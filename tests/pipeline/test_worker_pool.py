@@ -20,21 +20,15 @@ def _tasks(kind: str, ref: str, scenario=UpdateScenario.IMMEDIATE):
     return [(PredictorSpec(kind), trace, scenario, config) for trace in resolve_trace_ref(ref)]
 
 
-def _run(tasks, **options):
-    """Flat results of one scheduling pass."""
-    results, _ = run_scheduled(tasks, **options)
-    return results
-
-
 class TestWorkerPool:
     def test_warm_pool_matches_cold_serial_byte_for_byte(self):
         """Reset-reuse parity: a worker serving the same spec twice must
         produce byte-identical results to a cold in-process run."""
         tasks = _tasks("gshare", REF_A)
-        cold = [_run(tasks, max_workers=1) for _ in range(2)]
+        cold = [run_scheduled(tasks, max_workers=1) for _ in range(2)]
         with WorkerPool(max_workers=1) as pool:
-            first = _run(tasks, pool=pool)
-            second = _run(tasks, pool=pool)  # same worker, warm predictor
+            first = run_scheduled(tasks, pool=pool)
+            second = run_scheduled(tasks, pool=pool)  # same worker, warm predictor
             assert pool.stats()["warm_hits"] >= len(tasks)
         for warm in (first, second):
             assert [pickle.dumps(r) for r in warm] == [pickle.dumps(r) for r in cold[0]]
@@ -43,23 +37,23 @@ class TestWorkerPool:
     def test_warm_reuse_across_mixed_specs(self):
         """Interleaved specs reuse cached instances without cross-talk."""
         tasks = _tasks("gshare", REF_A) + _tasks("bimodal", REF_B)
-        cold = _run(tasks, max_workers=1)
+        cold = run_scheduled(tasks, max_workers=1)
         with WorkerPool(max_workers=1) as pool:
-            _run(tasks, pool=pool)
-            warm = _run(tasks, pool=pool)
+            run_scheduled(tasks, pool=pool)
+            warm = run_scheduled(tasks, pool=pool)
         assert [pickle.dumps(r) for r in warm] == [pickle.dumps(r) for r in cold]
 
     def test_run_scheduled_with_pool_matches_without(self):
         tasks = _tasks("gshare", REF_A, UpdateScenario.REREAD_AT_RETIRE)
-        plain = _run(tasks, max_workers=2)
+        plain = run_scheduled(tasks, max_workers=2)
         with WorkerPool(max_workers=2) as pool:
-            pooled = _run(tasks, pool=pool)
+            pooled = run_scheduled(tasks, pool=pool)
         assert [pickle.dumps(r) for r in pooled] == [pickle.dumps(r) for r in plain]
 
     def test_pool_is_lazy_and_counts_batches(self):
         pool = WorkerPool(max_workers=1)
         assert not pool.started
-        _run(_tasks("always-taken", REF_A), pool=pool)
+        run_scheduled(_tasks("always-taken", REF_A), pool=pool)
         assert pool.started
         stats = pool.stats()
         assert stats["batches"] == 1 and stats["tasks_executed"] == 1
@@ -67,12 +61,12 @@ class TestWorkerPool:
 
     def test_close_is_idempotent_and_submit_after_close_raises(self):
         pool = WorkerPool(max_workers=1)
-        _run(_tasks("always-taken", REF_A), pool=pool)
+        run_scheduled(_tasks("always-taken", REF_A), pool=pool)
         pool.close()
         pool.close()
         assert pool.closed and not pool.started
         with pytest.raises(RuntimeError, match="closed"):
-            _run(_tasks("always-taken", REF_A), pool=pool)
+            run_scheduled(_tasks("always-taken", REF_A), pool=pool)
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError, match="max_workers"):
@@ -83,13 +77,13 @@ class TestWorkerPool:
         good = _tasks("gshare", REF_A)
         bad = [(PredictorSpec("gshare", {"bogus": 1}), good[0][1], good[0][2], good[0][3])]
         with WorkerPool(max_workers=1) as pool:
-            _run(good, pool=pool)
+            run_scheduled(good, pool=pool)
             with pytest.raises(TypeError):
-                _run(bad, pool=pool)
+                run_scheduled(bad, pool=pool)
             assert not pool.closed and pool.started
-            results = _run(good, pool=pool)  # still warm, still correct
+            results = run_scheduled(good, pool=pool)  # still warm, still correct
             assert pool.stats()["warm_hits"] >= 1
-        cold = _run(good, max_workers=1)
+        cold = run_scheduled(good, max_workers=1)
         assert [pickle.dumps(r) for r in results] == [pickle.dumps(r) for r in cold]
 
 
