@@ -11,11 +11,11 @@ per-branch value stream can be computed up front with array passes:
   convolution per window width.
 * **folded (CSR) histories** (:func:`folded_stream`): the incremental
   fold recurrence of :class:`~repro.histories.folded.FoldedHistory` is
-  XOR-linear, so bit ``p`` of the fold before branch ``t`` is the XOR of
-  the outcome bits at ages ``p, p + clen, p + 2*clen, ...`` inside the
-  window.  Strided prefix-XOR arrays turn each of those sums into two
-  lookups, giving the fold stream of every (history length, compressed
-  length) pair in ``O(clen * T)``.
+  XOR-linear, so the fold before branch ``t`` is the XOR of the window's
+  outcome bits, each at its age modulo ``clen``.  Parking each outcome
+  at a bit fixed by its position makes that window a prefix-XOR
+  difference and the fold one rotation of it: ``O(T)`` array work per
+  (history length, compressed length) pair, independent of ``clen``.
 * **chunked XOR folds** (:func:`fold_bits_stream`): the vectorised twin
   of :func:`repro.common.bits.fold_bits`, used for the TAGE path-history
   mix.
@@ -100,33 +100,25 @@ def folded_stream(outcomes: np.ndarray, history_length: int, compressed_length: 
 
     ``out[t]`` equals the CSR state after feeding ``outcomes[:t]`` through
     the incremental update — equivalently ``recompute`` over the last
-    ``min(history_length, t)`` outcomes: bit ``p`` of the fold is the XOR
-    of the outcome bits at ages ``p mod clen`` inside the window.  Each
-    residue class is a strided prefix-XOR, so every bit position costs
-    two gathers over the precomputed prefix array.
+    ``min(history_length, t)`` outcomes: outcome ``m`` sits at bit
+    ``(t - 1 - m) mod clen``.  Parking every outcome at the fixed bit
+    ``(-m) mod clen`` turns the window into a prefix-XOR difference, and
+    rotating that left by ``(t - 1) mod clen`` moves each outcome to its
+    bit — a constant number of array passes whatever the width.
     """
     total = outcomes.size
     out = np.zeros(total, dtype=np.int64)
-    if total == 0:
+    if total < 2:
         return out
     clen = compressed_length
-    bits = outcomes.astype(np.int64)
-    prefix = np.empty(total, dtype=np.int64)
-    for residue in range(min(clen, total)):
-        prefix[residue::clen] = np.bitwise_xor.accumulate(bits[residue::clen])
-    steps = np.arange(total, dtype=np.int64)
-    for position in range(min(clen, history_length)):
-        newest = steps - 1 - position  # age `position` before branch t
-        live = newest >= 0
-        anchored = np.where(live, newest, 0)
-        # Number of window terms at this bit position: capped by the
-        # history length and by how many branches have resolved so far.
-        in_window = (history_length - 1 - position) // clen + 1
-        available = anchored // clen + 1
-        terms = np.minimum(in_window, available)
-        oldest = anchored - terms * clen
-        span = prefix[anchored] ^ np.where(oldest >= 0, prefix[np.maximum(oldest, 0)], 0)
-        out |= np.where(live, span, 0) << position
+    # Branch t = m + 1 sees outcomes (m - history_length, m].
+    m = np.arange(total - 1, dtype=np.int64)
+    prefix = np.bitwise_xor.accumulate(outcomes[:-1].astype(np.int64) << (-m % clen))
+    before = m - history_length
+    window = (prefix ^ np.where(before >= 0, prefix[np.maximum(before, 0)], 0)).astype(np.uint64)
+    rotation = (m % clen).astype(np.uint64)
+    rotated = (window << rotation) | (window >> (np.uint64(clen) - rotation))
+    out[1:] = rotated & np.uint64(mask(clen))
     return out
 
 

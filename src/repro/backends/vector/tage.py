@@ -7,12 +7,12 @@ not: the three folded-history CSRs per tagged table, the path-history
 fold and the index/tag hashes are all pure functions of the resolved
 trace prefix.  This kernel precomputes the per-branch index and tag
 stream of every tagged table in a handful of array passes
-(:func:`~repro.backends.vector.streams.folded_stream` — one strided
-prefix-XOR pass per distinct (history length, width) pair, shared across
-tables and lanes via the per-trace memo) and then runs the *real*
+(:func:`~repro.backends.vector.streams.folded_stream` — one prefix-XOR
+pass per distinct (history length, width) pair, shared across tables and
+lanes via the per-trace memo) and then runs the *real*
 :class:`~repro.core.tage.TAGEPredictor` through the real
-:class:`~repro.pipeline.engine.SimulationEngine` with the index/tag
-computation and the fold bookkeeping replaced by stream lookups.
+:class:`~repro.pipeline.engine.SimulationEngine` with its one index/tag
+method (``_keys``) and the fold bookkeeping replaced by stream lookups.
 
 Because prediction, update, allocation and accounting are the unmodified
 interpreter code paths, bit-identity across every scenario (including
@@ -80,36 +80,33 @@ def tage_kernel_for(spec: PredictorSpec) -> TAGEKernel | None:
 class _StreamTAGE(TAGEPredictor):
     """A TAGEPredictor fed precomputed per-branch index/tag streams.
 
-    ``table_index``/``table_tag`` become cursor lookups and
-    ``update_history`` only advances the cursor — the live fold, history
-    and path registers stay untouched (and unread).  Every other code
-    path (prediction combination, update, allocation, accounting) is the
-    inherited reference implementation.
+    ``_keys`` becomes a lookup at the current row and ``update_history``
+    only advances the row — the live fold, history and path registers stay
+    untouched (and unread).  Every other code path (prediction
+    combination, update, allocation, accounting) is the inherited
+    reference implementation.
     """
 
-    def __init__(
-        self,
-        config: TAGEConfig,
-        index_streams: list[list[int]],
-        tag_streams: list[list[int]],
-    ) -> None:
+    def __init__(self, config: TAGEConfig, index_stream: tuple, tag_stream: tuple) -> None:
         super().__init__(config)
-        self._index_streams = index_streams
-        self._tag_streams = tag_streams
-        self._cursor = 0
+        # Row-major: branch b's per-table keys are entries
+        # [b * num_tables, (b + 1) * num_tables); a tuple slice is the
+        # (indices, tags) pair _keys returns, with no copy to convert.
+        self._index_stream = index_stream
+        self._tag_stream = tag_stream
+        self._row = 0
 
-    def table_index(self, pc: int, table: int) -> int:
-        return self._index_streams[table][self._cursor]
-
-    def table_tag(self, pc: int, table: int) -> int:
-        return self._tag_streams[table][self._cursor]
+    def _keys(self, pc: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        start = self._row
+        stop = start + self.num_tables
+        return self._index_stream[start:stop], self._tag_stream[start:stop]
 
     def update_history(self, pc: int, taken: bool, info: PredictionInfo) -> None:
-        self._cursor += 1
+        self._row += self.num_tables
 
 
-def _streams_for(kernel: TAGEKernel, streams: TraceStreams) -> tuple[list, list]:
-    """Per-table index and tag streams for one (config, trace) lane."""
+def _key_streams(kernel: TAGEKernel, streams: TraceStreams) -> tuple[tuple, tuple]:
+    """Row-major per-branch index and tag streams for one (config, trace) lane."""
     config = kernel.config
     pcs = streams.arrays.pcs
     path = streams.path_pack(config.path_history_bits)
@@ -128,13 +125,14 @@ def _streams_for(kernel: TAGEKernel, streams: TraceStreams) -> tuple[list, list]
                 width
             )
         pc_hash = (pcs >> 2) ^ (pcs >> (2 + width)) ^ (pcs >> (2 + 2 * width))
-        index_streams.append(((pc_hash ^ index_fold ^ path_fold) & mask(width)).tolist())
+        index_streams.append((pc_hash ^ index_fold ^ path_fold) & mask(width))
         tag_fold_1 = streams.fold(length, tag_width)
         tag_fold_2 = streams.fold(length, max(1, tag_width - 1))
-        tag_streams.append(
-            (((pcs >> 2) ^ tag_fold_1 ^ (tag_fold_2 << 1)) & mask(tag_width)).tolist()
-        )
-    return index_streams, tag_streams
+        tag_streams.append(((pcs >> 2) ^ tag_fold_1 ^ (tag_fold_2 << 1)) & mask(tag_width))
+    return (
+        tuple(np.stack(index_streams, axis=1).ravel().tolist()),
+        tuple(np.stack(tag_streams, axis=1).ravel().tolist()),
+    )
 
 
 @dataclass(frozen=True)
@@ -157,8 +155,7 @@ def run_tage_lanes(
     """
     results = []
     for lane in lanes:
-        index_streams, tag_streams = _streams_for(lane.kernel, lane.streams)
-        predictor = _StreamTAGE(lane.kernel.config, index_streams, tag_streams)
+        predictor = _StreamTAGE(lane.kernel.config, *_key_streams(lane.kernel, lane.streams))
         engine = SimulationEngine(predictor, scenario, config)
         results.append(engine.run(lane.streams.trace))
     return results

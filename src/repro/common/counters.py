@@ -4,14 +4,14 @@ Almost every structure in a branch predictor is a small saturating counter:
 2-bit bimodal counters, 3-bit TAGE prediction counters, 6-bit GEHL weights,
 the 4-bit ``USE_ALT_ON_NA`` counter, the 8-bit allocation-throttle counter…
 This module provides a scalar :class:`SaturatingCounter` for the singleton
-counters and numpy-backed tables for the large arrays.
+counters and list-backed tables for the large arrays (a plain list of
+ints reads and writes faster per entry than a numpy array, which is what
+the per-branch predictor loops do).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 __all__ = [
     "clamp",
@@ -130,7 +130,7 @@ class SaturatingCounter:
 
 
 class SignedCounterTable:
-    """A table of signed saturating counters backed by a numpy array.
+    """A table of signed saturating counters backed by a list.
 
     Used for GEHL/SC weight tables and TAGE prediction counters.  Counters
     of width ``bits`` range over ``[-2**(bits-1), 2**(bits-1) - 1]``.
@@ -145,40 +145,39 @@ class SignedCounterTable:
         self.bits = bits
         self.lo = -(1 << (bits - 1))
         self.hi = (1 << (bits - 1)) - 1
-        initial = clamp(initial, self.lo, self.hi)
-        self._values = np.full(entries, initial, dtype=np.int32)
+        self._values = [clamp(initial, self.lo, self.hi)] * entries
 
     def __len__(self) -> int:
         return self.entries
 
     def __getitem__(self, index: int) -> int:
-        return int(self._values[index])
+        return self._values[index]
 
     def __setitem__(self, index: int, value: int) -> None:
         self._values[index] = clamp(int(value), self.lo, self.hi)
 
     def update(self, index: int, taken: bool) -> bool:
         """Saturating update of one entry; returns True when the entry changed."""
-        old = int(self._values[index])
-        new = saturating_update(old, taken, self.lo, self.hi)
+        old = self._values[index]
+        new = min(old + 1, self.hi) if taken else max(old - 1, self.lo)
         self._values[index] = new
         return new != old
 
     def taken(self, index: int) -> bool:
         """Prediction of one entry (sign bit)."""
-        return int(self._values[index]) >= 0
+        return self._values[index] >= 0
 
     def centered(self, index: int) -> int:
         """Centered value ``2 * ctr + 1`` of one entry."""
-        return 2 * int(self._values[index]) + 1
+        return 2 * self._values[index] + 1
 
     def is_weak(self, index: int) -> bool:
         """True when the entry sits in one of the two central states."""
-        return int(self._values[index]) in (-1, 0)
+        return self._values[index] in (-1, 0)
 
     def fill(self, value: int) -> None:
         """Set every entry to ``value`` (clamped)."""
-        self._values.fill(clamp(value, self.lo, self.hi))
+        self._values[:] = [clamp(value, self.lo, self.hi)] * self.entries
 
     @property
     def storage_bits(self) -> int:
@@ -187,7 +186,7 @@ class SignedCounterTable:
 
 
 class UnsignedCounterTable:
-    """A table of unsigned saturating counters backed by a numpy array.
+    """A table of unsigned saturating counters backed by a list.
 
     Used for bimodal prediction/hysteresis bits, confidence counters and
     age counters.  Counters of width ``bits`` range over ``[0, 2**bits-1]``
@@ -203,31 +202,31 @@ class UnsignedCounterTable:
         self.bits = bits
         self.lo = 0
         self.hi = (1 << bits) - 1
-        self._values = np.full(entries, clamp(initial, self.lo, self.hi), dtype=np.int32)
+        self._values = [clamp(initial, self.lo, self.hi)] * entries
 
     def __len__(self) -> int:
         return self.entries
 
     def __getitem__(self, index: int) -> int:
-        return int(self._values[index])
+        return self._values[index]
 
     def __setitem__(self, index: int, value: int) -> None:
         self._values[index] = clamp(int(value), self.lo, self.hi)
 
     def update(self, index: int, taken: bool) -> bool:
         """Saturating update of one entry; returns True when the entry changed."""
-        old = int(self._values[index])
-        new = saturating_update(old, taken, self.lo, self.hi)
+        old = self._values[index]
+        new = min(old + 1, self.hi) if taken else max(old - 1, self.lo)
         self._values[index] = new
         return new != old
 
     def taken(self, index: int) -> bool:
         """Prediction of one entry (MSB)."""
-        return int(self._values[index]) >= (1 << (self.bits - 1))
+        return self._values[index] >= (1 << (self.bits - 1))
 
     def fill(self, value: int) -> None:
         """Set every entry to ``value`` (clamped)."""
-        self._values.fill(clamp(value, self.lo, self.hi))
+        self._values[:] = [clamp(value, self.lo, self.hi)] * self.entries
 
     @property
     def storage_bits(self) -> int:

@@ -24,11 +24,11 @@ ISL-TAGE.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import getitem
 
-from repro.common.bits import fold_bits, mask
+from repro.common.bits import mask
 from repro.common.counters import SaturatingCounter, SignedCounterTable
 from repro.common.storage import StorageReport
-from repro.histories.global_history import GlobalHistoryRegister
 from repro.histories.local import LocalHistoryTable, SpeculativeLocalHistoryManager
 
 __all__ = [
@@ -109,31 +109,47 @@ class _CorrectorCore:
         ]
         self.threshold = config.initial_threshold
         self._threshold_counter = SaturatingCounter(bits=7, signed=True, value=0)
+        width = config.log2_entries
+        self._index_mask = mask(width)
+        #: Per table: history-window mask, chunk shifts of the fold into
+        #: the index width, and the per-table salt.
+        self._hash_geometry = [
+            (mask(length), tuple(range(0, length, width)), table << 1)
+            for table, length in enumerate(config.history_lengths)
+        ]
         #: Optional bank selector for the interleaved single-ported
         #: organisation of Section 7.1 (shared with, and advanced by, the
         #: TAGE predictor).
         self.bank_selector = None
 
-    def _index(self, pc: int, table: int, history_value: int, tage_taken: bool) -> int:
-        """Hash (PC, truncated history, TAGE prediction) into a table index."""
+    def _indices(self, pc: int, history_value: int, tage_taken: bool) -> tuple[int, ...]:
+        """Hash (PC, truncated history, TAGE prediction) into every table's index.
+
+        Each table folds its history window into the index width by XOR;
+        since the index is masked last, the fold is the XOR of the
+        window's ``width``-bit chunks shifted down, unmasked.
+        """
         width = self.config.log2_entries
-        length = self.config.history_lengths[table]
-        history = fold_bits(history_value & mask(length), length, width) if length else 0
-        pc_hash = (pc >> 2) ^ (pc >> (2 + width))
-        index = (pc_hash ^ history ^ (table << 1) ^ (1 if tage_taken else 0)) & mask(width)
+        index_mask = self._index_mask
+        base = (pc >> 2) ^ (pc >> (2 + width)) ^ (1 if tage_taken else 0)
+        indices = []
+        for history_mask, chunk_shifts, salt in self._hash_geometry:
+            window = history_value & history_mask
+            folded = 0
+            for shift in chunk_shifts:
+                folded ^= window >> shift
+            indices.append((base ^ folded ^ salt) & index_mask)
         if self.bank_selector is not None and width >= 2:
             bank = self.bank_selector.select(pc)
-            index = (index & ~(self.bank_selector.num_banks - 1)) | bank
-        return index
+            keep = ~(self.bank_selector.num_banks - 1)
+            indices = [(index & keep) | bank for index in indices]
+        return tuple(indices)
 
     def read(self, pc: int, history_value: int, tage_taken: bool, tage_centered: int) -> SCReading:
         """Compute the correction sum and the revert decision."""
-        indices = tuple(
-            self._index(pc, table, history_value, tage_taken)
-            for table in range(self.config.num_tables)
-        )
-        counters = tuple(self.tables[t][indices[t]] for t in range(self.config.num_tables))
-        total = sum(2 * counter + 1 for counter in counters)
+        indices = self._indices(pc, history_value, tage_taken)
+        counters = tuple(map(getitem, self.tables, indices))
+        total = 2 * sum(counters) + len(counters)
         # Add the TAGE confidence term, signed so that it pulls the sum
         # toward the TAGE prediction.
         confidence = TAGE_CONFIDENCE_WEIGHT * abs(tage_centered)
@@ -220,18 +236,18 @@ class StatisticalCorrector:
     def __init__(self, config: StatisticalCorrectorConfig | None = None) -> None:
         self.config = config or StatisticalCorrectorConfig()
         self._core = _CorrectorCore(self.config, "SC")
-        self._history = GlobalHistoryRegister(
-            capacity=max(64, max(self.config.history_lengths) + 8)
-        )
+        #: The global history the tables read, packed with the most recent
+        #: outcome in bit 0 and cut to the longest history length.
+        self._history = 0
+        self._history_mask = mask(max(self.config.history_lengths))
 
     def read(self, pc: int, tage_taken: bool, tage_centered: int) -> SCReading:
         """Correct (or confirm) the TAGE prediction for ``pc``."""
-        history_value = self._history.value(max(self.config.history_lengths))
-        return self._core.read(pc, history_value, tage_taken, tage_centered)
+        return self._core.read(pc, self._history, tage_taken, tage_centered)
 
     def update_history(self, pc: int, taken: bool) -> None:
         """Advance the corrector's global history (fetch time)."""
-        self._history.push(taken)
+        self._history = ((self._history << 1) | (1 if taken else 0)) & self._history_mask
 
     def train(self, reading: SCReading, taken: bool, reread: bool = True) -> int:
         """Retire-time training; returns the number of entries written."""
@@ -250,7 +266,7 @@ class StatisticalCorrector:
     def reset(self) -> None:
         """Restore the power-on state."""
         self._core.reset()
-        self._history.clear()
+        self._history = 0
 
 
 class LocalStatisticalCorrector:

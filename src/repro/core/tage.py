@@ -24,15 +24,19 @@ provider counter value (for the Statistical Corrector).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
+from operator import getitem, lshift, xor
+from typing import Sequence
 
 import numpy as np
 
 from repro.common.bits import fold_bits, mask
-from repro.common.counters import SaturatingCounter, clamp
+from repro.common.counters import SaturatingCounter
 from repro.common.storage import StorageReport
 from repro.core.config import TAGEConfig, make_reference_tage_config
-from repro.histories.folded import FoldedHistorySet
 from repro.histories.global_history import GlobalHistoryRegister, PathHistory
 from repro.predictors.base import PredictionInfo, Predictor, UpdateStats
 from repro.predictors.bimodal import BimodalPrediction, BimodalPredictor
@@ -94,6 +98,40 @@ class TAGEPrediction(PredictionInfo):
         return 2 * (self.base_counter - 2) + 1
 
 
+#: Widest fold register stepped through a lookup table (2 bytes per
+#: entry, two tables of ``2**width`` entries per width); wider registers
+#: step arithmetically.
+_FOLD_TABLE_MAX_WIDTH = 16
+
+
+class _WideFoldStep:
+    """Arithmetic stand-in for a fold-step table too large to build."""
+
+    __slots__ = ("_top", "_mask", "_inserted")
+
+    def __init__(self, width: int, inserted: int) -> None:
+        self._top = width - 1
+        self._mask = (1 << width) - 1
+        self._inserted = inserted
+
+    def __getitem__(self, value: int) -> int:
+        return (((value << 1) & self._mask) | (value >> self._top)) ^ self._inserted
+
+
+@lru_cache(maxsize=None)
+def _fold_step_tables(width: int) -> tuple[Sequence[int], Sequence[int]]:
+    """Rotate-left-by-one of every ``width``-bit fold value, then insert 0 / 1.
+
+    ``_fold_step_tables(w)[bit][v]`` is the register ``v`` after one history
+    step with outcome ``bit``, before the outgoing-bit correction.
+    """
+    if width > _FOLD_TABLE_MAX_WIDTH:
+        return _WideFoldStep(width, 0), _WideFoldStep(width, 1)
+    values = np.arange(1 << width, dtype=np.uint16)
+    rotated = (values << 1) & np.uint16((1 << width) - 1) | (values >> (width - 1))
+    return array("H", rotated.tobytes()), array("H", (rotated ^ 1).tobytes())
+
+
 class TAGEPredictor(Predictor):
     """The TAGE predictor proper.
 
@@ -102,7 +140,18 @@ class TAGEPredictor(Predictor):
     config:
         Predictor dimensioning; defaults to the paper's reference 64 KB
         configuration (:func:`repro.core.config.make_reference_tage_config`).
+
+    The per-branch hot path is written flat: the table geometry is
+    precomputed once, the three folded-history registers of every tagged
+    table (the index fold and the two tag folds, see
+    :class:`~repro.histories.folded.FoldedHistory` for the update rule)
+    live in three plain int lists advanced inline by
+    :meth:`update_history`, and :meth:`_keys` computes every table's index
+    and tag in one pass.
     """
+
+    #: Bound on the memo of per-(PC, path history) index and tag terms.
+    _MEMO_ENTRIES = 4096
 
     def __init__(self, config: TAGEConfig | None = None) -> None:
         self.config = config or make_reference_tage_config()
@@ -117,25 +166,48 @@ class TAGEPredictor(Predictor):
         self._ctr_lo = -(1 << (cfg.counter_bits - 1))
         self._ctr_hi = (1 << (cfg.counter_bits - 1)) - 1
         self._u_max = (1 << cfg.useful_bits) - 1
-        self._ctr: list[np.ndarray] = []
-        self._tags: list[np.ndarray] = []
-        self._useful: list[np.ndarray] = []
-        for table in range(self.num_tables):
-            entries = 1 << cfg.table_log2_entries[table]
-            self._ctr.append(np.zeros(entries, dtype=np.int8))
-            self._tags.append(np.zeros(entries, dtype=np.int32))
-            self._useful.append(np.zeros(entries, dtype=np.int8))
+        sizes = [1 << width for width in cfg.table_log2_entries]
+        self._ctr: list[list[int]] = [[0] * size for size in sizes]
+        self._tags: list[list[int]] = [[0] * size for size in sizes]
+        self._useful: list[list[int]] = [[0] * size for size in sizes]
 
         self.history = GlobalHistoryRegister(capacity=max(64, cfg.max_history + 8))
         self.path_history = PathHistory(width=cfg.path_history_bits)
-        self._folds = [
-            FoldedHistorySet(
-                history_length=cfg.history_lengths[table],
-                index_width=cfg.table_log2_entries[table],
-                tag_width=cfg.tag_widths[table],
-            )
-            for table in range(self.num_tables)
+
+        # Fold registers: an index fold and two tag folds per table.  One
+        # step of a w-bit register over L history bits rotates it left by
+        # one, XORs in the new outcome at bit 0 and, when the outcome
+        # leaving the window is set, XORs bit ``L % w``.  The rotate-and-
+        # insert part is a lookup in a per-width table shared by every
+        # predictor (see _fold_step_tables).
+        lengths = cfg.history_lengths
+        index_widths = cfg.table_log2_entries
+        tag_widths = cfg.tag_widths
+        fold_widths = [
+            (index_width, tag_width, max(1, tag_width - 1))
+            for index_width, tag_width in zip(index_widths, tag_widths)
         ]
+        self._drop_ages = [length - 1 for length in lengths]
+        self._fold_steps = [
+            [tuple(_fold_step_tables(width)[bit] for width in widths) for widths in fold_widths]
+            for bit in (0, 1)
+        ]
+        self._fold_outpoints = [
+            tuple(1 << (length % width) for width in widths)
+            for length, widths in zip(lengths, fold_widths)
+        ]
+        self._index_fold = [0] * self.num_tables
+        self._tag_fold_1 = [0] * self.num_tables
+        self._tag_fold_2 = [0] * self.num_tables
+        self._tag_masks = [(1 << width) - 1 for width in tag_widths]
+        #: Per table: index width, path-history bits folded into the
+        #: index, and the rotation that varies the path fold per table.
+        self._index_geometry = [
+            (width, min(length, cfg.path_history_bits), table % width)
+            for table, (length, width) in enumerate(zip(lengths, index_widths))
+        ]
+        self._key_terms_memo: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+        self._longest_first = range(self.num_tables - 1, -1, -1)
 
         #: Optional bank selector modelling the 4-way interleaved
         #: single-ported organisation of Section 4.3.  When set, the low
@@ -157,47 +229,66 @@ class TAGEPredictor(Predictor):
 
     # -- index and tag computation -------------------------------------------
 
-    def _path_mix(self, table: int, width: int) -> int:
-        """Fold the path history into ``width`` bits, varied per table."""
-        length = min(self.config.history_lengths[table], self.config.path_history_bits)
-        path_bits = self.path_history.value & mask(length)
-        folded = fold_bits(path_bits, length, width)
-        rotation = table % width
-        if rotation:
-            folded = ((folded << rotation) | (folded >> (width - rotation))) & mask(width)
-        return folded
+    def _key_terms(self, pc: int, path: int) -> tuple[list[int], list[int]]:
+        """The PC and path-history terms of every table's index and tag.
 
-    def table_index(self, pc: int, table: int) -> int:
-        """Index of ``pc`` in tagged table ``table`` (0-based) right now."""
-        width = self.config.table_log2_entries[table]
-        fold = self._folds[table].index_fold.value
-        pc_hash = (pc >> 2) ^ (pc >> (2 + width)) ^ (pc >> (2 + 2 * width))
-        index = (pc_hash ^ fold ^ self._path_mix(table, width)) & mask(width)
-        if self.bank_selector is not None and width >= 2:
-            bank = self.bank_selector.select(pc)
-            index = (index & ~(self.bank_selector.num_banks - 1)) | bank
-        return index
+        Both are functions of ``(pc, path)`` alone, so they are memoised
+        (in a bounded memo cleared when full).
+        """
+        pc_low = pc >> 2
+        index_terms = []
+        for width, path_length, rotation in self._index_geometry:
+            mix = fold_bits(path & mask(path_length), path_length, width)
+            if rotation:
+                mix = ((mix << rotation) | (mix >> (width - rotation))) & mask(width)
+            pc_hash = pc_low ^ (pc >> (2 + width)) ^ (pc >> (2 + 2 * width))
+            index_terms.append((pc_hash ^ mix) & mask(width))
+        terms = (index_terms, [pc_low & tag_mask for tag_mask in self._tag_masks])
+        if len(self._key_terms_memo) >= self._MEMO_ENTRIES:
+            self._key_terms_memo.clear()
+        self._key_terms_memo[pc, path] = terms
+        return terms
 
-    def table_tag(self, pc: int, table: int) -> int:
-        """Partial tag of ``pc`` for tagged table ``table`` (0-based) right now."""
-        width = self.config.tag_widths[table]
-        folds = self._folds[table]
-        return ((pc >> 2) ^ folds.tag_fold_1.value ^ (folds.tag_fold_2.value << 1)) & mask(width)
+    def _keys(self, pc: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Index and partial tag of ``pc`` in every tagged table, right now.
+
+        Every term is already within its table's width (the folds by
+        construction, the PC and path terms masked), so the XORs need no
+        final mask.
+        """
+        key = (pc, self.path_history.value)
+        index_terms, tag_terms = self._key_terms_memo.get(key) or self._key_terms(*key)
+        indices = tuple(map(xor, index_terms, self._index_fold))
+        selector = self.bank_selector
+        if selector is not None:
+            bank = selector.select(pc)
+            keep = ~(selector.num_banks - 1)
+            indices = tuple(
+                (index & keep) | bank if width >= 2 else index
+                for index, (width, _, _) in zip(indices, self._index_geometry)
+            )
+        tag_history = map(xor, self._tag_fold_1, map(lshift, self._tag_fold_2, repeat(1)))
+        tags = tuple(map(xor, tag_terms, tag_history))
+        return indices, tags
 
     # -- Predictor interface -------------------------------------------------
 
     def predict(self, pc: int) -> TAGEPrediction:
         base_info = self.base.predict(pc)
+        indices, tags = self._keys(pc)
+        useful = tuple(map(getitem, self._useful, indices))
 
-        indices = tuple(self.table_index(pc, table) for table in range(self.num_tables))
-        tags = tuple(self.table_tag(pc, table) for table in range(self.num_tables))
-        useful = tuple(int(self._useful[table][indices[table]]) for table in range(self.num_tables))
-
-        hits = [
-            table
-            for table in range(self.num_tables)
-            if int(self._tags[table][indices[table]]) == tags[table]
-        ]
+        # Provider: the hitting table with the longest history; alternate:
+        # the next hitting table below it.
+        provider = alternate = -1
+        tag_tables = self._tags
+        for table in self._longest_first:
+            if tag_tables[table][indices[table]] == tags[table]:
+                if provider < 0:
+                    provider = table
+                else:
+                    alternate = table
+                    break
 
         provider_table = 0
         provider_index = 0
@@ -207,27 +298,22 @@ class TAGEPredictor(Predictor):
         alt_table = 0
         alt_index = 0
         alt_taken = base_info.taken
+        taken = base_info.taken
 
-        if hits:
-            provider = hits[-1]
+        if provider >= 0:
             provider_table = provider + 1
             provider_index = indices[provider]
-            provider_ctr = int(self._ctr[provider][provider_index])
+            provider_ctr = self._ctr[provider][provider_index]
             provider_taken = provider_ctr >= 0
-            weak_provider = provider_ctr in (-1, 0)
-            if len(hits) > 1:
-                alternate = hits[-2]
+            weak_provider = provider_ctr == -1 or provider_ctr == 0
+            if alternate >= 0:
                 alt_table = alternate + 1
                 alt_index = indices[alternate]
-                alt_taken = int(self._ctr[alternate][alt_index]) >= 0
-
-        if provider_table > 0:
+                alt_taken = self._ctr[alternate][alt_index] >= 0
             if weak_provider and self.use_alt_on_na.value >= 0:
                 taken = alt_taken
             else:
                 taken = provider_taken
-        else:
-            taken = base_info.taken
 
         return TAGEPrediction(
             taken=taken,
@@ -249,11 +335,21 @@ class TAGEPredictor(Predictor):
         )
 
     def update_history(self, pc: int, taken: bool, info: PredictionInfo) -> None:
-        new_bit = 1 if taken else 0
-        for table in range(self.num_tables):
-            length = self.config.history_lengths[table]
-            dropped = self.history.bit(length - 1) if length - 1 < len(self.history) else 0
-            self._folds[table].update(new_bit, dropped)
+        bit = 1 if taken else 0
+        index_fold = self._index_fold
+        tag_fold_1 = self._tag_fold_1
+        tag_fold_2 = self._tag_fold_2
+        dropped = self.history.bits(self._drop_ages)
+        for table, (step, step_1, step_2) in enumerate(self._fold_steps[bit]):
+            if dropped[table]:
+                out, out_1, out_2 = self._fold_outpoints[table]
+                index_fold[table] = step[index_fold[table]] ^ out
+                tag_fold_1[table] = step_1[tag_fold_1[table]] ^ out_1
+                tag_fold_2[table] = step_2[tag_fold_2[table]] ^ out_2
+            else:
+                index_fold[table] = step[index_fold[table]]
+                tag_fold_1[table] = step_1[tag_fold_1[table]]
+                tag_fold_2[table] = step_2[tag_fold_2[table]]
         self.history.push(taken)
         self.path_history.push(pc)
         if self.bank_selector is not None:
@@ -298,21 +394,22 @@ class TAGEPredictor(Predictor):
         """Update the provider entry's prediction counter and useful bit."""
         table = info.provider_table - 1
         index = info.provider_index
+        counters = self._ctr[table]
         if reread:
-            ctr = int(self._ctr[table][index])
+            ctr = counters[index]
             stats.entry_reads += 1
         else:
             ctr = info.provider_ctr
-        new_ctr = clamp(ctr + (1 if taken else -1), self._ctr_lo, self._ctr_hi)
-        if new_ctr != int(self._ctr[table][index]):
-            self._ctr[table][index] = new_ctr
+        new_ctr = min(ctr + 1, self._ctr_hi) if taken else max(ctr - 1, self._ctr_lo)
+        if new_ctr != counters[index]:
+            counters[index] = new_ctr
             stats.entry_writes += 1
             stats.tables_written += 1
 
         # The useful bit is set when the provider was correct while the
         # alternate prediction was wrong (Section 3.2.2).
         if info.provider_taken != info.alt_taken and info.provider_taken == taken:
-            if int(self._useful[table][index]) != self._u_max:
+            if self._useful[table][index] != self._u_max:
                 self._useful[table][index] = self._u_max
                 stats.entry_writes += 1
 
@@ -326,7 +423,7 @@ class TAGEPredictor(Predictor):
         while table < self.num_tables and allocated < cfg.max_allocations:
             index = info.indices[table]
             if reread:
-                useful = int(self._useful[table][index])
+                useful = self._useful[table][index]
                 stats.entry_reads += 1
             else:
                 useful = info.useful_snapshot[table]
@@ -351,7 +448,7 @@ class TAGEPredictor(Predictor):
     def _reset_useful_bits(self) -> None:
         """Global reset of every useful bit (allocation-failure saturation)."""
         for useful in self._useful:
-            useful.fill(0)
+            useful[:] = [0] * len(useful)
         self.useful_resets += 1
 
     # -- reporting ------------------------------------------------------------
@@ -375,14 +472,12 @@ class TAGEPredictor(Predictor):
     def reset(self) -> None:
         """Restore the power-on state."""
         self.base.reset()
-        for table in range(self.num_tables):
-            self._ctr[table].fill(0)
-            self._tags[table].fill(0)
-            self._useful[table].fill(0)
+        for table in (*self._ctr, *self._tags, *self._useful):
+            table[:] = [0] * len(table)
         self.history.clear()
         self.path_history.clear()
-        for fold in self._folds:
-            fold.clear()
+        for folds in (self._index_fold, self._tag_fold_1, self._tag_fold_2):
+            folds[:] = [0] * self.num_tables
         self.use_alt_on_na.set(0)
         self.allocation_tick.set(0)
         self.useful_resets = 0

@@ -18,14 +18,13 @@ paper reads:
   per-branch local histories used by the LSC predictor (Section 6).
 """
 
-from repro.histories.folded import FoldedHistory, FoldedHistorySet
+from repro.histories.folded import FoldedHistory
 from repro.histories.geometric import geometric_series
 from repro.histories.global_history import GlobalHistoryRegister, PathHistory
 from repro.histories.local import LocalHistoryTable, SpeculativeLocalHistoryManager
 
 __all__ = [
     "FoldedHistory",
-    "FoldedHistorySet",
     "GlobalHistoryRegister",
     "LocalHistoryTable",
     "PathHistory",

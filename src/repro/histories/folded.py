@@ -5,9 +5,10 @@ prediction time; instead the hardware maintains, per table, a small
 "circular shift register" (CSR) that always equals the XOR-fold of the most
 recent ``history_length`` bits down to ``compressed_length`` bits.  On every
 new branch the CSR is updated in O(1) by inserting the incoming bit and
-removing the outgoing one.  This module provides that structure and a
-convenience set that keeps the index fold and the two tag folds of a TAGE
-table in sync, as the released TAGE simulators do.
+removing the outgoing one.  This module provides that structure; GEHL and
+FTL keep one per table, and :class:`~repro.core.tage.TAGEPredictor` runs
+the same update rule inline over plain int lists (an index fold and two
+tag folds per table, as the released TAGE simulators do).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from repro.common.bits import mask
 from repro.histories.global_history import GlobalHistoryRegister
 
-__all__ = ["FoldedHistory", "FoldedHistorySet"]
+__all__ = ["FoldedHistory"]
 
 
 class FoldedHistory:
@@ -87,44 +88,3 @@ class FoldedHistory:
     def clear(self) -> None:
         """Reset the fold to the all-zero history."""
         self.value = 0
-
-
-class FoldedHistorySet:
-    """The three folds a TAGE tagged table keeps: index, tag CSR1 and tag CSR2.
-
-    Published TAGE implementations compute the partial tag from two folds
-    of slightly different widths (``tag_width`` and ``tag_width - 1``) so
-    that the tag is not a simple rotation of the index; we mirror that.
-    """
-
-    def __init__(self, history_length: int, index_width: int, tag_width: int) -> None:
-        self.history_length = history_length
-        self.index_fold = FoldedHistory(history_length, index_width)
-        self.tag_fold_1 = FoldedHistory(history_length, tag_width)
-        self.tag_fold_2 = FoldedHistory(history_length, max(1, tag_width - 1))
-
-    def update(self, inserted_bit: int, dropped_bit: int) -> None:
-        """Advance all three folds by one branch."""
-        self.index_fold.update(inserted_bit, dropped_bit)
-        self.tag_fold_1.update(inserted_bit, dropped_bit)
-        self.tag_fold_2.update(inserted_bit, dropped_bit)
-
-    def checkpoint(self) -> tuple[int, int, int]:
-        """Snapshot all three folds."""
-        return (
-            self.index_fold.checkpoint(),
-            self.tag_fold_1.checkpoint(),
-            self.tag_fold_2.checkpoint(),
-        )
-
-    def restore(self, snapshot: tuple[int, int, int]) -> None:
-        """Restore all three folds from a snapshot."""
-        self.index_fold.restore(snapshot[0])
-        self.tag_fold_1.restore(snapshot[1])
-        self.tag_fold_2.restore(snapshot[2])
-
-    def clear(self) -> None:
-        """Reset all folds."""
-        self.index_fold.clear()
-        self.tag_fold_1.clear()
-        self.tag_fold_2.clear()

@@ -12,6 +12,8 @@ that TAGE mixes into its index functions.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 __all__ = ["GlobalHistoryRegister", "PathHistory"]
 
 
@@ -56,6 +58,17 @@ class GlobalHistoryRegister:
         if index >= self.capacity:
             raise IndexError(f"history index {index} exceeds capacity {self.capacity}")
         return self._buffer[(self._head - index) % self.capacity]
+
+    def bits(self, ages: Iterable[int]) -> list[int]:
+        """Directions of the branches ``ages`` back (0 = most recent), in order.
+
+        Every age must be below :attr:`capacity`; ages beyond the recorded
+        history read as 0, like :meth:`bit` on an empty register.
+        """
+        buffer, head, count = self._buffer, self._head, self._count
+        # ``head - age`` is at least ``-capacity``: a negative position
+        # wraps around the circular buffer by itself.
+        return [buffer[head - age] if age < count else 0 for age in ages]
 
     def value(self, length: int) -> int:
         """Pack the ``length`` most recent history bits into an integer.

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.common.storage import StorageReport
 from repro.predictors.base import PredictionInfo, Predictor, UpdateStats
 
@@ -55,8 +53,8 @@ class BimodalPredictor(Predictor):
         # streams are strongly taken-biased (loop back-edges dominate), so
         # initialising toward taken minimises the cold-start penalty on
         # large-footprint workloads — the convention the CBP simulators use.
-        self._prediction = np.ones(entries, dtype=np.int8)
-        self._hysteresis = np.zeros(entries // hysteresis_sharing, dtype=np.int8)
+        self._prediction = bytearray(b"\x01") * entries
+        self._hysteresis = bytearray(entries // hysteresis_sharing)
 
     # -- indexing -----------------------------------------------------------
 
@@ -64,21 +62,16 @@ class BimodalPredictor(Predictor):
         """Map a branch PC to its prediction-bit index."""
         return (pc >> 2) & self._index_mask
 
-    def _hysteresis_index(self, index: int) -> int:
-        return index // self.hysteresis_sharing
-
     def read_counter(self, pc: int) -> int:
         """Return the combined 2-bit counter value (0..3) for ``pc``."""
-        index = self.index(pc)
-        hyst_index = self._hysteresis_index(index)
-        return 2 * int(self._prediction[index]) + int(self._hysteresis[hyst_index])
+        return self.predict(pc).counter
 
     # -- Predictor interface -------------------------------------------------
 
     def predict(self, pc: int) -> BimodalPrediction:
         index = self.index(pc)
-        hyst_index = self._hysteresis_index(index)
-        counter = 2 * int(self._prediction[index]) + int(self._hysteresis[hyst_index])
+        hyst_index = index // self.hysteresis_sharing
+        counter = 2 * self._prediction[index] + self._hysteresis[hyst_index]
         return BimodalPrediction(
             taken=counter >= 2, index=index, hysteresis_index=hyst_index, counter=counter
         )
@@ -95,7 +88,7 @@ class BimodalPredictor(Predictor):
         index = info.index
         hyst_index = info.hysteresis_index
         if reread:
-            counter = 2 * int(self._prediction[index]) + int(self._hysteresis[hyst_index])
+            counter = 2 * self._prediction[index] + self._hysteresis[hyst_index]
             stats.entry_reads += 1
         else:
             counter = info.counter
@@ -103,10 +96,10 @@ class BimodalPredictor(Predictor):
         new_prediction = new_counter >> 1
         new_hysteresis = new_counter & 1
         wrote = False
-        if new_prediction != int(self._prediction[index]):
+        if new_prediction != self._prediction[index]:
             self._prediction[index] = new_prediction
             wrote = True
-        if new_hysteresis != int(self._hysteresis[hyst_index]):
+        if new_hysteresis != self._hysteresis[hyst_index]:
             self._hysteresis[hyst_index] = new_hysteresis
             wrote = True
         if wrote:
@@ -122,5 +115,5 @@ class BimodalPredictor(Predictor):
 
     def reset(self) -> None:
         """Restore the power-on state."""
-        self._prediction.fill(1)
-        self._hysteresis.fill(0)
+        self._prediction[:] = bytearray(b"\x01") * self.entries
+        self._hysteresis[:] = bytearray(len(self._hysteresis))

@@ -92,7 +92,7 @@ class TestAllocation:
         predictor = small_tage()
         # Mark every entry of every table useful so allocations always fail.
         for useful in predictor._useful:
-            useful.fill(1)
+            useful[:] = [1] * len(useful)
         predictor.allocation_tick.set(predictor.allocation_tick.hi - 1)
         pc = 0x4800
         for _ in range(4):
@@ -102,7 +102,7 @@ class TestAllocation:
         info = predictor.predict(pc)
         predictor.update(pc, False, info)
         assert predictor.useful_resets >= 1
-        assert all(int(useful.sum()) == 0 for useful in predictor._useful)
+        assert all(sum(useful) == 0 for useful in predictor._useful)
 
 
 class TestAccuracy:
@@ -160,5 +160,5 @@ class TestUpdateScenarioSupport:
             predictor.update(pc, False, info)
         predictor.reset()
         assert predictor.use_alt_on_na.value == 0
-        assert all(int(ctr.sum()) == 0 for ctr in predictor._ctr)
+        assert all(sum(ctr) == 0 for ctr in predictor._ctr)
         assert len(predictor.history) == 0

@@ -6,10 +6,14 @@ from the full history — for any history length, fold width and outcome
 sequence.
 """
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.histories.folded import FoldedHistory, FoldedHistorySet
+from repro.core.config import TAGEConfig
+from repro.core.tage import TAGEPredictor
+from repro.histories.folded import FoldedHistory
 from repro.histories.global_history import GlobalHistoryRegister
 
 
@@ -71,28 +75,65 @@ class TestFoldedHistory:
         assert fold.value == 0
 
 
-class TestFoldedHistorySet:
-    def test_three_folds_advance_together(self):
-        folds = FoldedHistorySet(history_length=30, index_width=10, tag_width=8)
-        history = GlobalHistoryRegister(capacity=64)
-        for taken in [True, False, True, True, False]:
-            dropped = history.bit(29) if len(history) else 0
-            folds.update(1 if taken else 0, dropped)
-            history.push(taken)
-        assert folds.index_fold.value == folds.index_fold.recompute(history)
-        assert folds.tag_fold_1.value == folds.tag_fold_1.recompute(history)
-        assert folds.tag_fold_2.value == folds.tag_fold_2.recompute(history)
+def _drive_tage(config: TAGEConfig, branches) -> None:
+    """Run ``branches`` through a TAGE predictor, checking its folds after each."""
+    predictor = TAGEPredictor(config)
+    for pc, taken in branches:
+        info = predictor.predict(pc)
+        predictor.update_history(pc, taken, info)
+        predictor.update(pc, taken, info)
+        for table in range(predictor.num_tables):
+            length = config.history_lengths[table]
+            tag_width = config.tag_widths[table]
+            for registers, width in (
+                (predictor._index_fold, config.table_log2_entries[table]),
+                (predictor._tag_fold_1, tag_width),
+                (predictor._tag_fold_2, tag_width - 1),
+            ):
+                assert registers[table] == FoldedHistory(length, width).recompute(
+                    predictor.history
+                )
 
-    def test_checkpoint_restore_roundtrip(self):
-        folds = FoldedHistorySet(history_length=12, index_width=9, tag_width=11)
-        folds.update(1, 0)
-        snapshot = folds.checkpoint()
-        folds.update(1, 0)
-        folds.restore(snapshot)
-        assert folds.checkpoint() == snapshot
 
-    def test_clear(self):
-        folds = FoldedHistorySet(history_length=12, index_width=9, tag_width=11)
-        folds.update(1, 0)
-        folds.clear()
-        assert folds.checkpoint() == (0, 0, 0)
+class TestTAGEFoldRegisters:
+    """TAGE runs the fold update inline over three plain int lists per
+    predictor (index fold, tag fold 1, tag fold 2, one entry per table).
+    After every branch each entry must equal the reference fold of the
+    predictor's own global history at that table's length and width.
+    """
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 0xFFFF), st.booleans()), max_size=120),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=20, max_value=140),
+        st.integers(min_value=3, max_value=9),
+        st.integers(min_value=4, max_value=9),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_inline_folds_match_recompute(
+        self, branches, min_history, max_history, base_log2_entries, min_tag_width
+    ):
+        config = TAGEConfig.generate(
+            num_tagged_tables=5,
+            min_history=min_history,
+            max_history=max_history,
+            base_log2_entries=base_log2_entries,
+            bimodal_log2_entries=6,
+            min_tag_width=min_tag_width,
+        )
+        _drive_tage(config, branches)
+
+    def test_folds_wider_than_the_step_tables(self):
+        """17- to 18-bit tag folds step arithmetically, not by table lookup."""
+        config = TAGEConfig.generate(
+            num_tagged_tables=5,
+            min_history=3,
+            max_history=90,
+            base_log2_entries=8,
+            bimodal_log2_entries=6,
+            min_tag_width=14,
+            max_tag_width=24,
+        )
+        assert max(config.tag_widths) > 16
+        rng = random.Random(5)
+        _drive_tage(config, [(rng.randrange(1 << 16), rng.random() < 0.6) for _ in range(300)])

@@ -77,6 +77,16 @@ class TestGlobalHistoryRegister:
         for age, taken in enumerate(reversed(outcomes)):
             assert history.bit(age) == (1 if taken else 0)
 
+    @given(st.lists(st.booleans(), max_size=60))
+    def test_bits_reads_many_ages_across_wraparound(self, outcomes):
+        history = GlobalHistoryRegister(capacity=16)
+        for taken in outcomes:
+            history.push(taken)
+        ages = list(range(16))
+        expected = [history.bit(age) if age < len(history) else 0 for age in ages]
+        assert history.bits(ages) == expected
+        assert history.bits(reversed(ages)) == expected[::-1]
+
 
 class TestPathHistory:
     def test_push_shifts_low_bits(self):
