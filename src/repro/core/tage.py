@@ -33,7 +33,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.common.bits import fold_bits, mask
 from repro.common.counters import SaturatingCounter
 from repro.common.storage import StorageReport
 from repro.core.config import TAGEConfig, make_reference_tage_config
@@ -146,12 +145,13 @@ class TAGEPredictor(Predictor):
     table (the index fold and the two tag folds, see
     :class:`~repro.histories.folded.FoldedHistory` for the update rule)
     live in three plain int lists advanced inline by
-    :meth:`update_history`, and :meth:`_keys` computes every table's index
-    and tag in one pass.
+    :meth:`update_history` (the index register also carries the table's
+    path-history term), and :meth:`_keys` computes every table's index
+    and tag in one pass from those registers and per-PC terms.
     """
 
-    #: Bound on the memo of per-(PC, path history) index and tag terms.
-    _MEMO_ENTRIES = 4096
+    #: Bound on the memo of per-PC index and tag terms (cleared when full).
+    _PC_MEMO_ENTRIES = 4096
 
     def __init__(self, config: TAGEConfig | None = None) -> None:
         self.config = config or make_reference_tage_config()
@@ -196,17 +196,26 @@ class TAGEPredictor(Predictor):
             tuple(1 << (length % width) for width in widths)
             for length, widths in zip(lengths, fold_widths)
         ]
-        self._index_fold = [0] * self.num_tables
         self._tag_fold_1 = [0] * self.num_tables
         self._tag_fold_2 = [0] * self.num_tables
+        # The index register of a table also carries its path-history
+        # term: the fold of the newest ``P = min(L, path bits)`` path bits
+        # to the index width, rotated left by ``table % width``.  That term
+        # steps like any fold (the rotation commutes with the step), so it
+        # shares the register; a path step XORs the new path bit in at the
+        # rotation and the path bit leaving the window at ``(P + rotation)
+        # % width``.  With every path bit 0 both corrections vanish.
+        self._index_fold = [0] * self.num_tables
+        self._path_steps = []
+        for table, (length, width) in enumerate(zip(lengths, index_widths)):
+            path_length = min(length, cfg.path_history_bits)
+            rotation = table % width
+            self._path_steps.append(
+                (1 << rotation, path_length - 1, 1 << (path_length % width + rotation) % width)
+            )
+        self._index_widths = index_widths
         self._tag_masks = [(1 << width) - 1 for width in tag_widths]
-        #: Per table: index width, path-history bits folded into the
-        #: index, and the rotation that varies the path fold per table.
-        self._index_geometry = [
-            (width, min(length, cfg.path_history_bits), table % width)
-            for table, (length, width) in enumerate(zip(lengths, index_widths))
-        ]
-        self._key_terms_memo: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+        self._pc_memo: dict[int, tuple[list[int], list[int]]] = {}
         self._longest_first = range(self.num_tables - 1, -1, -1)
 
         #: Optional bank selector modelling the 4-way interleaved
@@ -229,35 +238,28 @@ class TAGEPredictor(Predictor):
 
     # -- index and tag computation -------------------------------------------
 
-    def _key_terms(self, pc: int, path: int) -> tuple[list[int], list[int]]:
-        """The PC and path-history terms of every table's index and tag.
-
-        Both are functions of ``(pc, path)`` alone, so they are memoised
-        (in a bounded memo cleared when full).
-        """
+    def _pc_terms(self, pc: int) -> tuple[list[int], list[int]]:
+        """The PC terms of every table's index and tag, memoised per PC."""
         pc_low = pc >> 2
-        index_terms = []
-        for width, path_length, rotation in self._index_geometry:
-            mix = fold_bits(path & mask(path_length), path_length, width)
-            if rotation:
-                mix = ((mix << rotation) | (mix >> (width - rotation))) & mask(width)
-            pc_hash = pc_low ^ (pc >> (2 + width)) ^ (pc >> (2 + 2 * width))
-            index_terms.append((pc_hash ^ mix) & mask(width))
-        terms = (index_terms, [pc_low & tag_mask for tag_mask in self._tag_masks])
-        if len(self._key_terms_memo) >= self._MEMO_ENTRIES:
-            self._key_terms_memo.clear()
-        self._key_terms_memo[pc, path] = terms
+        terms = (
+            [
+                (pc_low ^ (pc >> (2 + width)) ^ (pc >> (2 + 2 * width))) & ((1 << width) - 1)
+                for width in self._index_widths
+            ],
+            [pc_low & tag_mask for tag_mask in self._tag_masks],
+        )
+        if len(self._pc_memo) >= self._PC_MEMO_ENTRIES:
+            self._pc_memo.clear()
+        self._pc_memo[pc] = terms
         return terms
 
     def _keys(self, pc: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Index and partial tag of ``pc`` in every tagged table, right now.
 
         Every term is already within its table's width (the folds by
-        construction, the PC and path terms masked), so the XORs need no
-        final mask.
+        construction, the PC terms masked), so the XORs need no final mask.
         """
-        key = (pc, self.path_history.value)
-        index_terms, tag_terms = self._key_terms_memo.get(key) or self._key_terms(*key)
+        index_terms, tag_terms = self._pc_memo.get(pc) or self._pc_terms(pc)
         indices = tuple(map(xor, index_terms, self._index_fold))
         selector = self.bank_selector
         if selector is not None:
@@ -265,7 +267,7 @@ class TAGEPredictor(Predictor):
             keep = ~(selector.num_banks - 1)
             indices = tuple(
                 (index & keep) | bank if width >= 2 else index
-                for index, (width, _, _) in zip(indices, self._index_geometry)
+                for index, width in zip(indices, self._index_widths)
             )
         tag_history = map(xor, self._tag_fold_1, map(lshift, self._tag_fold_2, repeat(1)))
         tags = tuple(map(xor, tag_terms, tag_history))
@@ -350,6 +352,14 @@ class TAGEPredictor(Predictor):
                 index_fold[table] = step[index_fold[table]]
                 tag_fold_1[table] = step_1[tag_fold_1[table]]
                 tag_fold_2[table] = step_2[tag_fold_2[table]]
+        path = self.path_history.value
+        pc_bit = pc & 1
+        if path or pc_bit:
+            for table, (insert, out_age, outpoint) in enumerate(self._path_steps):
+                if pc_bit:
+                    index_fold[table] ^= insert
+                if path >> out_age & 1:
+                    index_fold[table] ^= outpoint
         self.history.push(taken)
         self.path_history.push(pc)
         if self.bank_selector is not None:

@@ -6,7 +6,10 @@ from) keeps every parity test green.  These counts pin the absolute
 results instead: branches, instructions, mispredictions, every
 :class:`~repro.hardware.access_counter.AccessProfile` field and the IUM
 override count, for each TAGE-family predictor under every update
-scenario on two small deterministic traces.
+scenario on two small deterministic traces.  Every trace generator emits
+4-byte-aligned PCs, so TAGE's path history (low PC bits) stays 0 on them;
+a third, hand-built trace of odd and even PCs keeps it live under [I] and
+[C].
 
 Regenerate the tables only when a change is *meant* to move results, and
 say so in the change description.
@@ -14,6 +17,7 @@ say so in the change description.
 
 from __future__ import annotations
 
+import random
 from dataclasses import asdict
 
 import pytest
@@ -22,12 +26,15 @@ from repro.pipeline.engine import SimulationEngine
 from repro.pipeline.scenarios import UpdateScenario
 from repro.predictors.registry import PredictorSpec
 from repro.traces.refs import resolve_trace_ref
+from repro.traces.trace import BranchRecord, Trace
 
 HARD = "hard:INT01?branches=3000&seed=11"
 LOOP = "synthetic:loop?iterations=7&body_branches=3&length=2000&seed=5"
+#: Not a trace ref: the name of the trace :func:`_live_path_trace` builds.
+LIVE = "live-path"
 
-#: trace ref -> (branches, instructions).
-SIZES = {HARD: (3000, 18033), LOOP: (2016, 11916)}
+#: trace -> (branches, instructions).
+SIZES = {HARD: (3000, 18033), LOOP: (2016, 11916), LIVE: (2000, 8000)}
 
 #: Per-run columns of :data:`GOLDEN`.
 COLUMNS = (
@@ -90,12 +97,37 @@ GOLDEN = {
     (LOOP, "tage-lsc", True, "A"): (584, 2016, 7255, 1344, 14077, 1818, 1719),
     (LOOP, "tage-lsc", True, "B"): (570, 0, 6753, 1384, 0, 1602, 1736),
     (LOOP, "tage-lsc", True, "C"): (572, 572, 7133, 1378, 4757, 1644, 1728),
+    (LIVE, "tage", False, "I"): (469, 0, 2295, 884, 3407, 1407, 0),
+    (LIVE, "tage", False, "C"): (460, 460, 2253, 872, 1840, 1380, 0),
+    (LIVE, "l-tage", False, "I"): (469, 0, 2295, 884, 3407, 1407, 0),
+    (LIVE, "l-tage", False, "C"): (460, 460, 2253, 872, 1840, 1380, 0),
+    (LIVE, "isl-tage", False, "I"): (466, 0, 5123, 890, 11407, 1407, 0),
+    (LIVE, "isl-tage", False, "C"): (474, 474, 5117, 945, 3693, 1392, 557),
+    (LIVE, "tage-lsc", False, "I"): (467, 0, 5845, 896, 13407, 1407, 0),
+    (LIVE, "tage-lsc", False, "C"): (466, 466, 5852, 955, 4104, 1401, 557),
+    (LIVE, "isl-tage", True, "I"): (469, 0, 4909, 888, 11408, 1407, 0),
+    (LIVE, "isl-tage", True, "C"): (480, 480, 4968, 930, 3751, 1419, 556),
+    (LIVE, "tage-lsc", True, "I"): (469, 0, 5576, 892, 13408, 1407, 0),
+    (LIVE, "tage-lsc", True, "C"): (480, 480, 5648, 934, 4231, 1419, 556),
 }
+
+
+def _live_path_trace() -> Trace:
+    """2000 branches over 256 random 20-bit PCs, about half of them odd."""
+    rng = random.Random(23)
+    pcs = [rng.getrandbits(20) for _ in range(256)]
+    records = []
+    for i in range(2000):
+        pc = pcs[rng.getrandbits(8) & rng.getrandbits(8)]
+        taken = (pc >> 3) % 5 != i % 3 if rng.getrandbits(4) else bool(rng.getrandbits(1))
+        records.append(BranchRecord(pc, taken, 3))
+    return Trace(name=LIVE, records=records)
 
 
 @pytest.fixture(scope="module")
 def traces():
-    return {ref: resolve_trace_ref(ref)[0] for ref in SIZES}
+    return {HARD: resolve_trace_ref(HARD)[0], LOOP: resolve_trace_ref(LOOP)[0],
+            LIVE: _live_path_trace()}
 
 
 def _expected(ref: str, row: tuple[int, ...]) -> dict:
@@ -114,7 +146,7 @@ def _expected(ref: str, row: tuple[int, ...]) -> dict:
 
 def _case_id(case: tuple) -> str:
     ref, kind, interleaved, scenario = case
-    trace = "hard" if ref == HARD else "loop"
+    trace = {HARD: "hard", LOOP: "loop", LIVE: "live"}[ref]
     return f"{trace}-{kind}{'-interleaved' if interleaved else ''}-{scenario}"
 
 

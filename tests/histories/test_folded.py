@@ -11,6 +11,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.bits import fold_bits, mask
 from repro.core.config import TAGEConfig
 from repro.core.tage import TAGEPredictor
 from repro.histories.folded import FoldedHistory
@@ -75,6 +76,16 @@ class TestFoldedHistory:
         assert fold.value == 0
 
 
+def _path_term(predictor: TAGEPredictor, table: int) -> int:
+    """The path-history term of ``table``'s index, computed from scratch."""
+    config = predictor.config
+    width = config.table_log2_entries[table]
+    path_length = min(config.history_lengths[table], config.path_history_bits)
+    term = fold_bits(predictor.path_history.value & mask(path_length), path_length, width)
+    rotation = table % width
+    return ((term << rotation) | (term >> (width - rotation))) & mask(width)
+
+
 def _drive_tage(config: TAGEConfig, branches) -> None:
     """Run ``branches`` through a TAGE predictor, checking its folds after each."""
     predictor = TAGEPredictor(config)
@@ -85,8 +96,11 @@ def _drive_tage(config: TAGEConfig, branches) -> None:
         for table in range(predictor.num_tables):
             length = config.history_lengths[table]
             tag_width = config.tag_widths[table]
+            index_width = config.table_log2_entries[table]
+            assert predictor._index_fold[table] == FoldedHistory(length, index_width).recompute(
+                predictor.history
+            ) ^ _path_term(predictor, table)
             for registers, width in (
-                (predictor._index_fold, config.table_log2_entries[table]),
                 (predictor._tag_fold_1, tag_width),
                 (predictor._tag_fold_2, tag_width - 1),
             ):
@@ -98,8 +112,10 @@ def _drive_tage(config: TAGEConfig, branches) -> None:
 class TestTAGEFoldRegisters:
     """TAGE runs the fold update inline over three plain int lists per
     predictor (index fold, tag fold 1, tag fold 2, one entry per table).
-    After every branch each entry must equal the reference fold of the
-    predictor's own global history at that table's length and width.
+    After every branch each tag fold must equal the reference fold of the
+    predictor's own global history at that table's length and width, and
+    each index fold that reference fold XOR the table's path-history term.
+    Odd PCs keep the path history live.
     """
 
     @given(
