@@ -1,15 +1,17 @@
-"""Golden absolute counts for the TAGE family (regression guard).
+"""Golden absolute counts for every registered kind (regression guard).
 
-The backend parity tests compare interp against the numpy stream kernel,
-so a bug shared by both (for example in the index/tag hashing both derive
-from) keeps every parity test green.  These counts pin the absolute
-results instead: branches, instructions, mispredictions, every
+The backend parity tests compare interp against the numpy kernels, so a
+bug shared by both (for example in the index/tag hashing both derive
+from, or in the trace plumbing both read) keeps every parity test green.
+These counts pin the absolute results instead: branches, instructions,
+mispredictions, every
 :class:`~repro.hardware.access_counter.AccessProfile` field and the IUM
-override count, for each TAGE-family predictor under every update
-scenario on two small deterministic traces.  Every trace generator emits
-4-byte-aligned PCs, so TAGE's path history (low PC bits) stays 0 on them;
-a third, hand-built trace of odd and even PCs keeps it live under [I] and
-[C].
+override count.  The TAGE family runs under every update scenario, every
+other kind under [I] and [C], on two small deterministic traces.  Every
+trace generator emits 4-byte-aligned PCs, so TAGE's path history (low PC
+bits) stays 0 on them; a third, hand-built trace of odd and even PCs
+keeps it live under [I] and [C].  The numpy kernels are held to the same
+rows as the interp engine.
 
 Regenerate the tables only when a change is *meant* to move results, and
 say so in the change description.
@@ -22,9 +24,11 @@ from dataclasses import asdict
 
 import pytest
 
+from repro.backends import get_backend
+from repro.pipeline.config import PipelineConfig
 from repro.pipeline.engine import SimulationEngine
 from repro.pipeline.scenarios import UpdateScenario
-from repro.predictors.registry import PredictorSpec
+from repro.predictors.registry import PredictorSpec, backend_support
 from repro.traces.refs import resolve_trace_ref
 from repro.traces.trace import BranchRecord, Trace
 
@@ -97,6 +101,50 @@ GOLDEN = {
     (LOOP, "tage-lsc", True, "A"): (584, 2016, 7255, 1344, 14077, 1818, 1719),
     (LOOP, "tage-lsc", True, "B"): (570, 0, 6753, 1384, 0, 1602, 1736),
     (LOOP, "tage-lsc", True, "C"): (572, 572, 7133, 1378, 4757, 1644, 1728),
+    (HARD, "always-taken", False, "I"): (627, 0, 0, 0, 0, 0, 0),
+    (HARD, "always-taken", False, "C"): (627, 627, 0, 0, 0, 0, 0),
+    (HARD, "always-not-taken", False, "I"): (2373, 0, 0, 0, 0, 0, 0),
+    (HARD, "always-not-taken", False, "C"): (2373, 2373, 0, 0, 0, 0, 0),
+    (HARD, "bimodal", False, "I"): (633, 0, 1068, 1068, 3000, 0, 0),
+    (HARD, "bimodal", False, "C"): (622, 622, 1028, 1028, 622, 0, 0),
+    (HARD, "gshare", False, "I"): (621, 0, 2548, 2548, 3000, 0, 0),
+    (HARD, "gshare", False, "C"): (622, 622, 2548, 2548, 622, 0, 0),
+    (HARD, "perceptron", False, "I"): (604, 0, 1326, 1326, 1326, 0, 0),
+    (HARD, "perceptron", False, "C"): (597, 597, 1333, 1333, 597, 0, 0),
+    (HARD, "gehl", False, "I"): (591, 0, 15132, 1164, 15132, 0, 0),
+    (HARD, "gehl", False, "C"): (630, 630, 17101, 1348, 8190, 0, 0),
+    (HARD, "ftl", False, "I"): (512, 0, 13580, 970, 13580, 0, 0),
+    (HARD, "ftl", False, "C"): (518, 518, 13594, 971, 13594, 0, 0),
+    (HARD, "snap", False, "I"): (581, 0, 71576, 1463, 71687, 0, 0),
+    (HARD, "snap", False, "C"): (572, 572, 71527, 1462, 71638, 0, 0),
+    (HARD, "augmented-tage", False, "I"): (621, 0, 3374, 1418, 4873, 1863, 0),
+    (HARD, "augmented-tage", False, "C"): (653, 653, 3519, 1456, 2596, 1968, 331),
+    (HARD, "scaled-tage", False, "I"): (621, 0, 3374, 1418, 4873, 1863, 0),
+    (HARD, "scaled-tage", False, "C"): (646, 646, 3472, 1440, 2592, 1938, 0),
+    (HARD, "scaled-tage-lsc", False, "I"): (561, 0, 8179, 1438, 19873, 1863, 0),
+    (HARD, "scaled-tage-lsc", False, "C"): (600, 600, 8623, 1540, 5288, 2028, 331),
+    (LOOP, "always-taken", False, "I"): (526, 0, 0, 0, 0, 0, 0),
+    (LOOP, "always-taken", False, "C"): (526, 526, 0, 0, 0, 0, 0),
+    (LOOP, "always-not-taken", False, "I"): (1490, 0, 0, 0, 0, 0, 0),
+    (LOOP, "always-not-taken", False, "C"): (1490, 1490, 0, 0, 0, 0, 0),
+    (LOOP, "bimodal", False, "I"): (605, 0, 1000, 1000, 2016, 0, 0),
+    (LOOP, "bimodal", False, "C"): (611, 611, 905, 905, 611, 0, 0),
+    (LOOP, "gshare", False, "I"): (538, 0, 1943, 1943, 2016, 0, 0),
+    (LOOP, "gshare", False, "C"): (540, 540, 1943, 1943, 540, 0, 0),
+    (LOOP, "perceptron", False, "I"): (493, 0, 1054, 1054, 1054, 0, 0),
+    (LOOP, "perceptron", False, "C"): (497, 497, 1046, 1046, 497, 0, 0),
+    (LOOP, "gehl", False, "I"): (534, 0, 13611, 1047, 13611, 0, 0),
+    (LOOP, "gehl", False, "C"): (565, 565, 16072, 1262, 7345, 0, 0),
+    (LOOP, "ftl", False, "I"): (517, 0, 12978, 927, 12978, 0, 0),
+    (LOOP, "ftl", False, "C"): (516, 516, 12922, 923, 12922, 0, 0),
+    (LOOP, "snap", False, "I"): (535, 0, 58004, 1188, 58212, 0, 0),
+    (LOOP, "snap", False, "C"): (538, 538, 57997, 1188, 58212, 0, 0),
+    (LOOP, "augmented-tage", False, "I"): (617, 0, 3209, 1287, 4015, 1851, 0),
+    (LOOP, "augmented-tage", False, "C"): (601, 601, 2998, 1244, 2272, 1719, 1264),
+    (LOOP, "scaled-tage", False, "I"): (617, 0, 3209, 1287, 4015, 1851, 0),
+    (LOOP, "scaled-tage", False, "C"): (559, 559, 2960, 1252, 2382, 1677, 0),
+    (LOOP, "scaled-tage-lsc", False, "I"): (524, 0, 7819, 1339, 14095, 1851, 0),
+    (LOOP, "scaled-tage-lsc", False, "C"): (547, 547, 7649, 1434, 4705, 1677, 1237),
     (LIVE, "tage", False, "I"): (469, 0, 2295, 884, 3407, 1407, 0),
     (LIVE, "tage", False, "C"): (460, 460, 2253, 872, 1840, 1380, 0),
     (LIVE, "l-tage", False, "I"): (469, 0, 2295, 884, 3407, 1407, 0),
@@ -150,16 +198,37 @@ def _case_id(case: tuple) -> str:
     return f"{trace}-{kind}{'-interleaved' if interleaved else ''}-{scenario}"
 
 
-@pytest.mark.parametrize("case", list(GOLDEN), ids=_case_id)
-def test_golden_counts(traces, case):
-    ref, kind, interleaved, scenario = case
-    spec = PredictorSpec(kind, {"interleaved": True} if interleaved else {})
-    result = SimulationEngine(spec.build(), UpdateScenario(scenario)).run(traces[ref])
-    got = {
+def _counts(result) -> dict:
+    return {
         "branches": result.branches,
         "instructions": result.instructions,
         "mispredictions": result.mispredictions,
         "accesses": asdict(result.accesses),
         "ium_overrides": result.ium_overrides,
     }
-    assert got == _expected(ref, GOLDEN[case])
+
+
+def _spec(kind: str, interleaved: bool) -> PredictorSpec:
+    return PredictorSpec(kind, {"interleaved": True} if interleaved else {})
+
+
+@pytest.mark.parametrize("case", list(GOLDEN), ids=_case_id)
+def test_golden_counts(traces, case):
+    ref, kind, interleaved, scenario = case
+    result = SimulationEngine(_spec(kind, interleaved).build(), UpdateScenario(scenario)).run(
+        traces[ref]
+    )
+    assert _counts(result) == _expected(ref, GOLDEN[case])
+
+
+#: Every golden row a numpy kernel can run (no kernel takes ``interleaved``).
+NUMPY_CASES = [case for case in GOLDEN if "numpy" in backend_support(case[1]) and not case[2]]
+
+
+@pytest.mark.parametrize("case", NUMPY_CASES, ids=_case_id)
+def test_numpy_golden_counts(traces, case):
+    ref, kind, interleaved, scenario = case
+    (result,) = get_backend("numpy").run_tasks(
+        [(_spec(kind, interleaved), traces[ref])], UpdateScenario(scenario), PipelineConfig()
+    )
+    assert _counts(result) == _expected(ref, GOLDEN[case])
