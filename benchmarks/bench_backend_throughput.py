@@ -4,11 +4,11 @@ Fig9-style configuration sweeps (table sizes across the gshare/bimodal
 families, row/entry counts across the perceptron/GEHL families) over one
 trace, a TAGE stream-pipeline group, and a fig10-style suite run where
 one ``run_tasks`` call spans every trace — the two batch axes the
-``numpy`` backend stacks: decode each trace once, then run every
-(configuration, trace) lane off the same arrays.  Parity is asserted bit
-for bit before any timing claim; the measured speedup is recorded in the
-benchmark JSON ``extra_info`` (and so lands in the CI ``BENCH_*.json``
-artifacts).
+``numpy`` backend stacks: derive each trace's history streams once from
+its columns, then run every (configuration, trace) lane off them.
+Parity is asserted bit for bit before any timing claim; the measured
+speedup is recorded in the benchmark JSON ``extra_info`` (and so lands in
+the CI ``BENCH_*.json`` artifacts).
 
 The sweeps use at least :data:`MIN_BRANCHES` branches however small
 ``REPRO_BENCH_BRANCHES`` is: sub-millisecond interp times would make the
@@ -76,9 +76,6 @@ def _sweep_trace():
 def _record_tasks(benchmark, tasks, scenario, config, minimum_speedup, label):
     """Time the interp loop vs one batched ``run_tasks`` call over ``tasks``."""
     backend = get_backend("numpy")
-    for _, trace in tasks:
-        trace.arrays()  # decode outside both timings: shared, one-off work
-
     start = time.perf_counter()
     interp_results = [
         SimulationEngine(spec.build(), scenario, config).run(trace) for spec, trace in tasks

@@ -2,12 +2,11 @@
 
 The staged engine steps every branch through Python; for the predictor
 families below the same semantics are expressible as array programs over
-the trace decoded once into contiguous arrays
-(:meth:`repro.traces.trace.Trace.arrays`), with all history-derived
-streams (packed windows, folded CSR values, path folds) precomputed by
-:mod:`repro.backends.vector.streams` — trace-driven simulation updates
-histories with *resolved* outcomes, so they are pure functions of the
-trace prefix.
+the trace's numpy columns (:class:`repro.traces.trace.Trace`), with all
+history-derived streams (packed windows, folded CSR values, path folds)
+precomputed by :mod:`repro.backends.vector.streams` — trace-driven
+simulation updates histories with *resolved* outcomes, so they are pure
+functions of the trace prefix.
 
 Kernel families (one module each):
 
@@ -120,25 +119,20 @@ class NumpyBackend(Backend):
                         "schedulers must check supports() and fall back"
                     )
                 warmup = trace.warmup_count
-                if not 0 <= warmup <= len(trace.records):
-                    raise ValueError(
-                        f"trace {trace.name!r}: warmup_count {warmup} "
-                        f"outside [0, {len(trace.records)}]"
-                    )
                 family = "twobit" if spec.kind in _TWOBIT_KINDS else spec.kind
                 lanes[family].append((position, kernel, cache.for_trace(trace), warmup))
 
         for position, kernel, streams, warmup in lanes["twobit"]:
             if scenario is UpdateScenario.IMMEDIATE:
                 idx = twobit.index_stream(kernel, streams)
-                outcome = twobit.run_immediate(kernel, idx, streams.arrays.taken, warmup)
+                outcome = twobit.run_immediate(kernel, idx, streams.trace.taken, warmup)
                 results[position] = self._result(
                     kernel.name, streams, warmup, scenario, config, outcome
                 )
         if lanes["twobit"] and scenario is not UpdateScenario.IMMEDIATE:
             batch = [
                 twobit.TwobitLane(
-                    kernel, twobit.index_stream(kernel, streams), streams.arrays.taken, warmup
+                    kernel, twobit.index_stream(kernel, streams), streams.trace.taken, warmup
                 )
                 for _, kernel, streams, warmup in lanes["twobit"]
             ]
@@ -205,8 +199,8 @@ class NumpyBackend(Backend):
     ) -> SimulationResult:
         trace = streams.trace
         mispredictions, profile = outcome
-        measured = len(trace.records) - warmup
-        instructions = int(streams.arrays.preceding[warmup:].sum()) + measured
+        measured = len(trace) - warmup
+        instructions = int(streams.trace.preceding[warmup:].sum()) + measured
         return SimulationResult(
             trace_name=trace.source_name or trace.name,
             predictor_name=name,

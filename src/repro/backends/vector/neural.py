@@ -12,7 +12,7 @@ Two facts make the fetch side fully precomputable:
 
 * the global history a neural predictor dots against is the resolved
   outcome stream, so the per-branch ±1 sign matrix is a gather over the
-  decoded trace (perceptron), and
+  trace's outcome column (perceptron), and
 * GEHL's folded-history table indices are XOR-linear in the outcome
   bits, so every table's index stream comes out of
   :func:`~repro.backends.vector.streams.folded_stream` before the loop
@@ -143,13 +143,13 @@ def run_perceptron_lanes(
     taken2d = np.zeros((count, longest), dtype=np.bool_)
     for n, lane in enumerate(lanes):
         size = lane.streams.outcomes.size
-        pcs = lane.streams.arrays.pcs
+        pcs = lane.streams.trace.pcs
         log2_rows = lane.kernel.log2_rows
         rows = ((pcs >> 2) ^ (pcs >> (2 + log2_rows))) & mask(log2_rows)
         rows2d[n, :size] = rows + row_offsets[n]
         rows2d[n, size:] = row_offsets[n]  # valid but masked-out padding
         signs2d[n, :size] = 2 * lane.streams.outcomes - 1
-        taken2d[n, :size] = lane.streams.arrays.taken
+        taken2d[n, :size] = lane.streams.trace.taken
 
     immediate = scenario is UpdateScenario.IMMEDIATE
     retire_delay = 0 if immediate else config.retire_delay
@@ -291,7 +291,7 @@ def _gehl_index_streams(kernel: GEHLKernel, streams: TraceStreams) -> list[np.nd
     """Per-table index streams, from the memoised folded-history streams."""
     config = kernel.config
     width = config.log2_entries
-    pcs = streams.arrays.pcs
+    pcs = streams.trace.pcs
     pc_hash = (pcs >> 2) ^ (pcs >> (2 + width))
     indices = [pc_hash & mask(width)]
     for table in range(1, config.num_tables):
@@ -350,7 +350,7 @@ def run_gehl_lanes(
     k = 0
     for n, lane in enumerate(lanes):
         size = lane.streams.outcomes.size
-        taken2d[n, :size] = lane.streams.arrays.taken
+        taken2d[n, :size] = lane.streams.trace.taken
         entries = 1 << lane.kernel.config.log2_entries
         for table, idx in enumerate(_gehl_index_streams(lane.kernel, lane.streams)):
             offset = int(entry_offsets[n]) + table * entries

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.common.bits import mask
 from repro.hardware.access_counter import AccessProfile
-from repro.traces.trace import Trace, TraceArrays
+from repro.traces.trace import Trace
 
 __all__ = [
     "StreamCache",
@@ -137,12 +137,11 @@ def fold_bits_stream(values: np.ndarray, input_width: int, output_width: int) ->
 
 
 class TraceStreams:
-    """Decoded arrays plus memoised derived streams for one trace."""
+    """A trace's columns plus memoised derived streams."""
 
     def __init__(self, trace: Trace) -> None:
         self.trace = trace
-        self.arrays: TraceArrays = trace.arrays()
-        self.outcomes = self.arrays.taken.astype(np.int64)
+        self.outcomes = trace.taken.astype(np.int64)
         self._history_packs: dict[int, np.ndarray] = {}
         self._pc_packs: dict[int, np.ndarray] = {}
         self._folds: dict[tuple[int, int], np.ndarray] = {}
@@ -158,7 +157,7 @@ class TraceStreams:
         """Packed path history of one low-order PC bit per branch."""
         pack = self._pc_packs.get(width)
         if pack is None:
-            low_bits = (self.arrays.pcs & 1).astype(np.int64)
+            low_bits = (self.trace.pcs & 1).astype(np.int64)
             pack = self._pc_packs[width] = pack_stream(low_bits, width)
         return pack
 

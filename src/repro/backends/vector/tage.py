@@ -108,7 +108,7 @@ class _StreamTAGE(TAGEPredictor):
 def _key_streams(kernel: TAGEKernel, streams: TraceStreams) -> tuple[tuple, tuple]:
     """Row-major per-branch index and tag streams for one (config, trace) lane."""
     config = kernel.config
-    pcs = streams.arrays.pcs
+    pcs = streams.trace.pcs
     path = streams.path_pack(config.path_history_bits)
     index_streams = []
     tag_streams = []

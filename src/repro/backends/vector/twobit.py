@@ -98,7 +98,7 @@ def kernel_for(spec: PredictorSpec) -> TableKernel | None:
 
 def index_stream(kernel: TableKernel, streams: TraceStreams) -> np.ndarray:
     """The table index stream for one kernel (history packs memoised per trace)."""
-    base = streams.arrays.pcs >> 2
+    base = streams.trace.pcs >> 2
     if kernel.history_length:
         base = base ^ streams.history_pack(kernel.history_length)
     return base & (kernel.entries - 1)

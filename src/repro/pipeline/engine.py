@@ -35,7 +35,7 @@ For warmup-mode trace sharding (:mod:`repro.traces.sharding`) a branch
 may be fed as **warmup**: it runs through every stage (predict, history,
 execute, update) so the predictor state evolves exactly as in a longer
 run, but contributes nothing to the metrics.  :meth:`run` treats the
-first :attr:`Trace.warmup_count` records of a trace this way, driving
+first :attr:`Trace.warmup_count` branches of a trace this way, driving
 the loop through its stages (:meth:`start` / :meth:`feed` /
 :meth:`drain_window` / :meth:`result`).
 """
@@ -43,6 +43,7 @@ the loop through its stages (:meth:`start` / :meth:`feed` /
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Iterable
 
 from repro.hardware.access_counter import AccessProfile
@@ -50,7 +51,7 @@ from repro.pipeline.config import PipelineConfig
 from repro.pipeline.metrics import SimulationResult
 from repro.pipeline.scenarios import UpdateScenario
 from repro.predictors.base import Predictor
-from repro.traces.trace import BranchRecord, Trace
+from repro.traces.trace import Trace
 
 __all__ = ["SimulationEngine"]
 
@@ -64,12 +65,11 @@ def _ium_overrides(predictor: Predictor) -> int:
 class _InflightEntry:
     """One branch between fetch and retire."""
 
-    __slots__ = ("record", "info", "mispredicted", "executed", "measured")
+    __slots__ = ("pc", "taken", "info", "mispredicted", "executed", "measured")
 
-    def __init__(
-        self, record: BranchRecord, info, mispredicted: bool, measured: bool = True
-    ) -> None:
-        self.record = record
+    def __init__(self, pc: int, taken: bool, info, mispredicted: bool, measured: bool) -> None:
+        self.pc = pc
+        self.taken = taken
         self.info = info
         self.mispredicted = mispredicted
         self.executed = False
@@ -121,21 +121,21 @@ class SimulationEngine:
 
     # -- stages ---------------------------------------------------------------
 
-    def _fetch(self, record: BranchRecord, measured: bool) -> None:
+    def _fetch(self, pc: int, taken: bool, preceding: int, measured: bool) -> None:
         """Fetch stage: predict, account (measured only), advance history."""
         predictor = self.predictor
-        info = predictor.predict(record.pc)
-        mispredicted = info.taken != record.taken
+        info = predictor.predict(pc)
+        mispredicted = info.taken != taken
         if measured:
             if mispredicted:
                 self._mispredictions += 1
             self._accesses.record_prediction(mispredicted)
             self._branches += 1
-            self._instructions += record.preceding_instructions + 1
+            self._instructions += preceding + 1
         else:
             self._warmup_branches += 1
-        predictor.update_history(record.pc, record.taken, info)
-        self._window.append(_InflightEntry(record, info, mispredicted, measured))
+        predictor.update_history(pc, taken, info)
+        self._window.append(_InflightEntry(pc, taken, info, mispredicted, measured))
 
     def _execute(self) -> None:
         """Execute stage: the branch ``execute_delay`` slots back resolves."""
@@ -144,23 +144,22 @@ class SimulationEngine:
             return
         entry = self._window[-1 - delay]
         if not entry.executed:
-            self.predictor.notify_execute(entry.record.pc, entry.record.taken, entry.info)
+            self.predictor.notify_execute(entry.pc, entry.taken, entry.info)
             entry.executed = True
 
     def _retire(self, entry: _InflightEntry) -> None:
         """Retire stage: apply the table update under the scenario's policy."""
-        record = entry.record
         if self._immediate:
             # Zero-delay oracle: the update runs at fetch time from fresh
             # table values, so no separate retire-time read is charged.
-            stats = self.predictor.update(record.pc, record.taken, entry.info, reread=True)
+            stats = self.predictor.update(entry.pc, entry.taken, entry.info, reread=True)
             if entry.measured:
                 self._accesses.record_update(stats, retire_read=False)
             return
         if not entry.executed:
-            self.predictor.notify_execute(record.pc, record.taken, entry.info)
+            self.predictor.notify_execute(entry.pc, entry.taken, entry.info)
         reread = self.scenario.reread_at_retire(entry.mispredicted)
-        stats = self.predictor.update(record.pc, record.taken, entry.info, reread=reread)
+        stats = self.predictor.update(entry.pc, entry.taken, entry.info, reread=reread)
         if entry.measured:
             self._accesses.record_update(stats, retire_read=reread)
 
@@ -185,14 +184,14 @@ class SimulationEngine:
         self._warmup_branches = 0
         self._overrides_base = _ium_overrides(self.predictor)
 
-    def feed(self, records: Iterable[BranchRecord], measured: bool = True) -> None:
-        """Drive the staged loop over ``records`` without draining.
+    def feed(self, branches: Iterable[tuple[int, bool, int]], measured: bool = True) -> None:
+        """Drive the staged loop over ``(pc, taken, preceding)`` branches without draining.
 
-        ``measured=False`` replays the records for predictor state only
+        ``measured=False`` replays the branches for predictor state only
         (warmup): every stage runs, nothing is accounted.
         """
-        for record in records:
-            self._fetch(record, measured)
+        for pc, taken, preceding in branches:
+            self._fetch(pc, taken, preceding, measured)
             self._execute()
             self._retire_ready()
 
@@ -228,19 +227,15 @@ class SimulationEngine:
     def run(self, trace: Trace) -> SimulationResult:
         """Drive the staged loop over ``trace`` and return its metrics.
 
-        The first :attr:`Trace.warmup_count` records are replayed as
+        The first :attr:`Trace.warmup_count` branches are replayed as
         warmup (predict + history + update, no accounting); measurement
-        covers the rest.  Whole traces have ``warmup_count == 0`` and
-        behave exactly as before.
+        covers the rest.  Whole traces have ``warmup_count == 0``.  The
+        loop reads plain-int copies of the trace's columns.
         """
-        warmup = trace.warmup_count
-        if not 0 <= warmup <= len(trace.records):
-            raise ValueError(
-                f"trace {trace.name!r}: warmup_count {warmup} outside [0, {len(trace.records)}]"
-            )
+        branches = zip(trace.pcs.tolist(), trace.taken.tolist(), trace.preceding.tolist())
         self.start()
-        self.feed(trace.records[:warmup], measured=False)
+        self.feed(islice(branches, trace.warmup_count), measured=False)
         self.mark_measured()
-        self.feed(trace.records[warmup:])
+        self.feed(branches)
         self.drain_window()
         return self.result(trace.source_name or trace.name, window=trace.window)

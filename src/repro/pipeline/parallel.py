@@ -119,11 +119,12 @@ def trace_fingerprint(trace: Trace | TraceHandle) -> str:
     every :class:`~repro.traces.trace.TraceHandle` — carries an
     ``identity`` derived from the generator version, canonical reference,
     name and window; it is returned as is, so keying never touches the
-    records.  Any other trace (live lists, :func:`~repro.traces.io.load_trace`
-    files) falls back to :meth:`~repro.traces.trace.Trace.content_digest`,
-    a hash of its name and full (pc, taken, preceding_instructions)
-    stream computed once per object — two such traces with the same name
-    but different content never share a cache entry.
+    trace's columns.  Any other trace (one built from columns in code, or
+    read by :func:`~repro.traces.io.load_trace`) falls back to
+    :meth:`~repro.traces.trace.Trace.content_digest`, a hash of its name
+    and its ``pcs`` / ``taken`` / ``preceding`` columns computed once per
+    object — two such traces with the same name but different content
+    never share a cache entry.
     """
     return trace.identity or trace.content_digest()
 

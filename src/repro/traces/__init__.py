@@ -5,8 +5,10 @@ million micro-ops, split into five categories (CLIENT, INT, MM, SERVER,
 WS).  Those traces are not redistributable, so this subpackage provides a
 synthetic substitute:
 
-* :mod:`repro.traces.trace` — the :class:`BranchRecord` / :class:`Trace`
-  containers every simulator in the package consumes,
+* :mod:`repro.traces.trace` — the :class:`Trace` container every
+  simulator in the package consumes: four numpy columns (``pcs``,
+  ``taken``, ``preceding``, ``sites``) plus metadata, read item by item
+  as read-only :class:`BranchRecord` views,
 * :mod:`repro.traces.synthetic` — branch *behaviour* generators (loops
   with regular and irregular bodies, globally correlated branches,
   statistically biased branches, local-pattern branches, large-footprint

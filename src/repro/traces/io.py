@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.traces.trace import BranchRecord, Trace
+from repro.traces.trace import Trace
 
 __all__ = ["save_trace", "load_trace"]
 
@@ -37,11 +37,11 @@ def save_trace(trace: Trace, path: str | Path) -> None:
     }
     with path.open("w", encoding="utf-8") as handle:
         handle.write(json.dumps(header) + "\n")
-        for record in trace:
-            handle.write(
-                f"{record.pc:x} {1 if record.taken else 0} "
-                f"{record.preceding_instructions} {record.site}\n"
-            )
+        names = trace.site_names
+        for pc, taken, gap, code in zip(
+            trace.pcs.tolist(), trace.taken.tolist(), trace.preceding.tolist(), trace.sites.tolist()
+        ):
+            handle.write(f"{pc:x} {1 if taken else 0} {gap} {names[code]}\n")
 
 
 def load_trace(path: str | Path) -> Trace:
@@ -55,11 +55,8 @@ def load_trace(path: str | Path) -> Trace:
         version = header.get("format_version")
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported trace format version {version!r}")
-        trace = Trace(
-            name=header.get("name", path.stem),
-            category=header.get("category", ""),
-            hard=bool(header.get("hard", False)),
-        )
+        pcs, taken, gaps, sites = [], [], [], []
+        site_codes: dict[str, int] = {}
         for line_number, line in enumerate(handle, start=2):
             line = line.strip()
             if not line:
@@ -67,14 +64,22 @@ def load_trace(path: str | Path) -> Trace:
             parts = line.split(" ", 3)
             if len(parts) < 3:
                 raise ValueError(f"{path}:{line_number}: malformed record {line!r}")
-            pc, taken, gap = int(parts[0], 16), parts[1] == "1", int(parts[2])
-            site = parts[3] if len(parts) > 3 else ""
-            trace.append(
-                BranchRecord(pc=pc, taken=taken, preceding_instructions=gap, site=site)
-            )
+            pcs.append(int(parts[0], 16))
+            taken.append(parts[1] == "1")
+            gaps.append(int(parts[2]))
+            sites.append(site_codes.setdefault(parts[3] if len(parts) > 3 else "", len(site_codes)))
         expected = header.get("records")
-        if expected is not None and expected != len(trace):
+        if expected is not None and expected != len(pcs):
             raise ValueError(
-                f"{path}: header announces {expected} records but {len(trace)} were read"
+                f"{path}: header announces {expected} records but {len(pcs)} were read"
             )
-    return trace
+    return Trace(
+        name=header.get("name", path.stem),
+        category=header.get("category", ""),
+        pcs=pcs,
+        taken=taken,
+        preceding=gaps,
+        sites=sites,
+        site_names=tuple(site_codes),
+        hard=bool(header.get("hard", False)),
+    )

@@ -31,7 +31,7 @@ the same numbers on any machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
 from repro.traces.trace import Trace, TraceHandle, derive_identity
@@ -138,17 +138,16 @@ def shard_trace(trace: Trace, window: ShardWindow) -> Trace:
     """Cut the :class:`Trace` slice for one shard window.
 
     The returned trace holds the warmup prefix followed by the measured
-    window; ``warmup_count`` marks where measurement starts, ``window``
+    window, as views of the source's columns; ``warmup_count`` marks where
+    measurement starts, ``window``
     and ``source_name`` carry the position so results can be merged back
     (and mis-merges rejected).  Its name and identity are those of
     :func:`shard_handle`.
     """
     shard = shard_handle(TraceHandle(trace.name, len(trace), trace.identity, trace.window), window)
-    return Trace(
+    return replace(
+        trace.slice(window.warmup_start, window.stop),
         name=shard.name,
-        category=trace.category,
-        records=trace.records[window.warmup_start : window.stop],
-        hard=trace.hard,
         warmup_count=window.start - window.warmup_start,
         window=shard.window,
         source_name=trace.name,

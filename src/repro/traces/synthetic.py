@@ -34,7 +34,7 @@ from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.traces.trace import BranchRecord, Trace
+from repro.traces.trace import Trace
 
 __all__ = [
     "GeneratorContext",
@@ -391,20 +391,29 @@ def generate_workload(
     rng = random.Random(seed)
     ctx = GeneratorContext(rng)
     skeleton = spec.build_skeleton(rng)
-    trace = Trace(name=name, category=category, hard=hard)
+    pcs, outcomes, gaps, sites = [], [], [], []
+    site_codes: dict[str, int] = {}
 
-    while len(trace) < branch_count:
+    while len(pcs) < branch_count:
         for site in skeleton:
-            if len(trace) >= branch_count:
+            if len(pcs) >= branch_count:
                 break
             if spec.skip_probability and rng.random() < spec.skip_probability:
                 continue
+            code = site_codes.setdefault(site.label, len(site_codes))
             for pc, taken in site.emit(ctx):
                 ctx.record(taken, pc)
-                gap = rng.randint(spec.min_gap, spec.max_gap)
-                trace.append(
-                    BranchRecord(
-                        pc=pc, taken=taken, preceding_instructions=gap, site=site.label
-                    )
-                )
-    return trace
+                pcs.append(pc)
+                outcomes.append(taken)
+                gaps.append(rng.randint(spec.min_gap, spec.max_gap))
+                sites.append(code)
+    return Trace(
+        name=name,
+        category=category,
+        pcs=pcs,
+        taken=outcomes,
+        preceding=gaps,
+        sites=sites,
+        site_names=tuple(site_codes),
+        hard=hard,
+    )

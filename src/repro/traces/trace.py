@@ -3,19 +3,20 @@
 A :class:`Trace` is the unit of work every simulator in this package
 consumes: an ordered sequence of conditional-branch outcomes plus enough
 metadata to compute the paper's MPPKI metric (which normalises by the
-number of executed micro-ops, not by the number of branches).
+number of executed micro-ops, not by the number of branches).  It stores
+the branches as numpy columns, its only representation; indexing or
+iterating it yields read-only :class:`BranchRecord` items.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
-if TYPE_CHECKING:  # pragma: no cover - numpy only needed when arrays() is used
-    import numpy as np
+import numpy as np
 
-__all__ = ["BranchRecord", "Trace", "TraceArrays", "TraceHandle", "derive_identity"]
+__all__ = ["BranchRecord", "Trace", "TraceHandle", "derive_identity"]
 
 
 def derive_identity(*parts: object) -> str:
@@ -24,30 +25,8 @@ def derive_identity(*parts: object) -> str:
 
 
 @dataclass(frozen=True)
-class TraceArrays:
-    """A trace decoded once into contiguous arrays (the batched-kernel view).
-
-    Attributes
-    ----------
-    pcs:
-        Branch program counters, ``int64``.
-    taken:
-        Resolved directions, ``bool``.
-    preceding:
-        ``preceding_instructions`` per record, ``int64``.
-    """
-
-    pcs: "np.ndarray"
-    taken: "np.ndarray"
-    preceding: "np.ndarray"
-
-    def __len__(self) -> int:
-        return len(self.pcs)
-
-
-@dataclass(frozen=True)
 class BranchRecord:
-    """One dynamic conditional branch.
+    """One dynamic conditional branch, as ``trace[i]`` and ``iter(trace)`` read it.
 
     Attributes
     ----------
@@ -68,16 +47,14 @@ class BranchRecord:
     preceding_instructions: int = 4
     site: str = ""
 
-    def __post_init__(self) -> None:
-        if self.pc < 0:
-            raise ValueError("branch pc must be non-negative")
-        if self.preceding_instructions < 0:
-            raise ValueError("preceding_instructions must be non-negative")
 
-
-@dataclass
+@dataclass(eq=False)
 class Trace:
-    """An ordered sequence of dynamic conditional branches.
+    """An ordered sequence of dynamic conditional branches, stored as columns.
+
+    The interp engine iterates plain-int copies of the columns, the numpy
+    kernels read them as they are, shards are column views, and pickling
+    ships the column bytes.
 
     Attributes
     ----------
@@ -86,17 +63,24 @@ class Trace:
     category:
         Workload category, one of CLIENT / INT / MM / SERVER / WS for the
         CBP-like suite (free-form for user traces).
-    records:
-        The dynamic branch stream.
+    pcs, taken, preceding:
+        Per-branch program counter, resolved direction and number of
+        non-branch micro-ops before the branch.  Any sequence is accepted
+        and stored as an ``int64`` / ``bool`` / ``int64`` array; pcs and
+        gaps must be non-negative and all columns equally long.
+    sites, site_names:
+        Per-branch code into ``site_names``, the labels of the synthetic
+        behaviours that generated the branches.  Empty ``sites`` labels
+        every branch ``site_names[0]`` (``""`` by default).
     hard:
         Marks the trace as one of the "high misprediction rate" traces the
         paper singles out in Section 2.2.
     warmup_count:
-        Number of leading records that are *warmup only*: the engine
+        Number of leading branches that are *warmup only*: the engine
         replays them through the predictor (predict + history + update)
         without accounting, so a shard cut from the middle of a longer
         trace starts its measured window from warmed predictor state.
-        Zero for ordinary whole traces.
+        Zero for ordinary whole traces; at most ``len(trace)``.
     window:
         ``(start, stop, total)`` — the measured window this trace covers
         within its source trace, in source branch indices, with the
@@ -106,117 +90,121 @@ class Trace:
         Name of the unsharded source trace (empty for whole traces);
         results carry it so shards of one trace can be merged back.
     identity:
-        A cheap stand-in for the records' content digest, set on traces
+        A cheap stand-in for the columns' content digest, set on traces
         generated from a trace reference (see
         :func:`repro.traces.refs.resolve_trace_ref`) and on shards cut from
         them.  It hashes the generator version, the canonical reference,
         the name and (for shards) the window, so result-cache keys never
-        need the records.  Empty for traces of any other origin; code
-        that edits the records of a trace must clear it.
+        need the branches.  Empty for traces of any other origin.
     """
 
     name: str
     category: str = ""
-    records: list[BranchRecord] = field(default_factory=list)
+    pcs: np.ndarray = ()
+    taken: np.ndarray = ()
+    preceding: np.ndarray = ()
+    sites: np.ndarray = ()
+    site_names: tuple[str, ...] = ("",)
     hard: bool = False
     warmup_count: int = 0
     window: tuple[int, int, int] | None = None
     source_name: str = ""
-    identity: str = field(default="", compare=False, repr=False)
+    identity: str = field(default="", repr=False)
+
+    def __post_init__(self) -> None:
+        self.pcs = np.asarray(self.pcs, dtype=np.int64)
+        self.taken = np.asarray(self.taken, dtype=np.bool_)
+        self.preceding = np.asarray(self.preceding, dtype=np.int64)
+        code = np.min_scalar_type(max(len(self.site_names) - 1, 0))
+        count = len(self.pcs)
+        self.sites = (
+            np.asarray(self.sites, dtype=code) if len(self.sites) else np.zeros(count, dtype=code)
+        )
+        if not len(self.taken) == len(self.preceding) == len(self.sites) == count:
+            raise ValueError(f"trace {self.name!r}: columns differ in length")
+        if count and self.pcs.min() < 0:
+            raise ValueError("branch pc must be non-negative")
+        if count and self.preceding.min() < 0:
+            raise ValueError("preceding_instructions must be non-negative")
+        if not 0 <= self.warmup_count <= count:
+            raise ValueError(
+                f"trace {self.name!r}: warmup_count {self.warmup_count} outside [0, {count}]"
+            )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.pcs)
+
+    def __getitem__(self, index: int) -> BranchRecord:
+        return BranchRecord(
+            int(self.pcs[index]),
+            bool(self.taken[index]),
+            int(self.preceding[index]),
+            self.site_names[self.sites[index]],
+        )
 
     def __iter__(self) -> Iterator[BranchRecord]:
-        return iter(self.records)
+        names = self.site_names
+        for pc, taken, gap, code in zip(
+            self.pcs.tolist(), self.taken.tolist(), self.preceding.tolist(), self.sites.tolist()
+        ):
+            yield BranchRecord(pc, taken, gap, names[code])
 
-    def append(self, record: BranchRecord) -> None:
-        """Append one dynamic branch."""
-        self.records.append(record)
-        self.__dict__.pop("_arrays", None)  # invalidate the cached array view
+    @property
+    def records(self) -> "Trace":
+        """The branches as a read-only sequence of :class:`BranchRecord`.
 
-    def arrays(self) -> TraceArrays:
-        """The records decoded into contiguous numpy arrays, cached.
-
-        Batched backends (:mod:`repro.backends`) decode a trace once and
-        then run every configuration variant off the same arrays.  The
-        cache is invalidated by :meth:`append` (and defensively by a
-        length check, for callers mutating ``records`` directly) and is
-        never pickled — shards shipped to worker processes carry only the
-        records, each process decodes locally on demand.
+        The trace itself: ``len`` is O(1) and nothing is materialised.
         """
-        import numpy as np
-
-        cached = self.__dict__.get("_arrays")
-        if cached is not None and len(cached) == len(self.records):
-            return cached
-        records = self.records
-        arrays = TraceArrays(
-            pcs=np.fromiter((r.pc for r in records), dtype=np.int64, count=len(records)),
-            taken=np.fromiter((r.taken for r in records), dtype=np.bool_, count=len(records)),
-            preceding=np.fromiter(
-                (r.preceding_instructions for r in records), dtype=np.int64, count=len(records)
-            ),
-        )
-        self.__dict__["_arrays"] = arrays
-        return arrays
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_arrays", None)  # decoded views are per-process, never shipped
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+        return self
 
     def content_digest(self) -> str:
         """A digest of the name and the full (pc, taken, preceding) stream.
 
         Computed once per object (recomputed only if the name or the
-        record count changes), so repeated cache-key derivations of a
-        trace without an ``identity`` hash its records once.
+        length changes), so repeated cache-key derivations of a trace
+        without an ``identity`` hash its columns once.
         """
         cached = self.__dict__.get("_digest")
-        if cached is not None and cached[0] == (self.name, len(self.records)):
+        if cached is not None and cached[0] == (self.name, len(self)):
             return cached[1]
-        digest = hashlib.sha256()
-        digest.update(self.name.encode())
-        for record in self.records:
-            digest.update(
-                b"%d,%d,%d;" % (record.pc, 1 if record.taken else 0, record.preceding_instructions)
-            )
-        value = digest.hexdigest()[:32]
-        self.__dict__["_digest"] = ((self.name, len(self.records)), value)
+        branches = zip(self.pcs.tolist(), self.taken.tolist(), self.preceding.tolist())
+        stream = b"".join(b"%d,%d,%d;" % branch for branch in branches)
+        value = hashlib.sha256(self.name.encode() + stream).hexdigest()[:32]
+        self.__dict__["_digest"] = ((self.name, len(self)), value)
         return value
 
     @property
     def branch_count(self) -> int:
         """Number of dynamic conditional branches."""
-        return len(self.records)
+        return len(self)
 
     @property
     def instruction_count(self) -> int:
         """Total number of micro-ops (branches plus preceding instructions)."""
-        return sum(record.preceding_instructions + 1 for record in self.records)
+        return int(self.preceding.sum()) + len(self)
 
     @property
     def static_branch_count(self) -> int:
         """Number of distinct static branch PCs (the trace "footprint")."""
-        return len({record.pc for record in self.records})
+        return len(np.unique(self.pcs))
 
     @property
     def taken_rate(self) -> float:
         """Fraction of dynamic branches that are taken."""
-        if not self.records:
+        if not len(self):
             return 0.0
-        return sum(1 for record in self.records if record.taken) / len(self.records)
+        return int(self.taken.sum()) / len(self)
 
     def slice(self, start: int, stop: int) -> "Trace":
-        """Return a new trace holding ``records[start:stop]``."""
+        """Return a new trace of branches ``[start, stop)`` (column views, no copy)."""
         return Trace(
             name=f"{self.name}[{start}:{stop}]",
             category=self.category,
-            records=self.records[start:stop],
+            pcs=self.pcs[start:stop],
+            taken=self.taken[start:stop],
+            preceding=self.preceding[start:stop],
+            sites=self.sites[start:stop],
+            site_names=self.site_names,
             hard=self.hard,
         )
 

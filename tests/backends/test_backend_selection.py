@@ -107,11 +107,11 @@ class TestSchedulerRouting:
         via_interp = run_scheduled(tasks, max_workers=1)
         assert [pickle.dumps(r) for r in via_numpy] == [pickle.dumps(r) for r in via_interp]
 
-    def test_singleton_delayed_groups_stay_on_the_interp_path(self):
+    def test_singleton_delayed_groups_stay_on_the_interp_path(self, monkeypatch):
         """A lone delayed run does not amortise the lockstep kernel, so the
         scheduler keeps it on the pool; a lone immediate run (scan kernel,
-        time-vectorised) does route to the backend.  The decoded-arrays
-        cache on the trace is the observable: only kernels decode."""
+        time-vectorised) does route to the backend.  Calls into the numpy
+        backend's ``run_tasks`` are the observable."""
         from repro.backends import get_backend
         from repro.pipeline.config import PipelineConfig as PC
 
@@ -123,20 +123,26 @@ class TestSchedulerRouting:
         tage = [PredictorSpec("tage")]
         assert backend.min_group_size(tage, UpdateScenario.REREAD_AT_RETIRE, PC()) == 1
 
-        spec = PredictorSpec("gshare", {"log2_entries": 10})
-        delayed_trace = generate_trace("CLIENT01", branches_per_trace=300, seed=9)
-        run_scheduled(
-            [(spec, delayed_trace, UpdateScenario.REREAD_AT_RETIRE, PipelineConfig())],
-            max_workers=1, backend="numpy",
-        )
-        assert "_arrays" not in delayed_trace.__dict__  # interp path: no decode
+        kernel_tasks = []
+        run_tasks = type(backend).run_tasks
 
-        immediate_trace = generate_trace("CLIENT01", branches_per_trace=300, seed=9)
+        def spy(self, tasks, *args):
+            kernel_tasks.append(len(tasks))
+            return run_tasks(self, tasks, *args)
+
+        monkeypatch.setattr(type(backend), "run_tasks", spy)
+        spec = PredictorSpec("gshare", {"log2_entries": 10})
+        trace = generate_trace("CLIENT01", branches_per_trace=300, seed=9)
         run_scheduled(
-            [(spec, immediate_trace, UpdateScenario.IMMEDIATE, PipelineConfig())],
+            [(spec, trace, UpdateScenario.REREAD_AT_RETIRE, PipelineConfig())],
             max_workers=1, backend="numpy",
         )
-        assert "_arrays" in immediate_trace.__dict__  # scan kernel ran
+        assert kernel_tasks == []  # interp path
+        run_scheduled(
+            [(spec, trace, UpdateScenario.IMMEDIATE, PipelineConfig())],
+            max_workers=1, backend="numpy",
+        )
+        assert kernel_tasks == [1]  # scan kernel ran
 
     def test_per_task_backend_list(self):
         trace = generate_trace("INT03", branches_per_trace=400, seed=5)

@@ -12,6 +12,8 @@ warmup accounting at once.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.backends import get_backend
@@ -80,7 +82,7 @@ def test_parity_across_window_shapes(numpy_backend, config, tiny_trace):
     """Delayed-scenario parity holds for any in-flight window depth,
     including windows longer than the trace (pure drain path)."""
     spec = SUPPORTED_SPECS["gshare-small"]
-    short = Trace(name="short", records=tiny_trace.records[:40])
+    short = tiny_trace.slice(0, 40)
     for scenario in (UpdateScenario.REREAD_AT_RETIRE, UpdateScenario.REREAD_ON_MISPREDICTION):
         assert numpy_backend.run_one(spec, tiny_trace, scenario, config) == engine_result(
             spec, tiny_trace, scenario, config
@@ -109,9 +111,7 @@ def test_all_warmup_and_empty_traces(numpy_backend):
     """Degenerate measurement windows: nothing measured, nothing counted."""
     spec = SUPPORTED_SPECS["gshare-small"]
     trace = generate_trace("INT02", branches_per_trace=300, seed=3)
-    all_warmup = Trace(
-        name="warmup-only", records=list(trace.records), warmup_count=len(trace.records)
-    )
+    all_warmup = replace(trace, name="warmup-only", warmup_count=len(trace))
     empty = Trace(name="empty")
     for scenario in (UpdateScenario.IMMEDIATE, UpdateScenario.REREAD_AT_RETIRE):
         for degenerate in (all_warmup, empty):
@@ -154,14 +154,3 @@ def test_scheduler_falls_back_transparently(tiny_trace):
         max_workers=1, backend="numpy",
     )
     assert via_kernel == engine_result(supported, tiny_trace, UpdateScenario.IMMEDIATE)
-
-
-def test_shared_decode_is_cached_on_the_trace(numpy_backend, tiny_trace):
-    """run_group decodes once; the cached view survives for the next call."""
-    first = tiny_trace.arrays()
-    assert tiny_trace.arrays() is first
-    numpy_backend.run_group(
-        [SUPPORTED_SPECS["gshare-small"]], tiny_trace, UpdateScenario.IMMEDIATE, PipelineConfig()
-    )
-    assert tiny_trace.arrays() is first
-    assert len(first) == len(tiny_trace.records)

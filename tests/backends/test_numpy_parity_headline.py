@@ -10,6 +10,8 @@ kernel group spans several traces of different lengths.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.backends import get_backend
@@ -99,7 +101,7 @@ def test_parity_across_window_shapes(numpy_backend, name, config, tiny_trace):
     """Delayed-scenario parity for any window depth, including windows
     longer than the trace (pure drain path for the lockstep kernels)."""
     spec = HEADLINE_SPECS[name]
-    short = Trace(name="short", records=tiny_trace.records[:40])
+    short = tiny_trace.slice(0, 40)
     for scenario in (UpdateScenario.REREAD_AT_RETIRE, UpdateScenario.REREAD_ON_MISPREDICTION):
         assert numpy_backend.run_one(spec, tiny_trace, scenario, config) == engine_result(
             spec, tiny_trace, scenario, config
@@ -128,9 +130,7 @@ def test_warmup_shard_parity(numpy_backend, scenario):
 def test_all_warmup_and_empty_traces(numpy_backend):
     """Degenerate measurement windows: nothing measured, nothing counted."""
     trace = generate_trace("INT02", branches_per_trace=300, seed=3)
-    all_warmup = Trace(
-        name="warmup-only", records=list(trace.records), warmup_count=len(trace.records)
-    )
+    all_warmup = replace(trace, name="warmup-only", warmup_count=len(trace))
     empty = Trace(name="empty")
     for name in ("perceptron-small", "gehl-small", "tage-small"):
         spec = HEADLINE_SPECS[name]
@@ -149,7 +149,7 @@ def test_multi_trace_run_tasks_parity(numpy_backend, scenario, mini_suite):
     """The trace-batched entry point: one call, (spec, trace) lanes across a
     whole suite of different-length traces, padded and masked internally."""
     traces = list(mini_suite) + [
-        Trace(name="stub", records=generate_trace("WS01", 100, seed=5).records[:37])
+        generate_trace("WS01", 100, seed=5).slice(0, 37)
     ]
     specs = [HEADLINE_SPECS["perceptron-small"], HEADLINE_SPECS["gehl-small"],
              HEADLINE_SPECS["tage-small"],

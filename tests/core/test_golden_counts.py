@@ -30,7 +30,7 @@ from repro.pipeline.engine import SimulationEngine
 from repro.pipeline.scenarios import UpdateScenario
 from repro.predictors.registry import PredictorSpec, backend_support
 from repro.traces.refs import resolve_trace_ref
-from repro.traces.trace import BranchRecord, Trace
+from repro.traces.trace import Trace
 
 HARD = "hard:INT01?branches=3000&seed=11"
 LOOP = "synthetic:loop?iterations=7&body_branches=3&length=2000&seed=5"
@@ -163,13 +163,13 @@ GOLDEN = {
 def _live_path_trace() -> Trace:
     """2000 branches over 256 random 20-bit PCs, about half of them odd."""
     rng = random.Random(23)
-    pcs = [rng.getrandbits(20) for _ in range(256)]
-    records = []
+    static = [rng.getrandbits(20) for _ in range(256)]
+    pcs, taken = [], []
     for i in range(2000):
-        pc = pcs[rng.getrandbits(8) & rng.getrandbits(8)]
-        taken = (pc >> 3) % 5 != i % 3 if rng.getrandbits(4) else bool(rng.getrandbits(1))
-        records.append(BranchRecord(pc, taken, 3))
-    return Trace(name=LIVE, records=records)
+        pc = static[rng.getrandbits(8) & rng.getrandbits(8)]
+        pcs.append(pc)
+        taken.append((pc >> 3) % 5 != i % 3 if rng.getrandbits(4) else bool(rng.getrandbits(1)))
+    return Trace(name=LIVE, pcs=pcs, taken=taken, preceding=[3] * len(pcs))
 
 
 @pytest.fixture(scope="module")

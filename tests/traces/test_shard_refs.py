@@ -69,16 +69,16 @@ class TestResolve:
             (shard,) = resolve_trace_ref(f"{self.BASE}#shard={index}/3&warmup=100")
             start, stop, total = shard.window
             assert total == len(base)
-            assert shard.records[shard.warmup_count :] == base.records[start:stop]
-            measured.extend(shard.records[shard.warmup_count :])
-        assert measured == base.records
+            assert list(shard)[shard.warmup_count :] == list(base)[start:stop]
+            measured.extend(list(shard)[shard.warmup_count :])
+        assert measured == list(base)
 
     def test_warmup_prefix_precedes_the_window(self):
         base = resolve_trace_ref(self.BASE)[0]
         (shard,) = resolve_trace_ref(f"{self.BASE}#shard=1/2&warmup=150")
         start, _, _ = shard.window
         assert shard.warmup_count == 150
-        assert shard.records[:150] == base.records[start - 150 : start]
+        assert list(shard)[:150] == list(base)[start - 150 : start]
 
     def test_first_shard_has_no_warmup(self):
         (shard,) = resolve_trace_ref(f"{self.BASE}#shard=0/2&warmup=150")

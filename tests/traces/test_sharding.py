@@ -54,7 +54,7 @@ class TestShardTrace:
         trace = generate_trace("INT01", branches_per_trace=400, seed=3)
         window = plan_shards(len(trace), 4, warmup=60)[2]
         shard = shard_trace(trace, window)
-        assert shard.records == trace.records[window.warmup_start : window.stop]
+        assert list(shard) == list(trace)[window.warmup_start : window.stop]
         assert shard.warmup_count == window.warmup
         assert shard.window == (window.start, window.stop, len(trace))
         assert shard.source_name == "INT01"

@@ -4,7 +4,7 @@ import pytest
 
 from repro.traces.io import load_trace, save_trace
 from repro.traces.suite import generate_trace
-from repro.traces.trace import BranchRecord, Trace
+from repro.traces.trace import Trace
 
 
 class TestTraceIO:
@@ -22,11 +22,28 @@ class TestTraceIO:
         ]
 
     def test_site_labels_preserved(self, tmp_path):
-        trace = Trace(name="t")
-        trace.append(BranchRecord(pc=8, taken=True, site="loop"))
+        trace = Trace(
+            name="t", pcs=[8, 12, 8], taken=[True, False, True], preceding=[4, 4, 4],
+            sites=[1, 0, 1], site_names=("biased", "loop"),
+        )
         path = tmp_path / "t.trace"
         save_trace(trace, path)
-        assert load_trace(path).records[0].site == "loop"
+        assert [record.site for record in load_trace(path)] == ["loop", "biased", "loop"]
+
+    def test_round_trip_preserves_columns_and_digest(self, tmp_path):
+        trace = generate_trace("MM02", branches_per_trace=300, seed=2)
+        path = tmp_path / "mm02.trace"
+        save_trace(trace, path)
+        loaded = load_trace(path)
+        assert list(loaded) == list(trace)
+        assert loaded.content_digest() == trace.content_digest()
+
+    @pytest.mark.parametrize("line", ["8 1 -3 a", "-8 1 4 a"])
+    def test_negative_gap_or_pc_rejected(self, tmp_path, line):
+        path = tmp_path / "bad.trace"
+        path.write_text(f'{{"format_version": 1, "name": "x", "records": 1}}\n{line}\n')
+        with pytest.raises(ValueError, match="must be non-negative"):
+            load_trace(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.trace"
