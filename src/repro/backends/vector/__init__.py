@@ -200,7 +200,7 @@ class NumpyBackend(Backend):
         trace = streams.trace
         mispredictions, profile = outcome
         measured = len(trace) - warmup
-        instructions = int(streams.trace.preceding[warmup:].sum()) + measured
+        instructions = int(trace.preceding[warmup:].sum()) + measured
         return SimulationResult(
             trace_name=trace.source_name or trace.name,
             predictor_name=name,

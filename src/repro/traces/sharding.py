@@ -139,10 +139,9 @@ def shard_trace(trace: Trace, window: ShardWindow) -> Trace:
 
     The returned trace holds the warmup prefix followed by the measured
     window, as views of the source's columns; ``warmup_count`` marks where
-    measurement starts, ``window``
-    and ``source_name`` carry the position so results can be merged back
-    (and mis-merges rejected).  Its name and identity are those of
-    :func:`shard_handle`.
+    measurement starts, ``window`` and ``source_name`` carry the position
+    so results can be merged back (and mis-merges rejected).  Its name and
+    identity are those of :func:`shard_handle`.
     """
     shard = shard_handle(TraceHandle(trace.name, len(trace), trace.identity, trace.window), window)
     return replace(

@@ -95,7 +95,8 @@ class Trace:
         :func:`repro.traces.refs.resolve_trace_ref`) and on shards cut from
         them.  It hashes the generator version, the canonical reference,
         the name and (for shards) the window, so result-cache keys never
-        need the branches.  Empty for traces of any other origin.
+        need the branches.  Empty for traces of any other origin; code
+        that replaces the columns of a trace must clear it.
     """
 
     name: str

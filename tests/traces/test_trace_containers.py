@@ -104,10 +104,6 @@ class TestTrace:
             Trace(name="t", pcs=[4, 8, 12], taken=[True] * 3, preceding=[1] * 3,
                   warmup_count=warmup)
 
-    def test_warmup_count_may_cover_the_whole_trace(self):
-        trace = Trace(name="t", pcs=[4], taken=[True], preceding=[1], warmup_count=1)
-        assert trace.warmup_count == len(trace)
-
 
 def test_columns_hold_at_most_24_bytes_per_branch():
     """A generated 200k-branch trace, resident and pickled."""

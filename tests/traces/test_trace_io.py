@@ -16,10 +16,8 @@ class TestTraceIO:
         assert loaded.name == trace.name
         assert loaded.category == trace.category
         assert loaded.hard == trace.hard
-        assert len(loaded) == len(trace)
-        assert [(r.pc, r.taken, r.preceding_instructions) for r in loaded] == [
-            (r.pc, r.taken, r.preceding_instructions) for r in trace
-        ]
+        assert list(loaded) == list(trace)
+        assert loaded.content_digest() == trace.content_digest()
 
     def test_site_labels_preserved(self, tmp_path):
         trace = Trace(
@@ -29,14 +27,6 @@ class TestTraceIO:
         path = tmp_path / "t.trace"
         save_trace(trace, path)
         assert [record.site for record in load_trace(path)] == ["loop", "biased", "loop"]
-
-    def test_round_trip_preserves_columns_and_digest(self, tmp_path):
-        trace = generate_trace("MM02", branches_per_trace=300, seed=2)
-        path = tmp_path / "mm02.trace"
-        save_trace(trace, path)
-        loaded = load_trace(path)
-        assert list(loaded) == list(trace)
-        assert loaded.content_digest() == trace.content_digest()
 
     @pytest.mark.parametrize("line", ["8 1 -3 a", "-8 1 4 a"])
     def test_negative_gap_or_pc_rejected(self, tmp_path, line):
