@@ -37,11 +37,11 @@ def save_trace(trace: Trace, path: str | Path) -> None:
     }
     with path.open("w", encoding="utf-8") as handle:
         handle.write(json.dumps(header) + "\n")
-        names = trace.site_names
-        for pc, taken, gap, code in zip(
-            trace.pcs.tolist(), trace.taken.tolist(), trace.preceding.tolist(), trace.sites.tolist()
-        ):
-            handle.write(f"{pc:x} {1 if taken else 0} {gap} {names[code]}\n")
+        for record in trace:
+            handle.write(
+                f"{record.pc:x} {1 if record.taken else 0} "
+                f"{record.preceding_instructions} {record.site}\n"
+            )
 
 
 def load_trace(path: str | Path) -> Trace:
