@@ -2,11 +2,12 @@
 
 Not a paper experiment — this bench characterizes the cost of the
 :mod:`repro.distrib` hand-off so the single-host numbers stay honest:
-broker mode pays publish + lease + watcher polling per job, and buys
+a shared broker pays watcher and worker polling per job, and buys
 concurrent jobs across workers in return.  Two measurements:
 
-* **local dispatch** — the default single-process service: jobs execute
-  serialized on the service's own runner,
+* **local dispatch** — the default single-process service: jobs run one
+  at a time through its lane's in-process broker, which wakes the lane's
+  worker thread and the watcher instead of letting them poll,
 * **broker dispatch** — the same jobs through a :class:`MemoryBroker`
   and two in-process :class:`~repro.distrib.worker.FleetWorker` loops
   (the ``repro serve --broker`` + ``repro worker`` wiring minus the

@@ -1058,9 +1058,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "front ends in broker mode)")
     serve.add_argument("--broker", default=None, metavar="SPEC",
                        help="dispatch jobs to a worker fleet instead of "
-                            "executing locally: a shared directory path "
-                            "or 'memory' (default: REPRO_BROKER, else "
-                            "local execution)")
+                            "executing in-process: a shared directory path "
+                            "(default: REPRO_BROKER, else in-process "
+                            "execution)")
     serve.add_argument("--token-file", default=None, metavar="FILE",
                        help="bearer tokens, one 'client=token' (or bare token) "
                             "per line; overrides REPRO_SERVICE_TOKENS")
@@ -1099,7 +1099,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "deregisters and exits.",
     )
     worker.add_argument("--broker", default=None, metavar="SPEC",
-                        help="broker spec: shared directory path or 'memory' "
+                        help="broker spec: a shared directory path "
                              "(default: REPRO_BROKER)")
     worker.add_argument("--id", default=None, metavar="NAME",
                         help="worker id shown in 'repro fleet' "

@@ -1,27 +1,28 @@
-"""``repro.distrib`` — the multi-host scale-out subsystem.
+"""``repro.distrib`` — job dispatch through a broker, in one process or many.
 
-The single-process service (:mod:`repro.service`) executes jobs on its
-own runner; this package splits that across processes and hosts in the
-coordinator/broker/worker shape:
+Every job the service (:mod:`repro.service`) accepts goes through a
+broker, in the coordinator/broker/worker shape:
 
 * :mod:`repro.distrib.broker` — the :class:`Broker` contract: published
   jobs, leases with visibility timeouts, heartbeats, retry-with-backoff,
   bounded attempts ending in a dead-letter state, first-write-wins
   completion, and a worker registry with capability tags,
-* :mod:`repro.distrib.memory` — :class:`MemoryBroker`, in-process (tests
-  and single-host composition),
+* :mod:`repro.distrib.memory` — :class:`MemoryBroker`, in-process: each
+  lane of a plain ``repro serve`` runs on one, drained by an in-thread
+  worker,
 * :mod:`repro.distrib.fsbroker` — :class:`FileBroker`, a shared
   directory usable across processes and hosts (no new dependencies),
 * :mod:`repro.distrib.worker` — :class:`FleetWorker`, the ``repro
   worker`` loop: lease → execute → heartbeat → complete, with graceful
   drain.
 
-Topology: N ``repro serve --broker <spec>`` front ends publish jobs and
-watch for their completion; M ``repro worker --broker <spec>`` processes
-execute them; one shared result store (``--store-dir``) keeps the
-terminal documents.  ``connect_broker`` turns the shared ``--broker``
-spec (a directory path or ``memory``) into a live broker.  Another
-backing store plugs in by implementing the :class:`Broker` contract.
+Topology across processes: N ``repro serve --broker <dir>`` front ends
+publish jobs and watch for their completion; M ``repro worker --broker
+<dir>`` processes execute them; one shared result store
+(``--store-dir``) keeps the terminal documents.  ``connect_broker``
+turns the shared ``--broker`` spec (a directory path) into a live
+broker.  Another backing store plugs in by implementing the
+:class:`Broker` contract.
 """
 
 from __future__ import annotations
@@ -54,23 +55,20 @@ __all__ = [
 
 
 def connect_broker(spec: str, **policy: Any) -> Broker:
-    """A live broker from a ``--broker`` / ``REPRO_BROKER`` spec.
+    """A live :class:`FileBroker` from a ``--broker`` / ``REPRO_BROKER``
+    spec: a directory path, created on first use (share it between hosts
+    to span machines).
 
-    * ``memory`` (or ``memory:``) — an in-process :class:`MemoryBroker`
-      (only useful when front end and workers share one process, e.g.
-      tests and benchmarks),
-    * anything else — a directory path for the :class:`FileBroker`
-      (created on first use; share it between hosts to span machines).
-
-    ``redis://`` and ``rediss://`` URLs raise :class:`ValueError`: no
-    redis broker ships, and such a spec must not silently become a
-    directory named ``redis:``.
+    ``memory`` raises :class:`ValueError`: a broker private to one
+    process cannot be shared with another, and plain ``repro serve``
+    already runs an in-process broker per lane.  ``redis://`` and
+    ``rediss://`` URLs raise too: no redis broker ships, and such a spec
+    must not silently become a directory named ``redis:``.
     """
-    if not spec or spec.startswith(("redis://", "rediss://")):
+    if not spec or spec in ("memory", "memory:") or spec.startswith(("redis://", "rediss://")):
         raise ValueError(
-            f"unsupported broker spec {spec!r}: use a directory path (FileBroker) "
-            "or 'memory' (MemoryBroker)"
+            f"unsupported broker spec {spec!r}: use a shared directory path "
+            "(FileBroker); for in-process execution, run plain 'repro serve' "
+            "with no --broker or 'memory' spec"
         )
-    if spec in ("memory", "memory:"):
-        return MemoryBroker(**policy)
     return FileBroker(spec, **policy)

@@ -1,10 +1,11 @@
 """The broker contract: leased job delivery between front ends and workers.
 
-A *broker* is the hand-off point of the distributed deployment: front
-ends (:class:`~repro.service.core.SimulationService` in broker-dispatch
-mode) **publish** jobs, stateless workers (:class:`~repro.distrib.worker.
-FleetWorker`) **lease** them one at a time, **heartbeat** while
-executing, and **complete** or **fail** them.  The broker owns the
+A *broker* is the hand-off point between a front end and the workers
+that execute its jobs: front ends
+(:class:`~repro.service.core.SimulationService`) **publish** jobs,
+stateless workers (:class:`~repro.distrib.worker.FleetWorker`)
+**lease** them one at a time, **heartbeat** while executing, and
+**complete** or **fail** them.  The broker owns the
 at-least-once delivery semantics:
 
 * a lease carries a *visibility timeout* — a worker that stops
@@ -25,7 +26,8 @@ core count, host/pid) and refresh a registration heartbeat, so the fleet
 is observable from any front end (``GET /v1/stats``, ``repro fleet``).
 
 Two implementations ship: :class:`~repro.distrib.memory.MemoryBroker`
-(in-process, for tests and single-host composition) and
+(in-process: each local service lane runs on one, and it wakes waiters
+in its process on every state change instead of making them poll) and
 :class:`~repro.distrib.fsbroker.FileBroker` (a shared directory; usable
 across processes and across hosts on a shared filesystem).  Another
 backing store (a redis or SQL queue, say) plugs in by subclassing
@@ -37,6 +39,7 @@ without sleeping.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -107,6 +110,11 @@ class Broker:
     lives here so every implementation agrees on the semantics.
     """
 
+    #: Whether every client of the broker runs in this process.  Its
+    #: workers then share the front end's metrics registry and ship it
+    #: no snapshots.
+    in_process = False
+
     def __init__(
         self,
         visibility: float = DEFAULT_VISIBILITY_TIMEOUT,
@@ -126,6 +134,7 @@ class Broker:
         self.backoff_cap = backoff_cap
         self.worker_ttl = worker_ttl
         self._clock = clock or time.time
+        self._listeners: list[threading.Event] = []
 
     def _now(self) -> float:
         return self._clock()
@@ -133,6 +142,14 @@ class Broker:
     def backoff(self, attempt: int) -> float:
         """Delay before re-delivering after ``attempt`` deliveries."""
         return min(self.backoff_base * (2 ** max(attempt - 1, 0)), self.backoff_cap)
+
+    def listen(self, event: threading.Event) -> None:
+        """Set ``event`` whenever a job here changes state.
+
+        Only an in-process broker fires it; a broker shared between
+        processes cannot see its peers' writes, so its clients poll.
+        """
+        self._listeners.append(event)
 
     def _note(self, event: str, amount: int = 1) -> None:
         """Count a delivery event in *this* process' metrics registry.
@@ -209,7 +226,8 @@ class Broker:
     def snapshot(self, job_id: str) -> dict[str, Any]:
         """The broker's view of one job: ``state`` (:data:`JOB_STATES`),
         ``attempts``, ``worker``, ``error``, ``results`` and timing
-        fields.  Raises :class:`UnknownBrokerJobError`."""
+        fields (``started``, when the current or last delivery began, is
+        optional).  Raises :class:`UnknownBrokerJobError`."""
         raise NotImplementedError
 
     def reap(self) -> int:

@@ -1,17 +1,22 @@
-"""An in-process broker: the reference implementation and the test rig.
+"""An in-process broker: the reference implementation and local lanes.
 
 Every structure lives behind one lock, so the memory broker is safe for
-any number of front-end and worker *threads* within one process — which
-is exactly what the unit tests and the single-host composition
-(``SimulationService`` + in-thread ``FleetWorker``) need.  It cannot
-span processes; deploys use :class:`~repro.distrib.fsbroker.FileBroker`,
-which implements the same semantics.
+any number of front-end and worker *threads* within one process.  Each
+lane of a local ``SimulationService`` runs on one, drained by an
+in-thread ``FleetWorker``.  Every state change sets the events passed
+to :meth:`~repro.distrib.broker.Broker.listen`, so the worker and the
+service's watcher wake at once instead of polling.  Terminal jobs are
+forgotten oldest first beyond :data:`TERMINAL_ENTRIES`, which keeps a
+long-running service bounded.  It cannot span processes; deploys use
+:class:`~repro.distrib.fsbroker.FileBroker`, which implements the same
+semantics.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
+from collections import deque
 from typing import Any
 
 from repro.distrib.broker import (
@@ -25,9 +30,15 @@ from repro.distrib.broker import (
 
 __all__ = ["MemoryBroker"]
 
+#: Terminal (done, dead or cancelled) jobs remembered; older ones are
+#: forgotten, and a snapshot of one raises ``UnknownBrokerJobError``.
+TERMINAL_ENTRIES = 256
+
 
 class MemoryBroker(Broker):
     """Dicts + one lock; see :class:`~repro.distrib.broker.Broker`."""
+
+    in_process = True
 
     def __init__(self, **policy: Any) -> None:
         super().__init__(**policy)
@@ -44,6 +55,7 @@ class MemoryBroker(Broker):
         #: Trace spans shipped by executing attempts, accumulated per
         #: job (every attempt files, so re-deliveries become siblings).
         self._spans: dict[str, list] = {}
+        self._terminal: deque[str] = deque()
 
     # ------------------------------------------------------------------
     # Job lifecycle
@@ -83,6 +95,7 @@ class MemoryBroker(Broker):
                     "worker": worker_id,
                     "attempt": ticket["attempt"],
                     "deadline": deadline,
+                    "started": now,
                 }
                 job = self._jobs[ticket["id"]]
                 self._note("leased")
@@ -111,15 +124,16 @@ class MemoryBroker(Broker):
                 self._drop_lease(job_id, worker_id)
                 return False
             lease = self._leases.get(job_id)
-            attempt = lease["attempt"] if lease else None
             self._done[job_id] = {
                 "results": results,
                 "worker": worker_id,
-                "attempt": attempt,
+                "attempt": lease["attempt"] if lease else None,
+                "started": lease["started"] if lease else None,
                 "finished": self._now(),
             }
             self._drop_lease(job_id, worker_id)
             self._discard_pending(job_id)
+            self._retire(job_id)
         self._note("completed")
         return True
 
@@ -141,8 +155,10 @@ class MemoryBroker(Broker):
                 self._dead[job_id] = {
                     "error": error,
                     "attempts": attempt,
+                    "started": lease["started"] if lease else None,
                     "finished": self._now(),
                 }
+                self._retire(job_id)
                 dead = True
             else:
                 self._enqueue(job_id, attempt + 1,
@@ -158,6 +174,8 @@ class MemoryBroker(Broker):
                 if ticket["id"] == job_id:
                     del self._pending[index]
                     self._cancelled[job_id] = self._now()
+                    self._retire(job_id)
+                    self._changed()
                     return True
             return False
 
@@ -178,8 +196,10 @@ class MemoryBroker(Broker):
                 job["error"] = error
                 if attempt >= job["max_attempts"]:
                     self._dead[job_id] = {
-                        "error": error, "attempts": attempt, "finished": now,
+                        "error": error, "attempts": attempt,
+                        "started": lease["started"], "finished": now,
                     }
+                    self._retire(job_id)
                     dead += 1
                 else:
                     self._enqueue(job_id, attempt + 1, now + self.backoff(attempt))
@@ -194,6 +214,23 @@ class MemoryBroker(Broker):
 
     def _discard_pending(self, job_id: str) -> None:
         self._pending = [t for t in self._pending if t["id"] != job_id]
+
+    def _retire(self, job_id: str) -> None:
+        """Note ``job_id`` terminal; forget the oldest beyond the bound."""
+        self._terminal.append(job_id)
+        while len(self._terminal) > TERMINAL_ENTRIES:
+            old = self._terminal.popleft()
+            for table in (self._jobs, self._done, self._dead, self._cancelled, self._spans):
+                table.pop(old, None)
+
+    def _note(self, event: str, amount: int = 1) -> None:
+        super()._note(event, amount)
+        if amount:
+            self._changed()
+
+    def _changed(self) -> None:
+        for listener in self._listeners:
+            listener.set()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -214,12 +251,13 @@ class MemoryBroker(Broker):
             if done is not None:
                 return {**base, "state": "done", "attempts": done["attempt"],
                         "worker": done["worker"], "results": done["results"],
+                        "started": done["started"],
                         "finished": done["finished"], "error": None,
                         "spans": list(self._spans.get(job_id, ()))}
             dead = self._dead.get(job_id)
             if dead is not None:
                 return {**base, "state": "dead", "attempts": dead["attempts"],
-                        "worker": None, "results": None,
+                        "worker": None, "results": None, "started": dead["started"],
                         "finished": dead["finished"], "error": dead["error"],
                         "spans": list(self._spans.get(job_id, ()))}
             if job_id in self._cancelled:
@@ -230,6 +268,7 @@ class MemoryBroker(Broker):
             if lease is not None:
                 return {**base, "state": "leased", "attempts": lease["attempt"],
                         "worker": lease["worker"], "results": None,
+                        "started": lease["started"],
                         "deadline": lease["deadline"], "finished": None}
             for ticket in self._pending:
                 if ticket["id"] == job_id:

@@ -1,8 +1,9 @@
 """The stateless fleet worker: lease, execute, heartbeat, complete.
 
-``repro worker`` runs one :class:`FleetWorker` per process.  The worker
-owns a persistent :class:`~repro.api.runner.Runner` (warm process pool,
-shared result cache), registers with the broker under capability tags
+``repro worker`` runs one :class:`FleetWorker` per process, and a local
+``repro serve`` runs one in a thread per lane.  The worker owns a
+persistent :class:`~repro.api.runner.Runner` (warm process pool, shared
+result cache), registers with the broker under capability tags
 (live execution backends, core count, host/pid), and loops:
 
 1. :meth:`~repro.distrib.broker.Broker.lease` a job (reaping expired
@@ -18,9 +19,11 @@ shared result cache), registers with the broker under capability tags
    :meth:`~repro.distrib.broker.Broker.fail` (retry with backoff, then
    dead-letter).
 
-Drain semantics: :meth:`FleetWorker.request_stop` (wired to SIGTERM and
-SIGINT by the CLI) stops *leasing*; the in-flight job finishes and its
-lease is completed before the loop exits and the worker deregisters.
+Between empty leases the worker waits ``poll_interval``, or less when
+an in-process broker signals a state change.  Drain semantics:
+:meth:`FleetWorker.request_stop` (wired to SIGTERM and SIGINT by the
+CLI) stops *leasing*; the in-flight job finishes and its lease is
+completed before the loop exits and the worker deregisters.
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ from repro.obs import (
 
 __all__ = ["FleetWorker", "default_capabilities", "new_worker_id"]
 
-#: Idle poll interval between empty lease attempts, seconds.
+#: Idle wait between empty lease attempts, seconds (an in-process broker
+#: cuts it short on every state change).
 DEFAULT_POLL_INTERVAL = 0.2
 
 _LOG = get_logger("distrib.worker")
@@ -111,7 +115,7 @@ class FleetWorker:
     worker_id:
         Defaults to a generated host-pid-nonce id.
     poll_interval:
-        Idle sleep between empty lease attempts.
+        Idle wait between empty lease attempts.
     heartbeat_interval:
         Lease-extension period while executing; defaults to a third of
         the broker's visibility timeout.
@@ -136,6 +140,9 @@ class FleetWorker:
         self.completed = 0
         self.failed = 0
         self._stop = threading.Event()
+        #: Set by :meth:`request_stop` and by the broker's state changes.
+        self._wake = threading.Event()
+        broker.listen(self._wake)
         self._registered = False
 
     # ------------------------------------------------------------------
@@ -145,6 +152,7 @@ class FleetWorker:
     def request_stop(self) -> None:
         """Graceful drain: stop leasing; the in-flight job still finishes."""
         self._stop.set()
+        self._wake.set()
 
     @property
     def stopping(self) -> bool:
@@ -165,11 +173,11 @@ class FleetWorker:
             while not self._stop.is_set():
                 if max_jobs is not None and processed >= max_jobs:
                     break
+                self._wake.clear()
                 lease = self.broker.lease(self.worker_id)
                 if lease is None:
                     self._touch_registration()
-                    if self._stop.wait(self.poll_interval):
-                        break
+                    self._wake.wait(self.poll_interval)
                     continue
                 self._execute(lease)
                 processed += 1
@@ -197,8 +205,9 @@ class FleetWorker:
                 failed=self.failed,
                 # Cumulative, not a delta: a lost heartbeat costs nothing,
                 # the next one supersedes it.  The front end merges the
-                # latest snapshot per worker into GET /v1/metrics.
-                metrics=get_metrics().snapshot(),
+                # latest snapshot per worker into GET /v1/metrics, unless
+                # it shares this process and so this registry already.
+                metrics=None if self.broker.in_process else get_metrics().snapshot(),
             )
         except Exception as error:  # noqa: BLE001 - observability must not kill the loop
             _obs_errors().inc(component="worker.registration")
@@ -230,7 +239,7 @@ class FleetWorker:
                     RunRequest.from_dict(entry) for entry in lease.payload["requests"]
                 ]
                 # Adopt the front end's span context from the ticket: the
-                # worker's subtree parents under the serve-side dispatch
+                # worker's subtree parents under the serve-side request
                 # span, and each delivery is its own attempt-tagged span —
                 # a re-delivered lease becomes a sibling, never a merge.
                 with bind_span_context(lease.payload.get("span")):

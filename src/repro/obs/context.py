@@ -6,7 +6,7 @@ execution.  Inside a process it rides a :class:`contextvars.ContextVar`
 so log records pick it up without threading it through every call.
 
 Context vars do **not** cross ``threading.Thread`` boundaries, so code
-that hops threads (service dispatcher, worker heartbeat) re-binds the
+that hops threads (fleet worker, worker heartbeat) re-binds the
 id explicitly with :func:`bind_trace_id`.
 """
 

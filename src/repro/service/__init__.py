@@ -2,11 +2,12 @@
 
 A stdlib-only front end that turns the serializable run API into a
 long-running server: clients ``POST`` :class:`~repro.api.request.RunRequest`
-JSON, jobs flow through bounded in-process queues, and per-lane
-dispatchers execute them on :class:`~repro.api.runner.Runner` instances
-in persistent mode — long-lived :class:`~repro.pipeline.parallel.WorkerPool`
-workers keep warm predictor instances, so many small requests never pay
-process spawn or predictor construction.
+JSON, jobs pass a bounded admission queue into per-lane brokers, and
+workers (one thread per lane, or a ``repro worker`` fleet) execute them
+on :class:`~repro.api.runner.Runner` instances in persistent mode —
+long-lived :class:`~repro.pipeline.parallel.WorkerPool` workers keep
+warm predictor instances, so many small requests never pay process
+spawn or predictor construction.
 
 Layers (each usable on its own):
 
@@ -14,8 +15,8 @@ Layers (each usable on its own):
 * :mod:`repro.service.store` — pluggable result stores (memory / disk),
 * :mod:`repro.service.quota` — per-client rate limits and job caps,
 * :mod:`repro.service.auth` — bearer-token authentication,
-* :mod:`repro.service.core` — :class:`SimulationService`: queues,
-  priority lanes, dispatcher threads, graceful drain, stats,
+* :mod:`repro.service.core` — :class:`SimulationService`: admission,
+  priority lanes, brokered dispatch, graceful drain, stats,
 * :mod:`repro.service.aio` — the asyncio HTTP/1.1 transport,
 * :mod:`repro.service.app` — the application: the current ``/v2/``
   API (error envelope, pagination, capabilities) plus the frozen

@@ -227,7 +227,7 @@ class ServiceHTTPServer(AsyncHTTPServer):
     async def _await_job(self, job_id: str, timeout: float) -> dict[str, Any]:
         """Hold the request coroutine until the job is terminal.
 
-        The dispatcher/watcher threads fire the subscription callback,
+        The service's watcher thread fires the subscription callback,
         which hops onto this loop via ``call_soon_threadsafe`` — the
         waiting connection costs one coroutine and one ``asyncio.Event``,
         never a thread.

@@ -1,69 +1,69 @@
-"""The service core: bounded job queues draining into warm runners.
+"""The service core: bounded job admission in front of brokered lanes.
 
 :class:`SimulationService` is transport-agnostic — the HTTP app, the
 tests and the benchmarks all drive this same object:
 
-* :meth:`~SimulationService.submit` validates and enqueues a job
-  (raising :class:`QueueFullError` when the bounded queue is at
-  capacity — callers map that to HTTP 503 — and
+* :meth:`~SimulationService.submit` validates a job and publishes it to
+  its lane's :class:`~repro.distrib.broker.Broker` (raising
+  :class:`QueueFullError` when the bounded queue is at capacity —
+  callers map that to HTTP 503 — and
   :class:`~repro.service.quota.RateLimitedError` when the submitting
   client is over its quota — HTTP 429),
-* dispatcher threads pop jobs in FIFO order per **lane** and execute
-  each as a single :meth:`~repro.api.runner.Runner.run_batch` call on a
-  runner in persistent mode, so every job after the first hits warm
-  worker processes with cached predictor instances,
+* a watcher thread follows every published job through its broker —
+  leased (the job shows ``running`` with its worker id and attempt
+  count), done (results arrive from the worker), dead-lettered (the job
+  fails with the broker's last error) — and reaps expired leases, so
+  progress survives a worker dying,
 * terminal job documents move into the pluggable result store;
   :meth:`~SimulationService.job` serves live and stored jobs through one
   lookup,
 * :meth:`~SimulationService.stats` reports queue depth, job counters,
-  per-lane dispatcher utilization, warm-pool and result-cache hit rates
-  — the numbers an operator needs to size the pool.
+  per-lane utilization, warm-pool and result-cache hit rates — the
+  numbers an operator needs to size the pool.
+
+**Where jobs run.**  With no ``broker`` (plain ``repro serve``) each
+lane gets an in-process :class:`~repro.distrib.memory.MemoryBroker`
+drained by one in-thread :class:`~repro.distrib.worker.FleetWorker` on
+that lane's runner, in persistent mode, so every job after the first
+hits warm worker processes.  Local jobs publish with one attempt: a
+failing job fails at once.  The in-process broker wakes the worker and
+the watcher on every state change, so nothing on this path polls.  With
+``broker=...`` (``repro serve --broker``) every lane publishes to that
+broker, no worker starts in-process, and however many ``repro worker``
+processes lease the jobs run them concurrently.  Results are
+byte-identical either way: every job is one
+:meth:`~repro.api.runner.Runner.run_batch` call on a worker.
 
 **Priority lanes** (``small_job_branches=...``): jobs whose estimated
 branch count (:func:`~repro.service.protocol.estimate_branches`) is at
 or under the threshold route to an ``interactive`` lane with its own
-queue, dispatcher thread and runner, so a fig10-sized batch grinding in
-the ``batch`` lane cannot head-of-line-block a quick interactive
+broker, worker and runner, so a fig10-sized batch grinding in the
+``batch`` lane cannot head-of-line-block a quick interactive
 simulation.  With lanes off (the default) a single ``default`` lane
-preserves the strict global FIFO the tests rely on.  Jobs within one
-lane are serialized with respect to each other (the parallelism lives
-in the worker pool, not in concurrent batches), which keeps results
-deterministic however many clients submit concurrently.
-
-**Broker-dispatch mode** (``broker=...``, selected by ``repro serve
---broker``): instead of executing locally, the dispatcher *publishes*
-each job to a :class:`~repro.distrib.broker.Broker` and a watcher thread
-follows the broker's view of it — leased (a fleet worker is executing it,
-the job shows ``running`` with its worker id and attempt count), done
-(results arrive from the worker, byte-identical to local execution),
-dead-lettered (the job fails with the broker's last error).  Jobs run
-*concurrently* across however many workers lease them; the front end
-also reaps expired leases, so progress survives every worker dying.
-Default single-process behavior is completely unchanged when no broker
-is given.
+preserves the strict global FIFO the tests rely on.  A local lane runs
+one job at a time (the parallelism lives in the worker pool, not in
+concurrent batches), which keeps results deterministic however many
+clients submit concurrently.
 
 **Graceful drain** (:meth:`~SimulationService.drain`): stop accepting,
-let running jobs finish, persist still-queued jobs to the store (local
-mode) or leave them with the broker (fleet mode) as ``status:
-"queued"`` marker documents, then release resources.  A restarted
-service calls :meth:`~SimulationService.recover` to re-adopt them.
+stop the in-process workers leasing, let running jobs finish, persist
+still-queued jobs to the store as ``status: "queued"`` marker documents,
+then release resources.  A restarted service calls
+:meth:`~SimulationService.recover` to re-adopt them.
 """
 
 from __future__ import annotations
 
 import logging
-import queue
 import threading
 import time
 from typing import Any, Callable, Sequence
 
 from repro.api.request import RunRequest
-from repro.api.results import suite_payload
 from repro.api.runner import Runner
+from repro.distrib import Broker, FleetWorker, MemoryBroker
 from repro.obs import (
     SpanStore,
-    bind_span_context,
-    bind_trace_id,
     ensure_trace_id,
     get_logger,
     get_metrics,
@@ -71,7 +71,6 @@ from repro.obs import (
     log_event,
     make_span,
     new_span_id,
-    span,
 )
 from repro.service.protocol import Job, JobStatus, estimate_branches, parse_submission
 from repro.service.quota import ClientQuota
@@ -118,14 +117,9 @@ DEFAULT_STORE_ENTRIES = 4096
 #: branches — an order of magnitude above the cut.
 DEFAULT_SMALL_JOB_BRANCHES = 200_000
 
-#: How often the idle dispatcher re-checks the stop signal, seconds.
-_DRAIN_POLL_SECONDS = 0.1
-
-#: How often the broker watcher polls published jobs, seconds.
+#: How often the watcher polls published jobs, seconds (an in-process
+#: broker wakes it sooner on every state change).
 DEFAULT_BROKER_POLL_SECONDS = 0.05
-
-#: Broker job states that map onto a locally-queued job.
-_REMOTE_QUEUED = ("pending",)
 
 
 class QueueFullError(RuntimeError):
@@ -149,32 +143,30 @@ class ServiceClosedError(RuntimeError):
 
 
 class _Lane:
-    """One dispatch lane: a FIFO queue, a dispatcher thread, a runner."""
+    """One dispatch lane: its broker and, in local mode, the in-process
+    worker (and its thread) that drains it."""
 
-    def __init__(self, name: str, runner: Runner | None) -> None:
+    def __init__(self, name: str, broker: Broker, worker: FleetWorker | None) -> None:
         self.name = name
-        self.runner = runner  # None in broker mode: lanes publish, not execute
-        # Unbounded on purpose: the back-pressure bound is enforced in
-        # submit() by counting live QUEUED jobs, so a cancelled job frees
-        # its capacity immediately even though its tombstone stays in the
-        # channel until the dispatcher pops (and skips) it.
-        self.queue: "queue.Queue[Job]" = queue.Queue()
+        self.broker = broker
+        self.worker = worker
+        #: Attempt budget of the lane's jobs; ``None`` keeps the broker's.
+        self.max_attempts = None if worker is None else 1
         self.thread: threading.Thread | None = None
         self.executed = 0
         self.busy_seconds = 0.0
-        self.busy_since: float | None = None
 
 
 class SimulationService:
-    """Queues + dispatchers + warm runners + result store, as one object.
+    """Admission + brokered lanes + warm runners + result store, as one object.
 
     Parameters
     ----------
     runner:
-        The executing :class:`Runner` (the ``batch``/``default`` lane);
-        defaults to an env-configured runner in persistent mode.  The
-        service owns the runner it is given and closes it on
-        :meth:`close`.
+        The :class:`Runner` of the ``batch``/``default`` lane's
+        in-process worker; defaults to an env-configured runner in
+        persistent mode.  The service owns the runner it is given and
+        closes it on :meth:`close`.
     store:
         Terminal job documents; defaults to a :class:`MemoryResultStore`
         bounded to :data:`DEFAULT_STORE_ENTRIES` documents (oldest
@@ -185,13 +177,13 @@ class SimulationService:
         Bound of the pending-job queue across all lanes (back-pressure,
         not buffering: a full queue rejects rather than grows).
     broker:
-        A :class:`~repro.distrib.broker.Broker` selects broker-dispatch
-        mode: jobs are published to the fleet instead of executed on a
-        local runner (see the module docstring).  The service owns the
-        broker it is given and closes it on :meth:`close`.  In this mode
-        no local runner is created unless one is passed explicitly.
+        A :class:`~repro.distrib.broker.Broker` every lane publishes to,
+        for a fleet of ``repro worker`` processes to execute (see the
+        module docstring).  The service owns the broker it is given and
+        closes it on :meth:`close`.  No worker starts in-process, and no
+        runner is created unless one is passed explicitly.
     broker_poll:
-        Watcher poll interval in broker mode, seconds.
+        Watcher poll interval, seconds.
     small_job_branches:
         Enables priority lanes: submissions estimated at or under this
         many simulated branches route to the ``interactive`` lane,
@@ -226,14 +218,9 @@ class SimulationService:
             )
         self.broker = broker
         self.broker_poll = broker_poll
-        if runner is not None:
-            self.runner = runner
-        elif broker is not None:
-            # The front end never executes in broker mode; building a
-            # default runner would only spawn a pool nothing uses.
-            self.runner = None
-        else:
-            self.runner = Runner.from_env(persistent=True)
+        if runner is None and broker is None:
+            runner = Runner.from_env(persistent=True)
+        self.runner = runner
         self.store = (
             store if store is not None else MemoryResultStore(max_entries=DEFAULT_STORE_ENTRIES)
         )
@@ -242,23 +229,24 @@ class SimulationService:
         self.small_job_branches = small_job_branches
         if small_job_branches is None:
             self.interactive_runner = None
-            self._lanes = {"default": _Lane("default", self.runner)}
+            self._lanes = {"default": self._lane("default", self.runner)}
         else:
             if interactive_runner is None and broker is None:
                 interactive_runner = Runner.from_env(persistent=True)
             self.interactive_runner = interactive_runner
             self._lanes = {
-                "interactive": _Lane("interactive", interactive_runner),
-                "batch": _Lane("batch", self.runner),
+                "interactive": self._lane("interactive", interactive_runner),
+                "batch": self._lane("batch", self.runner),
             }
         self._live: dict[str, Job] = {}
-        #: Jobs published to the broker and not yet terminal (broker mode).
-        self._remote: dict[str, Job] = {}
         #: Completed span trees, per trace id (``GET /v2/traces/{id}``).
         self.spans = SpanStore()
         self._lock = threading.Lock()
         self._watcher: threading.Thread | None = None
-        self._stop = threading.Event()
+        #: Set by :meth:`close` and by every in-process broker change.
+        self._wake = threading.Event()
+        for lane_broker in self._brokers():
+            lane_broker.listen(self._wake)
         self._closed = False
         self._draining = False
         self._started_at = time.time()
@@ -268,60 +256,79 @@ class SimulationService:
         self.cancelled = 0
         self.recovered = 0
 
+    def _lane(self, name: str, runner: Runner | None) -> _Lane:
+        if self.broker is not None:
+            return _Lane(name, self.broker, None)
+        broker = MemoryBroker()
+        return _Lane(name, broker, FleetWorker(broker, runner=runner, worker_id=f"local-{name}"))
+
+    def _brokers(self) -> list[Broker]:
+        """The distinct brokers behind the lanes."""
+        return list({id(lane.broker): lane.broker for lane in self._lanes.values()}.values())
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
     def start(self) -> "SimulationService":
-        """Start the dispatcher (and, in broker mode, watcher) threads."""
+        """Start the watcher and the in-process workers."""
         if self._closed:
             raise ServiceClosedError("service is closed")
-        for lane in self._lanes.values():
-            if lane.thread is None:
-                lane.thread = threading.Thread(
-                    target=self._drain_lane, args=(lane,),
-                    name=f"repro-service-dispatcher-{lane.name}", daemon=True,
-                )
-                lane.thread.start()
-        if self.broker is not None and self._watcher is None:
+        if self._watcher is None:
             self._watcher = threading.Thread(
-                target=self._watch, name="repro-service-broker-watcher", daemon=True
+                target=self._watch, name="repro-service-watcher", daemon=True
             )
             self._watcher.start()
+        for lane in self._lanes.values():
+            if lane.worker is not None and lane.thread is None:
+                lane.thread = threading.Thread(
+                    target=lane.worker.run, name=f"repro-service-worker-{lane.name}",
+                    daemon=True,
+                )
+                lane.thread.start()
         return self
 
     def close(self, timeout: float | None = 30.0) -> None:
-        """Stop accepting jobs, drain in-flight work, release resources.
+        """Stop accepting jobs, finish in-flight work, release resources.
 
         Already-queued jobs still execute; new submissions are rejected.
         ``close`` itself never blocks on the queue — it signals a stop
-        event and waits up to ``timeout`` for the drain.  If a
-        dispatcher outlives the timeout (a long job mid-flight), it
-        closes its runner itself on exit, so worker processes are never
-        leaked either way.  In broker mode the watcher keeps following
-        already-published jobs until they finish (the graceful-drain
-        contract: leases are completed, not abandoned) or the timeout
-        lapses.  Idempotent.
+        event and waits up to ``timeout`` for the watcher to see every
+        published job through (the graceful-drain contract: leases are
+        completed, not abandoned).  Then the in-process workers stop.
+        One that outlives the timeout (a long job mid-flight) closes its
+        runner itself on exit, so worker processes are never leaked
+        either way.  Idempotent.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-        self._stop.set()
+        self._wake.set()
         deadline = None if timeout is None else time.time() + timeout
+        self._join(self._watcher, deadline)
+        self._stop_workers(deadline)
+        running = [lane.worker.runner for lane in self._lanes.values()
+                   if lane.thread is not None and lane.thread.is_alive()]
+        for runner in (self.runner, self.interactive_runner):
+            if runner is not None and all(runner is not busy for busy in running):
+                runner.close()
+        if self._watcher is None or not self._watcher.is_alive():
+            for broker in self._brokers():
+                broker.close()
+
+    @staticmethod
+    def _join(thread: threading.Thread | None, deadline: float | None) -> None:
+        if thread is not None:
+            thread.join(None if deadline is None else max(deadline - time.time(), 0.0))
+
+    def _stop_workers(self, deadline: float | None) -> None:
+        """Stop the in-process workers leasing; wait for their last jobs."""
         for lane in self._lanes.values():
-            if lane.thread is not None:
-                remaining = None if deadline is None else max(deadline - time.time(), 0.0)
-                lane.thread.join(timeout=remaining)
-        watcher = self._watcher
-        if watcher is not None:
-            remaining = None if deadline is None else max(deadline - time.time(), 0.0)
-            watcher.join(timeout=remaining)
+            if lane.worker is not None:
+                lane.worker.request_stop()
         for lane in self._lanes.values():
-            if lane.runner is not None and (lane.thread is None or not lane.thread.is_alive()):
-                lane.runner.close()
-        if self.broker is not None and (watcher is None or not watcher.is_alive()):
-            self.broker.close()
+            self._join(lane.thread, deadline)
 
     def __enter__(self) -> "SimulationService":
         return self.start()
@@ -345,65 +352,56 @@ class SimulationService:
     def drain(self, timeout: float | None = 30.0) -> int:
         """Gracefully wind down; returns the number of jobs parked.
 
-        Stops accepting, *parks* still-queued jobs (persists their
-        ``status: "queued"`` documents to the store so
-        :meth:`recover` on the next process re-adopts them), lets
-        running jobs finish, then closes.  In broker mode queued jobs
-        are first handed to the broker (the fleet is the durable queue)
-        and a queued marker is stored for each published job so a
-        restarted front end re-adopts the watch.
+        Stops accepting and stops the in-process workers leasing (their
+        running jobs finish), then *parks* every job still pending with
+        its broker: persists its ``status: "queued"`` document to the
+        store, so :meth:`recover` on the next process re-adopts it, and
+        stops following it.  With a shared broker the fleet keeps the
+        job and may run it meanwhile; the restarted front end picks up
+        its outcome.  Then closes, and parks whatever outlived the
+        ``timeout`` the same way.
         """
         self.begin_drain()
+        deadline = None if timeout is None else time.time() + timeout
+        self._stop_workers(deadline)
+        with self._lock:
+            queued = [job for job in self._live.values() if job.status is JobStatus.QUEUED]
         parked = 0
-        if self.broker is None:
-            for lane in self._lanes.values():
-                with lane.queue.mutex:
-                    pending = list(lane.queue.queue)
-                    lane.queue.queue.clear()
-                for job in pending:
-                    with self._lock:
-                        if job.status is not JobStatus.QUEUED:
-                            continue  # a cancel tombstone; already stored
-                    self.store.put(job.id, job.to_dict())
-                    with self._lock:
-                        self._live.pop(job.id, None)
-                    log_event(_LOG, logging.INFO, "job parked for restart",
-                              trace_id=job.trace_id, job=job.id)
-                    job.mark_done()
-                    parked += 1
-        else:
-            # Let the dispatchers hand everything queued to the broker —
-            # publishing is quick — then mark what the fleet now owns.
-            deadline = time.time() + min(timeout if timeout is not None else 5.0, 5.0)
-            while time.time() < deadline:
-                with self._lock:
-                    unpublished = any(
-                        job.status is JobStatus.QUEUED and job.id not in self._remote
-                        for job in self._live.values()
-                    )
-                if not unpublished:
-                    break
-                time.sleep(0.05)
+        for job in queued:
+            try:
+                if self._lanes[job.lane].broker.snapshot(job.id)["state"] != "pending":
+                    continue  # ran meanwhile: the watcher settles it
+            except Exception:  # noqa: BLE001 - unreadable broker: park, recover re-checks
+                pass
             with self._lock:
-                remote = list(self._remote.values())
-                self._remote.clear()  # the watcher stops following; exit fast
-            for job in remote:
-                # put_new: never clobber a result another front end (or
-                # our own watcher, racing) already finalized.
-                self.store.put_new(job.id, job.to_dict())
+                if job.status is not JobStatus.QUEUED or self._live.pop(job.id, None) is None:
+                    continue
+            # put_new: never clobber a result another front end already
+            # finalized.
+            self.store.put_new(job.id, job.to_dict())
+            log_event(_LOG, logging.INFO, "job parked for restart",
+                      trace_id=job.trace_id, job=job.id)
+            job.mark_done()
+            parked += 1
+        self.close(timeout=None if deadline is None else max(deadline - time.time(), 0.0))
+        # A job still running when the timeout lapsed gets a marker too;
+        # its result replaces the marker if it lands (see _settle).
+        with self._lock:
+            leftover = list(self._live.values())
+        for job in leftover:
+            if self.store.put_new(job.id, {**job.to_dict(), "status": "queued"}):
                 parked += 1
         if parked:
             log_event(_LOG, logging.INFO, "drain parked queued jobs", parked=parked)
-        self.close(timeout=timeout)
         return parked
 
     def recover(self) -> int:
         """Re-adopt jobs a drained predecessor parked in the store.
 
-        Scans the store for ``status == "queued"`` documents and
-        re-enqueues them (re-publishing to the broker when the fleet no
-        longer knows the job).  Returns the number adopted.  Recovered
-        jobs bypass the queue bound — they were admitted once already.
+        Scans the store for ``status == "queued"`` documents and follows
+        each again, publishing it anew when its broker no longer knows
+        the job.  Returns the number adopted.  Recovered jobs bypass the
+        queue bound — they were admitted once already.
         """
         adopted = 0
         for document in self.store.documents():
@@ -423,6 +421,11 @@ class SimulationService:
                           job=document.get("id"), error=repr(error))
                 continue
             job.lane = self._classify(job.requests)
+            try:
+                self._lanes[job.lane].broker.snapshot(job.id)
+                known = True  # the fleet still owns it
+            except Exception:  # noqa: BLE001 - unknown to the broker, or unreadable: publish again
+                known = False
             with self._lock:
                 if self._closed or self._draining:
                     break
@@ -431,18 +434,9 @@ class SimulationService:
                 self._live[job.id] = job
                 self.submitted += 1
                 self.recovered += 1
-            if self.broker is not None:
-                try:
-                    self.broker.snapshot(job.id)
-                except KeyError:
-                    self._lanes[job.lane].queue.put_nowait(job)  # republish
-                except Exception:  # noqa: BLE001 - transient broker IO: republish
-                    self._lanes[job.lane].queue.put_nowait(job)
-                else:
-                    with self._lock:
-                        self._remote[job.id] = job  # the fleet still owns it
-            else:
-                self._lanes[job.lane].queue.put_nowait(job)
+                published = known or self._publish(job)
+            if not published:
+                self._settle(job, JobStatus.FAILED)
             log_event(_LOG, logging.INFO, "parked job recovered",
                       trace_id=job.trace_id, job=job.id, lane=job.lane)
             adopted += 1
@@ -463,14 +457,15 @@ class SimulationService:
 
     def submit(self, requests: Sequence[RunRequest], batch: bool = True,
                trace_id: str | None = None, client: str | None = None) -> Job:
-        """Enqueue already-validated requests as one job.
+        """Publish already-validated requests as one job.
 
         ``trace_id`` adopts a caller-minted id (the ``X-Trace-Id``
         header / ``--trace-id`` flag); invalid or absent ids are
         replaced by a fresh one, never rejected.  ``client`` is the
         authenticated client identity quota accounting keys on; the
         quota (when configured) may raise
-        :class:`~repro.service.quota.RateLimitedError`.
+        :class:`~repro.service.quota.RateLimitedError`.  A job its
+        broker refuses is returned already failed.
         """
         job = Job(requests=list(requests), batch=batch,
                   trace_id=ensure_trace_id(trace_id))
@@ -479,11 +474,10 @@ class SimulationService:
         job.client = client
         job.lane = self._classify(job.requests)
         # The trace tree's root is minted at admission so every later
-        # span — lane queue, dispatch, broker ticket, worker execution —
-        # parents under one id.  None = the trace lost the sampling draw.
+        # span — lane queue, broker ticket, worker execution — parents
+        # under one id.  None = the trace lost the sampling draw.
         if get_tracer().sampled(job.trace_id):
             job.root_span = new_span_id()
-        lane = self._lanes[job.lane]
         with self._lock:
             if self._closed or self._draining:
                 raise ServiceClosedError(
@@ -500,13 +494,15 @@ class SimulationService:
                 live_jobs = sum(
                     1 for live in self._live.values() if live.client == client
                 )
-                # Raises RateLimitedError; nothing enqueued, no state to
+                # Raises RateLimitedError; nothing published, no state to
                 # unwind (the quota lock nests inside the service lock).
                 self.quota.admit(client or "anonymous", live_jobs)
-            lane.queue.put_nowait(job)
             self._live[job.id] = job
             self.submitted += 1
             depth += 1
+            # Under the lock, so every live job is published: cancel and
+            # the watcher never meet a job its broker has not seen.
+            published = self._publish(job)
         registry = get_metrics()
         registry.counter(
             "repro_service_submitted_total", "Jobs accepted into the queue.").inc()
@@ -517,11 +513,39 @@ class SimulationService:
         log_event(_LOG, logging.INFO, "job queued",
                   trace_id=job.trace_id, job=job.id, lane=job.lane,
                   client=client, requests=len(job.requests), queue_depth=depth)
+        if not published:
+            self._settle(job, JobStatus.FAILED)
         return job
+
+    def _publish(self, job: Job) -> bool:
+        """Hand ``job`` to its lane's broker; on failure record the error."""
+        lane = self._lanes[job.lane]
+        payload = {
+            "requests": [request.to_dict() for request in job.requests],
+            "batch": job.batch,
+            "trace_id": job.trace_id,
+        }
+        if job.root_span is not None:
+            # The executing worker adopts this context, so its spans
+            # parent under the front end's request root.
+            payload["span"] = {"trace_id": job.trace_id,
+                               "span_id": job.root_span, "sampled": True}
+        try:
+            lane.broker.publish(job.id, payload, max_attempts=lane.max_attempts)
+        except Exception as error:  # noqa: BLE001 - broker faults must not kill the service
+            message = str(error.args[0]) if error.args else str(error)
+            job.error = f"{type(error).__name__}: {message}"
+            job.finished = time.time()
+            log_event(_LOG, logging.ERROR, "publish failed",
+                      trace_id=job.trace_id, job=job.id, error=job.error)
+            return False
+        log_event(_LOG, logging.INFO, "job published",
+                  trace_id=job.trace_id, job=job.id)
+        return True
 
     def submit_payload(self, payload: Any, trace_id: str | None = None,
                        client: str | None = None) -> Job:
-        """Parse a wire submission (object or list) and enqueue it."""
+        """Parse a wire submission (object or list) and publish it."""
         requests, batch = parse_submission(payload)
         return self.submit(requests, batch=batch, trace_id=trace_id, client=client)
 
@@ -573,13 +597,9 @@ class SimulationService:
         seen and :class:`CancelConflictError` when the job is already
         running or terminal — running batches execute to completion (the
         worker pool has no safe preemption point), so callers decide
-        between waiting and abandoning the result.  The cancelled job
-        stays in the queue as a tombstone; the dispatcher skips it.
-
-        In broker mode a job already *published* cancels only while no
-        worker holds a lease on it: the broker's pending-ticket removal
-        is the atomic arbiter, so a cancel can never race a worker into
-        executing a cancelled job.
+        between waiting and abandoning the result.  The broker's
+        pending-ticket removal is the atomic arbiter, so a cancel can
+        never race a worker into executing a cancelled job.
         """
         with self._lock:
             job = self._live.get(job_id)
@@ -594,14 +614,12 @@ class SimulationService:
                 raise CancelConflictError(
                     f"job {job_id} is {job.status.value} and cannot be cancelled"
                 )
-            published = job.id in self._remote
-        if published:
-            # Outside the lock: the broker does IO.  A concurrent lease
-            # simply makes cancel() return False here.
-            if not self.broker.cancel(job.id):
-                raise CancelConflictError(
-                    f"job {job_id} is already leased by a worker and cannot be cancelled"
-                )
+        # Outside the lock: the broker may do IO.  A concurrent lease
+        # simply makes cancel() return False here.
+        if not self._lanes[job.lane].broker.cancel(job.id):
+            raise CancelConflictError(
+                f"job {job_id} is already leased by a worker and cannot be cancelled"
+            )
         with self._lock:
             if job.status is not JobStatus.QUEUED:
                 # The watcher raced us to a terminal state after the
@@ -613,17 +631,6 @@ class SimulationService:
             job.finished = time.time()
         log_event(_LOG, logging.INFO, "job cancelled",
                   trace_id=job.trace_id, job=job.id)
-        # Drop the tombstone from the channel too: without this, a client
-        # looping submit/cancel while the dispatcher is busy would grow
-        # the (unbounded) channel without limit.  If the dispatcher
-        # already popped the job, remove() misses and the status check in
-        # _execute is the race guard.
-        lane_queue = self._lanes[job.lane].queue
-        with lane_queue.mutex:
-            try:
-                lane_queue.queue.remove(job)
-            except ValueError:
-                pass
         self._settle(job, JobStatus.CANCELLED)
         return job.to_dict()
 
@@ -644,7 +651,9 @@ class SimulationService:
     # ------------------------------------------------------------------
 
     def _dispatchers_running(self) -> bool:
-        threads = [lane.thread for lane in self._lanes.values()]
+        threads = [self._watcher] + [
+            lane.thread for lane in self._lanes.values() if lane.worker is not None
+        ]
         return all(thread is not None and thread.is_alive() for thread in threads)
 
     @property
@@ -671,27 +680,25 @@ class SimulationService:
             submitted, completed, failed = self.submitted, self.completed, self.failed
             cancelled = self.cancelled
             lane_rows = {
-                lane.name: (lane.executed, lane.busy_seconds, lane.busy_since)
+                lane.name: (lane.executed, lane.busy_seconds)
                 for lane in self._lanes.values()
             }
         uptime = max(now - self._started_at, 1e-9)
         busy_total = 0.0
         any_busy = False
         lanes: dict[str, Any] = {}
-        for name, (executed, busy, busy_since) in lane_rows.items():
-            if busy_since is not None:
-                busy += now - busy_since
-                any_busy = True
+        for name, (executed, busy) in lane_rows.items():
+            running = [job for job in live
+                       if job.lane == name and job.status is JobStatus.RUNNING]
+            busy += sum(now - job.started for job in running if job.started is not None)
+            any_busy = any_busy or bool(running)
             busy_total += busy
             lanes[name] = {
                 "depth": sum(
                     1 for job in live
                     if job.lane == name and job.status is JobStatus.QUEUED
                 ),
-                "running": sum(
-                    1 for job in live
-                    if job.lane == name and job.status is JobStatus.RUNNING
-                ),
+                "running": len(running),
                 "executed": executed,
                 "utilization": min(busy / uptime, 1.0),
             }
@@ -743,10 +750,11 @@ class SimulationService:
         """The Prometheus exposition served by ``GET /v1/metrics``.
 
         Scrape-time gauges (queue depth, running jobs, lane depths,
-        fleet liveness) are refreshed here; in broker mode the latest
-        per-worker metric snapshots shipped over heartbeats are folded
-        in, so one scrape of the front end covers runner/cache/pool
-        series from the whole fleet.
+        worker liveness) are refreshed here, and the latest per-worker
+        metric snapshots shipped over heartbeats are folded in, so one
+        scrape of the front end covers runner/cache/pool series from the
+        whole fleet.  In-process workers ship none: they already count
+        into this process' registry.
         """
         registry = get_metrics()
         with self._lock:
@@ -766,225 +774,51 @@ class SimulationService:
                     if job.lane == name and job.status is JobStatus.QUEUED),
                 lane=name,
             )
-        extra: list[dict] = []
-        if self.broker is not None:
-            try:
-                workers = self.broker.workers()
-            except Exception as error:  # noqa: BLE001 - scrape must not 500 on broker IO
-                _obs_errors().inc(component="service.metrics")
-                log_event(_LOG, logging.WARNING,
-                          "worker registry unavailable for scrape",
-                          error=repr(error))
-            else:
-                registry.gauge(
-                    "repro_fleet_workers_alive",
-                    "Fleet workers with a fresh heartbeat.",
-                ).set(len(workers))
-                for record in workers:
-                    snapshot = record.get("metrics")
-                    if snapshot:
-                        extra.append(snapshot)
+        workers: list[dict] = []
+        try:
+            for broker in self._brokers():
+                workers.extend(broker.workers())
+        except Exception as error:  # noqa: BLE001 - scrape must not 500 on broker IO
+            _obs_errors().inc(component="service.metrics")
+            log_event(_LOG, logging.WARNING,
+                      "worker registry unavailable for scrape",
+                      error=repr(error))
+        else:
+            registry.gauge(
+                "repro_fleet_workers_alive",
+                "Fleet workers with a fresh heartbeat.",
+            ).set(len(workers))
+        extra = [record["metrics"] for record in workers if record.get("metrics")]
         return registry.render_prometheus(extra)
 
     # ------------------------------------------------------------------
-    # Dispatcher
+    # Watcher and settlement
     # ------------------------------------------------------------------
-
-    def _drain_lane(self, lane: _Lane) -> None:
-        try:
-            while True:
-                try:
-                    job = lane.queue.get(timeout=_DRAIN_POLL_SECONDS)
-                except queue.Empty:
-                    if self._stop.is_set():
-                        return
-                    continue
-                if self.broker is not None:
-                    self._publish(job)
-                else:
-                    self._execute(job, lane)
-        finally:
-            if self._stop.is_set() and lane.runner is not None:
-                # close() may already have returned (join timeout expired
-                # mid-job): last one out shuts the pool.  Runner.close is
-                # idempotent, so racing close() here is harmless.
-                lane.runner.close()
-
-    def _execute(self, job: Job, lane: _Lane) -> None:
-        registry = get_metrics()
-        with self._lock:
-            if job.status is not JobStatus.QUEUED:
-                return  # cancelled while queued: the tombstone is skipped
-            job.status = JobStatus.RUNNING
-            job.started = time.time()
-            lane.busy_since = job.started
-        registry.histogram(
-            "repro_service_queue_wait_seconds",
-            "Time a job spent queued before execution started.",
-        ).observe(job.started - job.created)
-        context = (None if job.root_span is None else
-                   {"trace_id": job.trace_id, "span_id": job.root_span,
-                    "sampled": True})
-        with bind_trace_id(job.trace_id):
-            log_event(_LOG, logging.INFO, "job started", job=job.id,
-                      lane=lane.name, requests=len(job.requests))
-            try:
-                with bind_span_context(context):
-                    with span("service.dispatch", lane=lane.name,
-                              job=job.id, proc="serve"):
-                        results = lane.runner.run_batch(job.requests)
-                job.results = [
-                    suite_payload(request, result)
-                    for request, result in zip(job.requests, results)
-                ]
-                outcome = JobStatus.DONE
-            except Exception as error:  # noqa: BLE001 - job faults must not kill the service
-                message = str(error.args[0]) if error.args else str(error)
-                job.error = f"{type(error).__name__}: {message}"
-                outcome = JobStatus.FAILED
-            job.finished = time.time()
-            if outcome is JobStatus.DONE:
-                log_event(_LOG, logging.INFO, "job done", job=job.id,
-                          seconds=round(job.finished - job.started, 6))
-            else:
-                log_event(_LOG, logging.WARNING, "job failed", job=job.id,
-                          error=job.error)
-        with self._lock:
-            lane.busy_seconds += job.finished - (lane.busy_since or job.finished)
-            lane.busy_since = None
-            lane.executed += 1
-        self._settle(job, outcome)
-
-    def _settle(self, job: Job, outcome: JobStatus, shipped=None) -> None:
-        """The one terminal hand-off every finished job goes through.
-
-        Counts the outcome, samples the job latency and files the
-        request's spans (``shipped`` are spans a fleet worker sent back)
-        — except for cancelled jobs, which keep neither — then publishes
-        ``outcome`` on the job, stores its document and unlists it.
-        Spans land before the document turns terminal, so a poller that
-        sees "done" can immediately fetch the trace; the store write
-        lands before unlisting, so :meth:`job` never sees a gap.
-        """
-        with self._lock:
-            if outcome is JobStatus.DONE:
-                self.completed += 1
-            elif outcome is JobStatus.FAILED:
-                self.failed += 1
-            else:
-                self.cancelled += 1
-        _job_counter().inc(status=outcome.value)
-        if outcome is not JobStatus.CANCELLED:
-            get_metrics().histogram(
-                "repro_service_job_seconds",
-                "Submit-to-terminal latency of one job.",
-            ).observe(job.finished - job.created)
-            self._record_request_spans(job, outcome, shipped)
-        job.status = outcome
-        # put_new keeps the first copy when several front ends share one
-        # disk store — unless the existing copy is a drain marker (status
-        # "queued"), which a real terminal document must replace.
-        if not self.store.put_new(job.id, job.to_dict()):
-            existing = self.store.get(job.id)
-            if existing is not None and existing.get("status") == "queued":
-                self.store.put(job.id, job.to_dict())
-        with self._lock:
-            self._live.pop(job.id, None)
-            self._remote.pop(job.id, None)
-        job.mark_done()
-
-    def _record_request_spans(self, job: Job, outcome: JobStatus, shipped=None) -> None:
-        """Synthesize the request-level spans and file everything by trace.
-
-        The root (``service.request``) and lane-queue spans are built
-        from the job's own timestamps — the queue wait has no natural
-        ``with`` block, submission and dispatch happen on different
-        threads — then the process recorder is drained so runner/pool
-        spans recorded during dispatch land in the span store alongside
-        ``shipped`` spans a fleet worker sent back with its completion.
-        ``outcome`` is the terminal status, not yet published on the job
-        (spans are stored before the document turns terminal so trace
-        queries never race the status flip).
-        """
-        if shipped:
-            self.spans.ingest(shipped)
-        if job.root_span is not None:
-            finished = job.finished or time.time()
-            synthesized = [make_span(
-                job.trace_id, job.root_span, None, "service.request",
-                job.created, max(0.0, finished - job.created),
-                status="ok" if outcome is JobStatus.DONE else "error",
-                attrs={"job": job.id, "lane": job.lane, "proc": "serve"})]
-            if job.started is not None:
-                synthesized.append(make_span(
-                    job.trace_id, new_span_id(), job.root_span,
-                    "service.queue", job.created,
-                    max(0.0, job.started - job.created),
-                    attrs={"lane": job.lane, "proc": "serve"}))
-            self.spans.ingest(synthesized)
-        self.spans.ingest(get_tracer().drain())
-
-    # ------------------------------------------------------------------
-    # Broker dispatch (publish + watch)
-    # ------------------------------------------------------------------
-
-    def _publish(self, job: Job) -> None:
-        """Hand one job to the fleet; it stays QUEUED until leased."""
-        with self._lock:
-            if job.status is not JobStatus.QUEUED:
-                return  # cancelled while queued: the tombstone is skipped
-            self._remote[job.id] = job
-        payload = {
-            "requests": [request.to_dict() for request in job.requests],
-            "batch": job.batch,
-            "trace_id": job.trace_id,
-        }
-        if job.root_span is not None:
-            # The executing worker adopts this context, so its spans
-            # parent under the front end's request root.
-            payload["span"] = {"trace_id": job.trace_id,
-                               "span_id": job.root_span, "sampled": True}
-        try:
-            self.broker.publish(job.id, payload)
-            log_event(_LOG, logging.INFO, "job published",
-                      trace_id=job.trace_id, job=job.id)
-        except Exception as error:  # noqa: BLE001 - broker faults must not kill the service
-            message = str(error.args[0]) if error.args else str(error)
-            log_event(_LOG, logging.ERROR, "publish failed",
-                      trace_id=job.trace_id, job=job.id,
-                      error=f"{type(error).__name__}: {message}")
-            with self._lock:
-                if job.status is not JobStatus.QUEUED:
-                    return
-                job.error = f"{type(error).__name__}: {message}"
-                job.finished = time.time()
-            self._settle(job, JobStatus.FAILED)
 
     def _watch(self) -> None:
-        """Follow published jobs through the broker until terminal.
+        """Follow published jobs through their brokers until terminal.
 
         The watcher is also the deployment's reaper of last resort: it
         re-queues expired leases every tick, so jobs survive even when
         every worker has died (they execute once a worker returns).
+        After :meth:`close` it keeps following live jobs until none
+        remain (``close`` bounds the wait).
         """
         while True:
+            self._wake.clear()
             with self._lock:
-                remote = list(self._remote.values())
-            if remote:
-                try:
-                    self.broker.reap()
-                except Exception as error:  # noqa: BLE001 - transient broker IO: retry next tick
-                    _obs_errors().inc(component="service.watcher")
-                    log_event(_LOG, logging.WARNING, "broker reap failed",
-                              error=repr(error))
-                for job in remote:
+                live = list(self._live.values())
+            if live:
+                for broker in self._brokers():
                     try:
-                        snapshot = self.broker.snapshot(job.id)
-                    except KeyError:
-                        # Publish is still in flight (the dispatcher has
-                        # the job but the broker write hasn't landed) —
-                        # expected, retried next tick.
-                        continue
+                        broker.reap()
+                    except Exception as error:  # noqa: BLE001 - transient IO: retry next tick
+                        _obs_errors().inc(component="service.watcher")
+                        log_event(_LOG, logging.WARNING, "broker reap failed",
+                                  error=repr(error))
+                for job in live:
+                    try:
+                        snapshot = self._lanes[job.lane].broker.snapshot(job.id)
                     except Exception as error:  # noqa: BLE001 - transient broker IO
                         _obs_errors().inc(component="service.watcher")
                         log_event(_LOG, logging.WARNING,
@@ -993,19 +827,16 @@ class SimulationService:
                                   error=repr(error))
                         continue
                     self._observe(job, snapshot)
-            if self._stop.wait(self.broker_poll):
-                # Graceful drain: keep following already-published jobs;
-                # exit once none remain (close() bounds the wait).
-                with self._lock:
-                    if not self._remote:
-                        return
+            self._wake.wait(self.broker_poll)
+            with self._lock:
+                if self._closed and not self._live:
+                    return
 
     def _observe(self, job: Job, snapshot: dict[str, Any]) -> None:
         """Fold the broker's view of one published job into its document."""
         state = snapshot["state"]
         outcome: JobStatus | None = None
         event: tuple[int, str, dict] | None = None
-        registry = get_metrics()
         with self._lock:
             if job.status.terminal:
                 return
@@ -1013,16 +844,21 @@ class SimulationService:
                 job.attempts = snapshot["attempts"]
             if snapshot.get("worker") is not None:
                 job.worker = snapshot["worker"]
-            if state == "leased" and job.status is JobStatus.QUEUED:
-                job.status = JobStatus.RUNNING
-                job.started = time.time()
-                event = (logging.INFO, "job leased",
-                         {"worker": job.worker, "attempt": job.attempts})
-                registry.histogram(
+            leased = state == "leased" and job.status is JobStatus.QUEUED
+            # A job that ran between two looks is first seen finished;
+            # its delivery start then comes from the snapshot, if known.
+            started = snapshot.get("started") or (time.time() if leased else None)
+            if started is not None and (leased or job.started is None):
+                job.started = started
+                get_metrics().histogram(
                     "repro_service_queue_wait_seconds",
                     "Time a job spent queued before execution started.",
                 ).observe(job.started - job.created)
-            elif state in _REMOTE_QUEUED and job.status is JobStatus.RUNNING:
+            if leased:
+                job.status = JobStatus.RUNNING
+                event = (logging.INFO, "job leased",
+                         {"worker": job.worker, "attempt": job.attempts})
+            elif state == "pending" and job.status is JobStatus.RUNNING:
                 # The lease expired: the job is pending re-delivery.
                 job.status = JobStatus.QUEUED
                 event = (logging.WARNING, "lease expired; job re-queued",
@@ -1047,3 +883,75 @@ class SimulationService:
                       trace_id=job.trace_id, job=job.id, **fields)
         if outcome is not None:
             self._settle(job, outcome, shipped=snapshot.get("spans"))
+
+    def _settle(self, job: Job, outcome: JobStatus, shipped=None) -> None:
+        """The one terminal hand-off every finished job goes through.
+
+        Counts the outcome, samples the job latency and files the
+        request's spans (``shipped`` are spans the worker sent back)
+        — except for cancelled jobs, which keep neither — then publishes
+        ``outcome`` on the job, stores its document and unlists it.
+        Spans land before the document turns terminal, so a poller that
+        sees "done" can immediately fetch the trace; the store write
+        lands before unlisting, so :meth:`job` never sees a gap.
+        """
+        with self._lock:
+            if outcome is JobStatus.DONE:
+                self.completed += 1
+            elif outcome is JobStatus.FAILED:
+                self.failed += 1
+            else:
+                self.cancelled += 1
+            if job.started is not None and outcome is not JobStatus.CANCELLED:
+                lane = self._lanes[job.lane]
+                lane.executed += 1
+                lane.busy_seconds += max((job.finished or time.time()) - job.started, 0.0)
+        _job_counter().inc(status=outcome.value)
+        if outcome is not JobStatus.CANCELLED:
+            get_metrics().histogram(
+                "repro_service_job_seconds",
+                "Submit-to-terminal latency of one job.",
+            ).observe(job.finished - job.created)
+            self._record_request_spans(job, outcome, shipped)
+        job.status = outcome
+        # put_new keeps the first copy when several front ends share one
+        # disk store — unless the existing copy is a drain marker (status
+        # "queued"), which a real terminal document must replace.
+        if not self.store.put_new(job.id, job.to_dict()):
+            existing = self.store.get(job.id)
+            if existing is not None and existing.get("status") == "queued":
+                self.store.put(job.id, job.to_dict())
+        with self._lock:
+            self._live.pop(job.id, None)
+        job.mark_done()
+
+    def _record_request_spans(self, job: Job, outcome: JobStatus, shipped=None) -> None:
+        """Synthesize the request-level spans and file everything by trace.
+
+        The root (``service.request``) and lane-queue spans are built
+        from the job's own timestamps — the queue wait has no natural
+        ``with`` block, submission and execution happen on different
+        threads — then the process recorder is drained so spans an
+        in-process worker left behind land in the span store alongside
+        ``shipped`` spans the worker sent back with its completion.
+        ``outcome`` is the terminal status, not yet published on the job
+        (spans are stored before the document turns terminal so trace
+        queries never race the status flip).
+        """
+        if shipped:
+            self.spans.ingest(shipped)
+        if job.root_span is not None:
+            finished = job.finished or time.time()
+            synthesized = [make_span(
+                job.trace_id, job.root_span, None, "service.request",
+                job.created, max(0.0, finished - job.created),
+                status="ok" if outcome is JobStatus.DONE else "error",
+                attrs={"job": job.id, "lane": job.lane, "proc": "serve"})]
+            if job.started is not None:
+                synthesized.append(make_span(
+                    job.trace_id, new_span_id(), job.root_span,
+                    "service.queue", job.created,
+                    max(0.0, job.started - job.created),
+                    attrs={"lane": job.lane, "proc": "serve"}))
+            self.spans.ingest(synthesized)
+        self.spans.ingest(get_tracer().drain())

@@ -110,7 +110,7 @@ class Job:
     #: client's ``X-Trace-Id`` header / ``--trace-id`` flag).
     trace_id: str = field(default_factory=new_trace_id)
     #: Authenticated client identity (quota accounting) and the lane the
-    #: dispatcher routed the job to.  Deliberately NOT part of
+    #: job was routed to.  Deliberately NOT part of
     #: :meth:`to_dict`: job documents stay byte-identical whether auth
     #: and lanes are configured or not.
     client: str | None = field(default=None, compare=False)
@@ -131,7 +131,7 @@ class Job:
 
         Call sites guarantee the terminal state (and the store copy) are
         already visible.  Callbacks must not raise; a failed bridge into
-        a dead event loop must not take the dispatcher thread with it.
+        a dead event loop must not take the watcher thread with it.
         """
         self.done_event.set()
         for callback in self.done_callbacks:

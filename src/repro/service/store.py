@@ -11,8 +11,8 @@ once a job reaches a terminal state its document moves into a
   so documents survive restarts and a crashed writer never leaves a
   half-written file for readers.
 
-Both are safe to call from the dispatcher thread and HTTP handler
-threads concurrently.
+Both are safe to call from the service's watcher thread and HTTP
+handler threads concurrently.
 """
 
 from __future__ import annotations

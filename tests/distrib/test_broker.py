@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import threading
 
 import pytest
 
@@ -132,8 +133,42 @@ def test_file_broker_state_is_shared_between_instances(tmp_path):
     assert front.snapshot("job-1")["results"] == ["ok"]
 
 
+def test_memory_broker_forgets_the_oldest_terminal_jobs(monkeypatch):
+    """A long-running local service must not keep every finished job."""
+    monkeypatch.setattr("repro.distrib.memory.TERMINAL_ENTRIES", 2)
+    broker = MemoryBroker()
+    for index in range(3):
+        broker.publish(f"job-{index}", {})
+        broker.lease("w1")
+        broker.complete(f"job-{index}", "w1", [index])
+    with pytest.raises(UnknownBrokerJobError):
+        broker.snapshot("job-0")
+    assert [broker.snapshot(f"job-{index}")["results"] for index in (1, 2)] == [[1], [2]]
+
+
+def test_memory_broker_wakes_listeners_on_every_change():
+    broker = MemoryBroker()
+    event = threading.Event()
+    broker.listen(event)
+    for change in (lambda: broker.publish("job-1", {}), lambda: broker.cancel("job-1"),
+                   lambda: broker.publish("job-2", {}), lambda: broker.lease("w1"),
+                   lambda: broker.complete("job-2", "w1", ["ok"]),
+                   lambda: broker.publish("job-3", {}), lambda: broker.lease("w1"),
+                   lambda: broker.fail("job-3", "w1", "boom")):
+        event.clear()
+        change()
+        assert event.is_set()
+    event.clear()
+    assert broker.lease("w1") is None  # an empty lease changes nothing
+    assert not event.is_set()
+
+
 def test_connect_broker_specs(tmp_path):
-    assert isinstance(connect_broker("memory"), MemoryBroker)
+    # An in-process broker cannot be shared between processes: plain
+    # ``repro serve`` is the in-process mode.
+    for spec in ("memory", "memory:"):
+        with pytest.raises(ValueError, match="plain 'repro serve'"):
+            connect_broker(spec)
     file_broker = connect_broker(str(tmp_path / "b"), visibility=7.0)
     assert isinstance(file_broker, FileBroker)
     assert file_broker.visibility == 7.0

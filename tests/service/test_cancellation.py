@@ -71,12 +71,12 @@ class TestCoreCancel:
             with pytest.raises(QueueFullError):
                 service.submit([RunRequest("gshare", REF)])
             service.cancel(first.id)
-            # The tombstone leaves the channel too: cancelled jobs must
-            # not accumulate there while the dispatcher is busy.
-            assert sum(lane.queue.qsize() for lane in service._lanes.values()) == 1
+            # The cancel removes the broker's pending ticket too: cancelled
+            # jobs must not accumulate there while the worker is busy.
+            assert sum(lane.broker.counts()["pending"] for lane in service._lanes.values()) == 1
             replacement = service.submit([RunRequest("gshare", REF)])  # no 503
             assert service.stats()["queue"]["depth"] == 2
-            assert sum(lane.queue.qsize() for lane in service._lanes.values()) == 2
+            assert sum(lane.broker.counts()["pending"] for lane in service._lanes.values()) == 2
             assert replacement.status is JobStatus.QUEUED
         finally:
             service.close()

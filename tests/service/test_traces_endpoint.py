@@ -72,12 +72,13 @@ class TestTracesEndpoint:
         assert root["span"]["parent_id"] is None
         assert root["span"]["attrs"]["job"] == document["id"]
         children = {child["span"]["name"] for child in root["children"]}
-        # Queue wait and dispatch both hang off the request root...
-        assert {"service.queue", "service.dispatch"} <= children
-        dispatch = next(child for child in root["children"]
-                        if child["span"]["name"] == "service.dispatch")
-        # ...and the runner's own spans nest under the dispatch.
-        assert {node["span"]["name"] for node in dispatch["children"]} \
+        # Queue wait and the lane worker's execution both hang off the
+        # request root...
+        assert {"service.queue", "worker.execute"} <= children
+        execute = next(child for child in root["children"]
+                       if child["span"]["name"] == "worker.execute")
+        # ...and the runner's own spans nest under the execution.
+        assert {node["span"]["name"] for node in execute["children"]} \
             >= {"runner.batch"}
         assert {record["trace_id"] for record in trace["spans"]} == {trace_id}
 
