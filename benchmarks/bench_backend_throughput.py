@@ -1,11 +1,12 @@
-"""Backend throughput: numpy batch kernels vs the per-branch interp loop.
+"""Backend throughput: batched kernels vs the per-branch interp loop.
 
 Fig9-style configuration sweeps (table sizes across the gshare/bimodal
 families, row/entry counts across the perceptron/GEHL families) over one
-trace, a TAGE stream-pipeline group, and a fig10-style suite run where
-one ``run_tasks`` call spans every trace — the two batch axes the
-``numpy`` backend stacks: derive each trace's history streams once from
-its columns, then run every (configuration, trace) lane off them.
+trace and a fig10-style suite run where one ``run_tasks`` call spans
+every trace — the two batch axes the ``numpy`` backend stacks: derive
+each trace's history streams once from its columns, then run every
+(configuration, trace) lane off them — plus a TAGE group on the
+``native`` C kernel.
 Parity is asserted bit for bit before any timing claim; the measured
 speedup is recorded in the benchmark JSON ``extra_info`` (and so lands in
 the CI ``BENCH_*.json`` artifacts).
@@ -51,7 +52,7 @@ NEURAL_SPECS = [
     for n in range(7, 13)
 ]
 
-#: The TAGE group: the reference configuration plus a generated variant.
+#: The TAGE group (native kernel): the reference configuration plus a generated variant.
 TAGE_SPECS = [
     PredictorSpec("tage"),
     PredictorSpec(
@@ -73,9 +74,11 @@ def _sweep_trace():
     )
 
 
-def _record_tasks(benchmark, tasks, scenario, config, minimum_speedup, label):
+def _record_tasks(benchmark, tasks, scenario, config, minimum_speedup, label,
+                  backend_name="numpy"):
     """Time the interp loop vs one batched ``run_tasks`` call over ``tasks``."""
-    backend = get_backend("numpy")
+    backend = get_backend(backend_name)
+    assert all(backend.supports(spec, scenario, config) for spec, _ in tasks)
     start = time.perf_counter()
     interp_results = [
         SimulationEngine(spec.build(), scenario, config).run(trace) for spec, trace in tasks
@@ -84,23 +87,23 @@ def _record_tasks(benchmark, tasks, scenario, config, minimum_speedup, label):
 
     start = time.perf_counter()
     batched = backend.run_tasks(tasks, scenario, config)
-    numpy_seconds = time.perf_counter() - start
+    kernel_seconds = time.perf_counter() - start
     assert batched == interp_results  # parity before any speed claim
 
-    speedup = interp_seconds / numpy_seconds
+    speedup = interp_seconds / kernel_seconds
     branches = sum(len(trace) for _, trace in tasks)
     benchmark.extra_info["configs"] = len(tasks)
     benchmark.extra_info["branches"] = branches
     benchmark.extra_info["interp_seconds"] = round(interp_seconds, 4)
-    benchmark.extra_info["numpy_seconds"] = round(numpy_seconds, 4)
+    benchmark.extra_info[f"{backend_name}_seconds"] = round(kernel_seconds, 4)
     benchmark.extra_info["speedup"] = round(speedup, 2)
     print(
         f"\n{scenario.label} {label} of {len(tasks)} lanes / {branches} branches: "
-        f"interp {interp_seconds:.3f}s, numpy {numpy_seconds:.3f}s, {speedup:.1f}x"
+        f"interp {interp_seconds:.3f}s, {backend_name} {kernel_seconds:.3f}s, {speedup:.1f}x"
     )
     run_once(benchmark, lambda: backend.run_tasks(tasks, scenario, config))
     assert speedup >= minimum_speedup, (
-        f"numpy backend only {speedup:.2f}x over the per-branch loop "
+        f"{backend_name} backend only {speedup:.2f}x over the per-branch loop "
         f"(expected >= {minimum_speedup}x on a {len(tasks)}-lane {label})"
     )
 
@@ -138,16 +141,15 @@ def test_bench_backend_neural_delayed(benchmark):
             BENCH_PIPELINE, minimum_speedup=3.0, specs=NEURAL_SPECS)
 
 
-def test_bench_backend_tage_streams(benchmark):
-    """TAGE through the folded-stream pipeline.
+def test_bench_backend_tage_native(benchmark):
+    """TAGE on the native C kernel vs the interp engine (>= 10x).
 
-    The win is narrower than the pure-kernel families — allocation and
-    provider selection stay on the real predictor — so the assert is
-    conservative: the precomputed index/tag streams must still beat the
-    per-branch fold bookkeeping.
+    The kernel runs the whole simulation in C — about 70x the interp loop
+    on this group — so the gate leaves a wide margin for a busy host.
     """
-    _record(benchmark, _sweep_trace(), UpdateScenario.IMMEDIATE, PipelineConfig(),
-            minimum_speedup=1.3, specs=TAGE_SPECS)
+    tasks = [(spec, _sweep_trace()) for spec in TAGE_SPECS]
+    _record_tasks(benchmark, tasks, UpdateScenario.IMMEDIATE, PipelineConfig(),
+                  minimum_speedup=10.0, label="sweep", backend_name="native")
 
 
 def test_bench_backend_multi_trace_batch(benchmark):

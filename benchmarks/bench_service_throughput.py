@@ -38,6 +38,10 @@ from repro.service import ServiceClient, SimulationService, make_server
 #: (not the serial fallback) executes it.
 ROUNDS = 8
 _POOL_WORKERS = 2
+#: The architecture under test is the interpreter's worker pool: the
+#: default route runs gshare/bimodal in-process on the native kernel and
+#: never reaches the pool, so every runner here selects ``interp``.
+_BACKEND = "interp"
 
 
 def _requests(round_index: int) -> list[RunRequest]:
@@ -77,8 +81,8 @@ def _drive(runner_factory) -> list[float]:
 
 def test_bench_cold_vs_persistent_pool(benchmark):
     def measure():
-        cold = _drive(lambda: Runner(RunnerConfig(workers=_POOL_WORKERS)))
-        warm_runner = Runner(RunnerConfig(workers=_POOL_WORKERS), persistent=True)
+        cold = _drive(lambda: Runner(RunnerConfig(workers=_POOL_WORKERS, backend=_BACKEND)))
+        warm_runner = Runner(RunnerConfig(workers=_POOL_WORKERS, backend=_BACKEND), persistent=True)
         with warm_runner:
             warm = []
             for round_index in range(ROUNDS):
@@ -106,7 +110,7 @@ def test_bench_cold_vs_persistent_pool(benchmark):
 
 def test_bench_http_service_latency(benchmark):
     service = SimulationService(
-        runner=Runner(RunnerConfig(workers=_POOL_WORKERS), persistent=True)
+        runner=Runner(RunnerConfig(workers=_POOL_WORKERS, backend=_BACKEND), persistent=True)
     ).start()
     server = make_server(service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -233,14 +237,14 @@ def test_bench_mixed_load_lanes_vs_single_lane(benchmark):
         # Baseline: one ``default`` dispatch lane — every interactive
         # submission queues behind the monopolising batch.
         single, single_stats = _serve_mixed_load(SimulationService(
-            runner=Runner(RunnerConfig(workers=1), persistent=True),
+            runner=Runner(RunnerConfig(workers=1, backend=_BACKEND), persistent=True),
             queue_size=256,
         ))
         # Contender: priority lanes — tiny jobs take the interactive lane
         # and never see the batch.
         lanes, lane_stats = _serve_mixed_load(SimulationService(
-            runner=Runner(RunnerConfig(workers=1), persistent=True),
-            interactive_runner=Runner(RunnerConfig(workers=1), persistent=True),
+            runner=Runner(RunnerConfig(workers=1, backend=_BACKEND), persistent=True),
+            interactive_runner=Runner(RunnerConfig(workers=1, backend=_BACKEND), persistent=True),
             small_job_branches=_LANE_THRESHOLD,
             queue_size=256,
         ))

@@ -49,6 +49,7 @@ from repro.api.experiments import available_experiments, find_experiment
 from repro.api.request import RunRequest
 from repro.api.results import suite_payload
 from repro.api.runner import Runner, using_runner
+from repro.backends import live_backends
 from repro.obs import (
     JsonFormatter,
     bind_trace_id,
@@ -122,8 +123,9 @@ def _add_runner_options(parser: argparse.ArgumentParser) -> None:
                        help="size bound for the result cache (LRU eviction); "
                             "default: REPRO_SUITE_CACHE_MAX_MB")
     group.add_argument("--backend", type=_parse_backend, default=None, metavar="NAME",
-                       help="execution backend (interp or numpy; bit-identical "
-                            "results, numpy batches supported predictor sweeps); "
+                       help="execution backend (interp, numpy or native; bit-identical "
+                            "results; unset runs native where it loads and supports "
+                            "the spec, interp otherwise); "
                             "overrides REPRO_SUITE_BACKEND and request backends")
 
 
@@ -458,8 +460,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_list(args: argparse.Namespace) -> int:
     if args.what == "predictors":
+        live = set(live_backends())
         rows = [
-            [kind, ", ".join(sorted(backend_support(kind))), description]
+            [kind, ", ".join(sorted(backend_support(kind) & live)), description]
             for kind, description in describe()
         ]
         if args.json:

@@ -31,9 +31,11 @@ Environment variables (read by :meth:`RunnerConfig.from_env`):
     shard count).  ``off`` disables auto-sharding; unset keeps the
     default (:data:`DEFAULT_AUTO_SHARD_BRANCHES`).
 ``REPRO_SUITE_BACKEND``
-    Execution backend (:mod:`repro.backends`): ``interp`` (default) or
-    ``numpy``.  A per-request ``backend`` overrides this; the CLI
-    ``--backend`` flag overrides both (env < request < CLI).
+    Execution backend (:mod:`repro.backends`): ``interp`` (the
+    pure-Python reference), ``numpy`` or ``native``.  Unset, each task
+    runs on the native C kernel when it loads and supports the spec, on
+    the interpreter otherwise.  A per-request ``backend`` overrides this;
+    the CLI ``--backend`` flag overrides both (env < request < CLI).
 ``REPRO_LOG`` / ``REPRO_LOG_JSON``
     Structured-logging level (``debug``/``info``/``warning``/``error``/
     ``critical``; default ``warning``) and JSON-lines mode for the
@@ -193,7 +195,8 @@ class RunnerConfig:
         always wins over this default.
     backend:
         Execution backend name (:mod:`repro.backends`); ``None`` means
-        the default interpreter.  Results are bit-identical whichever
+        the default route (native where supported, else the
+        interpreter).  Results are bit-identical whichever
         backend runs them — this is purely a throughput knob.
     backend_forced:
         When true the config's backend overrides even per-request

@@ -84,10 +84,12 @@ class RunRequest:
         must not be sharded again.
     backend:
         Optional execution-backend name (:mod:`repro.backends`,
-        e.g. ``"numpy"``).  Purely a throughput hint: results are
-        bit-identical across backends and unsupported combinations fall
-        back to the interpreter.  Overrides the runner's environment
-        default; the CLI ``--backend`` flag overrides both.
+        e.g. ``"numpy"``; ``"interp"`` pins the pure-Python reference).
+        Purely a throughput hint: results are bit-identical across
+        backends, and unset or unsupported combinations take the default
+        route (native where supported, else the interpreter).  Overrides
+        the runner's environment default; the CLI ``--backend`` flag
+        overrides both.
     """
 
     predictor: PredictorSpec

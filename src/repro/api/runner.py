@@ -47,7 +47,6 @@ from typing import Iterable, Iterator, Sequence
 from repro.api.config import RunnerConfig
 from repro.obs import get_metrics, span
 from repro.api.request import RunRequest, coerce_scenario, validate_shard_coverage
-from repro.backends import DEFAULT_BACKEND
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.metrics import SimulationResult, SuiteResult
 from repro.pipeline.parallel import SuiteCache, WorkerPool, run_scheduled
@@ -191,20 +190,22 @@ class Runner:
 
     # -- backend selection ---------------------------------------------
 
-    def backend_for(self, request: RunRequest | None = None) -> str:
-        """The execution backend for ``request``: env < request < CLI.
+    def backend_for(self, request: RunRequest | None = None) -> str | None:
+        """The execution backend ``request`` selects: env < request < CLI.
 
         The config's backend (``REPRO_SUITE_BACKEND``) is the ambient
         default; a request's own ``backend`` field overrides it; a
         *forced* config backend (the CLI ``--backend`` flag) overrides
-        both.  Backends are bit-identical, so this only moves work
-        between the interpreter pool and the batched kernels.
+        both.  ``None`` means nothing selects one: the scheduler's
+        default route runs the native kernel where it loads and the
+        interpreter otherwise.  Backends are bit-identical, so this only
+        moves work between the interpreter pool and the kernels.
         """
         if self.config.backend is not None and self.config.backend_forced:
             return self.config.backend
         if request is not None and request.backend is not None:
             return request.backend
-        return self.config.backend or DEFAULT_BACKEND
+        return self.config.backend
 
     # -- sharding ------------------------------------------------------
 
@@ -270,7 +271,7 @@ class Runner:
         validate_shard_coverage(requests)
         traces = _BatchTraces(self)
         flat: list[tuple] = []
-        flat_backends: list[str] = []
+        flat_backends: list[str | None] = []
         # Per request, per trace: its task position, or its shards' positions.
         layout: list[list[int | range]] = []
         for request in requests:

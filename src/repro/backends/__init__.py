@@ -21,22 +21,27 @@ from repro.backends.base import (
     Backend,
     available_backends,
     get_backend,
+    live_backends,
     register_backend,
     resolve_backend,
 )
 from repro.backends.interp import InterpBackend
+from repro.backends.native import NativeBackend
 from repro.backends.vector import NumpyBackend
 
 __all__ = [
     "Backend",
     "DEFAULT_BACKEND",
     "InterpBackend",
+    "NativeBackend",
     "NumpyBackend",
     "available_backends",
     "get_backend",
+    "live_backends",
     "register_backend",
     "resolve_backend",
 ]
 
 register_backend(InterpBackend.name, InterpBackend)
 register_backend(NumpyBackend.name, NumpyBackend)
+register_backend(NativeBackend.name, NativeBackend)

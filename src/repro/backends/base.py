@@ -5,10 +5,11 @@ simulations.  The staged per-branch interpreter
 (:class:`~repro.pipeline.engine.SimulationEngine`) is the reference
 backend — it supports every registered predictor kind and every update
 scenario.  Alternative backends trade generality for throughput: the
-``numpy`` backend (:mod:`repro.backends.vector`) replaces the per-branch
-Python loop with array kernels for the predictor families that have one,
-and **batches across the configuration axis** — one pass over the trace
-updates N table-size/history-length variants in lockstep.
+``native`` backend (:mod:`repro.backends.native`) runs the whole staged
+simulation in C for the TAGE family and the two-bit tables, and is the
+default route of a request that selects no backend; the ``numpy``
+backend (:mod:`repro.backends.vector`) replaces the per-branch loop with
+array kernels that **batch across the configuration axis**.
 
 The contract every backend honours:
 
@@ -18,8 +19,9 @@ The contract every backend honours:
   performance knob and results cache across backends;
 * :meth:`Backend.supports` is the capability gate: schedulers ask before
   dispatching and route unsupported (spec, scenario, config) combinations
-  back to the interpreter, so selecting a backend never changes *which*
-  runs succeed, only how fast they do.
+  to the default route (native where it supports them, else the
+  interpreter), so selecting a backend never changes *which* runs
+  succeed, only how fast they do.
 
 Backends register by name (:func:`register_backend`); selection travels
 as a plain string through :class:`~repro.api.config.RunnerConfig`
@@ -44,6 +46,7 @@ __all__ = [
     "DEFAULT_BACKEND",
     "available_backends",
     "get_backend",
+    "live_backends",
     "register_backend",
     "resolve_backend",
 ]
@@ -62,6 +65,10 @@ class Backend(ABC):
     #: Registry name; also what ``RunnerConfig.backend`` etc. select by.
     name: str = "backend"
 
+    def available(self) -> bool:
+        """Whether this backend can run anything on this host right now."""
+        return True
+
     @abstractmethod
     def supports(
         self,
@@ -72,6 +79,20 @@ class Backend(ABC):
         """Whether this backend can execute the combination bit-identically."""
 
     @abstractmethod
+    def run_tasks(
+        self,
+        tasks: Sequence["tuple[PredictorSpec, Trace]"],
+        scenario: "UpdateScenario",
+        config: "PipelineConfig",
+    ) -> list["SimulationResult"]:
+        """Execute (spec, trace) pairs; results in task order.
+
+        The entry point schedulers call.  Every spec must satisfy
+        :meth:`supports` — schedulers filter before grouping.  One call
+        spans several traces only when :meth:`batches_traces` says so,
+        letting a backend stack the trace axis into its kernels.
+        """
+
     def run_group(
         self,
         specs: Sequence["PredictorSpec"],
@@ -79,13 +100,8 @@ class Backend(ABC):
         scenario: "UpdateScenario",
         config: "PipelineConfig",
     ) -> list["SimulationResult"]:
-        """Execute several specs over one trace; results in spec order.
-
-        Every spec must satisfy :meth:`supports` — schedulers filter
-        before grouping.  This is the batched entry point: a backend that
-        vectorises across configurations executes the whole group in one
-        kernel invocation.
-        """
+        """Execute several specs over one trace; results in spec order."""
+        return self.run_tasks([(spec, trace) for spec in specs], scenario, config)
 
     def run_one(
         self,
@@ -96,32 +112,6 @@ class Backend(ABC):
     ) -> "SimulationResult":
         """Execute a single spec (the degenerate one-element group)."""
         return self.run_group([spec], trace, scenario, config)[0]
-
-    def run_tasks(
-        self,
-        tasks: Sequence["tuple[PredictorSpec, Trace]"],
-        scenario: "UpdateScenario",
-        config: "PipelineConfig",
-    ) -> list["SimulationResult"]:
-        """Execute (spec, trace) pairs; results in task order.
-
-        The trace-batched entry point: one call may span several traces
-        when :meth:`batches_traces` says so, letting a backend stack the
-        trace axis into its kernels (fig10-shaped suite runs).  The
-        default groups tasks by trace and delegates to :meth:`run_group`,
-        so single-trace backends need not override it.
-        """
-        results: list["SimulationResult | None"] = [None] * len(tasks)
-        groups: dict[int, tuple["Trace", list[int]]] = {}
-        for position, (spec, trace) in enumerate(tasks):
-            groups.setdefault(id(trace), (trace, []))[1].append(position)
-        for trace, positions in groups.values():
-            specs = [tasks[position][0] for position in positions]
-            for position, result in zip(
-                positions, self.run_group(specs, trace, scenario, config)
-            ):
-                results[position] = result
-        return results
 
     def batches_traces(self, scenario: "UpdateScenario", config: "PipelineConfig") -> bool:
         """Whether one kernel group may mix traces (see :meth:`run_tasks`).
@@ -159,6 +149,11 @@ def register_backend(name: str, factory: Callable[[], Backend]) -> None:
 def available_backends() -> list[str]:
     """Sorted names of every registered backend."""
     return sorted(_FACTORIES)
+
+
+def live_backends() -> list[str]:
+    """Sorted names of the :meth:`~Backend.available` backends (loads them)."""
+    return [name for name in available_backends() if get_backend(name).available()]
 
 
 def get_backend(name: str) -> Backend:

@@ -2,8 +2,8 @@
 
 Supports every registered predictor kind, every update scenario and every
 pipeline configuration — it *is* the semantics the other backends must
-reproduce bit for bit.  ``run_group`` simply drives one
-:class:`~repro.pipeline.engine.SimulationEngine` per spec, each from a
+reproduce bit for bit.  ``run_tasks`` simply drives one
+:class:`~repro.pipeline.engine.SimulationEngine` per task, each from a
 freshly built power-on-state predictor, exactly like the pool workers in
 :mod:`repro.pipeline.parallel` do.
 """
@@ -33,13 +33,12 @@ class InterpBackend(Backend):
     ) -> bool:
         return True
 
-    def run_group(
+    def run_tasks(
         self,
-        specs: Sequence[PredictorSpec],
-        trace: Trace,
+        tasks: Sequence[tuple[PredictorSpec, Trace]],
         scenario: UpdateScenario,
         config: PipelineConfig,
     ) -> list[SimulationResult]:
         return [
-            SimulationEngine(spec.build(), scenario, config).run(trace) for spec in specs
+            SimulationEngine(spec.build(), scenario, config).run(trace) for spec, trace in tasks
         ]

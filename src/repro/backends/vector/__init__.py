@@ -3,8 +3,8 @@
 The staged engine steps every branch through Python; for the predictor
 families below the same semantics are expressible as array programs over
 the trace's numpy columns (:class:`repro.traces.trace.Trace`), with all
-history-derived streams (packed windows, folded CSR values, path folds)
-precomputed by :mod:`repro.backends.vector.streams` — trace-driven
+history-derived streams (packed windows, folded CSR values) precomputed
+by :mod:`repro.backends.vector.streams` — trace-driven
 simulation updates histories with *resolved* outcomes, so they are pure
 functions of the trace prefix.
 
@@ -15,10 +15,10 @@ Kernel families (one module each):
   lockstep loop for [A]/[B]/[C];
 * :mod:`~repro.backends.vector.neural` — perceptron/GEHL: fetch-time dot
   products as array ops, threshold-gated training in the same lockstep
-  loop, all four scenarios;
-* :mod:`~repro.backends.vector.tage` — TAGE: the folded index/tag
-  pipeline precomputed into per-branch streams feeding the *real*
-  predictor through the real engine (allocation stays serial).
+  loop, all four scenarios.
+
+TAGE has no kernel here: the ``native`` backend runs the whole TAGE
+family in C, and a ``numpy`` TAGE request falls back to it.
 
 Batching covers **two axes at once**: a lane is a (configuration, trace)
 pair, so a fig9-style sweep (one trace × N configs) and a fig10-style
@@ -32,8 +32,8 @@ sharded traces — so results are prediction-bit-identical to
 :class:`~repro.pipeline.engine.SimulationEngine` and cache-compatible
 with it.  :meth:`NumpyBackend.supports` gates on the registry's backend
 capability tags plus the config details the kernels assume; anything else
-(loop/SC composites, shared-hysteresis bimodal, exotic configs) stays on
-the interpreter.
+(shared-hysteresis bimodal, exotic configs) takes the scheduler's
+default route.
 """
 
 from __future__ import annotations
@@ -41,10 +41,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.backends.base import Backend
-from repro.backends.vector import neural, tage, twobit
+from repro.backends.vector import neural, twobit
 from repro.obs import span
 from repro.backends.vector.streams import StreamCache, TraceStreams
-from repro.hardware.access_counter import AccessProfile
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.metrics import SimulationResult
 from repro.pipeline.scenarios import UpdateScenario
@@ -59,7 +58,6 @@ _PROBES = {
     "gshare": twobit.kernel_for,
     "perceptron": neural.perceptron_kernel_for,
     "gehl": neural.gehl_kernel_for,
-    "tage": tage.tage_kernel_for,
 }
 
 #: Kinds sharing the two-bit table kernels.
@@ -71,8 +69,22 @@ def _kernel_for(spec: PredictorSpec):
     return None if probe is None else probe(spec)
 
 
+def _twobit_lane(kernel, streams: TraceStreams, warmup: int) -> twobit.TwobitLane:
+    return twobit.TwobitLane(
+        kernel, twobit.index_stream(kernel, streams), streams.trace.taken, warmup
+    )
+
+
+#: family -> (lane constructor, lockstep runner over a batch of lanes).
+_LOCKSTEP = {
+    "twobit": (_twobit_lane, twobit.run_delayed_lanes),
+    "perceptron": (neural.PerceptronLane, neural.run_perceptron_lanes),
+    "gehl": (neural.GEHLLane, neural.run_gehl_lanes),
+}
+
+
 class NumpyBackend(Backend):
-    """Vectorised batch execution for the table, neural and TAGE families."""
+    """Vectorised batch execution for the two-bit table and neural families."""
 
     name = "numpy"
 
@@ -88,13 +100,10 @@ class NumpyBackend(Backend):
     def min_group_size(
         self, specs: Sequence[PredictorSpec], scenario: UpdateScenario, config: PipelineConfig
     ) -> int:
-        # The scan kernel vectorises the time axis and the TAGE stream
-        # path vectorises the fold/index pipeline, so both win even for a
+        # The scan kernel vectorises the time axis, so it wins even for a
         # single run; the lockstep kernels only amortise their per-step
         # array-op overhead across a batch — a lone delayed run is faster
         # (and parallelises) on the interp pool path.
-        if any(spec.kind == "tage" for spec in specs):
-            return 1
         if scenario is UpdateScenario.IMMEDIATE and any(
             spec.kind in _TWOBIT_KINDS for spec in specs
         ):
@@ -109,7 +118,7 @@ class NumpyBackend(Backend):
     ) -> list[SimulationResult]:
         results: list[SimulationResult | None] = [None] * len(tasks)
         cache = StreamCache()
-        lanes: dict[str, list] = {"twobit": [], "perceptron": [], "gehl": [], "tage": []}
+        lanes: dict[str, list] = {"twobit": [], "perceptron": [], "gehl": []}
         with span("backend.streams", backend=self.name, tasks=len(tasks)):
             for position, (spec, trace) in enumerate(tasks):
                 kernel = _kernel_for(spec)
@@ -122,95 +131,32 @@ class NumpyBackend(Backend):
                 family = "twobit" if spec.kind in _TWOBIT_KINDS else spec.kind
                 lanes[family].append((position, kernel, cache.for_trace(trace), warmup))
 
-        for position, kernel, streams, warmup in lanes["twobit"]:
-            if scenario is UpdateScenario.IMMEDIATE:
+        if scenario is UpdateScenario.IMMEDIATE:
+            # Two-bit tables under [I] take the per-lane scan kernel.
+            for position, kernel, streams, warmup in lanes.pop("twobit"):
                 idx = twobit.index_stream(kernel, streams)
                 outcome = twobit.run_immediate(kernel, idx, streams.trace.taken, warmup)
-                results[position] = self._result(
-                    kernel.name, streams, warmup, scenario, config, outcome
-                )
-        if lanes["twobit"] and scenario is not UpdateScenario.IMMEDIATE:
-            batch = [
-                twobit.TwobitLane(
-                    kernel, twobit.index_stream(kernel, streams), streams.trace.taken, warmup
-                )
-                for _, kernel, streams, warmup in lanes["twobit"]
-            ]
+                results[position] = self._result(kernel.name, streams, warmup, config,
+                                                 scenario, outcome)
+        for family, members in lanes.items():
+            if not members:
+                continue
+            make_lane, run_lanes = _LOCKSTEP[family]
+            batch = [make_lane(kernel, streams, warmup) for _, kernel, streams, warmup in members]
             for (position, kernel, streams, warmup), outcome in zip(
-                lanes["twobit"], twobit.run_delayed_lanes(batch, scenario, config)
+                members, run_lanes(batch, scenario, config)
             ):
-                results[position] = self._result(
-                    kernel.name, streams, warmup, scenario, config, outcome
-                )
-
-        if lanes["perceptron"]:
-            batch = [
-                neural.PerceptronLane(kernel, streams, warmup)
-                for _, kernel, streams, warmup in lanes["perceptron"]
-            ]
-            for (position, kernel, streams, warmup), outcome in zip(
-                lanes["perceptron"], neural.run_perceptron_lanes(batch, scenario, config)
-            ):
-                results[position] = self._result(
-                    kernel.name, streams, warmup, scenario, config, outcome
-                )
-
-        if lanes["gehl"]:
-            batch = [
-                neural.GEHLLane(kernel, streams, warmup)
-                for _, kernel, streams, warmup in lanes["gehl"]
-            ]
-            for (position, kernel, streams, warmup), outcome in zip(
-                lanes["gehl"], neural.run_gehl_lanes(batch, scenario, config)
-            ):
-                results[position] = self._result(
-                    kernel.name, streams, warmup, scenario, config, outcome
-                )
-
-        if lanes["tage"]:
-            batch = [
-                tage.TAGELane(kernel, streams, warmup)
-                for _, kernel, streams, warmup in lanes["tage"]
-            ]
-            for (position, _, _, _), result in zip(
-                lanes["tage"], tage.run_tage_lanes(batch, scenario, config)
-            ):
-                results[position] = result
-
+                results[position] = self._result(kernel.name, streams, warmup, config,
+                                                 scenario, outcome)
         return results
 
-    def run_group(
-        self,
-        specs: Sequence[PredictorSpec],
-        trace: Trace,
-        scenario: UpdateScenario,
-        config: PipelineConfig,
-    ) -> list[SimulationResult]:
-        return self.run_tasks([(spec, trace) for spec in specs], scenario, config)
-
     @staticmethod
-    def _result(
-        name: str,
-        streams: TraceStreams,
-        warmup: int,
-        scenario: UpdateScenario,
-        config: PipelineConfig,
-        outcome: tuple[int, AccessProfile],
-    ) -> SimulationResult:
+    def _result(name, streams, warmup, config, scenario, outcome) -> SimulationResult:
+        """The result of one lane: ``outcome`` is (mispredictions, profile)."""
         trace = streams.trace
-        mispredictions, profile = outcome
         measured = len(trace) - warmup
         instructions = int(trace.preceding[warmup:].sum()) + measured
         return SimulationResult(
-            trace_name=trace.source_name or trace.name,
-            predictor_name=name,
-            branches=measured,
-            instructions=instructions,
-            mispredictions=mispredictions,
-            misprediction_penalty=config.misprediction_penalty,
-            accesses=profile,
-            scenario=scenario.label,
-            ium_overrides=0,
-            window=trace.window,
-            warmup_branches=warmup,
+            trace.source_name or trace.name, name, measured, instructions, outcome[0],
+            config.misprediction_penalty, outcome[1], scenario.label, 0, trace.window, warmup,
         )

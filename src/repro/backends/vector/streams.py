@@ -4,11 +4,10 @@ Trace-driven simulation updates every history structure with *resolved*
 outcomes, so each one is a pure function of the trace prefix — its whole
 per-branch value stream can be computed up front with array passes:
 
-* **packed history / path windows** (:func:`pack_stream`): a sliding
-  window of the most recent bits packed into an integer, exactly what
+* **packed history windows** (:func:`pack_stream`): a sliding window of
+  the most recent bits packed into an integer, exactly what
   :meth:`~repro.histories.global_history.GlobalHistoryRegister.value`
-  and :class:`~repro.histories.global_history.PathHistory` hold.  One
-  convolution per window width.
+  holds.  One convolution per window width.
 * **folded (CSR) histories** (:func:`folded_stream`): the incremental
   fold recurrence of :class:`~repro.histories.folded.FoldedHistory` is
   XOR-linear, so the fold before branch ``t`` is the XOR of the window's
@@ -16,9 +15,6 @@ per-branch value stream can be computed up front with array passes:
   at a bit fixed by its position makes that window a prefix-XOR
   difference and the fold one rotation of it: ``O(T)`` array work per
   (history length, compressed length) pair, independent of ``clen``.
-* **chunked XOR folds** (:func:`fold_bits_stream`): the vectorised twin
-  of :func:`repro.common.bits.fold_bits`, used for the TAGE path-history
-  mix.
 
 A :class:`StreamCache` memoises the streams per trace within one backend
 call, so a fig9-style sweep shares one fold pass per distinct (length,
@@ -36,7 +32,6 @@ from repro.traces.trace import Trace
 __all__ = [
     "StreamCache",
     "TraceStreams",
-    "fold_bits_stream",
     "folded_stream",
     "make_profile",
     "pack_stream",
@@ -122,20 +117,6 @@ def folded_stream(outcomes: np.ndarray, history_length: int, compressed_length: 
     return out
 
 
-def fold_bits_stream(values: np.ndarray, input_width: int, output_width: int) -> np.ndarray:
-    """Vectorised :func:`repro.common.bits.fold_bits` over a value stream.
-
-    Callers pass ``values`` already masked to ``input_width`` bits.
-    """
-    folded = np.zeros_like(values)
-    chunk = np.int64(mask(output_width))
-    shift = 0
-    while shift < input_width:
-        folded ^= (values >> shift) & chunk
-        shift += output_width
-    return folded
-
-
 class TraceStreams:
     """A trace's columns plus memoised derived streams."""
 
@@ -143,7 +124,6 @@ class TraceStreams:
         self.trace = trace
         self.outcomes = trace.taken.astype(np.int64)
         self._history_packs: dict[int, np.ndarray] = {}
-        self._pc_packs: dict[int, np.ndarray] = {}
         self._folds: dict[tuple[int, int], np.ndarray] = {}
 
     def history_pack(self, length: int) -> np.ndarray:
@@ -151,14 +131,6 @@ class TraceStreams:
         pack = self._history_packs.get(length)
         if pack is None:
             pack = self._history_packs[length] = pack_stream(self.outcomes, length)
-        return pack
-
-    def path_pack(self, width: int) -> np.ndarray:
-        """Packed path history of one low-order PC bit per branch."""
-        pack = self._pc_packs.get(width)
-        if pack is None:
-            low_bits = (self.trace.pcs & 1).astype(np.int64)
-            pack = self._pc_packs[width] = pack_stream(low_bits, width)
         return pack
 
     def fold(self, history_length: int, compressed_length: int) -> np.ndarray:

@@ -40,7 +40,7 @@ import repro
 from repro.api.request import RunRequest
 from repro.api.results import suite_payload
 from repro.api.runner import Runner
-from repro.backends import available_backends
+from repro.backends import live_backends
 from repro.distrib.broker import Broker, Lease, LeaseLostError
 from repro.obs import (
     bind_span_context,
@@ -93,7 +93,7 @@ def new_worker_id() -> str:
 def default_capabilities(runner: Runner) -> dict[str, Any]:
     """The capability tags a worker registers with."""
     return {
-        "backends": list(available_backends()),
+        "backends": live_backends(),
         "cores": os.cpu_count() or 1,
         "pool_workers": runner.config.workers,
         "version": repro.__version__,

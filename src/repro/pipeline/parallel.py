@@ -597,19 +597,27 @@ class WorkerPool:
         self.close(cancel=exc_info[0] is not None)
 
 
-def _resolve_selection(selection):
-    """A backend selection (name, instance or None) → live Backend or None.
+def _route(selection, spec: PredictorSpec, scenario: UpdateScenario, config: PipelineConfig):
+    """The backend one task runs on, or None for the interpreter pool.
 
-    ``None`` and the default name mean "the interpreter via the pool" —
-    returned as None so the scheduler takes its normal parallel path.
+    ``selection`` is a backend name, a live backend or None.  A selected
+    backend runs the tasks it supports; ``interp`` always means the
+    pure-Python reference engine.  Everything else — no selection, or a
+    spec the selected backend declines — takes the default route: the
+    ``native`` kernel when it loads and supports the spec, otherwise the
+    interpreter pool.
     """
     from repro.backends import DEFAULT_BACKEND, get_backend
     from repro.backends.base import Backend
 
-    if selection is None:
-        return None
-    backend = selection if isinstance(selection, Backend) else get_backend(selection)
-    return None if backend.name == DEFAULT_BACKEND else backend
+    if selection is not None:
+        backend = selection if isinstance(selection, Backend) else get_backend(selection)
+        if backend.name == DEFAULT_BACKEND:
+            return None
+        if backend.supports(spec, scenario, config):
+            return backend
+    native = get_backend("native")
+    return native if native.supports(spec, scenario, config) else None
 
 
 def run_scheduled(
@@ -643,14 +651,17 @@ def _run_scheduled(
     with the same spec, trace (the same object, or the same identity),
     scenario and config are simulated once and share their result — and,
     with ``cache`` set, served from it when already simulated; fresh
-    results are written back.  The survivors are routed by ``backend``:
+    results are written back.  The survivors are routed by ``backend``
+    (see :func:`_route`):
 
-    * tasks the selected backend supports are grouped by (trace,
-      scenario, config) and executed as **one batched kernel call per
-      group** in the driving process (:mod:`repro.backends`) — while any
-      pool futures for the rest are already in flight;
-    * everything else (and the default ``interp`` selection) runs on the
-      worker pool.
+    * tasks the selected backend supports — and, without a selection or
+      when the selected backend declines, tasks the ``native`` kernel
+      supports — are grouped by (trace, scenario, config) and executed
+      as **one batched kernel call per group** in the driving process
+      (:mod:`repro.backends`) — while any pool futures for the rest are
+      already in flight;
+    * everything else (and every task of an explicit ``interp``
+      selection) runs on the worker pool.
 
     With ``pool`` set, the pool work runs on that persistent
     :class:`WorkerPool` (``max_workers`` is then ignored).  Otherwise a
@@ -660,7 +671,7 @@ def _run_scheduled(
     in task order.
 
     ``backend`` is a name, a live :class:`~repro.backends.base.Backend`,
-    ``None`` (interp), or a per-task sequence of those (the
+    ``None`` (the default route), or a per-task sequence of those (the
     :class:`~repro.api.runner.Runner` resolves selection per request).
 
     With ``materialize`` set, tasks carry trace handles
@@ -713,8 +724,8 @@ def _run_scheduled(
     kernel_backends: dict[tuple, object] = {}
     for index, task in enumerate(unique_tasks):
         spec, trace, scenario, config = task
-        chosen = _resolve_selection(selections[unique_positions[index][0]])
-        if chosen is not None and chosen.supports(spec, scenario, config):
+        chosen = _route(selections[unique_positions[index][0]], spec, scenario, config)
+        if chosen is not None:
             # Backends that batch the trace axis pool every trace of a
             # (scenario, config) bucket into one kernel call; the rest
             # group per trace as before.

@@ -221,7 +221,7 @@ def _always_not_taken() -> Predictor:
 @register(
     "bimodal",
     description="PC-indexed 2-bit counters with shared hysteresis",
-    backends=("numpy",),
+    backends=("numpy", "native"),
 )
 def _bimodal(**config: Any) -> Predictor:
     from repro.predictors.bimodal import BimodalPredictor
@@ -232,7 +232,7 @@ def _bimodal(**config: Any) -> Predictor:
 @register(
     "gshare",
     description="single 2-bit counter table, PC xor global history",
-    backends=("numpy",),
+    backends=("numpy", "native"),
 )
 def _gshare(**config: Any) -> Predictor:
     from repro.predictors.gshare import GSharePredictor
@@ -283,7 +283,7 @@ def _ftl(**config: Any) -> Predictor:
 @register(
     "tage",
     description="the reference TAGE predictor (Section 3)",
-    backends=("numpy",),
+    backends=("native",),
 )
 def _tage(**config: Any) -> Predictor:
     from repro.core.config import TAGEConfig
@@ -302,14 +302,22 @@ def _tage(**config: Any) -> Predictor:
     return TAGEPredictor(TAGEConfig.generate(**config))
 
 
-@register("scaled-tage", description="reference TAGE scaled by 2**log2_factor (Figure 9)")
+@register(
+    "scaled-tage",
+    description="reference TAGE scaled by 2**log2_factor (Figure 9)",
+    backends=("native",),
+)
 def _scaled_tage(log2_factor: int = 0) -> Predictor:
     from repro.analysis.sweep import scaled_tage
 
     return scaled_tage(log2_factor)
 
 
-@register("augmented-tage", description="TAGE plus any subset of the side predictors")
+@register(
+    "augmented-tage",
+    description="TAGE plus any subset of the side predictors",
+    backends=("native",),
+)
 def _augmented_tage(interleaved: bool = False, **config: Any) -> Predictor:
     from repro.core.augmented import AugmentedTAGE
 
@@ -319,14 +327,18 @@ def _augmented_tage(interleaved: bool = False, **config: Any) -> Predictor:
     return predictor
 
 
-@register("l-tage", description="TAGE + loop predictor (the CBP-2 winner)")
+@register("l-tage", description="TAGE + loop predictor (the CBP-2 winner)", backends=("native",))
 def _l_tage(**config: Any) -> Predictor:
     from repro.core.composed import LTAGEPredictor
 
     return LTAGEPredictor(**config)
 
 
-@register("isl-tage", description="TAGE + IUM + loop + global SC (the CBP-3 winner)")
+@register(
+    "isl-tage",
+    description="TAGE + IUM + loop + global SC (the CBP-3 winner)",
+    backends=("native",),
+)
 def _isl_tage(interleaved: bool = False, **config: Any) -> Predictor:
     from repro.core.composed import ISLTAGEPredictor
 
@@ -336,7 +348,11 @@ def _isl_tage(interleaved: bool = False, **config: Any) -> Predictor:
     return predictor
 
 
-@register("tage-lsc", description="TAGE + IUM + local SC (the paper's proposal)")
+@register(
+    "tage-lsc",
+    description="TAGE + IUM + local SC (the paper's proposal)",
+    backends=("native",),
+)
 def _tage_lsc(interleaved: bool = False, **config: Any) -> Predictor:
     from repro.core.composed import TAGELSCPredictor
 
@@ -349,6 +365,7 @@ def _tage_lsc(interleaved: bool = False, **config: Any) -> Predictor:
 @register(
     "scaled-tage-lsc",
     description="TAGE-LSC with every component scaled by 2**log2_factor (Figure 9)",
+    backends=("native",),
 )
 def _scaled_tage_lsc(log2_factor: int = 0) -> Predictor:
     from repro.analysis.sweep import scaled_tage_lsc

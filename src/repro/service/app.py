@@ -63,7 +63,7 @@ from typing import Any
 
 import repro
 from repro.obs import build_tree, ensure_trace_id, get_metrics, new_trace_id
-from repro.predictors.registry import available
+from repro.backends import live_backends
 from repro.service.aio import (
     MAX_BODY_BYTES,
     AsyncHTTPServer,
@@ -470,7 +470,7 @@ class ServiceHTTPServer(AsyncHTTPServer):
             "api_versions": ["v1", "v2"],
             "mode": "broker" if service.broker is not None else "local",
             "draining": service.draining,
-            "backends": list(available()),
+            "backends": live_backends(),
             "lanes": {
                 "enabled": service.small_job_branches is not None,
                 "threshold_branches": service.small_job_branches,

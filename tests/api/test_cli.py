@@ -31,9 +31,11 @@ class TestListCommands:
         kinds = {entry["kind"] for entry in payload}
         assert {"tage", "tage-lsc", "gshare", "isl-tage"} <= kinds
         backends = {entry["kind"]: entry["backends"] for entry in payload}
-        assert backends["tage"] == ["interp", "numpy"]
+        assert backends["tage"] == ["interp", "native"]
         assert backends["gehl"] == ["interp", "numpy"]
-        assert backends["tage-lsc"] == ["interp"]
+        assert backends["gshare"] == ["interp", "native", "numpy"]
+        assert backends["tage-lsc"] == ["interp", "native"]
+        assert backends["snap"] == ["interp"]
 
     def test_list_predictors_table_has_backends_column(self, capsys):
         code, out = run_cli(capsys, "list", "predictors")
@@ -267,7 +269,7 @@ class TestRunTimings:
     def test_exact_request_schedules_one_whole_trace_task(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SUITE_CACHE", "off")
         code, out = run_cli(capsys, "run", "gshare", "--trace", self.REF, "--shards", "3",
-                            "--shard-mode", "exact", "--timings")
+                            "--shard-mode", "exact", "--timings", "--backend", "interp")
         assert code == 0
         assert "scheduled: interp=1;" in out
         assert re.search(r", resolve \d+\.\d{3}s,", out), out

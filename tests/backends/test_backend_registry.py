@@ -54,11 +54,16 @@ class TestRegistry:
 
 class TestCapabilityTags:
     def test_kernelised_families_are_tagged_for_numpy(self):
-        for kind in ("bimodal", "gshare", "perceptron", "gehl", "tage"):
-            assert backend_support(kind) == frozenset({"interp", "numpy"})
+        for kind in ("bimodal", "gshare", "perceptron", "gehl"):
+            assert "numpy" in backend_support(kind)
+        for kind in ("bimodal", "gshare"):
+            assert backend_support(kind) == frozenset({"interp", "numpy", "native"})
+        for kind in ("tage", "l-tage", "isl-tage", "tage-lsc", "augmented-tage",
+                     "scaled-tage", "scaled-tage-lsc"):
+            assert backend_support(kind) == frozenset({"interp", "native"})
 
     def test_other_kinds_are_interp_only(self):
-        for kind in ("tage-lsc", "l-tage", "isl-tage", "snap", "ftl", "always-taken"):
+        for kind in ("snap", "ftl", "always-taken"):
             assert backend_support(kind) == frozenset({"interp"})
 
     def test_unknown_kind_probes_empty(self):

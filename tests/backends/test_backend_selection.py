@@ -69,7 +69,7 @@ class TestPrecedence:
     def test_env_is_the_ambient_default(self):
         runner = Runner(RunnerConfig(backend="numpy"))
         assert runner.backend_for(self.PLAIN) == "numpy"
-        assert Runner().backend_for(self.PLAIN) == "interp"
+        assert Runner().backend_for(self.PLAIN) is None  # the default route
 
     def test_request_overrides_env(self):
         runner = Runner(RunnerConfig(backend="interp"))
@@ -91,7 +91,7 @@ class TestSchedulerRouting:
             for spec in specs
             for scenario in (UpdateScenario.IMMEDIATE, UpdateScenario.FETCH_READ_ONLY)
         ]
-        via_interp = run_scheduled(tasks, max_workers=1)
+        via_interp = run_scheduled(tasks, max_workers=1, backend="interp")
         via_numpy = run_scheduled(tasks, max_workers=1, backend="numpy")
         assert [pickle.dumps(r) for r in via_numpy] == [pickle.dumps(r) for r in via_interp]
 
@@ -104,7 +104,7 @@ class TestSchedulerRouting:
             (PredictorSpec("tage-lsc"), trace, UpdateScenario.IMMEDIATE, PipelineConfig()),
         ]
         via_numpy = run_scheduled(tasks, max_workers=1, backend="numpy")
-        via_interp = run_scheduled(tasks, max_workers=1)
+        via_interp = run_scheduled(tasks, max_workers=1, backend="interp")
         assert [pickle.dumps(r) for r in via_numpy] == [pickle.dumps(r) for r in via_interp]
 
     def test_singleton_delayed_groups_stay_on_the_interp_path(self, monkeypatch):
@@ -119,9 +119,8 @@ class TestSchedulerRouting:
         gshare = [PredictorSpec("gshare", {"log2_entries": 10})]
         assert backend.min_group_size(gshare, UpdateScenario.IMMEDIATE, PC()) == 1
         assert backend.min_group_size(gshare, UpdateScenario.REREAD_AT_RETIRE, PC()) == 2
-        # TAGE's stream pipeline wins alone, so it keeps singleton groups.
-        tage = [PredictorSpec("tage")]
-        assert backend.min_group_size(tage, UpdateScenario.REREAD_AT_RETIRE, PC()) == 1
+        # TAGE has no numpy kernel: the native backend runs it.
+        assert not backend.supports(PredictorSpec("tage"), UpdateScenario.IMMEDIATE, PC())
 
         kernel_tasks = []
         run_tasks = type(backend).run_tasks
@@ -159,12 +158,14 @@ class TestRunnerEndToEnd:
         requests = [
             RunRequest("gshare", TINY, scenario="C"),
             RunRequest("bimodal", TINY),
-            RunRequest("tage", TINY),  # TAGE stream kernel path
-            RunRequest("tage-lsc", TINY),  # interp-only: transparent fallback
+            RunRequest("tage", TINY),  # no numpy kernel: falls back to native
+            RunRequest("tage-lsc", TINY),
+            RunRequest("perceptron", TINY, scenario="C"),  # no native kernel
         ]
-        baseline = Runner().run_batch(requests)
-        numeric = Runner(RunnerConfig(backend="numpy")).run_batch(requests)
-        assert [pickle.dumps(s) for s in numeric] == [pickle.dumps(s) for s in baseline]
+        baseline = Runner(RunnerConfig(backend="interp")).run_batch(requests)
+        for backend in ("numpy", "native", None):
+            other = Runner(RunnerConfig(backend=backend)).run_batch(requests)
+            assert [pickle.dumps(s) for s in other] == [pickle.dumps(s) for s in baseline]
 
     def test_sharded_request_through_numpy_backend(self):
         request = RunRequest(
@@ -175,7 +176,7 @@ class TestRunnerEndToEnd:
         whole = Runner().run(RunRequest("gshare", "synthetic:mixed?length=4000&seed=11"))
         # Warmup-mode sharding is approximate; the backend must agree
         # with the interp engine on the sharded run itself.
-        interp = Runner().run(
+        interp = Runner(RunnerConfig(backend="interp")).run(
             RunRequest("gshare", "synthetic:mixed?length=4000&seed=11",
                        sharding={"shards": 3, "warmup": 300})
         )
@@ -185,12 +186,13 @@ class TestRunnerEndToEnd:
 
 class TestCLI:
     def test_run_backend_flag_matches_interp(self, capsys):
-        code = main(["run", "gshare", "--trace", TINY, "--json"])
+        code = main(["run", "gshare", "--trace", TINY, "--backend", "interp", "--json"])
         assert code == 0
         baseline = json.loads(capsys.readouterr().out)
-        code = main(["run", "gshare", "--trace", TINY, "--backend", "numpy", "--json"])
-        assert code == 0
-        assert json.loads(capsys.readouterr().out) == baseline
+        for backend in (["--backend", "numpy"], ["--backend", "native"], []):
+            code = main(["run", "gshare", "--trace", TINY, *backend, "--json"])
+            assert code == 0
+            assert json.loads(capsys.readouterr().out) == baseline
 
     def test_bad_backend_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit):

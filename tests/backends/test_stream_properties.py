@@ -5,8 +5,8 @@ or :class:`~repro.histories.global_history.GlobalHistoryRegister`; they
 read closed-form streams computed by
 :mod:`repro.backends.vector.streams`.  These properties pin the streams to
 the incremental structures step for step, for arbitrary outcome sequences
-and (history length, fold width) pairs — the same invariant the TAGE
-folded-index pipeline and the gshare/GEHL index math stand on.
+and (history length, fold width) pairs — the same invariant the
+gshare/GEHL index math stands on.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends.vector.streams import fold_bits_stream, folded_stream, pack_stream
-from repro.common.bits import fold_bits, mask
+from repro.backends.vector.streams import folded_stream, pack_stream
 from repro.histories.folded import FoldedHistory
 from repro.histories.global_history import GlobalHistoryRegister
 
@@ -84,18 +83,3 @@ class TestPackStream:
         for step, taken in enumerate(outcomes):
             assert int(stream[step]) == history.value(width)
             history.push(taken)
-
-
-class TestFoldBitsStream:
-    @given(
-        st.lists(st.integers(min_value=0, max_value=(1 << 20) - 1), max_size=50),
-        st.integers(min_value=1, max_value=20),
-        st.integers(min_value=1, max_value=12),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_matches_scalar_fold_bits(self, values, input_width, output_width):
-        masked = [value & mask(input_width) for value in values]
-        stream = fold_bits_stream(np.array(masked, dtype=np.int64), input_width, output_width)
-        assert stream.tolist() == [
-            fold_bits(value, input_width, output_width) for value in masked
-        ]

@@ -10,8 +10,8 @@ override count.  The TAGE family runs under every update scenario, every
 other kind under [I] and [C], on two small deterministic traces.  Every
 trace generator emits 4-byte-aligned PCs, so TAGE's path history (low PC
 bits) stays 0 on them; a third, hand-built trace of odd and even PCs
-keeps it live under [I] and [C].  The numpy kernels are held to the same
-rows as the interp engine.
+keeps it live under [I] and [C].  The numpy kernels and the native C
+kernel are held to the same rows as the interp engine.
 
 Regenerate the tables only when a change is *meant* to move results, and
 say so in the change description.
@@ -20,13 +20,17 @@ say so in the change description.
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from dataclasses import asdict
 
 import pytest
 
 from repro.backends import get_backend
+from repro.obs import MetricsRegistry, set_metrics
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.engine import SimulationEngine
+from repro.pipeline.parallel import run_scheduled
 from repro.pipeline.scenarios import UpdateScenario
 from repro.predictors.registry import PredictorSpec, backend_support
 from repro.traces.refs import resolve_trace_ref
@@ -221,14 +225,93 @@ def test_golden_counts(traces, case):
     assert _counts(result) == _expected(ref, GOLDEN[case])
 
 
-#: Every golden row a numpy kernel can run (no kernel takes ``interleaved``).
-NUMPY_CASES = [case for case in GOLDEN if "numpy" in backend_support(case[1]) and not case[2]]
+#: Every golden row a ``numpy`` selection runs on a kernel (no numpy kernel
+#: takes ``interleaved``): the numpy kernels' own kinds, and plain TAGE,
+#: which has no numpy kernel and falls back to the native one.
+NUMPY_CASES = [
+    case for case in GOLDEN
+    if not case[2] and ("numpy" in backend_support(case[1]) or case[1] == "tage")
+]
 
 
 @pytest.mark.parametrize("case", NUMPY_CASES, ids=_case_id)
 def test_numpy_golden_counts(traces, case):
     ref, kind, interleaved, scenario = case
-    (result,) = get_backend("numpy").run_tasks(
+    spec, trace = _spec(kind, interleaved), traces[ref]
+    if "numpy" in backend_support(kind):
+        (result,) = get_backend("numpy").run_tasks(
+            [(spec, trace)], UpdateScenario(scenario), PipelineConfig()
+        )
+    else:
+        # A numpy TAGE request goes through the scheduler's fallback to
+        # the native kernel, never to the interpreter.
+        registry = MetricsRegistry()
+        previous = set_metrics(registry)
+        try:
+            (result,) = run_scheduled(
+                [(spec, trace, UpdateScenario(scenario), PipelineConfig())],
+                max_workers=1, backend="numpy",
+            )
+        finally:
+            set_metrics(previous)
+        routes = registry.counter("repro_sched_tasks_total", "", ("route",))
+        assert routes.value(route="kernel") == 1
+    assert _counts(result) == _expected(ref, GOLDEN[case])
+
+
+#: Every golden row the native kernel runs: the whole TAGE family under
+#: every scenario (interleaved rows and the live-path trace included) and
+#: the two-bit tables.
+NATIVE_CASES = [case for case in GOLDEN if "native" in backend_support(case[1])]
+
+
+@pytest.mark.parametrize("case", NATIVE_CASES, ids=_case_id)
+def test_native_golden_counts(traces, case):
+    ref, kind, interleaved, scenario = case
+    (result,) = get_backend("native").run_tasks(
         [(_spec(kind, interleaved), traces[ref])], UpdateScenario(scenario), PipelineConfig()
     )
     assert _counts(result) == _expected(ref, GOLDEN[case])
+
+
+@pytest.mark.parametrize(
+    "kind, interleaved",
+    [("tage", False), ("l-tage", False), ("isl-tage", False), ("isl-tage", True),
+     ("tage-lsc", False), ("tage-lsc", True), ("gshare", False), ("bimodal", False)],
+)
+def test_native_supports_the_default_specs(kind, interleaved):
+    """Without this, a kernel that declines everything passes parity trivially."""
+    native = get_backend("native")
+    for scenario in UpdateScenario:
+        assert native.supports(_spec(kind, interleaved), scenario, PipelineConfig())
+
+
+def test_native_runs_concurrently_from_several_threads(traces):
+    """Threads running the same spec at once (as two in-process fleet
+    workers do) each get the golden row: every call owns its state."""
+    case = (HARD, "tage-lsc", False, "C")
+    spec, scenario = _spec("tage-lsc", False), UpdateScenario.REREAD_ON_MISPREDICTION
+    native = get_backend("native")
+    barrier = threading.Barrier(4)
+    results, lock = [], threading.Lock()
+
+    def run() -> None:
+        barrier.wait(timeout=30)
+        for _ in range(5):
+            (result,) = native.run_tasks([(spec, traces[HARD])], scenario, PipelineConfig())
+            with lock:
+                results.append(result)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(4)]  # more than the cores
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 20
+    assert all(_counts(result) == _expected(HARD, GOLDEN[case]) for result in results)

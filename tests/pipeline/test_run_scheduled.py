@@ -70,7 +70,7 @@ class TestCombinedPass:
         assert [suite.results[0] for suite in suites] == expected
 
     def test_exact_request_on_a_persistent_pool_with_other_tasks(self):
-        with Runner(RunnerConfig(workers=2), persistent=True) as runner:
+        with Runner(RunnerConfig(workers=2, backend="interp"), persistent=True) as runner:
             suites = runner.run_batch([RunRequest("bimodal", REF), exact_request()])
             stats = runner.pool.stats()
             # The exact request is one ordinary pool task; no shard jobs.
@@ -124,7 +124,7 @@ class TestSchedulingPaths:
 
     def test_without_a_pool_runs_on_one_short_lived_worker_pool(self, traces, pools):
         flat = [(SPEC, trace, UpdateScenario.IMMEDIATE, CONFIG) for trace in traces[:2]]
-        results = run_scheduled(flat, max_workers=3)
+        results = run_scheduled(flat, max_workers=3, backend="interp")
         (pool,) = pools
         assert pool.max_workers == 2  # min(max_workers, jobs)
         assert pool.closed and pool.stats()["tasks_executed"] == 2
@@ -138,7 +138,7 @@ class TestSchedulingPaths:
             (bad, traces[1], UpdateScenario.IMMEDIATE, CONFIG),
         ]
         with pytest.raises(TypeError):
-            run_scheduled(flat, max_workers=2)
+            run_scheduled(flat, max_workers=2, backend="interp")
         (pool,) = pools
         assert pool.closed
         assert multiprocessing.active_children() == []
@@ -157,7 +157,7 @@ class TestSchedulingPaths:
         registry.counter("repro_test_marker_total").inc()
         flat = [(SPEC, trace, UpdateScenario.IMMEDIATE, CONFIG) for trace in traces]
         with bind_trace_id("tr-inproc-tasks"):
-            results = run_scheduled(flat, max_workers=1)
+            results = run_scheduled(flat, max_workers=1, backend="interp")
         assert results == [expected_whole(trace) for trace in traces]
         assert registry.counter("repro_test_marker_total").value() == 1
         tasks = registry.counter("repro_pool_tasks_total", "", ("kind",))
@@ -173,7 +173,7 @@ class TestExactRequests:
     def test_one_task_per_trace_and_no_shard_spans(self, obs):
         registry, recorder = obs
         with bind_trace_id("tr-exact-whole"):
-            Runner(RunnerConfig(workers=1)).run(exact_request())
+            Runner(RunnerConfig(workers=1, backend="interp")).run(exact_request())
         routes = registry.counter("repro_sched_tasks_total", "", ("route",))
         assert routes.value(route="interp") == 1
         names = [record["name"] for record in recorder.drain()]

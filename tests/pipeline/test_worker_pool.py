@@ -27,8 +27,8 @@ class TestWorkerPool:
         tasks = _tasks("gshare", REF_A)
         cold = [run_scheduled(tasks, max_workers=1) for _ in range(2)]
         with WorkerPool(max_workers=1) as pool:
-            first = run_scheduled(tasks, pool=pool)
-            second = run_scheduled(tasks, pool=pool)  # same worker, warm predictor
+            first = run_scheduled(tasks, pool=pool, backend="interp")
+            second = run_scheduled(tasks, pool=pool, backend="interp")  # warm predictor
             assert pool.stats()["warm_hits"] >= len(tasks)
         for warm in (first, second):
             assert [pickle.dumps(r) for r in warm] == [pickle.dumps(r) for r in cold[0]]
@@ -77,11 +77,11 @@ class TestWorkerPool:
         good = _tasks("gshare", REF_A)
         bad = [(PredictorSpec("gshare", {"bogus": 1}), good[0][1], good[0][2], good[0][3])]
         with WorkerPool(max_workers=1) as pool:
-            run_scheduled(good, pool=pool)
+            run_scheduled(good, pool=pool, backend="interp")
             with pytest.raises(TypeError):
                 run_scheduled(bad, pool=pool)
             assert not pool.closed and pool.started
-            results = run_scheduled(good, pool=pool)  # still warm, still correct
+            results = run_scheduled(good, pool=pool, backend="interp")  # still warm
             assert pool.stats()["warm_hits"] >= 1
         cold = run_scheduled(good, max_workers=1)
         assert [pickle.dumps(r) for r in results] == [pickle.dumps(r) for r in cold]
@@ -91,7 +91,7 @@ class TestRunnerLifecycle:
     def test_persistent_runner_matches_fresh_runners(self):
         requests = [RunRequest("gshare", REF_A), RunRequest("bimodal", REF_B)]
         fresh = [Runner().run(request) for request in requests]
-        with Runner(RunnerConfig(workers=2), persistent=True) as runner:
+        with Runner(RunnerConfig(workers=2, backend="interp"), persistent=True) as runner:
             again = [runner.run(request) for request in requests]
             rerun = [runner.run(request) for request in requests]
             pool = runner.pool
