@@ -66,7 +66,7 @@ from repro.traces.trace import Trace, TraceHandle
 __all__ = ["RESOLVED_BRANCH_LIMIT", "Runner", "active_runner", "using_runner"]
 
 #: Branches of resolved traces one runner keeps for reuse across batches
-#: (about 113 bytes each resident).  Past it the least recently used
+#: (about 18 bytes each resident).  Past it the least recently used
 #: references are dropped — the newest is always kept — and regenerated
 #: if asked for again, which bounds persistent serve lanes and fleet
 #: workers however many distinct references they see.

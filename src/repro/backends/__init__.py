@@ -1,19 +1,21 @@
 """Execution backends: pluggable strategies for running simulations.
 
 See :mod:`repro.backends.base` for the protocol and registry,
-:mod:`repro.backends.interp` for the reference staged engine and
-:mod:`repro.backends.vector` for the numpy batch kernels.  Importing this
-package registers the built-in backends::
+:mod:`repro.backends.interp` for the reference staged engine,
+:mod:`repro.backends.native` for the C kernel and
+:mod:`repro.backends.vector` for the numpy scan.  Importing this
+package registers the built-in backends (and builds nothing)::
 
     from repro.backends import get_backend
 
-    backend = get_backend("numpy")
+    backend = get_backend("native")
     if backend.supports(spec, scenario, config):
-        results = backend.run_group([spec], trace, scenario, config)
+        (result,) = backend.run_tasks([(spec, trace)], scenario, config)
 
 The scheduler (:func:`repro.pipeline.parallel.run_scheduled`, behind
 :class:`~repro.api.runner.Runner`) selects backends by name and falls
-back to ``interp`` for anything a backend does not support.
+back to the default route (native, else ``interp``) for anything a
+backend does not support.
 """
 
 from repro.backends.base import (
@@ -23,7 +25,6 @@ from repro.backends.base import (
     get_backend,
     live_backends,
     register_backend,
-    resolve_backend,
 )
 from repro.backends.interp import InterpBackend
 from repro.backends.native import NativeBackend
@@ -39,7 +40,6 @@ __all__ = [
     "get_backend",
     "live_backends",
     "register_backend",
-    "resolve_backend",
 ]
 
 register_backend(InterpBackend.name, InterpBackend)

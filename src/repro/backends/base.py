@@ -6,10 +6,11 @@ simulations.  The staged per-branch interpreter
 backend — it supports every registered predictor kind and every update
 scenario.  Alternative backends trade generality for throughput: the
 ``native`` backend (:mod:`repro.backends.native`) runs the whole staged
-simulation in C for the TAGE family and the two-bit tables, and is the
-default route of a request that selects no backend; the ``numpy``
-backend (:mod:`repro.backends.vector`) replaces the per-branch loop with
-array kernels that **batch across the configuration axis**.
+simulation in C for the TAGE family, the two-bit tables, the perceptron
+and GEHL, and is the default route of a request that selects no backend;
+the ``numpy`` backend (:mod:`repro.backends.vector`) replaces the
+per-branch loop with one array scan for bimodal and gshare under
+scenario [I].
 
 The contract every backend honours:
 
@@ -48,7 +49,6 @@ __all__ = [
     "get_backend",
     "live_backends",
     "register_backend",
-    "resolve_backend",
 ]
 
 #: The reference backend: the staged per-branch engine.
@@ -87,57 +87,10 @@ class Backend(ABC):
     ) -> list["SimulationResult"]:
         """Execute (spec, trace) pairs; results in task order.
 
-        The entry point schedulers call.  Every spec must satisfy
-        :meth:`supports` — schedulers filter before grouping.  One call
-        spans several traces only when :meth:`batches_traces` says so,
-        letting a backend stack the trace axis into its kernels.
+        The entry point schedulers call, with one kernel group of
+        possibly several traces.  Every spec must satisfy
+        :meth:`supports` — schedulers filter before grouping.
         """
-
-    def run_group(
-        self,
-        specs: Sequence["PredictorSpec"],
-        trace: "Trace",
-        scenario: "UpdateScenario",
-        config: "PipelineConfig",
-    ) -> list["SimulationResult"]:
-        """Execute several specs over one trace; results in spec order."""
-        return self.run_tasks([(spec, trace) for spec in specs], scenario, config)
-
-    def run_one(
-        self,
-        spec: "PredictorSpec",
-        trace: "Trace",
-        scenario: "UpdateScenario",
-        config: "PipelineConfig",
-    ) -> "SimulationResult":
-        """Execute a single spec (the degenerate one-element group)."""
-        return self.run_group([spec], trace, scenario, config)[0]
-
-    def batches_traces(self, scenario: "UpdateScenario", config: "PipelineConfig") -> bool:
-        """Whether one kernel group may mix traces (see :meth:`run_tasks`).
-
-        Schedulers drop the trace from the grouping key when this is
-        true, so one batched call covers a whole (scenario, config) bucket
-        regardless of how many traces it spans.
-        """
-        return False
-
-    def min_group_size(
-        self,
-        specs: Sequence["PredictorSpec"],
-        scenario: "UpdateScenario",
-        config: "PipelineConfig",
-    ) -> int:
-        """Smallest group for which this backend beats the interp pool path.
-
-        ``specs`` are the group's members, so the answer can depend on the
-        kernel families involved (a time-vectorised scan wins alone; a
-        lockstep loop needs lanes to amortise over).  Schedulers route
-        supported groups below this size to the interpreter instead
-        (results are identical either way; this is purely the throughput
-        contract).  1 means "always profitable".
-        """
-        return 1
 
 
 def register_backend(name: str, factory: Callable[[], Backend]) -> None:
@@ -165,12 +118,3 @@ def get_backend(name: str) -> Backend:
     if name not in _INSTANCES:
         _INSTANCES[name] = _FACTORIES[name]()
     return _INSTANCES[name]
-
-
-def resolve_backend(backend: "str | Backend | None") -> Backend:
-    """Coerce a selection (name, instance or None) into a live backend."""
-    if backend is None:
-        return get_backend(DEFAULT_BACKEND)
-    if isinstance(backend, Backend):
-        return backend
-    return get_backend(backend)

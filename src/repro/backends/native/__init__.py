@@ -2,10 +2,11 @@
 
 :file:`kernel.c` restates the staged engine (window, execute and retire
 stages, [A]/[B]/[C] rereads, warmup replay) and the predictors it drives:
-the TAGE family (core, IUM, loop predictor, SC, LSC, bank interleaving)
-and the bimodal and gshare tables, bit for bit.  One call runs one (spec,
-trace) pair on the trace's numpy columns with all state allocated per
-call, so threads run calls side by side (``ctypes`` releases the GIL).
+the TAGE family (core, IUM, loop predictor, SC, LSC, bank interleaving),
+the bimodal and gshare tables, the perceptron and GEHL, bit for bit.  One
+call runs one (spec, trace) pair on the trace's numpy columns with all
+state allocated per call, so threads run calls side by side (``ctypes``
+releases the GIL).
 :func:`_plan` reads a spec's power-on predictor; anything the kernel does
 not model declines the spec, which then runs on the interpreter.
 
@@ -41,7 +42,9 @@ from repro.hardware.access_counter import AccessProfile
 from repro.obs import get_logger, log_event
 from repro.pipeline.metrics import SimulationResult
 from repro.predictors.bimodal import BimodalPredictor
+from repro.predictors.gehl import GEHLPredictor
 from repro.predictors.gshare import GSharePredictor
+from repro.predictors.perceptron import PerceptronPredictor
 from repro.predictors.registry import PredictorSpec, backend_support
 
 __all__ = ["NativeBackend"]
@@ -123,6 +126,19 @@ def _plan(predictor) -> list[int] | None:
         return [0, predictor.entries.bit_length() - 1, predictor.hysteresis_sharing]
     if type(predictor) is GSharePredictor:
         return [1, predictor.log2_entries, predictor.history_length]
+    if type(predictor) is PerceptronPredictor:
+        # int16 weights; the dot product stays well inside an int.
+        if predictor.weight_bits > 16 or predictor.history_length > 4096:
+            return None
+        return [3, predictor.log2_rows, predictor.history_length, predictor.weight_bits,
+                predictor.threshold]
+    if type(predictor) is GEHLPredictor:
+        cfg = predictor.config
+        values = (*predictor.history_lengths, predictor.threshold)
+        if cfg.num_tables > 32 or cfg.counter_bits > 8 or any(type(v) is not int for v in values):
+            return None
+        return [4, cfg.num_tables, cfg.log2_entries, cfg.counter_bits, predictor.threshold,
+                *predictor.history_lengths]
     composite = predictor if type(predictor) in _COMPOSITES else None
     tage = predictor.tage if composite is not None else predictor
     if type(tage) is not TAGEPredictor:
@@ -206,9 +222,6 @@ class NativeBackend(Backend):
     def supports(self, spec, scenario, config) -> bool:
         return ("native" in backend_support(spec.kind) and self.available()
                 and self._plan_for(spec) is not None)
-
-    def batches_traces(self, scenario, config) -> bool:
-        return True
 
     def run_tasks(self, tasks: Sequence, scenario, config) -> list[SimulationResult]:
         library, results = _library(), []

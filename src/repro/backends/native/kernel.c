@@ -3,7 +3,8 @@
  * This file re-states, statement for statement, the staged engine of
  * repro/pipeline/engine.py and the predictors it drives for the kinds the
  * native backend accepts: bimodal (repro/predictors/bimodal.py), gshare
- * (repro/predictors/gshare.py) and the TAGE family (repro/core/tage.py,
+ * (repro/predictors/gshare.py), perceptron (repro/predictors/perceptron.py),
+ * GEHL (repro/predictors/gehl.py) and the TAGE family (repro/core/tage.py,
  * augmented.py, ium.py, loop_predictor.py, statistical_corrector.py and
  * histories/local.py).  Results must equal the interpreter's bit for bit:
  * every table update, silent-write check and access count below mirrors
@@ -16,10 +17,13 @@
  * The plan is a flat int64 array read front to back (see _plan in
  * __init__.py, which writes it in the same order):
  *
- *   family (0 bimodal, 1 gshare, 2 TAGE), scenario (0 [I], 1 [A], 2 [B],
- *   3 [C]), retire_delay, execute_delay, then per family
+ *   family (0 bimodal, 1 gshare, 2 TAGE, 3 perceptron, 4 GEHL), scenario
+ *   (0 [I], 1 [A], 2 [B], 3 [C]), retire_delay, execute_delay, then per family
  *   bimodal: log2 entries, hysteresis sharing
  *   gshare:  log2 entries, history length
+ *   perceptron: log2 rows, history length, weight bits, training threshold
+ *   GEHL:    N tables, log2 entries, counter bits, initial threshold,
+ *            N x history length (0 for the PC-only table)
  *   TAGE:    bimodal log2 entries, hysteresis sharing, M tagged tables,
  *            M x (log2 entries, tag width, history length), counter bits,
  *            useful bits, max allocations, USE_ALT_ON_NA bits,
@@ -49,7 +53,7 @@
 #define LOOP_AGE_MAX 7
 #define SC_TAGE_WEIGHT 8
 
-enum { BIMODAL = 0, GSHARE = 1, TAGE = 2 };
+enum { BIMODAL = 0, GSHARE = 1, TAGE = 2, PERCEPTRON = 3, GEHL = 4 };
 enum { SCOPE_ALL = 0, SCOPE_TAGE_ONLY = 1, SCOPE_LOCAL_ONLY = 2 };
 
 static inline int imin(int a, int b) { return a < b ? a : b; }
@@ -135,6 +139,49 @@ static inline void bank_advance(Banks *b, uint64_t pc) {
     }
 }
 
+/* ---- global direction history (histories/global_history.py) ----
+ *
+ * A ring of outcome bits, newest at head; a bit never pushed reads 0, like
+ * the zeroed power-on register.  Sized to a power of two above the oldest
+ * age any reader asks for. */
+
+typedef struct {
+    uint8_t *bits;
+    uint32_t mask, head;
+} Ring;
+
+static int ring_init(Ring *r, int64_t oldest_age) {
+    uint32_t capacity = 64;
+    while (capacity < (uint64_t)oldest_age + 1) capacity <<= 1;
+    r->bits = calloc(capacity, 1);
+    r->mask = capacity - 1;
+    return r->bits ? 0 : -2;
+}
+
+static inline int ring_bit(const Ring *r, uint32_t head, int age) {
+    return r->bits[(head - (uint32_t)age) & r->mask];
+}
+
+static inline void ring_push(Ring *r, int taken) {
+    r->head = (r->head + 1) & r->mask;
+    r->bits[r->head] = (uint8_t)taken;
+}
+
+/* FoldedHistory.update: rotate in the newest bit; `out` drops the oldest. */
+static inline uint32_t fold_step(uint32_t value, int width, uint32_t mask, int bit) {
+    return ((((value << 1) & mask) | (value >> (width - 1))) ^ (uint32_t)bit);
+}
+
+/* O-GEHL threshold fitting (gehl.py _adapt_threshold, and the SC's): a 7-bit
+ * counter moves the threshold up on `up`, down otherwise, when it saturates. */
+static inline void adapt_threshold(int *threshold, int *counter, int up) {
+    *counter = sat(*counter, up, -64, 63);
+    if (*counter == (up ? 63 : -64)) {
+        *threshold = up ? *threshold + 1 : imax(1, *threshold - 1);
+        *counter = 0;
+    }
+}
+
 /* ---- TAGE (core/tage.py) ---- */
 
 typedef struct {
@@ -158,8 +205,7 @@ typedef struct {
     uint8_t *useful[MAXT];
     size_t size[MAXT];
     uint32_t fold_index[MAXT], fold_1[MAXT], fold_2[MAXT];
-    uint8_t *history;
-    uint32_t history_mask, head;
+    Ring history;
     uint64_t path, path_mask;
     Bimodal base;
     int ctr_lo, ctr_hi, u_max, max_allocations;
@@ -212,12 +258,8 @@ static int tage_init(Tage *t, const int64_t **cursor) {
         t->path_age[i] = path_length - 1;
         t->path_out[i] = 1u << ((path_length % width + rotation) % width);
     }
-    uint32_t capacity = 64;
-    while (capacity < (uint32_t)longest + 1) capacity <<= 1;
-    t->history = calloc(capacity, 1);
-    t->history_mask = capacity - 1;
     *cursor = p;
-    if (!t->history) return -2;
+    if (ring_init(&t->history, longest)) return -2;
     return bimodal_init(&t->base, bimodal_log2, sharing) ? -2 : 0;
 }
 
@@ -227,7 +269,7 @@ static void tage_free(Tage *t) {
         free(t->tags[i]);
         free(t->useful[i]);
     }
-    free(t->history);
+    free(t->history.bits);
     free(t->base.pred);
     free(t->base.hyst);
 }
@@ -277,14 +319,10 @@ static void tage_predict(const Tage *t, uint64_t pc, int bank, TagePrediction *p
     }
 }
 
-static inline uint32_t fold_step(uint32_t value, int width, uint32_t mask, int bit) {
-    return ((((value << 1) & mask) | (value >> (width - 1))) ^ (uint32_t)bit);
-}
-
 /* TAGEPredictor.update_history (the bank selector advances in the caller). */
 static void tage_update_history(Tage *t, uint64_t pc, int taken) {
     for (int i = 0; i < t->tables; i++) {
-        int dropped = t->history[(t->head - (uint32_t)(t->length[i] - 1)) & t->history_mask];
+        int dropped = ring_bit(&t->history, t->history.head, t->length[i] - 1);
         uint32_t index = fold_step(t->fold_index[i], t->index_width[i], t->index_mask[i], taken);
         uint32_t fold_1 = fold_step(t->fold_1[i], t->tag_width[i], t->mask_1[i], taken);
         uint32_t fold_2 = fold_step(t->fold_2[i], t->width_2[i], t->mask_2[i], taken);
@@ -299,8 +337,7 @@ static void tage_update_history(Tage *t, uint64_t pc, int taken) {
         t->fold_1[i] = fold_1;
         t->fold_2[i] = fold_2;
     }
-    t->head = (t->head + 1) & t->history_mask;
-    t->history[t->head] = (uint8_t)taken;
+    ring_push(&t->history, taken);
     t->path = ((t->path << 1) | (pc & 1)) & t->path_mask;
 }
 
@@ -433,22 +470,133 @@ static int corrector_train(Corrector *c, const SCReading *r, int taken, int rere
             }
         }
     }
-    if (sc_taken != r->tage_taken) {
-        if (sc_taken == taken) {
-            c->threshold_ctr = sat(c->threshold_ctr, 0, -64, 63);
-            if (c->threshold_ctr == -64) {
-                c->threshold = imax(1, c->threshold - 1);
-                c->threshold_ctr = 0;
-            }
-        } else {
-            c->threshold_ctr = sat(c->threshold_ctr, 1, -64, 63);
-            if (c->threshold_ctr == 63) {
-                c->threshold++;
-                c->threshold_ctr = 0;
-            }
+    if (sc_taken != r->tage_taken)
+        adapt_threshold(&c->threshold, &c->threshold_ctr, sc_taken != taken);
+    return writes;
+}
+
+/* ---- perceptron (predictors/perceptron.py) ---- */
+
+typedef struct {
+    int log2_rows, length, lo, hi, threshold;
+    uint64_t row_mask;
+    int16_t *weights; /* rows x (1 bias + length history weights) */
+    Ring history;
+} Perceptron;
+
+/* Sized for the in-flight window: retire re-reads the fetch-time history
+ * bits from the ring, up to `depth` pushes later. */
+static int perceptron_init(Perceptron *q, const int64_t *p, int depth) {
+    q->log2_rows = (int)p[0];
+    q->length = (int)p[1];
+    q->lo = -(1 << (p[2] - 1));
+    q->hi = (1 << (p[2] - 1)) - 1;
+    q->threshold = (int)p[3];
+    q->row_mask = mask64(q->log2_rows);
+    q->weights = calloc((size_t)(q->row_mask + 1) * (size_t)(q->length + 1), sizeof(int16_t));
+    if (!q->weights) return -2;
+    return ring_init(&q->history, (int64_t)q->length + depth);
+}
+
+/* PerceptronPredictor.predict: the dot product over history bits seen from `head`. */
+static int perceptron_predict(const Perceptron *q, uint64_t pc, uint32_t head, uint32_t *row) {
+    *row = (uint32_t)(((pc >> 2) ^ (pc >> (2 + q->log2_rows))) & q->row_mask);
+    const int16_t *w = q->weights + (size_t)*row * (size_t)(q->length + 1);
+    int total = w[0];
+    for (int i = 0; i < q->length; i++)
+        total += ring_bit(&q->history, head, i) ? w[1 + i] : -w[1 + i];
+    return total;
+}
+
+/* PerceptronPredictor.update: trains the current weights (a reread only
+ * charges the read) on the fetch-time history bits. */
+static void perceptron_update(Perceptron *q, uint32_t row, uint32_t head, int total,
+                              int mispredicted, int taken, int reread, Stats *st) {
+    if (!mispredicted && iabs(total) > q->threshold) return;
+    st->reads += reread;
+    int16_t *w = q->weights + (size_t)row * (size_t)(q->length + 1);
+    int changed = 0;
+    for (int i = 0; i <= q->length; i++) {
+        int agree = i == 0 ? taken : ring_bit(&q->history, head, i - 1) == taken;
+        int updated = imax(q->lo, imin(q->hi, w[i] + (agree ? 1 : -1)));
+        changed |= updated != w[i];
+        w[i] = (int16_t)updated;
+    }
+    if (changed) st->writes++;
+}
+
+/* ---- GEHL (predictors/gehl.py) ---- */
+
+typedef struct {
+    int tables, width, lo, hi, threshold, threshold_ctr;
+    int length[MAXT], shift[MAXT];
+    uint32_t mask, out[MAXT], fold[MAXT];
+    int8_t *ctr[MAXT];
+    Ring history;
+} Gehl;
+
+typedef struct {
+    int total;
+    uint32_t index[MAXT];
+    int8_t ctr[MAXT];
+} GehlReading;
+
+static int gehl_init(Gehl *g, const int64_t *p) {
+    g->tables = (int)p[0];
+    g->width = (int)p[1];
+    g->lo = -(1 << (p[2] - 1));
+    g->hi = (1 << (p[2] - 1)) - 1;
+    g->threshold = (int)p[3];
+    g->mask = (uint32_t)mask64(g->width);
+    if (g->tables < 1 || g->tables > MAXT) return -1;
+    int longest = 0;
+    for (int i = 0; i < g->tables; i++) {
+        g->length[i] = (int)p[4 + i];
+        g->out[i] = 1u << (g->length[i] % g->width);
+        g->shift[i] = g->width - i % g->width;
+        longest = imax(longest, g->length[i]);
+        if (!(g->ctr[i] = calloc((size_t)g->mask + 1, 1))) return -2;
+    }
+    return ring_init(&g->history, longest);
+}
+
+/* GEHLPredictor.predict with its _index hash. */
+static void gehl_predict(const Gehl *g, uint64_t pc, GehlReading *r) {
+    uint64_t pc_hash = (pc >> 2) ^ (pc >> (2 + g->width));
+    r->total = 0;
+    for (int i = 0; i < g->tables; i++) {
+        uint64_t fold = g->length[i] ? g->fold[i] ^ (g->fold[i] >> g->shift[i]) : 0;
+        r->index[i] = (uint32_t)((pc_hash ^ fold) & g->mask);
+        r->ctr[i] = g->ctr[i][r->index[i]];
+        r->total += 2 * r->ctr[i] + 1;
+    }
+}
+
+/* GEHLPredictor.update_history: one fold step per history table. */
+static void gehl_update_history(Gehl *g, int taken) {
+    for (int i = 0; i < g->tables; i++) {
+        if (!g->length[i]) continue;
+        uint32_t fold = fold_step(g->fold[i], g->width, g->mask, taken);
+        int dropped = ring_bit(&g->history, g->history.head, g->length[i] - 1);
+        g->fold[i] = dropped ? fold ^ g->out[i] : fold;
+    }
+    ring_push(&g->history, taken);
+}
+
+/* GEHLPredictor.update: threshold-gated training, then threshold fitting. */
+static void gehl_update(Gehl *g, const GehlReading *r, int mispredicted, int taken, int reread,
+                        Stats *st) {
+    if (!mispredicted && iabs(r->total) >= g->threshold) return;
+    for (int i = 0; i < g->tables; i++) {
+        int8_t *entry = &g->ctr[i][r->index[i]];
+        int updated = sat(reread ? *entry : r->ctr[i], taken, g->lo, g->hi);
+        if (updated != *entry) {
+            *entry = (int8_t)updated;
+            st->writes++;
         }
     }
-    return writes;
+    if (reread) st->reads += g->tables;
+    adapt_threshold(&g->threshold, &g->threshold_ctr, mispredicted);
 }
 
 /* ---- in-flight buffers: IUM, SLIM, speculative local histories ----
@@ -646,9 +794,10 @@ static void loop_update(Loop *l, uint64_t pc, int taken, const LoopPrediction *p
 typedef struct {
     uint64_t pc;
     int taken, prediction, mispredicted, executed, measured, override;
-    /* two-bit tables */
-    uint32_t index, hindex;
+    /* two-bit tables; the perceptron's row, dot product and history head */
+    uint32_t index, hindex, head;
     int counter;
+    GehlReading gehl;
     /* TAGE family */
     TagePrediction tage;
     SCReading sc, lsc;
@@ -663,6 +812,8 @@ typedef struct {
     int8_t *gshare;
     uint64_t gshare_mask, gshare_history, gshare_history_mask;
     Tage tage;
+    Perceptron perceptron;
+    Gehl gehl;
     int banked, scope, ium_mode, has_loop, has_sc, has_lsc, with_loop;
     Banks banks;
     Buffer ium, lsc_inflight;
@@ -685,6 +836,10 @@ static int sim_init(Sim *s, const int64_t *plan, int64_t plan_len) {
         memset(s->gshare, 2, (size_t)1 << p[0]); /* power-on: weakly taken */
         return 0;
     }
+    if (s->family == PERCEPTRON)
+        return plan_len == 8 ? perceptron_init(&s->perceptron, p, s->scenario ? s->retire_delay : 0)
+                             : -1;
+    if (s->family == GEHL) return plan_len == 8 + p[0] ? gehl_init(&s->gehl, p) : -1;
     if (s->family != TAGE) return -1;
     int status = tage_init(&s->tage, &p);
     if (status) return status;
@@ -729,6 +884,10 @@ static void sim_free(Sim *s) {
     free(s->bimodal.hyst);
     free(s->gshare);
     if (s->family == TAGE) tage_free(&s->tage);
+    free(s->perceptron.weights);
+    free(s->perceptron.history.bits);
+    free(s->gehl.history.bits);
+    for (int i = 0; i < MAXT; i++) free(s->gehl.ctr[i]);
     free(s->ium.entries);
     free(s->loop.table);
     free(s->loop.slim.entries);
@@ -768,6 +927,17 @@ static void predict(Sim *s, Slot *slot) {
         slot->prediction = slot->counter >= 2;
         return;
     }
+    if (s->family == PERCEPTRON) {
+        slot->head = s->perceptron.history.head;
+        slot->counter = perceptron_predict(&s->perceptron, pc, slot->head, &slot->index);
+        slot->prediction = slot->counter >= 0;
+        return;
+    }
+    if (s->family == GEHL) {
+        gehl_predict(&s->gehl, pc, &slot->gehl);
+        slot->prediction = slot->gehl.total >= 0;
+        return;
+    }
     TagePrediction *t = &slot->tage;
     int bank = s->banked ? bank_select(&s->banks, pc) : -1;
     tage_predict(&s->tage, pc, (s->banked & 1) ? bank : -1, t);
@@ -803,6 +973,8 @@ static void update_history(Sim *s, Slot *slot) {
     uint64_t pc = slot->pc;
     int taken = slot->taken;
     if (s->family == GSHARE) s->gshare_history = (s->gshare_history << 1) | (uint64_t)taken;
+    if (s->family == PERCEPTRON) ring_push(&s->perceptron.history, taken);
+    if (s->family == GEHL) gehl_update_history(&s->gehl, taken);
     if (s->family != TAGE) return;
     TagePrediction *t = &slot->tage;
     tage_update_history(&s->tage, pc, taken);
@@ -860,6 +1032,15 @@ static void update(Sim *s, Slot *slot, int reread, Stats *st) {
             s->gshare[slot->index] = (int8_t)updated;
             st->writes++;
         }
+        return;
+    }
+    if (s->family == PERCEPTRON) {
+        perceptron_update(&s->perceptron, slot->index, slot->head, slot->counter,
+                          slot->mispredicted, taken, reread, st);
+        return;
+    }
+    if (s->family == GEHL) {
+        gehl_update(&s->gehl, &slot->gehl, slot->mispredicted, taken, reread, st);
         return;
     }
     int tage_reread = reread || s->scope == SCOPE_LOCAL_ONLY;

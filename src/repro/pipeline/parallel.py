@@ -656,8 +656,8 @@ def _run_scheduled(
 
     * tasks the selected backend supports — and, without a selection or
       when the selected backend declines, tasks the ``native`` kernel
-      supports — are grouped by (trace, scenario, config) and executed
-      as **one batched kernel call per group** in the driving process
+      supports — are grouped by (scenario, config) and executed as
+      **one kernel call per group** in the driving process
       (:mod:`repro.backends`) — while any pool futures for the rest are
       already in flight;
     * everything else (and every task of an explicit ``interp``
@@ -726,29 +726,13 @@ def _run_scheduled(
         spec, trace, scenario, config = task
         chosen = _route(selections[unique_positions[index][0]], spec, scenario, config)
         if chosen is not None:
-            # Backends that batch the trace axis pool every trace of a
-            # (scenario, config) bucket into one kernel call; the rest
-            # group per trace as before.
-            if chosen.batches_traces(scenario, config):
-                batch_key = (chosen.name, None, scenario, config)
-            else:
-                batch_key = (chosen.name, id(trace), scenario, config)
+            # One kernel call per (backend, scenario, config) bucket,
+            # whatever traces it spans.
+            batch_key = (chosen.name, scenario, config)
             kernel_groups.setdefault(batch_key, []).append(index)
             kernel_backends[batch_key] = chosen
         else:
             interp_indices.append(index)
-    # Groups too small to amortise their kernel go to the pool instead —
-    # backend selection must never cost throughput (e.g. a lone delayed
-    # run is faster, and parallelises, on the interpreter).
-    for batch_key in list(kernel_groups):
-        chosen = kernel_backends[batch_key]
-        indices = kernel_groups[batch_key]
-        specs = [unique_tasks[index][0] for index in indices]
-        _, _, scenario, config = unique_tasks[indices[0]]
-        if len(indices) < chosen.min_group_size(specs, scenario, config):
-            interp_indices.extend(kernel_groups.pop(batch_key))
-            kernel_backends.pop(batch_key)
-    interp_indices.sort()
 
     fresh: dict[int, SimulationResult] = {}
     registry = get_metrics()

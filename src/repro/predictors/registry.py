@@ -44,10 +44,10 @@ __all__ = [
 _REGISTRY: dict[str, Callable[..., Predictor]] = {}
 #: kind → one-line description shown by :func:`describe`.
 _DESCRIPTIONS: dict[str, str] = {}
-#: kind → names of execution backends with a batched kernel for it.  The
+#: kind → names of execution backends with a kernel for it.  The
 #: staged interpreter supports everything, so "interp" is always present;
 #: a backend named here additionally config-checks the spec itself (see
-#: e.g. :meth:`repro.backends.vector.NumpyBackend.supports`).
+#: e.g. :meth:`repro.backends.native.NativeBackend.supports`).
 _BACKEND_SUPPORT: dict[str, frozenset[str]] = {}
 
 
@@ -132,10 +132,10 @@ def register(
     decorator on a factory function.  Registering an existing kind
     replaces it (useful for tests and user extensions) — including its
     backend capability tags, so a replacement factory is never executed
-    by a batched kernel written for the original.
+    by a kernel written for the original.
 
     ``backends`` names the execution backends (beyond the always-capable
-    staged interpreter) that ship a batched kernel for this kind; see
+    staged interpreter) that ship a kernel for this kind; see
     :func:`backend_support`.
     """
 
@@ -163,7 +163,7 @@ def describe() -> Iterator[tuple[str, str]]:
 
 
 def backend_support(kind: str) -> frozenset[str]:
-    """Names of the execution backends with a batched kernel for ``kind``.
+    """Names of the execution backends with a kernel for ``kind``.
 
     Always contains ``"interp"`` for registered kinds (the staged engine
     runs everything).  Unknown kinds return an empty set rather than
@@ -243,7 +243,7 @@ def _gshare(**config: Any) -> Predictor:
 @register(
     "perceptron",
     description="the original neural predictor (Jimenez & Lin)",
-    backends=("numpy",),
+    backends=("native",),
 )
 def _perceptron(**config: Any) -> Predictor:
     from repro.predictors.perceptron import PerceptronPredictor
@@ -254,7 +254,7 @@ def _perceptron(**config: Any) -> Predictor:
 @register(
     "gehl",
     description="GEometric History Length predictor (Section 4 baseline)",
-    backends=("numpy",),
+    backends=("native",),
 )
 def _gehl(**config: Any) -> Predictor:
     from repro.predictors.gehl import GEHLConfig, GEHLPredictor

@@ -112,9 +112,10 @@ DEFAULT_QUEUE_SIZE = 64
 DEFAULT_STORE_ENTRIES = 4096
 
 #: Default interactive-lane threshold for ``repro serve --lanes``: a
-#: gshare run over a 200k-branch synthetic trace takes well under a
-#: second on the vector kernels, while fig10-sized batches are ~2M
-#: branches — an order of magnitude above the cut.
+#: gshare run over a 200k-branch synthetic trace takes about 0.3 s end to
+#: end (trace generation; the native kernel itself takes under 10 ms),
+#: while fig10-sized batches are ~2M branches — an order of magnitude
+#: above the cut.
 DEFAULT_SMALL_JOB_BRANCHES = 200_000
 
 #: How often the watcher polls published jobs, seconds (an in-process

@@ -32,7 +32,7 @@ class TestListCommands:
         assert {"tage", "tage-lsc", "gshare", "isl-tage"} <= kinds
         backends = {entry["kind"]: entry["backends"] for entry in payload}
         assert backends["tage"] == ["interp", "native"]
-        assert backends["gehl"] == ["interp", "numpy"]
+        assert backends["gehl"] == ["interp", "native"]
         assert backends["gshare"] == ["interp", "native", "numpy"]
         assert backends["tage-lsc"] == ["interp", "native"]
         assert backends["snap"] == ["interp"]
@@ -43,7 +43,7 @@ class TestListCommands:
         header, *lines = out.splitlines()
         assert "backends" in header
         perceptron = next(line for line in lines if line.startswith("perceptron "))
-        assert "interp, numpy" in perceptron
+        assert "interp, native" in perceptron
 
     def test_list_traces_json(self, capsys):
         payload = run_cli_json(capsys, "list", "traces", "--json")

@@ -107,41 +107,41 @@ class TestSchedulerRouting:
         via_interp = run_scheduled(tasks, max_workers=1, backend="interp")
         assert [pickle.dumps(r) for r in via_numpy] == [pickle.dumps(r) for r in via_interp]
 
-    def test_singleton_delayed_groups_stay_on_the_interp_path(self, monkeypatch):
-        """A lone delayed run does not amortise the lockstep kernel, so the
-        scheduler keeps it on the pool; a lone immediate run (scan kernel,
-        time-vectorised) does route to the backend.  Calls into the numpy
-        backend's ``run_tasks`` are the observable."""
+    def test_lone_delayed_numpy_task_on_native(self, monkeypatch):
+        """numpy has only the [I] scan: a lone [C] gshare task selected
+        for numpy runs on the native kernel, never on the interp pool;
+        a lone [I] task runs on the numpy scan.  Calls into each backend's
+        ``run_tasks`` are the observable."""
         from repro.backends import get_backend
-        from repro.pipeline.config import PipelineConfig as PC
 
-        backend = get_backend("numpy")
-        gshare = [PredictorSpec("gshare", {"log2_entries": 10})]
-        assert backend.min_group_size(gshare, UpdateScenario.IMMEDIATE, PC()) == 1
-        assert backend.min_group_size(gshare, UpdateScenario.REREAD_AT_RETIRE, PC()) == 2
-        # TAGE has no numpy kernel: the native backend runs it.
-        assert not backend.supports(PredictorSpec("tage"), UpdateScenario.IMMEDIATE, PC())
+        calls = []
+        for name in ("numpy", "native"):
+            backend = get_backend(name)
+            run_tasks = type(backend).run_tasks
 
-        kernel_tasks = []
-        run_tasks = type(backend).run_tasks
+            def spy(self, tasks, *args, _name=name, _run=run_tasks):
+                calls.append((_name, len(tasks)))
+                return _run(self, tasks, *args)
 
-        def spy(self, tasks, *args):
-            kernel_tasks.append(len(tasks))
-            return run_tasks(self, tasks, *args)
-
-        monkeypatch.setattr(type(backend), "run_tasks", spy)
+            monkeypatch.setattr(type(backend), "run_tasks", spy)
         spec = PredictorSpec("gshare", {"log2_entries": 10})
         trace = generate_trace("CLIENT01", branches_per_trace=300, seed=9)
-        run_scheduled(
-            [(spec, trace, UpdateScenario.REREAD_AT_RETIRE, PipelineConfig())],
+        (delayed,) = run_scheduled(
+            [(spec, trace, UpdateScenario.REREAD_ON_MISPREDICTION, PipelineConfig())],
             max_workers=1, backend="numpy",
         )
-        assert kernel_tasks == []  # interp path
-        run_scheduled(
+        assert calls == [("native", 1)]
+        (immediate,) = run_scheduled(
             [(spec, trace, UpdateScenario.IMMEDIATE, PipelineConfig())],
             max_workers=1, backend="numpy",
         )
-        assert kernel_tasks == [1]  # scan kernel ran
+        assert calls == [("native", 1), ("numpy", 1)]
+        for result, scenario in ((delayed, "C"), (immediate, "I")):
+            (reference,) = run_scheduled(
+                [(spec, trace, UpdateScenario(scenario), PipelineConfig())],
+                max_workers=1, backend="interp",
+            )
+            assert result == reference
 
     def test_per_task_backend_list(self):
         trace = generate_trace("INT03", branches_per_trace=400, seed=5)
@@ -160,7 +160,7 @@ class TestRunnerEndToEnd:
             RunRequest("bimodal", TINY),
             RunRequest("tage", TINY),  # no numpy kernel: falls back to native
             RunRequest("tage-lsc", TINY),
-            RunRequest("perceptron", TINY, scenario="C"),  # no native kernel
+            RunRequest("perceptron", TINY, scenario="C"),  # no numpy kernel: native
         ]
         baseline = Runner(RunnerConfig(backend="interp")).run_batch(requests)
         for backend in ("numpy", "native", None):

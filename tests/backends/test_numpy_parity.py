@@ -1,4 +1,4 @@
-"""Numpy-backend parity: bit-identical to the staged engine, everywhere.
+"""Numpy-selection parity: bit-identical to the staged engine, everywhere.
 
 The acceptance bar for any backend kernel (see
 :mod:`repro.backends.base`): for every supported registry kind, every
@@ -8,6 +8,11 @@ interpreter's, misprediction for misprediction and access for access.
 The dataclass equality below covers the full access profile, so one
 ``==`` asserts prediction bits, effective writes, retire reads and
 warmup accounting at once.
+
+A ``numpy`` selection runs the two-bit tables on the numpy scan under
+[I] and on the native kernel under [A]/[B]/[C]; every case goes through
+:func:`~repro.pipeline.parallel.run_scheduled` and must land on a kernel,
+never on the interp pool.
 """
 
 from __future__ import annotations
@@ -41,32 +46,37 @@ def engine_result(spec, trace, scenario, config=None):
     return SimulationEngine(spec.build(), scenario, config or PipelineConfig()).run(trace)
 
 
-@pytest.fixture(scope="module")
-def numpy_backend():
-    return get_backend("numpy")
+@pytest.fixture
+def via_numpy(on_kernel):
+    """``via_numpy(specs, trace, scenario, config)``: a numpy selection's results."""
+
+    def run(specs, trace, scenario, config=None):
+        config = config or PipelineConfig()
+        return on_kernel([(spec, trace, scenario, config) for spec in specs], "numpy")
+
+    return run
 
 
 @pytest.mark.parametrize("scenario", ALL_SCENARIOS, ids=[s.value for s in ALL_SCENARIOS])
-def test_group_matches_engine_for_every_supported_spec(numpy_backend, scenario, tiny_trace):
-    """One batched group call equals N individual engine runs, bit for bit."""
+def test_group_matches_engine_for_every_supported_spec(via_numpy, scenario, tiny_trace):
+    """One scheduled group equals N individual engine runs, bit for bit."""
     specs = list(SUPPORTED_SPECS.values())
     config = PipelineConfig()
-    assert all(numpy_backend.supports(spec, scenario, config) for spec in specs)
-    batched = numpy_backend.run_group(specs, tiny_trace, scenario, config)
-    for spec, result in zip(specs, batched):
+    numpy_backend = get_backend("numpy")
+    immediate = scenario is UpdateScenario.IMMEDIATE
+    assert all(numpy_backend.supports(spec, scenario, config) is immediate for spec in specs)
+    for spec, result in zip(specs, via_numpy(specs, tiny_trace, scenario, config)):
         assert result == engine_result(spec, tiny_trace, scenario, config)
 
 
 @pytest.mark.parametrize("name", sorted(SUPPORTED_SPECS))
 @pytest.mark.parametrize("scenario", ALL_SCENARIOS, ids=[s.value for s in ALL_SCENARIOS])
 def test_single_spec_parity_on_structured_traces(
-    numpy_backend, name, scenario, loop_trace, biased_trace
+    via_numpy, name, scenario, loop_trace, biased_trace
 ):
     spec = SUPPORTED_SPECS[name]
     for trace in (loop_trace, biased_trace):
-        assert numpy_backend.run_one(spec, trace, scenario, PipelineConfig()) == engine_result(
-            spec, trace, scenario
-        )
+        assert via_numpy([spec], trace, scenario) == [engine_result(spec, trace, scenario)]
 
 
 @pytest.mark.parametrize(
@@ -78,36 +88,32 @@ def test_single_spec_parity_on_structured_traces(
     ],
     ids=["tight", "execute-at-retire", "wide"],
 )
-def test_parity_across_window_shapes(numpy_backend, config, tiny_trace):
+def test_parity_across_window_shapes(via_numpy, config, tiny_trace):
     """Delayed-scenario parity holds for any in-flight window depth,
     including windows longer than the trace (pure drain path)."""
     spec = SUPPORTED_SPECS["gshare-small"]
     short = tiny_trace.slice(0, 40)
     for scenario in (UpdateScenario.REREAD_AT_RETIRE, UpdateScenario.REREAD_ON_MISPREDICTION):
-        assert numpy_backend.run_one(spec, tiny_trace, scenario, config) == engine_result(
-            spec, tiny_trace, scenario, config
-        )
-        assert numpy_backend.run_one(spec, short, scenario, config) == engine_result(
-            spec, short, scenario, config
-        )
+        for trace in (tiny_trace, short):
+            assert via_numpy([spec], trace, scenario, config) == [
+                engine_result(spec, trace, scenario, config)
+            ]
 
 
 @pytest.mark.parametrize("scenario", ALL_SCENARIOS, ids=[s.value for s in ALL_SCENARIOS])
-def test_warmup_shard_parity(numpy_backend, scenario):
+def test_warmup_shard_parity(via_numpy, scenario):
     """Shards replay their warmup prefix unaccounted, exactly like the engine."""
     trace = generate_trace("MM01", branches_per_trace=3000, seed=17)
     specs = [SUPPORTED_SPECS["bimodal-small"], SUPPORTED_SPECS["gshare-short-history"]]
     for window in plan_shards(len(trace), 3, warmup=400):
         shard = shard_trace(trace, window)
-        for spec, result in zip(
-            specs, numpy_backend.run_group(specs, shard, scenario, PipelineConfig())
-        ):
+        for spec, result in zip(specs, via_numpy(specs, shard, scenario)):
             assert result == engine_result(spec, shard, scenario)
             assert result.warmup_branches == shard.warmup_count
             assert result.window == shard.window
 
 
-def test_all_warmup_and_empty_traces(numpy_backend):
+def test_all_warmup_and_empty_traces(via_numpy):
     """Degenerate measurement windows: nothing measured, nothing counted."""
     spec = SUPPORTED_SPECS["gshare-small"]
     trace = generate_trace("INT02", branches_per_trace=300, seed=3)
@@ -115,13 +121,15 @@ def test_all_warmup_and_empty_traces(numpy_backend):
     empty = Trace(name="empty")
     for scenario in (UpdateScenario.IMMEDIATE, UpdateScenario.REREAD_AT_RETIRE):
         for degenerate in (all_warmup, empty):
-            assert numpy_backend.run_one(
-                spec, degenerate, scenario, PipelineConfig()
-            ) == engine_result(spec, degenerate, scenario)
+            assert via_numpy([spec], degenerate, scenario) == [
+                engine_result(spec, degenerate, scenario)
+            ]
 
 
-def test_unsupported_specs_are_declined(numpy_backend):
-    """Shared-hysteresis bimodal, unknown keys and other kinds stay on interp."""
+def test_unsupported_specs_are_declined():
+    """The numpy scan takes bimodal/gshare under [I] only; the rest is
+    declined and takes the default route."""
+    numpy_backend = get_backend("numpy")
     config = PipelineConfig()
     scenario = UpdateScenario.IMMEDIATE
     declined = [
@@ -137,10 +145,15 @@ def test_unsupported_specs_are_declined(numpy_backend):
     ]
     for spec in declined:
         assert not numpy_backend.supports(spec, scenario, config)
+    for delayed in (UpdateScenario.FETCH_READ_ONLY, UpdateScenario.REREAD_ON_MISPREDICTION):
+        assert not numpy_backend.supports(SUPPORTED_SPECS["gshare-small"], delayed, config)
+    with pytest.raises(ValueError, match="not supported by the numpy backend"):
+        numpy_backend.run_tasks([(SUPPORTED_SPECS["gshare-small"], Trace(name="empty"))],
+                                UpdateScenario.REREAD_AT_RETIRE, config)
 
 
 def test_scheduler_falls_back_transparently(tiny_trace):
-    """Selecting numpy runs unsupported kinds on the interpreter."""
+    """Selecting numpy runs unsupported kinds on the default route."""
     spec = PredictorSpec("bimodal", {"entries": 128, "hysteresis_sharing": 4})
     config = PipelineConfig()
     (via_scheduler,) = run_scheduled(

@@ -1,12 +1,13 @@
-"""Kernel parity for the headline families: perceptron, GEHL, TAGE.
+"""Numpy-selection parity for the headline families: perceptron, GEHL, TAGE.
 
 Same acceptance bar as :mod:`tests.backends.test_numpy_parity` — the
 :class:`SimulationResult` dataclass equality asserts prediction bits,
-effective writes, retire/entry reads and warmup accounting in one ``==``
-— applied to the batched kernel of each family: the numpy lockstep
-kernels for perceptron and GEHL, the native C kernel for TAGE (the numpy
-backend has no TAGE kernel), plus the trace-batched ``run_tasks`` entry
-point where one kernel group spans several traces of different lengths.
+effective writes, retire/entry reads and warmup accounting in one ``==``.
+The numpy backend has no kernel for these families, so a ``numpy``
+selection of them runs on the native C kernel: every case goes through
+:func:`~repro.pipeline.parallel.run_scheduled` and must land on a kernel,
+never on the interp pool — including one kernel group spanning several
+traces of different lengths.
 """
 
 from __future__ import annotations
@@ -60,37 +61,36 @@ def engine_result(spec, trace, scenario, config=None):
     return SimulationEngine(spec.build(), scenario, config or PipelineConfig()).run(trace)
 
 
-def kernel(spec):
-    """The backend whose kernel runs ``spec``'s family."""
-    return get_backend("native" if spec.kind == "tage" else "numpy")
+@pytest.fixture
+def via_numpy(on_kernel):
+    """``via_numpy(pairs, scenario, config)``: a numpy selection's results."""
 
+    def run(pairs, scenario, config=None):
+        config = config or PipelineConfig()
+        return on_kernel([(spec, trace, scenario, config) for spec, trace in pairs], "numpy")
 
-@pytest.fixture(scope="module")
-def numpy_backend():
-    return get_backend("numpy")
+    return run
 
 
 @pytest.mark.parametrize("scenario", ALL_SCENARIOS, ids=[s.value for s in ALL_SCENARIOS])
-def test_group_matches_engine_for_every_headline_spec(scenario, tiny_trace):
-    """One batched group call per backend equals N individual engine runs."""
+def test_group_matches_engine_for_every_headline_spec(via_numpy, scenario, tiny_trace):
+    """One scheduled group equals N individual engine runs."""
     config = PipelineConfig()
-    for name in ("numpy", "native"):
-        backend = get_backend(name)
-        specs = [spec for spec in HEADLINE_SPECS.values() if kernel(spec) is backend]
-        assert specs and all(backend.supports(spec, scenario, config) for spec in specs)
-        batched = backend.run_group(specs, tiny_trace, scenario, config)
-        for spec, result in zip(specs, batched):
-            assert result == engine_result(spec, tiny_trace, scenario, config)
+    specs = list(HEADLINE_SPECS.values())
+    assert all(get_backend("native").supports(spec, scenario, config) for spec in specs)
+    batched = via_numpy([(spec, tiny_trace) for spec in specs], scenario, config)
+    for spec, result in zip(specs, batched):
+        assert result == engine_result(spec, tiny_trace, scenario, config)
 
 
 @pytest.mark.parametrize("name", ["perceptron-small", "gehl-small", "tage-small"])
 @pytest.mark.parametrize("scenario", ALL_SCENARIOS, ids=[s.value for s in ALL_SCENARIOS])
-def test_single_spec_parity_on_structured_traces(name, scenario, loop_trace, biased_trace):
+def test_single_spec_parity_on_structured_traces(
+    via_numpy, name, scenario, loop_trace, biased_trace
+):
     spec = HEADLINE_SPECS[name]
     for trace in (loop_trace, biased_trace):
-        assert kernel(spec).run_one(spec, trace, scenario, PipelineConfig()) == engine_result(
-            spec, trace, scenario
-        )
+        assert via_numpy([(spec, trace)], scenario) == [engine_result(spec, trace, scenario)]
 
 
 @pytest.mark.parametrize(
@@ -103,37 +103,32 @@ def test_single_spec_parity_on_structured_traces(name, scenario, loop_trace, bia
     ids=["tight", "execute-at-retire", "wide"],
 )
 @pytest.mark.parametrize("name", ["perceptron-small", "gehl-small", "tage-small"])
-def test_parity_across_window_shapes(name, config, tiny_trace):
+def test_parity_across_window_shapes(via_numpy, name, config, tiny_trace):
     """Delayed-scenario parity for any window depth, including windows
-    longer than the trace (pure drain path for the lockstep kernels)."""
+    longer than the trace (pure drain path)."""
     spec = HEADLINE_SPECS[name]
     short = tiny_trace.slice(0, 40)
     for scenario in (UpdateScenario.REREAD_AT_RETIRE, UpdateScenario.REREAD_ON_MISPREDICTION):
-        assert kernel(spec).run_one(spec, tiny_trace, scenario, config) == engine_result(
-            spec, tiny_trace, scenario, config
-        )
-        assert kernel(spec).run_one(spec, short, scenario, config) == engine_result(
-            spec, short, scenario, config
-        )
+        for trace in (tiny_trace, short):
+            assert via_numpy([(spec, trace)], scenario, config) == [
+                engine_result(spec, trace, scenario, config)
+            ]
 
 
 @pytest.mark.parametrize("scenario", ALL_SCENARIOS, ids=[s.value for s in ALL_SCENARIOS])
-def test_warmup_shard_parity(numpy_backend, scenario):
+def test_warmup_shard_parity(via_numpy, scenario):
     """Shards replay their warmup prefix unaccounted, exactly like the engine."""
     trace = generate_trace("MM01", branches_per_trace=3000, seed=17)
-    specs = [HEADLINE_SPECS["perceptron-small"], HEADLINE_SPECS["gehl-small"]]
-    tage = HEADLINE_SPECS["tage-small"]
+    specs = [HEADLINE_SPECS[name] for name in ("perceptron-small", "gehl-small", "tage-small")]
     for window in plan_shards(len(trace), 3, warmup=400):
         shard = shard_trace(trace, window)
-        batched = numpy_backend.run_group(specs, shard, scenario, PipelineConfig())
-        batched.append(kernel(tage).run_one(tage, shard, scenario, PipelineConfig()))
-        for spec, result in zip([*specs, tage], batched):
+        for spec, result in zip(specs, via_numpy([(spec, shard) for spec in specs], scenario)):
             assert result == engine_result(spec, shard, scenario)
             assert result.warmup_branches == shard.warmup_count
             assert result.window == shard.window
 
 
-def test_all_warmup_and_empty_traces():
+def test_all_warmup_and_empty_traces(via_numpy):
     """Degenerate measurement windows: nothing measured, nothing counted."""
     trace = generate_trace("INT02", branches_per_trace=300, seed=3)
     all_warmup = replace(trace, name="warmup-only", warmup_count=len(trace))
@@ -142,45 +137,39 @@ def test_all_warmup_and_empty_traces():
         spec = HEADLINE_SPECS[name]
         for scenario in (UpdateScenario.IMMEDIATE, UpdateScenario.REREAD_AT_RETIRE):
             for degenerate in (all_warmup, empty):
-                assert kernel(spec).run_one(
-                    spec, degenerate, scenario, PipelineConfig()
-                ) == engine_result(spec, degenerate, scenario)
+                assert via_numpy([(spec, degenerate)], scenario) == [
+                    engine_result(spec, degenerate, scenario)
+                ]
 
 
 @pytest.mark.parametrize(
     "scenario", [UpdateScenario.IMMEDIATE, UpdateScenario.REREAD_ON_MISPREDICTION],
     ids=["I", "C"],
 )
-def test_multi_trace_run_tasks_parity(numpy_backend, scenario, mini_suite):
-    """The trace-batched entry point: one call, (spec, trace) lanes across a
-    whole suite of different-length traces, padded and masked internally."""
+def test_multi_trace_run_tasks_parity(via_numpy, scenario, mini_suite):
+    """One scheduled pass whose (spec, trace) tasks span a whole suite of
+    different-length traces: one kernel group per backend."""
     traces = list(mini_suite) + [
         generate_trace("WS01", 100, seed=5).slice(0, 37)
     ]
     specs = [HEADLINE_SPECS["perceptron-small"], HEADLINE_SPECS["gehl-small"],
              HEADLINE_SPECS["tage-small"],
              PredictorSpec("gshare", {"log2_entries": 10})]
-    config = PipelineConfig()
-    assert all(kernel(spec).supports(spec, scenario, config) for spec in specs)
-    for name in ("numpy", "native"):
-        backend = get_backend(name)
-        tasks = [(spec, trace) for spec in specs for trace in traces
-                 if backend.supports(spec, scenario, config)]
-        batched = backend.run_tasks(tasks, scenario, config)
-        for (spec, trace), result in zip(tasks, batched):
-            assert result == engine_result(spec, trace, scenario, config)
+    pairs = [(spec, trace) for spec in specs for trace in traces]
+    for (spec, trace), result in zip(pairs, via_numpy(pairs, scenario)):
+        assert result == engine_result(spec, trace, scenario)
 
 
-def test_run_tasks_rejects_unsupported_specs(numpy_backend, tiny_trace):
+def test_run_tasks_rejects_unsupported_specs(tiny_trace):
     with pytest.raises(ValueError, match="not supported by the numpy backend"):
-        numpy_backend.run_tasks(
+        get_backend("numpy").run_tasks(
             [(PredictorSpec("tage-lsc"), tiny_trace)],
             UpdateScenario.IMMEDIATE,
             PipelineConfig(),
         )
 
 
-def test_suite_trace_parity_through_scheduler(mini_suite):
+def test_suite_trace_parity_through_scheduler(on_kernel, mini_suite):
     """fig10-shaped run: one config across a suite, through run_scheduled."""
     import pickle
 
@@ -191,6 +180,6 @@ def test_suite_trace_parity_through_scheduler(mini_suite):
         (spec, trace, UpdateScenario.REREAD_AT_RETIRE, PipelineConfig())
         for trace in mini_suite
     ]
-    via_numpy = run_scheduled(tasks, max_workers=1, backend="numpy")
+    via_numpy = on_kernel(tasks, "numpy")
     via_interp = run_scheduled(tasks, max_workers=1, backend="interp")
     assert [pickle.dumps(r) for r in via_numpy] == [pickle.dumps(r) for r in via_interp]

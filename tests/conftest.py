@@ -53,3 +53,26 @@ def mini_suite():
         branches_per_trace=1500,
         seed=2011,
     )
+
+
+@pytest.fixture
+def on_kernel():
+    """``on_kernel(tasks, backend)``: ``run_scheduled`` results, asserting
+    that every unique task ran on a backend kernel and none on the interp
+    pool (the ``repro_sched_tasks_total`` route counter is the observable)."""
+    from repro.obs import MetricsRegistry, set_metrics
+    from repro.pipeline.parallel import run_scheduled
+
+    def run(tasks, backend):
+        registry = MetricsRegistry()
+        previous = set_metrics(registry)
+        try:
+            results = run_scheduled(tasks, max_workers=1, backend=backend)
+        finally:
+            set_metrics(previous)
+        routes = registry.counter("repro_sched_tasks_total", "", ("route",))
+        assert routes.value(route="interp") == 0
+        assert routes.value(route="kernel") > 0
+        return results
+
+    return run

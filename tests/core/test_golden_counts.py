@@ -1,6 +1,6 @@
 """Golden absolute counts for every registered kind (regression guard).
 
-The backend parity tests compare interp against the numpy kernels, so a
+The backend parity tests compare interp against the kernels, so a
 bug shared by both (for example in the index/tag hashing both derive
 from, or in the trace plumbing both read) keeps every parity test green.
 These counts pin the absolute results instead: branches, instructions,
@@ -10,7 +10,7 @@ override count.  The TAGE family runs under every update scenario, every
 other kind under [I] and [C], on two small deterministic traces.  Every
 trace generator emits 4-byte-aligned PCs, so TAGE's path history (low PC
 bits) stays 0 on them; a third, hand-built trace of odd and even PCs
-keeps it live under [I] and [C].  The numpy kernels and the native C
+keeps it live under [I] and [C].  A ``numpy`` selection and the native C
 kernel are held to the same rows as the interp engine.
 
 Regenerate the tables only when a change is *meant* to move results, and
@@ -27,10 +27,8 @@ from dataclasses import asdict
 import pytest
 
 from repro.backends import get_backend
-from repro.obs import MetricsRegistry, set_metrics
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.engine import SimulationEngine
-from repro.pipeline.parallel import run_scheduled
 from repro.pipeline.scenarios import UpdateScenario
 from repro.predictors.registry import PredictorSpec, backend_support
 from repro.traces.refs import resolve_trace_ref
@@ -225,43 +223,29 @@ def test_golden_counts(traces, case):
     assert _counts(result) == _expected(ref, GOLDEN[case])
 
 
-#: Every golden row a ``numpy`` selection runs on a kernel (no numpy kernel
-#: takes ``interleaved``): the numpy kernels' own kinds, and plain TAGE,
-#: which has no numpy kernel and falls back to the native one.
+#: Every golden row a ``numpy`` selection runs on a kernel: the numpy scan
+#: takes bimodal and gshare under [I]; their delayed rows, the neural
+#: kinds and plain TAGE have no numpy kernel and fall back to the native
+#: one (no numpy kernel takes ``interleaved``).
 NUMPY_CASES = [
     case for case in GOLDEN
-    if not case[2] and ("numpy" in backend_support(case[1]) or case[1] == "tage")
+    if not case[2] and case[1] in ("bimodal", "gshare", "perceptron", "gehl", "tage")
 ]
 
 
 @pytest.mark.parametrize("case", NUMPY_CASES, ids=_case_id)
-def test_numpy_golden_counts(traces, case):
+def test_numpy_golden_counts(traces, case, on_kernel):
     ref, kind, interleaved, scenario = case
-    spec, trace = _spec(kind, interleaved), traces[ref]
-    if "numpy" in backend_support(kind):
-        (result,) = get_backend("numpy").run_tasks(
-            [(spec, trace)], UpdateScenario(scenario), PipelineConfig()
-        )
-    else:
-        # A numpy TAGE request goes through the scheduler's fallback to
-        # the native kernel, never to the interpreter.
-        registry = MetricsRegistry()
-        previous = set_metrics(registry)
-        try:
-            (result,) = run_scheduled(
-                [(spec, trace, UpdateScenario(scenario), PipelineConfig())],
-                max_workers=1, backend="numpy",
-            )
-        finally:
-            set_metrics(previous)
-        routes = registry.counter("repro_sched_tasks_total", "", ("route",))
-        assert routes.value(route="kernel") == 1
+    (result,) = on_kernel(
+        [(_spec(kind, interleaved), traces[ref], UpdateScenario(scenario), PipelineConfig())],
+        "numpy",
+    )
     assert _counts(result) == _expected(ref, GOLDEN[case])
 
 
 #: Every golden row the native kernel runs: the whole TAGE family under
-#: every scenario (interleaved rows and the live-path trace included) and
-#: the two-bit tables.
+#: every scenario (interleaved rows and the live-path trace included), the
+#: two-bit tables, the perceptron and GEHL.
 NATIVE_CASES = [case for case in GOLDEN if "native" in backend_support(case[1])]
 
 
@@ -277,7 +261,8 @@ def test_native_golden_counts(traces, case):
 @pytest.mark.parametrize(
     "kind, interleaved",
     [("tage", False), ("l-tage", False), ("isl-tage", False), ("isl-tage", True),
-     ("tage-lsc", False), ("tage-lsc", True), ("gshare", False), ("bimodal", False)],
+     ("tage-lsc", False), ("tage-lsc", True), ("gshare", False), ("bimodal", False),
+     ("perceptron", False), ("gehl", False)],
 )
 def test_native_supports_the_default_specs(kind, interleaved):
     """Without this, a kernel that declines everything passes parity trivially."""
