@@ -6,7 +6,10 @@ pure function of the trace's numpy columns
 resolved outcome stream (:mod:`repro.backends.vector.streams`), and each
 table entry's counter evolves through a chain of saturating steps that
 :mod:`~repro.backends.vector.twobit` evaluates as one segmented prefix
-scan per (spec, trace) pair — no per-branch loop at all.
+scan per (spec, trace) pair over codes of the 17 composed transition
+maps, retiring each position as soon as its prefix is known (its range
+reaches the segment start, or its map is constant) — no per-branch loop
+at all.
 
 Everything else — the delayed scenarios [A]/[B]/[C], shared-hysteresis
 bimodal, every other kind — is declined by :meth:`NumpyBackend.supports`

@@ -3,9 +3,15 @@
 Under the oracle of scenario [I] a branch's update lands before the next
 branch predicts, so per table entry the counter evolves through a chain
 of saturating ±1 steps.  The kernel sorts branches by table index
-(stable, so time order survives within each group) and runs a *segmented
-prefix composition* over the per-branch 4-state transition maps — a
-Hillis–Steele scan, ``log2(T)`` vectorised passes — which yields every
+(stable, so time order survives within each group) and runs a
+*segmented prefix composition* over the per-branch transition maps.
+INC and DEC compose into just 17 maps on the 4 counter states, so each
+position holds one uint8 code and two maps compose through a 17×17
+table lookup.  The scan doubles its offset each pass (Hillis–Steele) but
+works only on active positions: a position retires once its composed
+range reaches its segment start, or once its map is one of the 4
+constant maps (composing anything earlier into a constant map leaves it
+unchanged).  Each retired code is the whole prefix, so it yields the
 branch's pre-update counter without a Python loop.  gshare's index stream
 is itself precomputable: trace-driven simulation pushes resolved
 directions, so the global history at branch ``t`` is a function of the
@@ -26,11 +32,38 @@ from repro.predictors.registry import PredictorSpec
 __all__ = ["TableKernel", "index_stream", "kernel_for", "run_immediate"]
 
 #: Saturating 2-bit counter transitions: state → state after taken / not-taken.
-_INC = np.array([1, 2, 3, 3], dtype=np.uint8)
-_DEC = np.array([0, 0, 1, 2], dtype=np.uint8)
+_INC = (1, 2, 3, 3)
+_DEC = (0, 0, 1, 2)
 
 #: Power-on counter state shared by both families: weakly taken.
 _INIT = 2
+
+
+def _compose(later: tuple[int, ...], earlier: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(later[state] for state in earlier)
+
+
+def _transition_maps() -> list[tuple[int, ...]]:
+    """The 17 maps on the 4 counter states that INC and DEC compose into."""
+    maps = [_INC, _DEC]
+    for earlier in maps:  # grows while it is walked: a closure by BFS
+        for later in (_INC, _DEC):
+            if _compose(later, earlier) not in maps:
+                maps.append(_compose(later, earlier))
+    return maps
+
+
+_MAPS = _transition_maps()
+#: ``_COMPOSE[later, earlier]`` is the code of ``later ∘ earlier``.
+_COMPOSE = np.array(
+    [[_MAPS.index(_compose(later, earlier)) for earlier in _MAPS] for later in _MAPS],
+    dtype=np.uint8,
+)
+#: Constant maps absorb everything composed before them.
+_CONSTANT = np.array([len(set(m)) == 1 for m in _MAPS])
+#: Counter state each map sends the power-on state to.
+_FROM_INIT = np.array([m[_INIT] for m in _MAPS], dtype=np.uint8)
+_INC_CODE, _DEC_CODE = 0, 1
 
 
 @dataclass(frozen=True)
@@ -89,48 +122,69 @@ def index_stream(kernel: TableKernel, streams: TraceStreams) -> np.ndarray:
     return base & (kernel.entries - 1)
 
 
+def _segments(idx: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Branches stably sorted by table index, split into per-index segments.
+
+    Returns ``order`` (sorted position -> time position), the
+    segment-start mask, and the sorted positions that have earlier
+    transitions in their segment (``active``), with how many (``reach``).
+    """
+    total = idx.size
+    # One plain sort of (index, position) keys: an order of magnitude
+    # faster than numpy's stable argsort.
+    shift = total.bit_length()
+    positions = np.arange(total)
+    keys = idx.astype(np.int64, copy=False) << shift
+    keys |= positions
+    keys.sort()
+    order = keys & ((1 << shift) - 1)
+    keys >>= shift
+    segment_start = np.empty(total, dtype=np.bool_)
+    segment_start[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=segment_start[1:])
+    start = np.where(segment_start, positions, 0)
+    np.maximum.accumulate(start, out=start)
+    active = positions[~segment_start]
+    return order, segment_start, active, active - start[active]
+
+
 def run_immediate(
     kernel: TableKernel, idx: np.ndarray, taken: np.ndarray, warmup: int
 ) -> tuple[int, AccessProfile]:
     """Scenario [I] for one kernel: the segmented prefix-composition scan.
 
+    ``idx`` holds each branch's table index, ``0 <= idx < kernel.entries``.
     Returns (mispredictions, access profile) over the measured region.
     """
     total = idx.size
     if total == 0:
         return 0, AccessProfile()
-    order = np.argsort(idx, kind="stable")
-    sorted_taken = taken[order]
-    segment_start = np.empty(total, dtype=np.bool_)
-    segment_start[0] = True
-    sorted_idx = idx[order]
-    np.not_equal(sorted_idx[1:], sorted_idx[:-1], out=segment_start[1:])
-    segment = np.cumsum(segment_start)
+    order, segment_start, active, reach = _segments(idx)
 
-    # comp[j] is the 4-state map composing this segment's transitions up
-    # to (and including) j; doubling offsets keep composed ranges
-    # contiguous, the segment-id guard clamps them at group boundaries.
-    comp = np.where(sorted_taken[:, None], _INC[None, :], _DEC[None, :])
+    # comp[j] is the code of the map composing this segment's transitions
+    # over a range ending at j.  Before the pass at ``offset`` an active
+    # position's range is its last ``offset`` transitions; a position
+    # retires once the range reaches its segment start or the map goes
+    # constant, either way holding its whole prefix from then on.
+    comp = np.where(taken[order], np.uint8(_INC_CODE), np.uint8(_DEC_CODE))
     offset = 1
-    while offset < total:
-        joinable = segment[offset:] == segment[:-offset]
-        merged = np.take_along_axis(comp[offset:], comp[:-offset], axis=1)
-        comp[offset:][joinable] = merged[joinable]
+    while active.size:
+        merged = _COMPOSE[comp[active], comp[active - offset]]
+        comp[active] = merged
         offset <<= 1
+        keep = (reach >= offset) & ~_CONSTANT[merged]
+        active = active[keep]
+        reach = reach[keep]
 
-    after = comp[:, _INIT]
-    before_sorted = np.empty(total, dtype=np.uint8)
-    before_sorted[0] = _INIT
-    np.copyto(
-        before_sorted[1:],
-        np.where(segment_start[1:], np.uint8(_INIT), after[:-1]),
-    )
+    before_sorted = np.full(total, _INIT, dtype=np.uint8)
+    carried = ~segment_start[1:]
+    before_sorted[1:][carried] = _FROM_INIT[comp[:-1][carried]]
     before = np.empty(total, dtype=np.uint8)
     before[order] = before_sorted
 
     mispredicted = (before >= 2) != taken
-    updated = np.where(taken, _INC[before], _DEC[before])
-    wrote = updated != before
+    # A write is silent only when the counter is already saturated that way.
+    wrote = np.where(taken, before != 3, before != 0)
     measured = total - warmup
     mispredictions = int(mispredicted[warmup:].sum())
     writes = int(wrote[warmup:].sum())

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from collections import deque
 from dataclasses import dataclass, field
 
 from repro.traces.trace import Trace
@@ -52,37 +51,24 @@ __all__ = [
 class GeneratorContext:
     """Shared state visible to every behaviour while a trace is generated.
 
-    It records the global outcome stream — and the most recent outcome of
-    every static branch — so that :class:`GloballyCorrelatedBranch` sites
-    can compute outcomes that are a function of the directions of earlier
-    branches: genuinely path-correlated behaviour rather than random noise.
+    It records the most recent outcome of every static branch, so that
+    :class:`GloballyCorrelatedBranch` sites can compute outcomes that are a
+    function of the directions of earlier branches: genuinely
+    path-correlated behaviour rather than random noise.
     """
 
-    def __init__(self, rng: random.Random, history_capacity: int = 4096) -> None:
+    def __init__(self, rng: random.Random) -> None:
         self.rng = rng
-        self._outcomes: deque[tuple[int, bool]] = deque(maxlen=history_capacity)
-        self._last_by_pc: dict[int, bool] = {}
+        #: pc -> most recent outcome; :func:`generate_workload` writes it directly.
+        self.last_by_pc: dict[int, bool] = {}
 
-    def record(self, taken: bool, pc: int = -1) -> None:
-        """Record one emitted branch outcome into the shared global stream."""
-        self._outcomes.append((pc, taken))
-        if pc >= 0:
-            self._last_by_pc[pc] = taken
-
-    def history_bit(self, age: int) -> int:
-        """Direction of the branch emitted ``age`` branches ago (0 if unknown)."""
-        if age < 0:
-            raise ValueError("age must be non-negative")
-        if age >= len(self._outcomes):
-            return 0
-        return 1 if self._outcomes[-1 - age][1] else 0
+    def record(self, taken: bool, pc: int) -> None:
+        """Record one emitted branch outcome."""
+        self.last_by_pc[pc] = taken
 
     def last_outcome(self, pc: int, default: bool = True) -> bool:
         """Most recent outcome of the static branch at ``pc`` (``default`` if unseen)."""
-        return self._last_by_pc.get(pc, default)
-
-    def __len__(self) -> int:
-        return len(self._outcomes)
+        return self.last_by_pc.get(pc, default)
 
 
 class BranchSite(ABC):
@@ -393,19 +379,30 @@ def generate_workload(
     skeleton = spec.build_skeleton(rng)
     pcs, outcomes, gaps, sites = [], [], [], []
     site_codes: dict[str, int] = {}
+    last_by_pc = ctx.last_by_pc
+    # ``rng.randint(min_gap, max_gap)`` inlined draw for draw: CPython's
+    # ``randrange`` rejection-samples ``getrandbits(width.bit_length())``
+    # until the draw falls below ``width`` (even when ``width`` is 1).
+    getrandbits = rng.getrandbits
+    low, width = spec.min_gap, spec.max_gap - spec.min_gap + 1
+    bits = width.bit_length()
+    skip = spec.skip_probability
 
     while len(pcs) < branch_count:
         for site in skeleton:
             if len(pcs) >= branch_count:
                 break
-            if spec.skip_probability and rng.random() < spec.skip_probability:
+            if skip and rng.random() < skip:
                 continue
             code = site_codes.setdefault(site.label, len(site_codes))
             for pc, taken in site.emit(ctx):
-                ctx.record(taken, pc)
+                last_by_pc[pc] = taken
                 pcs.append(pc)
                 outcomes.append(taken)
-                gaps.append(rng.randint(spec.min_gap, spec.max_gap))
+                gap = getrandbits(bits)
+                while gap >= width:
+                    gap = getrandbits(bits)
+                gaps.append(low + gap)
                 sites.append(code)
     return Trace(
         name=name,

@@ -23,14 +23,6 @@ def make_ctx(seed=0):
 
 
 class TestGeneratorContext:
-    def test_history_bits(self):
-        ctx = make_ctx()
-        ctx.record(True, 0x10)
-        ctx.record(False, 0x20)
-        assert ctx.history_bit(0) == 0
-        assert ctx.history_bit(1) == 1
-        assert ctx.history_bit(5) == 0
-
     def test_last_outcome_per_pc(self):
         ctx = make_ctx()
         ctx.record(True, 0x10)
