@@ -5,7 +5,8 @@ experiments`` (one table, figure or reported group of numbers of the
 paper).  They all take a list of traces so that tests can use tiny suites
 and the benchmark harness can use larger ones, and they all return an
 :class:`ExperimentTable` whose rows are plain Python values, ready to be
-printed, asserted on, or dumped to EXPERIMENTS.md.
+printed (:meth:`ExperimentTable.to_table`), asserted on, or emitted as
+JSON (``repro experiment <name> --json``).
 
 Predictors are described as registry specs
 (:class:`~repro.predictors.registry.PredictorSpec`) and every suite runs

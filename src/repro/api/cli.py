@@ -246,6 +246,7 @@ def _batch_timings(snapshot: dict, wall_seconds: float) -> dict[str, Any]:
         "kernel_seconds": round(_snapshot_sum(snapshot, "repro_backend_kernel_seconds"), 6),
         "pool_task_seconds": round(_snapshot_sum(snapshot, "repro_pool_task_seconds"), 6),
         "scheduled": _snapshot_by_label(snapshot, "repro_sched_tasks_total"),
+        "generated": _snapshot_by_label(snapshot, "repro_trace_generated_branches_total"),
         "cache": _snapshot_by_label(snapshot, "repro_cache_lookups_total"),
         "breakdown": {},
     }
@@ -257,7 +258,8 @@ def _span_timings(spans: list[dict], snapshot: dict,
 
     Spans carry the request's trace id, so the numbers attribute to THIS
     invocation even when the process has run other batches — the metrics
-    registry (still used for the scheduled counts) cannot say that.
+    registry (still used for the scheduled and generated counts) cannot
+    say that.
     """
     by_name: dict[str, float] = {}
     cache: dict[str, int] = {}
@@ -273,6 +275,7 @@ def _span_timings(spans: list[dict], snapshot: dict,
         "kernel_seconds": round(by_name.get("backend.kernel", 0.0), 6),
         "pool_task_seconds": round(by_name.get("pool.task", 0.0), 6),
         "scheduled": _snapshot_by_label(snapshot, "repro_sched_tasks_total"),
+        "generated": _snapshot_by_label(snapshot, "repro_trace_generated_branches_total"),
         "cache": cache,
         "spans": len(spans),
         "breakdown": {name: round(seconds, 6) for name, seconds in sorted(by_name.items())},
@@ -388,7 +391,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   f"pool {timings['pool_task_seconds']:.3f}s")
             scheduled = ", ".join(f"{k}={int(v)}" for k, v in sorted(timings["scheduled"].items()))
             cache = ", ".join(f"{k}={int(v)}" for k, v in sorted(timings["cache"].items()))
-            print(f"scheduled: {scheduled or '-'}; cache: {cache or '-'}")
+            generated = ", ".join(f"{k}={int(v)}" for k, v in sorted(timings["generated"].items()))
+            print(f"scheduled: {scheduled or '-'}; cache: {cache or '-'}; "
+                  f"generated: {generated or '-'}")
     elif args.json:
         _print_result_payloads(payloads)
     else:

@@ -9,13 +9,17 @@ state allocated per call, so threads run calls side by side (``ctypes``
 releases the GIL).
 :func:`_plan` reads a spec's power-on predictor; anything the kernel does
 not model declines the spec, which then runs on the interpreter.
+:file:`generator.c`, linked into the same library, is the native path of
+:func:`repro.traces.synthetic.generate_workload`, which loads it through
+:func:`_library`.
 
 The library is built on first use (``gcc -O2 -shared -fPIC``) into
 ``__pycache__/repro_native_<hash>.so`` beside :file:`kernel.c`, or a
 per-user directory under :func:`tempfile.gettempdir` when that is
-unusable; the hash covers source and compiler command, and an atomic
-rename publishes it.  Importing :mod:`repro` builds and loads nothing; a
-failed build logs one warning and leaves the backend unavailable.
+unusable; the hash covers both sources and the compiler command, and an
+atomic rename publishes it.  Importing :mod:`repro` builds and loads
+nothing; a failed build logs one warning and leaves the backend
+unavailable.
 """
 
 from __future__ import annotations
@@ -50,7 +54,8 @@ from repro.predictors.registry import PredictorSpec, backend_support
 __all__ = ["NativeBackend"]
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernel.c")
-#: The compile command; ``-o <output> <source>`` is appended.
+_GENERATOR_SOURCE = os.path.join(os.path.dirname(_SOURCE), "generator.c")
+#: The compile command; ``-o <output> <sources>`` is appended.
 _COMPILER = ["gcc", "-O2", "-shared", "-fPIC", "-std=c99"]
 _LOG = get_logger("backends")
 _LOCK = threading.Lock()
@@ -79,8 +84,12 @@ def _usable(directory: str) -> bool:
 
 def _build() -> str:
     """Path of the compiled library, compiling it if no cached copy exists."""
-    with open(_SOURCE, "rb") as handle:
-        digest = hashlib.sha256(handle.read() + " ".join(_COMPILER).encode()).hexdigest()
+    sources = [_SOURCE, _GENERATOR_SOURCE]
+    hasher = hashlib.sha256(" ".join(_COMPILER).encode())
+    for source in sources:
+        with open(source, "rb") as handle:
+            hasher.update(handle.read())
+    digest = hasher.hexdigest()
     for directory in filter(_usable, _build_dirs()):
         path = os.path.join(directory, f"repro_native_{digest[:16]}.so")
         if os.path.exists(path):
@@ -89,7 +98,7 @@ def _build() -> str:
             continue
         partial = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
         try:
-            subprocess.run([*_COMPILER, "-o", partial, _SOURCE], check=True,
+            subprocess.run([*_COMPILER, "-o", partial, *sources], check=True,
                            capture_output=True, text=True)
             os.replace(partial, path)
         finally:
@@ -109,13 +118,19 @@ def _library():
             except (OSError, subprocess.CalledProcessError) as error:
                 detail = getattr(error, "stderr", None) or str(error)
                 log_event(_LOG, logging.WARNING, "native backend unavailable; simulations "
-                          "run on the interpreter", error=detail.strip()[:500])
+                          "run on the interpreter, traces on the Python generator",
+                          error=detail.strip()[:500])
                 _library_state = False
             else:
                 pointer, count = ctypes.c_void_p, ctypes.c_int64
                 library.repro_simulate.argtypes = [pointer, count, pointer, pointer, pointer,
                                                    count, count, pointer]
                 library.repro_simulate.restype = ctypes.c_int
+                library.repro_generate.argtypes = [pointer, count, pointer, count, pointer,
+                                                   count, pointer, count, pointer, pointer,
+                                                   pointer, pointer, count, count, pointer,
+                                                   count]
+                library.repro_generate.restype = ctypes.c_int
                 _library_state = library
         return _library_state or None
 

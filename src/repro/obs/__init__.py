@@ -50,6 +50,7 @@ from repro.obs.spans import (
     bind_span_context,
     build_tree,
     critical_path,
+    current_span,
     current_span_context,
     drain_spans,
     get_tracer,
@@ -82,6 +83,7 @@ __all__ = [
     "build_tree",
     "configure_logging",
     "critical_path",
+    "current_span",
     "current_span_context",
     "current_trace_id",
     "drain_spans",

@@ -54,6 +54,7 @@ __all__ = [
     "bind_span_context",
     "build_tree",
     "critical_path",
+    "current_span",
     "current_span_context",
     "drain_spans",
     "get_tracer",
@@ -73,6 +74,10 @@ ENV_TRACE_SAMPLE = "REPRO_TRACE_SAMPLE"
 #: id and the sampling decision instead.
 _SPAN_CONTEXT: ContextVar[tuple[str, str, bool] | None] = ContextVar(
     "repro_span_context", default=None)
+
+
+#: The innermost open span of this context, for :func:`current_span`.
+_CURRENT_SPAN: ContextVar["_ActiveSpan | None"] = ContextVar("repro_current_span", default=None)
 
 
 def new_span_id() -> str:
@@ -124,7 +129,8 @@ class _ActiveSpan:
     """One live span: times itself, binds itself as the ambient parent."""
 
     __slots__ = ("_recorder", "trace_id", "span_id", "parent_id", "name",
-                 "attrs", "status", "_start_wall", "_start_perf", "_token")
+                 "attrs", "status", "_start_wall", "_start_perf", "_token",
+                 "_current_token")
 
     def __init__(self, recorder: "SpanRecorder", trace_id: str,
                  parent_id: str | None, name: str,
@@ -143,6 +149,7 @@ class _ActiveSpan:
 
     def __enter__(self) -> "_ActiveSpan":
         self._token = _SPAN_CONTEXT.set((self.trace_id, self.span_id, True))
+        self._current_token = _CURRENT_SPAN.set(self)
         self._start_wall = time.time()
         self._start_perf = time.perf_counter()
         return self
@@ -150,6 +157,7 @@ class _ActiveSpan:
     def __exit__(self, exc_type: object, exc: object, tb: object) -> bool:
         duration = time.perf_counter() - self._start_perf
         _SPAN_CONTEXT.reset(self._token)
+        _CURRENT_SPAN.reset(self._current_token)
         if exc_type is not None:
             self.status = "error"
             self.attrs.setdefault("error", getattr(exc_type, "__name__",
@@ -271,6 +279,16 @@ def span(name: str, **attrs: Any) -> "_ActiveSpan | _NoopSpan":
             return NOOP_SPAN
         parent_id = None
     return _ActiveSpan(recorder, trace_id, parent_id, name, attrs)
+
+
+def current_span() -> "_ActiveSpan | _NoopSpan":
+    """The innermost span open in this context, or the no-op singleton.
+
+    Lets code below a span's opener add attributes to it
+    (``current_span().set(path="native")``) without the span being
+    passed down.
+    """
+    return _CURRENT_SPAN.get() or NOOP_SPAN
 
 
 def current_span_context() -> dict[str, Any] | None:

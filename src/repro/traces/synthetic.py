@@ -25,6 +25,19 @@ Behaviour                              Mechanism it exercises
 A :class:`WorkloadSpec` interleaves several behaviours into one
 :class:`~repro.traces.trace.Trace`; interleaving is itself randomised so
 that global history alignment is not artificially perfect.
+
+:func:`generate_workload` has two paths with one output.  The native
+path (``generator.c`` in the native library, see
+:mod:`repro.backends.native`) restates the visit loop, the five classes'
+``emit`` and CPython's MT19937 with the ``random()``, ``getrandbits`` and
+``randrange`` formulas the classes call.  It is bit-exact: the same four
+columns, site names and final site state (a local-pattern site's
+position, current pattern and pattern generator), draw for draw, about
+30 times faster.  The Python loop is the reference; it runs when the
+library is unavailable and when the native generator declines the spec:
+a site whose class is not exactly one of the five (a subclass may
+override ``emit``), a draw wider than 32 bits, a loop visit longer than
+2**22 branches, or a value the plan cannot carry exactly.
 """
 
 from __future__ import annotations
@@ -33,6 +46,9 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.obs import current_span, get_metrics
 from repro.traces.trace import Trace
 
 __all__ = [
@@ -233,7 +249,8 @@ class LocalPatternBranch(BranchSite):
             raise ValueError("pattern must not be empty")
         if pattern_count < 1:
             raise ValueError("pattern_count must be at least 1")
-        self.base_pattern = tuple(pattern)
+        # Stored as bools: a correlated copy computes ``last ^ invert``.
+        self.base_pattern = tuple(map(bool, pattern))
         self.pattern_count = pattern_count
         self._position = 0
         self._current_pattern = self.base_pattern
@@ -356,27 +373,139 @@ class WorkloadSpec:
         return skeleton
 
 
-def generate_workload(
-    spec: WorkloadSpec,
-    branch_count: int,
-    seed: int,
-    name: str = "synthetic",
-    category: str = "",
-    hard: bool = False,
-) -> Trace:
-    """Generate a trace of at least ``branch_count`` branches from ``spec``.
+#: Plan kind of each behaviour class the native generator restates (exact
+#: types: a subclass may override ``emit``, so it runs on the Python loop).
+_NATIVE_KINDS = {BiasedBranch: 0, GloballyCorrelatedBranch: 1, LoopBranch: 2,
+                 LocalPatternBranch: 3, PointerChaseBranch: 4}
+#: The longest single site visit the native generator sizes its buffers for.
+_NATIVE_MAX_VISIT = 1 << 22
 
-    Generation is deterministic given ``seed``.  The trace may exceed
-    ``branch_count`` by at most one site visit (a loop execution is never
-    cut in the middle) — callers that need an exact length can slice.
+
+def _native_plan(spec: WorkloadSpec, skeleton: list[BranchSite], branch_count: int):
+    """The native generator's inputs (layout in ``generator.c``), or None.
+
+    Returns ``(plan, floats, states, patterns, capacity, code dtype,
+    local-pattern sites with their current-pattern offsets)``; ``states``
+    still lacks the trace generator's own state (row 0).  None declines
+    the spec to the Python loop: a site class other than the five above,
+    a visit longer than :data:`_NATIVE_MAX_VISIT`, or a value the plan
+    cannot carry exactly.
     """
-    spec.validate()
-    if branch_count < 1:
-        raise ValueError("branch_count must be positive")
+    sites = [site for site, _ in spec.sites]
+    if any(type(site) not in _NATIVE_KINDS for site in sites):
+        return None
+    number = {id(site): index for index, site in enumerate(sites)}
+    labels: dict = {}
+    slots: dict[int, int] = {}  # source pc -> slot of its last outcome
+    try:
+        for site in sites:
+            labels.setdefault(site.label, len(labels))
+            if type(site) is GloballyCorrelatedBranch:
+                slots.setdefault(site.source_pc, len(slots))
+    except TypeError:  # an unhashable label or source
+        return None
+    ints: list = [branch_count, spec.min_gap, spec.max_gap - spec.min_gap + 1]
+    floats: list = [spec.skip_probability]
+    states, patterns, local, visit = [None], [], [], 1
+    for index, site in enumerate(sites):
+        kind = _NATIVE_KINDS[type(site)]
+        ints += [kind, site.pc, labels[site.label], -1 if kind == 4 else slots.get(site.pc, -1)]
+        if kind == 0:
+            ints.append(len(floats))
+            floats.append(site.bias)
+        elif kind == 1:
+            if type(site.invert) not in (bool, int) or site.invert not in (0, 1):
+                return None
+            ints += [slots[site.source_pc], site.invert, len(floats)]
+            floats.append(site.noise)
+        elif kind == 2:
+            ints += [site.iterations, site.body_branches, site.iteration_jitter, len(floats)]
+            floats.append(site.body_bias)
+            pairs = [((pc - site.pc) // 8 - 1, slot) for pc, slot in slots.items()
+                     if 0 < pc - site.pc <= 8 * site.body_branches and (pc - site.pc) % 8 == 0]
+            ints += [len(pairs), *(value for pair in pairs for value in pair)]
+            visit = max(visit, (site.iterations + site.iteration_jitter) * (site.body_branches + 1))
+        elif kind == 3:
+            base, current = site.base_pattern, site._current_pattern
+            if len(current) != len(base) or any(type(v) is not bool for v in (*base, *current)):
+                return None
+            state = 0
+            if site.pattern_count > 1:
+                if type(site._pattern_rng) is not random.Random:
+                    return None
+                state = len(states)
+                states.append(site._pattern_rng.getstate()[1])
+            ints += [len(base), site.pattern_count, site._position, len(patterns),
+                     len(patterns) + len(base), state]
+            local.append((index, site, len(patterns) + len(base), state))
+            patterns += [*base, *current]
+        else:
+            ints += [site.static_branches, len(floats)]
+            floats += site._biases
+            pairs = [((pc - site.pc) // 16, slot) for pc, slot in slots.items()
+                     if 0 <= pc - site.pc < 16 * site.static_branches and (pc - site.pc) % 16 == 0]
+            ints += [len(pairs), *(value for pair in pairs for value in pair)]
+    code = np.min_scalar_type(max(len(labels) - 1, 0))
+    if (visit > _NATIVE_MAX_VISIT or code.itemsize > 4
+            or not all(isinstance(value, int) for value in ints)
+            or not all(isinstance(value, (int, float)) for value in floats)):
+        return None
+    head = [*ints[:3], len(slots), len(labels), len(sites), len(skeleton)]
+    try:
+        order = [number[id(site)] for site in skeleton]
+        plan = np.array(head + order + ints[3:], dtype=np.int64)
+        floats = np.array(floats, dtype=np.float64)
+    except (KeyError, OverflowError):  # a foreign skeleton entry; a value past int64
+        return None
+    patterns = np.array(patterns, dtype=np.bool_)
+    return plan, floats, states, patterns, branch_count - 1 + visit, code, local
 
-    rng = random.Random(seed)
+
+def _generate_native(spec: WorkloadSpec, skeleton: list[BranchSite], rng: random.Random,
+                     branch_count: int):
+    """Run the native generator: ``(pcs, taken, gaps, sites, site_names)``, or None.
+
+    None means the library is unavailable or declined the spec; nothing
+    (the sites' state, ``rng``) has changed then.
+    """
+    from repro.backends.native import _library  # importing repro builds nothing
+
+    library = _library()
+    planned = None if library is None else _native_plan(spec, skeleton, branch_count)
+    if planned is None:
+        return None
+    plan, floats, states, patterns, capacity, code, local = planned
+    states[0] = rng.getstate()[1]
+    states = np.array(states, dtype=np.uint32)
+    pcs, gaps = np.empty(capacity, dtype=np.int64), np.empty(capacity, dtype=np.int64)
+    taken, codes = np.empty(capacity, dtype=np.bool_), np.empty(capacity, dtype=code)
+    labels, sites = int(plan[4]), [site for site, _ in spec.sites]
+    out = np.zeros(2 + labels + len(sites), dtype=np.int64)
+    status = library.repro_generate(
+        plan.ctypes.data, plan.size, floats.ctypes.data, floats.size, states.ctypes.data,
+        len(states), patterns.ctypes.data, patterns.size, pcs.ctypes.data, taken.ctypes.data,
+        gaps.ctypes.data, codes.ctypes.data, codes.itemsize, capacity, out.ctypes.data,
+        out.size)
+    if status == -2:
+        raise MemoryError("native trace generator ran out of memory")
+    if status:  # -1: a plan it cannot run exactly; -3: a visit past the buffers
+        return None
+    count, used, *rest = out.tolist()
+    positions = rest[labels:]
+    for index, site, offset, state in local:
+        site._position = positions[index]
+        site._current_pattern = tuple(patterns[offset:offset + len(site.base_pattern)].tolist())
+        if state:
+            site._pattern_rng.setstate((3, tuple(states[state].tolist()),
+                                        site._pattern_rng.getstate()[2]))
+    names = tuple(sites[index].label for index in rest[:used])
+    return pcs[:count], taken[:count], gaps[:count], codes[:count], names
+
+
+def _generate_python(spec: WorkloadSpec, skeleton: list[BranchSite], rng: random.Random,
+                     branch_count: int):
+    """The reference loop: ``(pcs, taken, gaps, sites, site_names)`` as lists."""
     ctx = GeneratorContext(rng)
-    skeleton = spec.build_skeleton(rng)
     pcs, outcomes, gaps, sites = [], [], [], []
     site_codes: dict[str, int] = {}
     last_by_pc = ctx.last_by_pc
@@ -404,13 +533,48 @@ def generate_workload(
                     gap = getrandbits(bits)
                 gaps.append(low + gap)
                 sites.append(code)
-    return Trace(
+    return pcs, outcomes, gaps, sites, tuple(site_codes)
+
+
+def generate_workload(
+    spec: WorkloadSpec,
+    branch_count: int,
+    seed: int,
+    name: str = "synthetic",
+    category: str = "",
+    hard: bool = False,
+) -> Trace:
+    """Generate a trace of at least ``branch_count`` branches from ``spec``.
+
+    Generation is deterministic given ``seed``.  The trace may exceed
+    ``branch_count`` by at most one site visit (a loop execution is never
+    cut in the middle) — callers that need an exact length can slice.
+    The native generator runs it where it can, the Python loop otherwise;
+    both give the same trace and leave the sites in the same state.
+    """
+    spec.validate()
+    if branch_count < 1:
+        raise ValueError("branch_count must be positive")
+
+    rng = random.Random(seed)
+    skeleton = spec.build_skeleton(rng)
+    path, columns = "native", _generate_native(spec, skeleton, rng, branch_count)
+    if columns is None:
+        path, columns = "python", _generate_python(spec, skeleton, rng, branch_count)
+    pcs, outcomes, gaps, sites, site_names = columns
+    trace = Trace(
         name=name,
         category=category,
         pcs=pcs,
         taken=outcomes,
         preceding=gaps,
         sites=sites,
-        site_names=tuple(site_codes),
+        site_names=site_names,
         hard=hard,
     )
+    get_metrics().counter(
+        "repro_trace_generated_branches_total",
+        "Trace branches generated, by generator path (native/python).",
+        ("path",)).inc(len(trace), path=path)
+    current_span().set(path=path)
+    return trace

@@ -75,6 +75,7 @@ def fresh_native(monkeypatch, tmp_path):
 
 
 def test_failing_compiler_falls_back_to_interp(monkeypatch, fresh_native):
+    """Simulations run on the interpreter and traces on the Python loop."""
     monkeypatch.setattr(native, "_COMPILER",
                         [sys.executable, "-c", "import sys; sys.exit('cc: no such thing')"])
     backend = get_backend("native")
@@ -92,6 +93,8 @@ def test_failing_compiler_falls_back_to_interp(monkeypatch, fresh_native):
         set_metrics(previous)
     routes = registry.counter("repro_sched_tasks_total", "", ("route",))
     assert routes.value(route="interp") == 1 and routes.value(route="kernel") == 0
+    generated = registry.counter("repro_trace_generated_branches_total", "", ("path",))
+    assert generated.value(path="python") > 0 and generated.value(path="native") == 0
     reference = Runner(RunnerConfig(workers=1, backend="interp")).run(request)
     assert pickle.dumps(default) == pickle.dumps(reference)
 

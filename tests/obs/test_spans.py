@@ -17,6 +17,7 @@ from repro.obs import (
     bind_trace_id,
     build_tree,
     critical_path,
+    current_span,
     current_span_context,
     drain_spans,
     get_tracer,
@@ -60,6 +61,19 @@ class TestSpanRecording:
                 lookup.set(outcome="hit")
         (record,) = drain_spans()
         assert record["attrs"]["outcome"] == "hit"
+
+    def test_current_span_is_the_innermost_open_span(self):
+        assert current_span() is NOOP_SPAN
+        with bind_trace_id("tr-current-1"):
+            with span("outer") as outer:
+                with span("inner"):
+                    current_span().set(depth=2)
+                assert current_span() is outer
+                current_span().set(depth=1)
+            assert current_span() is NOOP_SPAN
+        spans = {record["name"]: record for record in drain_spans()}
+        assert spans["inner"]["attrs"] == {"depth": 2}
+        assert spans["outer"]["attrs"] == {"depth": 1}
 
     def test_exception_marks_error_status(self):
         with bind_trace_id("tr-err-1"):
@@ -281,3 +295,19 @@ def test_pool_child_spans_adopt_the_shipped_context(method):
     # Child-side spans never include the parent's buffered spans.
     assert all(record["trace_id"] == "tr-pool-1" for record in spans)
     assert orphan_spans == []
+
+
+@pytest.mark.parametrize("path", ["native", "python"])
+def test_trace_resolve_names_the_generator_path(path, monkeypatch):
+    from repro.api import Runner, RunnerConfig
+    from repro.obs import get_metrics
+    from repro.traces import synthetic
+
+    if path == "python":
+        monkeypatch.setattr(synthetic, "_generate_native", lambda *args: None)
+    with bind_trace_id(f"tr-generator-{path}"):
+        Runner(RunnerConfig(workers=1)).resolve("synthetic:mixed?length=300&seed=2")
+    (record,) = [record for record in drain_spans() if record["name"] == "trace.resolve"]
+    assert record["attrs"]["path"] == path
+    generated = get_metrics().counter("repro_trace_generated_branches_total", "", ("path",))
+    assert generated.value(path=path) == record["attrs"]["branches"]

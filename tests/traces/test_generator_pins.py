@@ -7,8 +7,8 @@ single branch would therefore serve stale cached results, unless
 ``GENERATOR_VERSION`` is bumped with it.  These content digests (name plus
 the full pc/taken/preceding stream, the same digest used for traces with
 no identity) pin one short reference per scheme, every synthetic
-generator and one shard fragment; any drift fails here until the version
-is bumped and the table re-pinned.
+generator, one shard fragment and four long references; any drift fails
+here until the version is bumped and the table re-pinned.
 """
 
 import pytest
@@ -63,6 +63,21 @@ PINS = {
     ],
     "synthetic:pointer-chase?length=200&seed=3": [
         ("synthetic:pointer-chase?length=200&seed=3", 200, "40052ddfef215560328930e932e0861c"),
+    ],
+    # Long enough to reach what the short pins cannot: the 4096-pattern
+    # variants of CLIENT02, many skeleton passes, the pointer-chase biases.
+    "hard:CLIENT02?branches=100000": [
+        ("CLIENT02", 100000, "6d4b07cefbc4d39d6ea73f9573621af8"),
+    ],
+    "suite:INT01?branches=200000": [
+        ("INT01", 200000, "4db751c10269d58f4feb954105f08551"),
+    ],
+    "synthetic:pointer-chase?length=100000&seed=3": [
+        ("synthetic:pointer-chase?length=100000&seed=3", 100000,
+         "b66afdaa1ac46394b585f46c48ac87d6"),
+    ],
+    "synthetic:mixed?length=400000&seed=7": [
+        ("synthetic:mixed?length=400000&seed=7", 400016, "d51781c065fdc3c9be85e7108bbbf46d"),
     ],
     "synthetic:mixed?length=600&seed=3#shard=1/3&warmup=50": [
         (
