@@ -3,15 +3,17 @@
 Every job the service (:mod:`repro.service`) accepts goes through a
 broker, in the coordinator/broker/worker shape:
 
-* :mod:`repro.distrib.broker` — the :class:`Broker` contract: published
-  jobs, leases with visibility timeouts, heartbeats, retry-with-backoff,
-  bounded attempts ending in a dead-letter state, first-write-wins
-  completion, and a worker registry with capability tags,
-* :mod:`repro.distrib.memory` — :class:`MemoryBroker`, in-process: each
-  lane of a plain ``repro serve`` runs on one, drained by an in-thread
-  worker,
-* :mod:`repro.distrib.fsbroker` — :class:`FileBroker`, a shared
-  directory usable across processes and hosts (no new dependencies),
+* :mod:`repro.distrib.broker` — :class:`Broker`, the one job lifecycle:
+  published jobs, leases with visibility timeouts, heartbeats,
+  retry-with-backoff, bounded attempts ending in a dead-letter state,
+  first-write-wins completion, and a worker registry with capability
+  tags, written over a few atomic record-store primitives,
+* :mod:`repro.distrib.memory` — :class:`MemoryBroker`, the in-process
+  store: each lane of a plain ``repro serve`` runs on one, drained by an
+  in-thread worker,
+* :mod:`repro.distrib.fsbroker` — :class:`FileBroker`, the shared
+  directory store, usable across processes and hosts (no new
+  dependencies),
 * :mod:`repro.distrib.worker` — :class:`FleetWorker`, the ``repro
   worker`` loop: lease → execute → heartbeat → complete, with graceful
   drain.
@@ -21,8 +23,8 @@ publish jobs and watch for their completion; M ``repro worker --broker
 <dir>`` processes execute them; one shared result store
 (``--store-dir``) keeps the terminal documents.  ``connect_broker``
 turns the shared ``--broker`` spec (a directory path) into a live
-broker.  Another backing store plugs in by implementing the
-:class:`Broker` contract.
+broker.  Another backing store plugs in by implementing the store
+primitives of :class:`Broker`, not the lifecycle.
 """
 
 from __future__ import annotations

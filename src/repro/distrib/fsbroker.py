@@ -2,12 +2,14 @@
 
 No server, no new dependencies: the broker *is* a directory (local for a
 multi-process deployment, NFS/EFS-style for multi-host), and the POSIX
-rename is the concurrency primitive.  Layout::
+rename is the concurrency primitive.  :class:`FileBroker` is a record
+store for the lifecycle that :class:`~repro.distrib.broker.Broker`
+writes once; each record kind is one subdirectory.  Layout::
 
     <root>/jobs/<id>.json       immutable job record (payload, attempt budget)
     <root>/pending/<key>.json   deliverable tickets; the sorted file name
                                 encodes delivery order (not-before ms, attempt)
-    <root>/leased/<id>.json     live leases (worker, attempt, deadline)
+    <root>/leased/<id>.json     live leases (worker, attempt, deadline, started)
     <root>/done/<id>.json       results — created with os.link, so exactly
                                 one completion ever wins
     <root>/dead/<id>.json       dead-lettered jobs (last error, attempts)
@@ -16,7 +18,7 @@ rename is the concurrency primitive.  Layout::
     <root>/spans/<id>.*.json    per-attempt trace spans, one file per
                                 completion/failure report (re-delivered
                                 attempts file siblings, never append)
-    <root>/tmp/                 scratch for atomic writes
+    <root>/tmp/                 scratch for atomic writes and takeovers
 
 Claiming a job is ``os.rename(pending/<ticket>, leased/<id>.json)`` —
 atomic on every POSIX filesystem, so exactly one worker wins however
@@ -24,14 +26,17 @@ many race; the loser gets ``FileNotFoundError`` and moves on.
 Completion writes a scratch file and ``os.link``\\ s it to
 ``done/<id>.json`` — the link fails with ``FileExistsError`` when a
 re-delivered twin finished first, which is exactly the duplicate-
-completion no-op the protocol requires.  Every other mutation is a
-write-to-scratch + ``os.replace``.
+completion no-op the protocol requires.  Every other write is a
+write-to-scratch + ``os.replace``.  Fields added to a record since the
+layout was first written (``started``) are optional to every reader, so
+workers of different versions can share one directory.
 
 All state transitions are crash-safe: a worker that dies at any point
 leaves either a pending ticket (never claimed) or a leased file whose
-deadline lapses, and :meth:`FileBroker.reap` (run opportunistically by
-every ``lease`` call and by the front end's watcher) re-queues it with
-backoff or dead-letters it once the attempt budget is spent.
+deadline lapses, and :meth:`~repro.distrib.broker.Broker.reap` (run
+opportunistically by every ``lease`` call and by the front end's
+watcher) re-queues it with backoff or dead-letters it once the attempt
+budget is spent.
 """
 
 from __future__ import annotations
@@ -42,20 +47,14 @@ import os
 import re
 from typing import Any
 
-from repro.distrib.broker import (
-    Broker,
-    BrokerError,
-    Lease,
-    LeaseLostError,
-    UnknownBrokerJobError,
-    worker_view,
-)
+from repro.distrib.broker import JOB_STATES, Broker
 
 __all__ = ["FileBroker"]
 
 _SAFE_ID = re.compile(r"^[A-Za-z0-9._-]+$")
-_DIRS = ("jobs", "pending", "leased", "done", "dead", "cancelled", "workers",
-         "spans", "tmp")
+_DIRS = (*JOB_STATES, "jobs", "workers", "spans", "tmp")
+#: Unique suffixes for scratch and span file names taken in this process.
+_SCRATCH = itertools.count()
 
 
 class FileBroker(Broker):
@@ -66,36 +65,31 @@ class FileBroker(Broker):
         self.root = os.path.abspath(root)
         for name in _DIRS:
             os.makedirs(os.path.join(self.root, name), exist_ok=True)
-        self._scratch_seq = itertools.count()
 
     def describe(self) -> str:
         return f"file:{self.root}"
 
-    # ------------------------------------------------------------------
-    # Path and file helpers
-    # ------------------------------------------------------------------
+    def _path(self, kind: str, key: str) -> str:
+        if not _SAFE_ID.match(key):
+            raise ValueError(f"invalid broker id {key!r}")
+        return os.path.join(self.root, kind, f"{key}.json")
 
-    def _path(self, kind: str, name: str) -> str:
-        if not _SAFE_ID.match(name):
-            raise ValueError(f"invalid broker id {name!r}")
-        return os.path.join(self.root, kind, f"{name}.json")
-
-    def _scratch(self, label: str) -> str:
-        return os.path.join(
-            self.root, "tmp", f"{label}.{os.getpid()}.{next(self._scratch_seq)}"
-        )
-
-    def _write(self, path: str, document: dict) -> None:
-        scratch = self._scratch(os.path.basename(path))
+    def _scratch(self, path: str, record: dict) -> str:
+        """Write ``record`` to a fresh scratch file; returns its path."""
+        scratch = os.path.join(
+            self.root, "tmp",
+            f"{os.path.basename(path)}.{os.getpid()}.{next(_SCRATCH)}")
         with open(scratch, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
-        os.replace(scratch, path)
+            json.dump(record, handle)
+        return scratch
 
-    def _write_exclusive(self, path: str, document: dict) -> bool:
-        """Atomically create ``path``; ``False`` when it already exists."""
-        scratch = self._scratch(os.path.basename(path))
-        with open(scratch, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
+    # ------------------------------------------------------------------
+    # Store primitives
+    # ------------------------------------------------------------------
+
+    def _create(self, kind: str, key: str, record: dict) -> bool:
+        path = self._path(kind, key)
+        scratch = self._scratch(path, record)
         try:
             os.link(scratch, path)
             return True
@@ -104,411 +98,69 @@ class FileBroker(Broker):
         finally:
             os.unlink(scratch)
 
-    @staticmethod
-    def _read(path: str) -> dict | None:
+    def _get(self, kind: str, key: str) -> dict | None:
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(self._path(kind, key), "r", encoding="utf-8") as handle:
                 return json.load(handle)
         except (OSError, json.JSONDecodeError):
             return None
 
-    # -- pending tickets -----------------------------------------------
+    def _put(self, kind: str, key: str, record: dict) -> None:
+        path = self._path(kind, key)
+        os.replace(self._scratch(path, record), path)
 
-    def _ticket_name(self, not_before: float, attempt: int, job_id: str) -> str:
-        # The sorted listing of pending/ IS the delivery order: earliest
-        # not-before first, FIFO within a millisecond via the id suffix.
-        return f"{int(not_before * 1000):013d}-{attempt:03d}-{job_id}.json"
-
-    @staticmethod
-    def _ticket_job_id(name: str) -> str | None:
-        if not name.endswith(".json"):
-            return None
-        parts = name[:-5].split("-", 2)
-        return parts[2] if len(parts) == 3 else None
-
-    def _enqueue(self, job_id: str, attempt: int, not_before: float,
-                 error: str | None) -> None:
-        name = self._ticket_name(not_before, attempt, job_id)
-        self._write(
-            os.path.join(self.root, "pending", name),
-            {"id": job_id, "attempt": attempt, "not_before": not_before,
-             "error": error},
-        )
-
-    def _pending_tickets(self) -> list[str]:
-        return sorted(os.listdir(os.path.join(self.root, "pending")))
-
-    def _find_ticket(self, job_id: str) -> str | None:
-        for name in self._pending_tickets():
-            if self._ticket_job_id(name) == job_id:
-                return name
-        return None
-
-    def _terminal_state(self, job_id: str) -> str | None:
-        for state in ("done", "dead", "cancelled"):
-            if os.path.exists(self._path(state, job_id)):
-                return state
-        return None
-
-    # ------------------------------------------------------------------
-    # Job lifecycle
-    # ------------------------------------------------------------------
-
-    def publish(self, job_id: str, payload: dict, max_attempts: int | None = None) -> None:
-        record_path = self._path("jobs", job_id)
-        now = self._now()
-        created = self._write_exclusive(record_path, {
-            "id": job_id,
-            "payload": payload,
-            "max_attempts": max_attempts or self.max_attempts,
-            "created": now,
-        })
-        if not created:
-            raise BrokerError(f"job {job_id!r} is already published")
-        self._enqueue(job_id, attempt=1, not_before=now, error=None)
-        self._note("published")
-
-    def lease(self, worker_id: str) -> Lease | None:
-        self.reap()
-        now = self._now()
-        for name in self._pending_tickets():
-            job_id = self._ticket_job_id(name)
-            if job_id is None:
-                continue
-            ticket_path = os.path.join(self.root, "pending", name)
-            ticket = self._read(ticket_path)
-            if ticket is None:
-                continue  # claimed (and removed) by a racing worker
-            if ticket["not_before"] > now:
-                continue
-            lease_path = self._path("leased", job_id)
-            try:
-                # THE claim: atomic, exactly one winner per ticket.
-                os.rename(ticket_path, lease_path)
-            except FileNotFoundError:
-                continue
-            if self._terminal_state(job_id) is not None:
-                # A stale ticket for an already-finished job (e.g. it was
-                # completed after a reap re-queued it): discard quietly.
-                self._remove(lease_path)
-                continue
-            record = self._read(self._path("jobs", job_id))
-            if record is None:
-                self._remove(lease_path)
-                continue
-            deadline = now + self.visibility
-            self._write(lease_path, {
-                "id": job_id,
-                "attempt": ticket["attempt"],
-                "worker": worker_id,
-                "deadline": deadline,
-            })
-            self._note("leased")
-            return Lease(job_id, record["payload"], ticket["attempt"],
-                         deadline, worker_id)
-        return None
-
-    def heartbeat(self, job_id: str, worker_id: str) -> float:
-        lease_path = self._path("leased", job_id)
-        lease = self._read(lease_path)
-        if lease is None or lease.get("worker") != worker_id:
-            raise LeaseLostError(f"worker {worker_id!r} no longer holds job {job_id!r}")
-        lease["deadline"] = self._now() + self.visibility
-        self._write(lease_path, lease)
-        return lease["deadline"]
-
-    def complete(self, job_id: str, worker_id: str, results: Any,
-                 spans: list | None = None) -> bool:
-        if not os.path.exists(self._path("jobs", job_id)):
-            raise UnknownBrokerJobError(job_id)
-        self._file_spans(job_id, spans)
-        lease = self._read(self._path("leased", job_id))
-        attempt = lease["attempt"] if lease and lease.get("worker") == worker_id else None
-        won = self._write_exclusive(self._path("done", job_id), {
-            "results": results,
-            "worker": worker_id,
-            "attempt": attempt,
-            "finished": self._now(),
-        })
-        self._release(job_id, worker_id)
-        if won:
-            # A reaper may have re-queued the job while we were finishing
-            # it; the ticket is now stale and must not be delivered.
-            ticket = self._find_ticket(job_id)
-            if ticket is not None:
-                self._remove(os.path.join(self.root, "pending", ticket))
-            self._note("completed")
-        return won
-
-    def fail(self, job_id: str, worker_id: str, error: str,
-             spans: list | None = None) -> None:
-        record = self._read(self._path("jobs", job_id))
-        if record is None:
-            raise UnknownBrokerJobError(job_id)
-        self._file_spans(job_id, spans)
-        lease = self._take_lease(job_id, worker_id)
-        if lease is None:
-            # Lease already reaped/re-delivered: that delivery owns the
-            # retry accounting now, a late failure report changes nothing.
-            return
-        attempt = lease["attempt"]
-        if attempt >= record["max_attempts"]:
-            self._write_exclusive(self._path("dead", job_id), {
-                "error": error, "attempts": attempt, "finished": self._now(),
-            })
-            self._note("dead_lettered")
-        else:
-            self._enqueue(job_id, attempt + 1,
-                          self._now() + self.backoff(attempt), error)
-            self._note("retried")
-
-    def cancel(self, job_id: str) -> bool:
-        if not os.path.exists(self._path("jobs", job_id)):
-            raise UnknownBrokerJobError(job_id)
-        name = self._find_ticket(job_id)
-        if name is None:
-            return False
-        takeover = self._scratch(job_id)
+    def _remove(self, kind: str, key: str) -> bool:
         try:
-            os.rename(os.path.join(self.root, "pending", name), takeover)
+            os.unlink(self._path(kind, key))
+            return True
         except FileNotFoundError:
-            return False  # leased in the race window
-        self._remove(takeover)
-        self._write_exclusive(self._path("cancelled", job_id),
-                              {"finished": self._now()})
-        return True
+            return False
 
-    def reap(self) -> int:
-        now = self._now()
-        leased_dir = os.path.join(self.root, "leased")
-        reaped = 0
-        for name in sorted(os.listdir(leased_dir)):
-            lease_path = os.path.join(leased_dir, name)
-            lease = self._read(lease_path)
-            if lease is None:
-                continue
-            deadline = lease.get("deadline")
-            if deadline is None:
-                # Mid-claim (ticket renamed, content not yet rewritten):
-                # grant the claimer a full visibility window from mtime.
-                try:
-                    deadline = os.path.getmtime(lease_path) + self.visibility
-                except OSError:
-                    continue
-            if deadline >= now:
-                continue
-            takeover = self._scratch(f"reap-{name}")
-            try:
-                os.rename(lease_path, takeover)
-            except FileNotFoundError:
-                continue  # completed or reaped concurrently
-            self._remove(takeover)
-            job_id = lease.get("id") or name[:-5]
-            if self._terminal_state(job_id) is not None or self._find_ticket(job_id):
-                continue  # ghost lease (e.g. a heartbeat raced a reap)
-            reaped += 1
-            record = self._read(self._path("jobs", job_id)) or {}
-            attempt = lease.get("attempt", 1)
-            error = (f"lease expired after attempt {attempt} "
-                     f"(worker {lease.get('worker', '?')})")
-            if attempt >= record.get("max_attempts", self.max_attempts):
-                self._write_exclusive(self._path("dead", job_id), {
-                    "error": error, "attempts": attempt, "finished": now,
-                })
-                self._note("dead_lettered")
-            else:
-                self._enqueue(job_id, attempt + 1, now + self.backoff(attempt), error)
-                self._note("reaped")
-        return reaped
+    def _move(self, kind: str, key: str, to_kind: str, to_key: str) -> bool:
+        try:
+            os.rename(self._path(kind, key), self._path(to_kind, to_key))
+            return True
+        except FileNotFoundError:
+            return False
 
-    def _release(self, job_id: str, worker_id: str) -> None:
-        """Remove our lease file, tolerating every race."""
-        self._take_lease(job_id, worker_id)
+    def _exists(self, kind: str, key: str) -> bool:
+        return os.path.exists(self._path(kind, key))
+
+    def _keys(self, kind: str) -> list[str]:
+        try:
+            names = sorted(os.listdir(os.path.join(self.root, kind)))
+        except OSError:
+            return []
+        return [name[:-5] for name in names
+                if name.endswith(".json") and _SAFE_ID.match(name)]
+
+    def _tickets(self) -> list[str]:
+        # The sorted listing of pending/ IS the delivery order.
+        return self._keys("pending")
+
+    def _modified(self, kind: str, key: str) -> float | None:
+        # The change time, not the modification time: a rename keeps the
+        # mtime but (on Linux and most POSIX filesystems) sets the ctime,
+        # so a just-claimed ticket reads as just written.
+        try:
+            return os.stat(self._path(kind, key)).st_ctime
+        except OSError:
+            return None
 
     def _file_spans(self, job_id: str, spans: list | None) -> None:
-        """Persist one attempt's spans next to (never inside) the results.
-
-        Each report gets its own uniquely-named file — no shared-file
-        append, so concurrent completions of an expired-lease twin file
-        as genuine siblings with zero coordination.
-        """
-        if not spans:
-            return
-        name = f"{job_id}.{os.getpid()}.{next(self._scratch_seq)}.json"
-        self._write(os.path.join(self.root, "spans", name), {"spans": spans})
+        # Each report gets its own uniquely-named file — no shared-file
+        # append, so concurrent completions of an expired-lease twin file
+        # as genuine siblings with zero coordination.
+        if spans:
+            self._put("spans", f"{job_id}.{os.getpid()}.{next(_SCRATCH)}",
+                      {"spans": spans})
 
     def _job_spans(self, job_id: str) -> list:
-        """Concatenate every attempt's span file for ``job_id``."""
-        directory = os.path.join(self.root, "spans")
         prefix = f"{job_id}."
         collected: list = []
-        try:
-            names = sorted(os.listdir(directory))
-        except OSError:
-            return collected
-        for name in names:
-            if not (name.startswith(prefix) and name.endswith(".json")):
-                continue
-            entry = self._read(os.path.join(directory, name))
-            if entry:
-                collected.extend(entry.get("spans", ()))
+        for key in self._keys("spans"):
+            if key.startswith(prefix):
+                entry = self._get("spans", key)
+                if entry:
+                    collected.extend(entry.get("spans", ()))
         return collected
-
-    def _take_lease(self, job_id: str, worker_id: str) -> dict | None:
-        """Atomically remove ``worker_id``'s lease and return its content.
-
-        Rename-then-verify: if the file turns out to belong to another
-        worker (the lease expired and was re-delivered between our read
-        and our rename), it is put back untouched and ``None`` returned.
-        """
-        lease_path = self._path("leased", job_id)
-        takeover = self._scratch(job_id)
-        try:
-            os.rename(lease_path, takeover)
-        except FileNotFoundError:
-            return None
-        lease = self._read(takeover)
-        if lease is None or lease.get("worker") != worker_id:
-            try:
-                os.rename(takeover, lease_path)
-            except OSError:
-                self._remove(takeover)
-            return None
-        self._remove(takeover)
-        return lease
-
-    @staticmethod
-    def _remove(path: str) -> None:
-        try:
-            os.unlink(path)
-        except FileNotFoundError:
-            pass
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def snapshot(self, job_id: str) -> dict[str, Any]:
-        record = self._read(self._path("jobs", job_id))
-        if record is None:
-            raise UnknownBrokerJobError(job_id)
-        base = {
-            "id": job_id,
-            "created": record["created"],
-            "max_attempts": record["max_attempts"],
-            "error": None,
-        }
-        done = self._read(self._path("done", job_id))
-        if done is not None:
-            return {**base, "state": "done", "attempts": done["attempt"],
-                    "worker": done["worker"], "results": done["results"],
-                    "finished": done["finished"],
-                    "spans": self._job_spans(job_id)}
-        dead = self._read(self._path("dead", job_id))
-        if dead is not None:
-            return {**base, "state": "dead", "attempts": dead["attempts"],
-                    "worker": None, "results": None,
-                    "finished": dead["finished"], "error": dead["error"],
-                    "spans": self._job_spans(job_id)}
-        cancelled = self._read(self._path("cancelled", job_id))
-        if cancelled is not None:
-            return {**base, "state": "cancelled", "attempts": 0, "worker": None,
-                    "results": None, "finished": cancelled["finished"]}
-        lease = self._read(self._path("leased", job_id))
-        if lease is not None and "worker" in lease:
-            return {**base, "state": "leased", "attempts": lease["attempt"],
-                    "worker": lease["worker"], "results": None,
-                    "deadline": lease["deadline"], "finished": None}
-        name = self._find_ticket(job_id)
-        if name is not None:
-            ticket = self._read(os.path.join(self.root, "pending", name))
-            if ticket is not None:
-                return {**base, "state": "pending",
-                        "attempts": ticket["attempt"] - 1, "worker": None,
-                        "results": None, "not_before": ticket["not_before"],
-                        "error": ticket.get("error"), "finished": None}
-        return {**base, "state": "pending", "attempts": None, "worker": None,
-                "results": None, "finished": None}
-
-    def counts(self) -> dict[str, int]:
-        out = {}
-        for state, kind in (("pending", "pending"), ("leased", "leased"),
-                            ("done", "done"), ("dead", "dead"),
-                            ("cancelled", "cancelled")):
-            try:
-                out[state] = sum(
-                    1 for entry in os.listdir(os.path.join(self.root, kind))
-                    if entry.endswith(".json")
-                )
-            except OSError:
-                out[state] = 0
-        return out
-
-    def dead_letters(self, limit: int = 20) -> list[dict[str, Any]]:
-        directory = os.path.join(self.root, "dead")
-        rows = []
-        try:
-            names = os.listdir(directory)
-        except OSError:
-            return rows
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            entry = self._read(os.path.join(directory, name))
-            if entry is not None:
-                rows.append({
-                    "id": name[:-5],
-                    "error": entry.get("error"),
-                    "attempts": entry.get("attempts"),
-                    "finished": entry.get("finished"),
-                })
-        rows.sort(key=lambda row: row["finished"] or 0, reverse=True)
-        return rows[:limit]
-
-    # ------------------------------------------------------------------
-    # Worker registry
-    # ------------------------------------------------------------------
-
-    def register_worker(self, worker_id: str, capabilities: dict[str, Any]) -> None:
-        now = self._now()
-        self._write(self._path("workers", worker_id), {
-            "id": worker_id,
-            "capabilities": capabilities,
-            "started": now,
-            "heartbeat": now,
-            "completed": 0,
-            "failed": 0,
-        })
-
-    def worker_heartbeat(
-        self,
-        worker_id: str,
-        completed: int | None = None,
-        failed: int | None = None,
-        metrics: dict[str, Any] | None = None,
-    ) -> None:
-        path = self._path("workers", worker_id)
-        record = self._read(path)
-        if record is None:
-            raise BrokerError(f"worker {worker_id!r} is not registered")
-        record["heartbeat"] = self._now()
-        if completed is not None:
-            record["completed"] = completed
-        if failed is not None:
-            record["failed"] = failed
-        if metrics is not None:
-            record["metrics"] = metrics
-        self._write(path, record)
-
-    def deregister_worker(self, worker_id: str) -> None:
-        self._remove(self._path("workers", worker_id))
-
-    def workers(self) -> list[dict[str, Any]]:
-        now = self._now()
-        directory = os.path.join(self.root, "workers")
-        views = []
-        for name in sorted(os.listdir(directory)):
-            record = self._read(os.path.join(directory, name))
-            if record is not None:
-                views.append(worker_view(record, now, self.worker_ttl))
-        return views

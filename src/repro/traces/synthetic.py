@@ -160,7 +160,9 @@ class GloballyCorrelatedBranch(BranchSite):
         if not 0.0 <= noise <= 1.0:
             raise ValueError("noise must be a probability")
         self.source_pc = source_pc
-        self.invert = invert
+        # Stored as a bool: ``last ^ invert`` must stay a bool (``invert=2``
+        # would otherwise make the copy always taken).
+        self.invert = bool(invert)
         self.noise = noise
 
     def emit(self, ctx: GeneratorContext) -> list[tuple[int, bool]]:

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import os
 import threading
+import time
 
 import pytest
 
 from repro.distrib import FileBroker, MemoryBroker, connect_broker
-from repro.distrib.broker import BrokerError, UnknownBrokerJobError
+from repro.distrib.broker import JOB_STATES, BrokerError, UnknownBrokerJobError
 
 
 def test_publish_lease_complete_lifecycle(broker_factory):
@@ -131,6 +133,91 @@ def test_file_broker_state_is_shared_between_instances(tmp_path):
     assert worker_side.complete("job-1", "w1", ["ok"]) is True
     assert front.snapshot("job-1")["state"] == "done"
     assert front.snapshot("job-1")["results"] == ["ok"]
+
+
+def _one_job_per_state(broker) -> dict:
+    """Drive ``job-<state>`` into each of :data:`JOB_STATES`; their snapshots."""
+    broker.publish("job-done", {})
+    broker.lease("w1")
+    broker.complete("job-done", "w1", ["ok"])
+    broker.publish("job-dead", {}, max_attempts=1)
+    broker.lease("w1")
+    broker.fail("job-dead", "w1", "boom")
+    broker.publish("job-leased", {})
+    broker.lease("w1")
+    broker.publish("job-pending", {})
+    broker.publish("job-cancelled", {})
+    broker.cancel("job-cancelled")
+    snapshots = {state: broker.snapshot(f"job-{state}") for state in JOB_STATES}
+    assert {state: snap["state"] for state, snap in snapshots.items()} == {
+        state: state for state in JOB_STATES}
+    return snapshots
+
+
+def test_both_brokers_snapshot_every_state_alike(tmp_path, fake_clock):
+    """One lifecycle: per state, both stores report the same fields, and
+    every delivered job carries the time its delivery started."""
+    memory = _one_job_per_state(MemoryBroker(clock=fake_clock))
+    files = _one_job_per_state(FileBroker(str(tmp_path / "broker"), clock=fake_clock))
+    assert {state: sorted(snap) for state, snap in memory.items()} == {
+        state: sorted(snap) for state, snap in files.items()}
+    for snapshots in (memory, files):
+        for state in ("leased", "done", "dead"):
+            assert snapshots[state]["started"] == fake_clock.now
+        assert snapshots["dead"]["error"] == "boom"
+
+
+def test_file_broker_drains_a_directory_in_the_earlier_format(tmp_path, fake_clock):
+    """A rolling upgrade: records written before leases, done and dead
+    records carried ``started`` must still lease, reap and snapshot."""
+    root = tmp_path / "broker"
+    for name in ("jobs", "pending", "leased", "done", "dead", "cancelled",
+                 "workers", "spans", "tmp"):
+        (root / name).mkdir(parents=True)
+
+    def write(kind, name, record):
+        (root / kind / f"{name}.json").write_text(json.dumps(record))
+
+    created = fake_clock.now - 100.0
+    for job_id in ("job-a", "job-b", "job-c"):
+        write("jobs", job_id, {"id": job_id, "payload": {"name": job_id},
+                               "max_attempts": 3, "created": created})
+    write("pending", f"{int(created * 1000):013d}-001-job-a",
+          {"id": "job-a", "attempt": 1, "not_before": created, "error": None})
+    write("leased", "job-b", {"id": "job-b", "attempt": 1, "worker": "old",
+                              "deadline": fake_clock.now - 1.0})
+    write("done", "job-c", {"results": ["ok"], "worker": "old", "attempt": 1,
+                            "finished": created + 1.0})
+
+    broker = FileBroker(str(root), clock=fake_clock)
+    lease = broker.lease("new")  # reaps job-b first, then claims job-a
+    assert (lease.job_id, lease.attempt, lease.payload) == ("job-a", 1, {"name": "job-a"})
+    reaped = broker.snapshot("job-b")
+    assert reaped["state"] == "pending" and reaped["attempts"] == 1
+    assert "lease expired after attempt 1 (worker old)" in reaped["error"]
+    done = broker.snapshot("job-c")
+    assert (done["state"], done["results"], done["attempts"]) == ("done", ["ok"], 1)
+    assert done["started"] is None
+    assert broker.complete("job-a", "new", ["a"]) is True
+    assert broker.snapshot("job-a")["started"] == fake_clock.now
+    assert broker.counts() == {"pending": 1, "leased": 0, "done": 2, "dead": 0,
+                               "cancelled": 0}
+
+
+def test_a_ticket_claimed_after_waiting_is_not_reaped_mid_claim(tmp_path):
+    """Between the claiming rename and the lease write, a lease file holds
+    the ticket's content (no deadline).  A reaper grants it a visibility
+    window from the claim, however long the ticket waited before."""
+    broker = FileBroker(str(tmp_path / "broker"), visibility=0.2)
+    broker.publish("job-1", {})
+    time.sleep(0.3)  # the ticket waits longer than the visibility timeout
+    (ticket,) = os.listdir(tmp_path / "broker" / "pending")
+    os.rename(tmp_path / "broker" / "pending" / ticket,
+              tmp_path / "broker" / "leased" / "job-1.json")
+    assert broker.reap() == 0
+    time.sleep(0.3)  # a claimer that never writes its lease does lose it
+    assert broker.reap() == 1
+    assert broker.snapshot("job-1")["state"] == "pending"
 
 
 def test_memory_broker_forgets_the_oldest_terminal_jobs(monkeypatch):

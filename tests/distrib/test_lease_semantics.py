@@ -173,3 +173,51 @@ def test_fail_requeues_with_backoff_window(broker_factory, fake_clock):
     clock.advance(2.0)
     retry = broker.lease("w1")
     assert retry is not None and retry.attempt == 2
+
+
+def test_a_late_failure_report_changes_nothing(broker_factory, fake_clock):
+    """A's lease expires and B holds attempt 2: A's late ``fail`` must not
+    re-queue the job under B (a third delivery) nor leave it counted twice."""
+    clock = fake_clock
+    broker = broker_factory(visibility=5.0, backoff_base=0.0, clock=clock)
+    broker.publish("job-1", {})
+    assert broker.lease("A").attempt == 1
+    clock.advance(6.0)
+    assert broker.lease("B").attempt == 2
+
+    broker.fail("job-1", "A", "late boom")
+    assert broker.counts()["pending"] == 0
+    assert broker.lease("C") is None
+
+    assert broker.complete("job-1", "B", ["ok"]) is True
+    clock.advance(6.0)
+    assert broker.reap() == 0
+    assert broker.counts() == {"pending": 0, "leased": 0, "done": 1, "dead": 0,
+                               "cancelled": 0}
+    assert broker.dead_letters() == []
+
+
+def test_a_completion_racing_the_dead_letter_wins(broker_factory, fake_clock):
+    """The last attempt's lease expires while its worker is finishing: the
+    worker's ``done`` lands between the reaper's terminal check and its
+    dead letter.  The results win; the job is never both done and dead."""
+    clock = fake_clock
+    broker = broker_factory(visibility=5.0, max_attempts=1, clock=clock)
+    broker.publish("job-1", {})
+    broker.lease("w1")
+    clock.advance(6.0)
+
+    create = broker._create
+
+    def create_after_the_worker_finishes(kind, key, record):
+        if kind == "dead":
+            broker._create = create
+            assert broker.complete("job-1", "w1", ["ok"]) is True
+        return create(kind, key, record)
+
+    broker._create = create_after_the_worker_finishes
+    assert broker.reap() == 1
+    assert broker.snapshot("job-1")["results"] == ["ok"]
+    assert broker.counts() == {"pending": 0, "leased": 0, "done": 1, "dead": 0,
+                               "cancelled": 0}
+    assert broker.dead_letters() == []

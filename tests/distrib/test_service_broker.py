@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.api import Runner, RunnerConfig, RunRequest, suite_payload
-from repro.distrib import FleetWorker, MemoryBroker
+from repro.distrib import FileBroker, FleetWorker, MemoryBroker
 from repro.service import (
     CancelConflictError,
     DiskResultStore,
@@ -111,6 +111,28 @@ def test_crashed_worker_lease_is_redelivered_to_a_live_one():
     assert document["worker"] == "rescuer"
     assert document["attempts"] == 2
     assert document["results"] == [reference_payload(request)]
+
+
+def test_a_fleet_job_first_seen_done_keeps_its_start(tmp_path, fresh_registry):
+    """The watcher looks once a second; the job runs between two looks.
+    Its document still gets the delivery start and a queue-wait sample."""
+    from repro.obs import get_metrics
+
+    broker = FileBroker(str(tmp_path / "broker"))
+    request = {"predictor": {"kind": "gshare"}, "trace": REF_A}
+    queue_wait = get_metrics().histogram("repro_service_queue_wait_seconds", "")
+    with SimulationService(broker=broker, broker_poll=1.0) as service:
+        job = service.submit_payload(request)
+        time.sleep(0.2)  # the watcher's first look finds the job pending
+        worker = FleetWorker(broker, runner=Runner(RunnerConfig(workers=1)),
+                             worker_id="w1", poll_interval=0.01)
+        assert worker.run(max_jobs=1) == 1
+        document = service.wait(job.id, timeout=30)
+
+    assert document["status"] == "done"
+    assert isinstance(document["started"], float)
+    assert document["created"] <= document["started"] <= document["finished"]
+    assert queue_wait.count() == 1
 
 
 def test_dead_letter_fails_the_job():

@@ -230,3 +230,17 @@ def test_threads_generate_side_by_side():
     with ThreadPoolExecutor(2) as pool:
         threaded = list(pool.map(lambda ref: columns(resolve_trace_ref(ref)[0]), refs))
     assert threaded == serial
+
+
+def test_a_truthy_invert_is_stored_as_a_bool(monkeypatch):
+    """``invert=2`` inverts the copy exactly like ``invert=True``, on both paths."""
+    def spec(invert):
+        return (WorkloadSpec(skip_probability=0.0)
+                .add(BiasedBranch(0x1000, 0.5))
+                .add(GloballyCorrelatedBranch(0x2000, source_pc=0x1000, invert=invert)))
+
+    for path in ("native", "python"):
+        forced = path == "python"
+        truthy = generate(spec(2), 400, 1, monkeypatch, path=path, forced=forced)
+        assert columns(truthy) == columns(
+            generate(spec(True), 400, 1, monkeypatch, path=path, forced=forced))
