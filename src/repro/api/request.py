@@ -26,9 +26,8 @@ from repro.pipeline.config import PipelineConfig
 from repro.pipeline.scenarios import UpdateScenario
 from repro.predictors.base import Predictor
 from repro.predictors.registry import PredictorSpec, spec_of
-from repro.traces.refs import parse_trace_ref, resolve_trace_ref
+from repro.traces.refs import parse_trace_ref
 from repro.traces.sharding import ShardingPolicy
-from repro.traces.trace import Trace
 
 __all__ = [
     "REQUEST_SCHEMA_VERSION",
@@ -150,10 +149,6 @@ class RunRequest:
             from repro.api.config import parse_backend
 
             object.__setattr__(self, "backend", parse_backend(self.backend))
-
-    def resolve_traces(self) -> list[Trace]:
-        """Resolve the trace reference to the deterministic traces it names."""
-        return resolve_trace_ref(self.trace)
 
     def to_dict(self) -> dict:
         """A JSON-pure payload reproducing this request via :meth:`from_dict`.

@@ -29,9 +29,9 @@ share the same scheduling and cache.
 
 Lifecycle: by default each batch builds (and tears down) its own process
 pool.  With ``persistent=True`` the runner owns one long-lived
-:class:`~repro.pipeline.parallel.WorkerPool` whose workers keep warm
-predictor instances across batches — the mode the HTTP service and any
-many-small-requests caller should use.  Either way ``Runner`` is a
+:class:`~repro.pipeline.parallel.WorkerPool` whose worker processes
+outlive each batch, so later batches pay no process spawn — the mode
+the HTTP service and any many-small-requests caller should use.  Either way ``Runner`` is a
 context manager; :meth:`Runner.close` (idempotent, also on ``with``
 exit and Ctrl-C) shuts the pool down without orphaning workers.
 """
@@ -93,7 +93,7 @@ class Runner:
     Build one from the environment (``Runner.from_env()``) or with an
     explicit :class:`RunnerConfig`.  The runner is cheap to construct;
     by default the process pool only exists while a batch is executing.
-    With ``persistent=True`` the runner instead keeps one warm
+    With ``persistent=True`` the runner instead keeps one
     :class:`WorkerPool` alive across batches (created lazily, shut down
     by :meth:`close` / ``with`` exit).
     """
@@ -391,9 +391,8 @@ class Runner:
         into a single :func:`run_scheduled` pass, so a sweep over many
         specs keeps every worker busy until the whole batch drains.
         Every trace sees a power-on-state predictor (traces never warm
-        each other up — the CBP rule): the executing thread builds one
-        per spec, then resets and reuses it, or rebuilds it for
-        predictors whose ``reset()`` is not implemented.
+        each other up — the CBP rule): each task builds a fresh one from
+        its spec.
         """
         flat: list[tuple] = []
         shape: list[tuple[PredictorSpec, int]] = []

@@ -96,11 +96,6 @@ class SaturatingCounter:
         mid = 1 << (self.bits - 1)
         return self.value in (mid - 1, mid)
 
-    @property
-    def is_saturated(self) -> bool:
-        """True when the counter sits at either extreme."""
-        return self.value in (self.lo, self.hi)
-
     def update(self, taken: bool) -> bool:
         """Push the counter toward ``taken``; return True if the value changed."""
         new = saturating_update(self.value, taken, self.lo, self.hi)
@@ -119,10 +114,6 @@ class SaturatingCounter:
     def set(self, value: int) -> None:
         """Force the counter to ``value`` (clamped to the legal range)."""
         self.value = clamp(value, self.lo, self.hi)
-
-    def reset(self) -> None:
-        """Return the counter to its weakest not-taken state."""
-        self.value = -1 if self.signed else 0
 
     def centered(self) -> int:
         """Return ``2 * value + 1``, the "centered" value used by GEHL-style adders."""

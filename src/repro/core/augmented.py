@@ -308,23 +308,3 @@ class AugmentedTAGE(Predictor):
         if self.with_loop is not None and self.loop is not None:
             report.add("WITHLOOP counter", 1, 7)
         return report
-
-    def reset(self) -> None:
-        """Restore the power-on state of every component."""
-        self.tage.reset()
-        if self.ium is not None:
-            self.ium.clear()
-            self.ium.overrides = 0
-        if self.loop is not None:
-            self.loop.reset()
-        if self.sc is not None:
-            self.sc.reset()
-            if self.sc._core.bank_selector is not None:
-                self.sc._core.bank_selector.reset()
-        if self.lsc is not None:
-            self.lsc.reset()
-            if self.lsc._core.bank_selector is not None:
-                self.lsc._core.bank_selector.reset()
-        if self._shared_bank_selector is not None:
-            self._shared_bank_selector.reset()
-        self.with_loop = SaturatingCounter(bits=7, signed=True, value=-1)

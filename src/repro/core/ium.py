@@ -178,10 +178,6 @@ class ImmediateUpdateMimicker:
         """Release the entry of a retiring branch."""
         self._entries = [entry for entry in self._entries if entry.sequence != sequence]
 
-    def clear(self) -> None:
-        """Drop every in-flight entry (pipeline flush)."""
-        self._entries = []
-
     def storage_report(self) -> StorageReport:
         """Approximate hardware cost: table id + index + counter + flags per entry."""
         report = StorageReport("immediate-update-mimicker")

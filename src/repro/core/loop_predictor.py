@@ -126,10 +126,6 @@ class SpeculativeLoopIterationManager:
         """Release the entry of a retiring branch."""
         self._entries = [entry for entry in self._entries if entry.sequence != sequence]
 
-    def clear(self) -> None:
-        """Drop every in-flight entry."""
-        self._entries = []
-
 
 class LoopPredictor:
     """4-way skewed-associative loop predictor.
@@ -357,8 +353,3 @@ class LoopPredictor:
         report = StorageReport("loop-predictor")
         report.add("loop entries", self.entries, self.entry_bits)
         return report
-
-    def reset(self) -> None:
-        """Restore the power-on state."""
-        self._table = [[LoopEntry() for _ in range(self.ways)] for _ in range(self.sets)]
-        self.slim.clear()

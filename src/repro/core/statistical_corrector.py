@@ -216,13 +216,6 @@ class _CorrectorCore:
             )
         report.add(f"{self.name} threshold counter", 1, 7)
 
-    def reset(self) -> None:
-        """Restore the power-on state."""
-        for table in self.tables:
-            table.fill(0)
-        self.threshold = self.config.initial_threshold
-        self._threshold_counter.set(0)
-
 
 class StatisticalCorrector:
     """Global-history Statistical Corrector (Section 5.3).
@@ -262,11 +255,6 @@ class StatisticalCorrector:
         report = StorageReport("statistical-corrector")
         self._core.storage_items(report)
         return report
-
-    def reset(self) -> None:
-        """Restore the power-on state."""
-        self._core.reset()
-        self._history = 0
 
 
 class LocalStatisticalCorrector:
@@ -332,9 +320,3 @@ class LocalStatisticalCorrector:
             "local history table", self.local_history.entries, self.local_history.history_bits
         )
         return report
-
-    def reset(self) -> None:
-        """Restore the power-on state."""
-        self._core.reset()
-        self.local_history.clear()
-        self.speculative_manager.clear()

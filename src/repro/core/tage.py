@@ -479,21 +479,6 @@ class TAGEPredictor(Predictor):
         report.add("path history", 1, cfg.path_history_bits)
         return report
 
-    def reset(self) -> None:
-        """Restore the power-on state."""
-        self.base.reset()
-        for table in (*self._ctr, *self._tags, *self._useful):
-            table[:] = [0] * len(table)
-        self.history.clear()
-        self.path_history.clear()
-        for folds in (self._index_fold, self._tag_fold_1, self._tag_fold_2):
-            folds[:] = [0] * self.num_tables
-        self.use_alt_on_na.set(0)
-        self.allocation_tick.set(0)
-        self.useful_resets = 0
-        if self.bank_selector is not None:
-            self.bank_selector.reset()
-
 
 def make_reference_tage() -> TAGEPredictor:
     """Build the paper's reference ~512 Kbit / 64 KByte-class TAGE predictor."""

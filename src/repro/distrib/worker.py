@@ -2,8 +2,8 @@
 
 ``repro worker`` runs one :class:`FleetWorker` per process, and a local
 ``repro serve`` runs one in a thread per lane.  The worker owns a
-persistent :class:`~repro.api.runner.Runner` (warm process pool, shared
-result cache), registers with the broker under capability tags
+persistent :class:`~repro.api.runner.Runner` (a process pool that
+outlives each job, shared result cache), registers with the broker under capability tags
 (live execution backends, core count, host/pid), and loops:
 
 1. :meth:`~repro.distrib.broker.Broker.lease` a job (reaping expired

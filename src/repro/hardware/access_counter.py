@@ -97,13 +97,6 @@ class AccessProfile:
         return 100.0 * self.write_accesses / self.branches
 
     @property
-    def retire_reads_per_branch(self) -> float:
-        """Retire-time read accesses per retired branch."""
-        if not self.branches:
-            return 0.0
-        return self.retire_reads / self.branches
-
-    @property
     def accesses_per_branch(self) -> float:
         """Total predictor accesses per retired branch.
 

@@ -63,9 +63,6 @@ class BankSelector:
         bank = self.select(pc)
         self._previous.append(bank)
         return bank
-
-    def advance_unconditional(self) -> None:
-        """An unconditional branch makes no predictor access (b(Z) = -1)."""
         # The previous-bank window keeps its current contents: the rule only
         # tracks branches that actually accessed the predictor.
 
@@ -73,10 +70,6 @@ class BankSelector:
     def recent_banks(self) -> tuple[int, ...]:
         """Banks used by the (up to two) most recent predictions."""
         return tuple(self._previous)
-
-    def reset(self) -> None:
-        """Forget the recent-bank window."""
-        self._previous.clear()
 
 
 def _is_power_of_two(value: int) -> bool:

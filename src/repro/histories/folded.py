@@ -84,7 +84,3 @@ class FoldedHistory:
     def restore(self, snapshot: int) -> None:
         """Restore a snapshot taken by :meth:`checkpoint`."""
         self.value = snapshot
-
-    def clear(self) -> None:
-        """Reset the fold to the all-zero history."""
-        self.value = 0

@@ -14,8 +14,6 @@ past (Section 3 of the paper).  The reference TAGE predictor uses the
 
 from __future__ import annotations
 
-import math
-
 __all__ = ["geometric_series"]
 
 
@@ -77,8 +75,3 @@ def validate_series(lengths: list[int]) -> None:
     if any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise ValueError(f"history lengths must be strictly increasing, got {lengths}")
 
-
-def _self_test() -> None:  # pragma: no cover - debugging helper
-    series = geometric_series(6, 2000, 12)
-    validate_series(series)
-    assert math.isclose(series[-1], 2000)

@@ -109,12 +109,6 @@ class GlobalHistoryRegister:
     def __len__(self) -> int:
         return self._count
 
-    def clear(self) -> None:
-        """Forget all history."""
-        self._buffer = bytearray(self.capacity)
-        self._head = 0
-        self._count = 0
-
 
 class PathHistory:
     """Short path history made of low-order PC bits of recent branches.
@@ -151,7 +145,3 @@ class PathHistory:
     def restore(self, snapshot: int) -> None:
         """Restore a snapshot taken by :meth:`checkpoint`."""
         self._value = snapshot
-
-    def clear(self) -> None:
-        """Forget all path history."""
-        self._value = 0

@@ -68,10 +68,6 @@ class LocalHistoryTable:
         shifted = ((self._histories[idx] << 1) | (1 if taken else 0)) & mask(self.history_bits)
         self._histories[idx] = shifted
 
-    def clear(self) -> None:
-        """Forget all local histories."""
-        self._histories = [0] * self.entries
-
     @property
     def storage_bits(self) -> int:
         """Total storage held by the table."""
@@ -164,7 +160,3 @@ class SpeculativeLocalHistoryManager:
         """Retire the branch with ``sequence``: commit its outcome and free its entry."""
         self.local_table.update(pc, taken)
         self._entries = [entry for entry in self._entries if entry.sequence != sequence]
-
-    def clear(self) -> None:
-        """Drop every in-flight entry (e.g. on a pipeline flush)."""
-        self._entries = []

@@ -174,7 +174,7 @@ class SimulationEngine:
         """Begin a run: clear the window, zero the metrics.
 
         The predictor is *not* reset; callers wanting power-on state
-        reset or rebuild the predictor themselves.
+        build a fresh predictor.
         """
         self._window.clear()
         self._accesses = AccessProfile()

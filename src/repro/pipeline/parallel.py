@@ -7,8 +7,8 @@ pass every :class:`~repro.api.runner.Runner` call goes through:
 
 * workers receive a picklable
   :class:`~repro.predictors.registry.PredictorSpec` — never a live
-  predictor — and build (or :meth:`~repro.predictors.base.Predictor.reset`
-  and reuse) their own instance per process,
+  predictor — and build a fresh instance per task, so every run starts
+  from the power-on state the predictor's constructor defines,
 * results come back as plain :class:`~repro.pipeline.metrics.SimulationResult`
   values in task order, identical to the in-process path's,
 * an opt-in on-disk cache keyed by (spec, trace, scenario, pipeline
@@ -45,7 +45,6 @@ from repro.pipeline.config import PipelineConfig
 from repro.pipeline.engine import SimulationEngine
 from repro.pipeline.metrics import SimulationResult
 from repro.pipeline.scenarios import UpdateScenario
-from repro.predictors.base import Predictor
 from repro.predictors.registry import PredictorSpec
 from repro.traces.refs import GENERATOR_VERSION
 from repro.traces.trace import Trace, TraceHandle
@@ -427,57 +426,26 @@ def _manifest_traces(document, ref: str) -> list[tuple[str, int]] | None:
     return [(name, length) for name, length in traces]
 
 
-#: Predictor instances, keyed by spec, reused via ``reset()`` across the
-#: tasks one thread executes (building a large TAGE-LSC is far more
-#: expensive than resetting one).  Per thread, not per process: the serial
-#: path runs in the driving process, where several runners (service lanes,
-#: fleet workers) may simulate the same spec at once, and a shared
-#: instance would be reset under a running simulation.  Bounded because
-#: that process is long-lived, and a sweep over many specs would
-#: otherwise pin one multi-megabit predictor per spec.
-_WORKER_PREDICTORS = threading.local()
-_WORKER_PREDICTOR_LIMIT = 4
-
-
-def _predictor_for(spec: PredictorSpec) -> tuple[Predictor, bool]:
-    """Build or reset-and-reuse this thread's predictor for ``spec``.
-
-    Returns the predictor and whether it was served warm (reset-reuse of
-    a cached instance rather than a fresh construction).
-    """
-    cache: dict[PredictorSpec, Predictor] | None = getattr(_WORKER_PREDICTORS, "cache", None)
-    if cache is None:
-        cache = _WORKER_PREDICTORS.cache = {}
-    predictor = cache.pop(spec, None)
-    warm = predictor is not None
-    if predictor is None:
-        predictor = spec.build()
-    else:
-        try:
-            predictor.reset()
-        except NotImplementedError:
-            predictor = spec.build()
-            warm = False
-    while len(cache) >= _WORKER_PREDICTOR_LIMIT:
-        cache.pop(next(iter(cache)))
-    cache[spec] = predictor
-    return predictor, warm
-
-
 def _simulate_one(task: tuple) -> SimulationResult:
-    """Pool worker: simulate one (spec, trace, scenario, config) run."""
+    """Simulate one (spec, trace, scenario, config) run from a fresh predictor.
+
+    The one task function: the serial path calls it directly, a pool
+    child through :func:`_simulate_in_child`.  The predictor is built
+    per task, so every trace starts from the power-on state its
+    constructor defines.
+    """
     spec, trace, scenario, config = task
-    predictor, _ = _predictor_for(spec)
-    return SimulationEngine(predictor, scenario, config).run(trace)
+    start = time.perf_counter()
+    with span("pool.task", kind="sim", trace=trace.name):
+        result = SimulationEngine(spec.build(), scenario, config).run(trace)
+    _pool_task_metrics(time.perf_counter() - start)
+    return result
 
 
-def _simulate_one_warm(
-    envelope: tuple,
-) -> tuple[SimulationResult, bool, dict, list]:
-    """Pool worker for :class:`WorkerPool`: result, whether the worker's
-    predictor cache served this task warm (reset-reuse), and the drained
-    metrics delta plus completed spans of the executing process — the
-    parent merges both, so child-process instrumentation shows up in
+def _simulate_in_child(envelope: tuple) -> tuple[SimulationResult, dict, list]:
+    """Pool child: :func:`_simulate_one`, plus the drained metrics delta
+    and completed spans of the executing process — the parent merges
+    both, so child-process instrumentation shows up in
     ``GET /v1/metrics`` and the task's spans join the request's tree.
 
     ``envelope`` is ``(task, span_context)``: the parent's span context
@@ -486,14 +454,9 @@ def _simulate_one_warm(
     recycled worker ran last.
     """
     task, context = envelope
-    start = time.perf_counter()
-    spec, trace, scenario, config = task
     with bind_span_context(context):
-        with span("pool.task", kind="sim", trace=trace.name):
-            predictor, warm = _predictor_for(spec)
-            result = SimulationEngine(predictor, scenario, config).run(trace)
-    _pool_task_metrics(time.perf_counter() - start)
-    return result, warm, get_metrics().drain(), _drain_child_spans()
+        result = _simulate_one(task)
+    return result, get_metrics().drain(), _drain_child_spans()
 
 
 def _drain_child_spans() -> list:
@@ -504,19 +467,18 @@ def _drain_child_spans() -> list:
 
 
 class WorkerPool:
-    """A process pool with warm per-worker predictor caches.
+    """A process pool that can outlive one scheduling pass.
 
     The only pool :func:`run_scheduled` submits to.  Passed in by the
-    caller, it lives across batches: each worker's ``{spec: predictor}``
-    cache then persists, so repeated small batches pay neither process
-    spawn nor predictor construction — the warm path a long-running
-    service needs.  Without one, :func:`run_scheduled` runs the batch on
-    a short-lived pool of its own.
+    caller, it lives across batches, so repeated small batches do not
+    pay process spawn — the warm path a long-running service needs.
+    Without one, :func:`run_scheduled` runs the batch on a short-lived
+    pool of its own.  Workers keep no predictors between tasks: each
+    task builds its own.
 
     The pool is lazy (processes start on the first submit), reusable
-    across batches, and a context manager.  ``warm_hits`` /
-    ``tasks_executed`` count how often workers served a task by
-    resetting a cached predictor instead of building one.
+    across batches, and a context manager.  ``batches`` /
+    ``tasks_executed`` count the passes and tasks it has run.
     """
 
     def __init__(self, max_workers: int | None = None) -> None:
@@ -527,7 +489,6 @@ class WorkerPool:
         self._closed = False
         self.batches = 0
         self.tasks_executed = 0
-        self.warm_hits = 0
 
     @property
     def closed(self) -> bool:
@@ -549,34 +510,25 @@ class WorkerPool:
     def submit_sim(self, task: tuple) -> Future:
         """Dispatch one flat simulation task.
 
-        The future resolves to ``(result, warm, metrics delta, spans)``
-        (see :func:`_simulate_one_warm`).  :func:`run_scheduled`
-        aggregates the warm flags of one pass and reports them through
-        :meth:`record_batch`.
+        The future resolves to ``(result, metrics delta, spans)`` (see
+        :func:`_simulate_in_child`).  :func:`run_scheduled` reports each
+        finished pass through :meth:`record_batch`.
         """
-        return self._ensure().submit(
-            _simulate_one_warm, (task, current_span_context()))
+        return self._ensure().submit(_simulate_in_child, (task, current_span_context()))
 
-    def record_batch(self, executed: int, warm_hits: int) -> None:
-        """Fold one :meth:`submit_sim`-based batch into the warm accounting."""
+    def record_batch(self, executed: int) -> None:
+        """Count one :meth:`submit_sim`-based batch of ``executed`` tasks."""
         self.batches += 1
         self.tasks_executed += executed
-        self.warm_hits += warm_hits
 
     def stats(self) -> dict:
-        """Worker count, lifecycle state and warm-reuse counters."""
-        tasks = self.tasks_executed
+        """Worker count, lifecycle state and batch/task counters."""
         return {
             "workers": self.max_workers,
             "started": self.started,
             "closed": self._closed,
             "batches": self.batches,
-            "tasks_executed": tasks,
-            "warm_hits": self.warm_hits,
-            "warm_hit_rate": self.warm_hits / tasks if tasks else 0.0,
-            # Always 0 (exact-mode requests run whole traces); kept
-            # because /v1/stats serves this dict as a frozen shape.
-            "exact_shards": 0,
+            "tasks_executed": self.tasks_executed,
         }
 
     def close(self, cancel: bool = False) -> None:
@@ -767,18 +719,15 @@ def _run_scheduled(
     def run_serial() -> None:
         run_kernel_groups()
         for index, task in zip(interp_indices, interp_tasks):
-            start = time.perf_counter()
-            with span("pool.task", kind="sim", trace=task[1].name):
-                fresh[index] = _simulate_one(task)
-            _pool_task_metrics(time.perf_counter() - start)
+            fresh[index] = _simulate_one(task)
 
     def drive(pool: WorkerPool) -> None:
         """Fan the interp tasks out, run the kernels meanwhile, collect.
 
         An ordinary task exception (e.g. a predictor factory rejecting
-        its config) leaves the pool and its warm predictors intact; a
-        dead executor or an interrupt closes it without orphaning
-        workers: queued tasks are dropped, running ones finish.
+        its config) leaves the pool intact; a dead executor or an
+        interrupt closes it without orphaning workers: queued tasks are
+        dropped, running ones finish.
         """
         try:
             pending = {
@@ -787,20 +736,16 @@ def _run_scheduled(
             # The batched kernels crunch in this process while the workers
             # chew on the interp tasks just submitted.
             run_kernel_groups()
-            executed = 0
-            warm = 0
             while pending:
                 done, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
                     index = pending.pop(future)
-                    result, was_warm, deltas, spans = future.result()
+                    result, deltas, spans = future.result()
                     registry.merge(deltas)
                     tracer.merge(spans)
                     fresh[index] = result
-                    executed += 1
-                    warm += 1 if was_warm else 0
-            if executed:
-                pool.record_batch(executed, warm)
+            if interp_tasks:
+                pool.record_batch(len(interp_tasks))
         except (BrokenExecutor, KeyboardInterrupt, SystemExit):
             pool.close(cancel=True)
             raise

@@ -92,6 +92,10 @@ class Predictor(ABC):
     The trace-driven simulators in :mod:`repro.pipeline` drive exactly this
     sequence; :func:`repro.pipeline.simulate` collapses it into the
     immediate-update oracle (scenario [I]).
+
+    The constructor defines the power-on state, and it is the only
+    definition: a simulation that must start from power-on (every trace
+    of a suite, under the CBP rule) builds a fresh predictor.
     """
 
     #: Human-readable predictor name used in reports.
@@ -149,10 +153,6 @@ class Predictor(ABC):
     def storage_bits(self) -> int:
         """Total storage of the predictor in bits."""
         return self.storage_report().total_bits
-
-    def reset(self) -> None:  # pragma: no cover - overridden where stateful reset matters
-        """Restore the predictor to its power-on state (optional override)."""
-        raise NotImplementedError(f"{type(self).__name__} does not implement reset()")
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}, {self.storage_bits} bits>"

@@ -112,8 +112,3 @@ class BimodalPredictor(Predictor):
         report.add("prediction bits", self.entries, 1)
         report.add("hysteresis bits", self.entries // self.hysteresis_sharing, 1)
         return report
-
-    def reset(self) -> None:
-        """Restore the power-on state."""
-        self._prediction[:] = bytearray(b"\x01") * self.entries
-        self._hysteresis[:] = bytearray(len(self._hysteresis))

@@ -207,15 +207,3 @@ class FTLPredictor(Predictor):
         report.add("local history table", cfg.local_history_entries, max(self.local_lengths))
         report.add("threshold counter", 1, 7)
         return report
-
-    def reset(self) -> None:
-        """Restore the power-on state."""
-        for table in self.global_tables + self.local_tables:
-            table.fill(0)
-        self._history.clear()
-        for fold in self._folds:
-            if fold is not None:
-                fold.clear()
-        self._local_history.clear()
-        self.threshold = self.config.global_tables + self.config.local_tables
-        self._threshold_counter.set(0)

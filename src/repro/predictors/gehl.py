@@ -189,18 +189,3 @@ class GEHLPredictor(Predictor):
         report.add("threshold counter", 1, 7)
         report.add("threshold register", 1, 8)
         return report
-
-    def reset(self) -> None:
-        """Restore the power-on state."""
-        for table in self.tables:
-            table.fill(0)
-        self._history.clear()
-        for fold in self._folds:
-            if fold is not None:
-                fold.clear()
-        self.threshold = (
-            self.config.initial_threshold
-            if self.config.initial_threshold is not None
-            else self.config.num_tables
-        )
-        self._threshold_counter.set(0)

@@ -93,8 +93,3 @@ class GSharePredictor(Predictor):
         report = StorageReport(self.name)
         report.add("2-bit counters", self.entries, 2)
         return report
-
-    def reset(self) -> None:
-        """Restore the power-on state and clear the history."""
-        self._counters.fill(2)
-        self._history.clear()

@@ -115,8 +115,3 @@ class PerceptronPredictor(Predictor):
         report = StorageReport(self.name)
         report.add("weights", self.rows * (self.history_length + 1), self.weight_bits)
         return report
-
-    def reset(self) -> None:
-        """Restore the power-on state."""
-        self._weights.fill(0)
-        self._history.clear()

@@ -85,8 +85,7 @@ class SNAPPredictor(Predictor):
         )
         self._history = GlobalHistoryRegister(capacity=max(64, history_length))
         self._path: deque[int] = deque(maxlen=history_length)
-        self._initial_threshold = int(2.14 * (history_length + 1) + 20.58)
-        self.threshold = self._initial_threshold
+        self.threshold = int(2.14 * (history_length + 1) + 20.58)
         self._threshold_counter = SaturatingCounter(bits=7, signed=True, value=0)
 
     def _bias_index(self, pc: int) -> int:
@@ -169,12 +168,3 @@ class SNAPPredictor(Predictor):
         report.add("bias weights", self.entries, self.weight_bits)
         report.add("position weights", self.history_length * self.entries, self.weight_bits)
         return report
-
-    def reset(self) -> None:
-        """Restore the power-on state (including the adaptive threshold)."""
-        self._weights.fill(0)
-        self._bias.fill(0)
-        self._history.clear()
-        self._path.clear()
-        self.threshold = self._initial_threshold
-        self._threshold_counter.set(0)

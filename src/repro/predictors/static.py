@@ -32,9 +32,6 @@ class AlwaysTakenPredictor(Predictor):
     def storage_report(self) -> StorageReport:
         return StorageReport(self.name)
 
-    def reset(self) -> None:
-        """Stateless: nothing to reset."""
-
 
 class AlwaysNotTakenPredictor(Predictor):
     """Predicts every branch not taken; zero storage."""
@@ -54,6 +51,3 @@ class AlwaysNotTakenPredictor(Predictor):
 
     def storage_report(self) -> StorageReport:
         return StorageReport(self.name)
-
-    def reset(self) -> None:
-        """Stateless: nothing to reset."""

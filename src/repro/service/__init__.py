@@ -5,9 +5,9 @@ long-running server: clients ``POST`` :class:`~repro.api.request.RunRequest`
 JSON, jobs pass a bounded admission queue into per-lane brokers, and
 workers (one thread per lane, or a ``repro worker`` fleet) execute them
 on :class:`~repro.api.runner.Runner` instances in persistent mode —
-long-lived :class:`~repro.pipeline.parallel.WorkerPool` workers keep
-warm predictor instances, so many small requests never pay process
-spawn or predictor construction.
+long-lived :class:`~repro.pipeline.parallel.WorkerPool` worker
+processes outlive each job, so many small requests never pay process
+spawn.
 
 Layers (each usable on its own):
 

@@ -102,6 +102,12 @@ _V1_STATS_KEYS = (
     "pool", "result_cache", "store", "fleet",
 )
 
+#: Pool counters the frozen ``/v1/stats`` shape still carries, appended
+#: (in this order) to the v1 ``pool`` section with constant values:
+#: workers no longer reuse predictors, and exact-mode requests run
+#: whole traces.
+_V1_POOL_LEFTOVERS = {"warm_hits": 0, "warm_hit_rate": 0.0, "exact_shards": 0}
+
 _STATUS_VALUES = frozenset(status.value for status in JobStatus)
 
 _DEFAULT_PAGE = 50
@@ -283,8 +289,10 @@ class ServiceHTTPServer(AsyncHTTPServer):
                 })
             if path == "/v1/stats":
                 stats = service.stats()
-                return self._v1_reply(
-                    200, {key: stats[key] for key in _V1_STATS_KEYS})
+                body = {key: stats[key] for key in _V1_STATS_KEYS}
+                if body["pool"] is not None:
+                    body["pool"] = {**body["pool"], **_V1_POOL_LEFTOVERS}
+                return self._v1_reply(200, body)
             if path == "/v1/metrics":
                 # Prometheus text exposition format, version 0.0.4.
                 response = HTTPResponse.text(

@@ -18,14 +18,14 @@ tests and the benchmarks all drive this same object:
   :meth:`~SimulationService.job` serves live and stored jobs through one
   lookup,
 * :meth:`~SimulationService.stats` reports queue depth, job counters,
-  per-lane utilization, warm-pool and result-cache hit rates — the
-  numbers an operator needs to size the pool.
+  per-lane utilization, pool batch/task counters and result-cache hit
+  rates — the numbers an operator needs to size the pool.
 
 **Where jobs run.**  With no ``broker`` (plain ``repro serve``) each
 lane gets an in-process :class:`~repro.distrib.memory.MemoryBroker`
 drained by one in-thread :class:`~repro.distrib.worker.FleetWorker` on
 that lane's runner, in persistent mode, so every job after the first
-hits warm worker processes.  Local jobs publish with one attempt: a
+finds its worker processes already started.  Local jobs publish with one attempt: a
 failing job fails at once.  The in-process broker wakes the worker and
 the watcher on every state change, so nothing on this path polls.  With
 ``broker=...`` (``repro serve --broker``) every lane publishes to that

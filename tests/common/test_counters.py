@@ -76,11 +76,6 @@ class TestSaturatingCounter:
         assert SaturatingCounter(bits=3, value=1).centered() == 3
         assert SaturatingCounter(bits=3, value=-2).centered() == -3
 
-    def test_reset(self):
-        counter = SaturatingCounter(bits=4, value=5)
-        counter.reset()
-        assert counter.value == -1
-
     def test_needs_at_least_one_bit(self):
         with pytest.raises(ValueError):
             SaturatingCounter(bits=0)

@@ -108,12 +108,6 @@ class TestLocalStatisticalCorrector:
         assert corrector.config.history_lengths == (0, 4, 10, 17, 31)
         assert corrector.config.storage_bits == 30 * 1024
 
-    def test_reset(self):
-        corrector = LocalStatisticalCorrector()
-        corrector.speculate(0x4000, True)
-        corrector.reset()
-        assert len(corrector.speculative_manager) == 0
-
 
 class TestImmediateUpdateMimicker:
     def test_no_override_without_executed_entry(self):

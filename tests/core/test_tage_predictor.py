@@ -151,14 +151,3 @@ class TestUpdateScenarioSupport:
         report = make_reference_tage().storage_report()
         names = " ".join(item.name for item in report.items)
         assert "T1 " in names and "T12 " in names and "bimodal" in names
-
-    def test_reset_restores_clean_state(self):
-        predictor = small_tage()
-        for pc in range(0x4000, 0x4200, 4):
-            info = predictor.predict(pc)
-            predictor.update_history(pc, True, info)
-            predictor.update(pc, False, info)
-        predictor.reset()
-        assert predictor.use_alt_on_na.value == 0
-        assert all(sum(ctr) == 0 for ctr in predictor._ctr)
-        assert len(predictor.history) == 0

@@ -71,12 +71,6 @@ class TestBankSelector:
         selector.advance(0x10)
         assert selector.select(0x20) == selector.select(0x20)
 
-    def test_reset(self):
-        selector = BankSelector(4)
-        selector.advance(0x10)
-        selector.reset()
-        assert selector.recent_banks == ()
-
 
 class TestBankConflictModel:
     def test_predictions_never_wait(self):

@@ -60,13 +60,6 @@ class TestFoldedHistory:
         fold.restore(snapshot)
         assert fold.value == snapshot
 
-    def test_clear(self):
-        fold = FoldedHistory(20, 7)
-        history = GlobalHistoryRegister(capacity=64)
-        _drive(fold, history, [True] * 30)
-        fold.clear()
-        assert fold.value == 0
-
     def test_old_bits_leave_the_window(self):
         """After pushing `history_length` zeros, earlier ones must not linger."""
         fold = FoldedHistory(8, 4)

@@ -62,13 +62,6 @@ class TestGlobalHistoryRegister:
         with pytest.raises(IndexError):
             history.bit(4)
 
-    def test_clear(self):
-        history = GlobalHistoryRegister(capacity=8)
-        history.push(True)
-        history.clear()
-        assert len(history) == 0
-        assert history.bit(0) == 0
-
     @given(st.lists(st.booleans(), min_size=1, max_size=200))
     def test_bits_match_pushed_sequence(self, outcomes):
         history = GlobalHistoryRegister(capacity=256)

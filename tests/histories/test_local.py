@@ -34,12 +34,6 @@ class TestLocalHistoryTable:
     def test_storage_bits(self):
         assert LocalHistoryTable(entries=32, history_bits=32).storage_bits == 1024
 
-    def test_clear(self):
-        table = LocalHistoryTable()
-        table.update(0x123, True)
-        table.clear()
-        assert table.read(0x123) == 0
-
 
 class TestSpeculativeLocalHistoryManager:
     def make(self):
@@ -87,9 +81,3 @@ class TestSpeculativeLocalHistoryManager:
         for _ in range(10):
             manager.record(0x4000, True)
         assert len(manager) == 4
-
-    def test_clear(self):
-        table, manager = self.make()
-        manager.record(0x4000, True)
-        manager.clear()
-        assert len(manager) == 0

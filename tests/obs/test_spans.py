@@ -265,7 +265,7 @@ class TestTreeAnalysis:
 @pytest.mark.parametrize("method", ["fork", "spawn"])
 def test_pool_child_spans_adopt_the_shipped_context(method):
     from repro.pipeline.config import PipelineConfig
-    from repro.pipeline.parallel import _reset_child_metrics, _simulate_one_warm
+    from repro.pipeline.parallel import _reset_child_metrics, _simulate_in_child
     from repro.pipeline.scenarios import UpdateScenario
     from repro.predictors.registry import PredictorSpec
     from repro.traces.refs import resolve_trace_ref
@@ -281,12 +281,12 @@ def test_pool_child_spans_adopt_the_shipped_context(method):
                "sampled": True}
     with ProcessPoolExecutor(max_workers=1, mp_context=mp_context,
                              initializer=_reset_child_metrics) as pool:
-        result, _, _, spans = pool.submit(
-            _simulate_one_warm, (task, context)).result(timeout=120)
+        result, _, spans = pool.submit(
+            _simulate_in_child, (task, context)).result(timeout=120)
         # Same worker, no context: must NOT parent under the previous
         # task's span (the recycled-worker hazard under fork).
-        _, _, _, orphan_spans = pool.submit(
-            _simulate_one_warm, (task, None)).result(timeout=120)
+        _, _, orphan_spans = pool.submit(
+            _simulate_in_child, (task, None)).result(timeout=120)
     assert result.branches > 0
     (pool_span,) = [record for record in spans
                     if record["name"] == "pool.task"]

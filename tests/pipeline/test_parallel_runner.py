@@ -1,17 +1,15 @@
 """Suites through the runner: pool vs in-process parity, the result cache
-and per-trace predictor reuse."""
+and a power-on predictor per trace."""
 
 import pytest
 
 from repro.api import Runner, RunnerConfig
-from repro.pipeline import parallel
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.engine import SimulationEngine
 from repro.pipeline.metrics import SuiteResult
 from repro.pipeline.parallel import SuiteCache, trace_fingerprint
 from repro.pipeline.scenarios import UpdateScenario
 from repro.predictors import registry
-from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.gshare import GSharePredictor
 from repro.predictors.registry import PredictorSpec
 
@@ -103,19 +101,9 @@ class TestSuiteCache:
         assert trace_fingerprint(shorter) != trace_fingerprint(tiny_trace)
 
 
-class _NoResetGShare(GSharePredictor):
-    """A learning predictor that does not implement reset(): reusing one
-    instance across traces would carry trained tables over."""
-
-    def reset(self):
-        raise NotImplementedError("no reset")
-
-
 @pytest.fixture
-def counting_kind(monkeypatch):
-    """Register a test-only kind that counts its builds; start the
-    in-process predictor cache empty so earlier tests cannot serve it."""
-    monkeypatch.setattr(parallel._WORKER_PREDICTORS, "cache", {}, raising=False)
+def counting_kind():
+    """Register a test-only kind that counts its builds."""
     registered = []
 
     def register(kind, predictor_class, **config):
@@ -136,58 +124,35 @@ def counting_kind(monkeypatch):
         registry._BACKEND_SUPPORT.pop(kind, None)
 
 
-class TestSuiteReuse:
-    def test_resettable_predictor_build_count_is_constant(self, mini_suite, counting_kind):
-        """In-process, a resettable predictor is built once and reset for
-        every further trace, however many traces the suite has."""
-        spec, builds = counting_kind("test-counting-bimodal", BimodalPredictor, entries=1024)
-        suite = Runner(RunnerConfig(workers=1)).run_suite(spec, mini_suite)
-        assert len(suite) == len(mini_suite) > 2
-        assert len(builds) == 1
+class TestPowerOnPerTrace:
+    """Every interp task starts from a freshly built predictor (the CBP
+    rule), so no trace sees tables another trace trained."""
 
-    def test_single_trace_builds_once(self, tiny_trace, counting_kind):
-        spec, builds = counting_kind("test-counting-bimodal", BimodalPredictor, entries=1024)
-        Runner(RunnerConfig(workers=1)).run_suite(spec, [tiny_trace])
-        assert len(builds) == 1
-
-    def test_interleaved_reset_clears_the_bank_selector(self, tiny_trace, loop_trace):
-        """reset() must restore power-on state for interleaved organisations
-        too — including the shared BankSelector's recent-bank window."""
-        from repro.pipeline.simulator import simulate
-
-        spec = PredictorSpec(
-            "augmented-tage", {"use_ium": False, "name": "tage-il", "interleaved": True}
-        )
-        reused = spec.build()
-        simulate(reused, tiny_trace)
-        reused.reset()
-        assert reused.tage.bank_selector.recent_banks == ()
-        second = simulate(reused, loop_trace)
-        fresh = simulate(spec.build(), loop_trace)
-        assert second.mispredictions == fresh.mispredictions
-        assert vars(second.accesses) == vars(fresh.accesses)
-
-    def test_reset_reuse_matches_fresh_instances(self, mini_suite, counting_kind):
-        """Reset-and-reuse must be indistinguishable from building a new
-        predictor per trace: per-trace results equal fresh engine runs."""
+    def test_serial_suite_builds_once_per_trace(self, mini_suite, counting_kind):
         spec, builds = counting_kind("test-counting-gshare", GSharePredictor, log2_entries=12)
-        reused = Runner(RunnerConfig(workers=1)).run_suite(spec, mini_suite)
-        assert len(builds) == 1  # really reused, not rebuilt
-        fresh = [
-            SimulationEngine(GSharePredictor(log2_entries=12)).run(trace)
-            for trace in mini_suite
-        ]
-        assert [vars(r) for r in reused.results] == [vars(r) for r in fresh]
-
-    def test_factory_without_reset_is_rebuilt_per_trace(self, mini_suite, counting_kind):
-        """A predictor whose reset() raises NotImplementedError is rebuilt
-        for every trace, so no trace sees tables another trained."""
-        spec, builds = counting_kind("test-no-reset-gshare", _NoResetGShare, log2_entries=12)
-        suite = Runner(RunnerConfig(workers=1)).run_suite(spec, mini_suite)
-        assert len(suite) == len(mini_suite)
+        suite = Runner(RunnerConfig(workers=1, backend="interp")).run_suite(spec, mini_suite)
         assert len(builds) == len(mini_suite)
         fresh = [
-            SimulationEngine(_NoResetGShare(log2_entries=12)).run(trace)
-            for trace in mini_suite
+            SimulationEngine(GSharePredictor(log2_entries=12)).run(trace) for trace in mini_suite
         ]
-        assert [vars(r) for r in suite.results] == [vars(r) for r in fresh]
+        assert suite.results == fresh
+
+    def test_results_do_not_depend_on_task_order(self, mini_suite):
+        """Forward and reversed trace orders give every trace its fresh-run
+        result: serially, on an ephemeral 2-worker pool, and twice on one
+        persistent 1-worker runner."""
+        forward = list(mini_suite[:3])
+        backward = forward[::-1]
+        expected = {trace.name: SimulationEngine(SPEC.build()).run(trace) for trace in forward}
+
+        def check(suite, traces):
+            assert suite.results == [expected[trace.name] for trace in traces]
+
+        for workers in (1, 2):
+            runner = Runner(RunnerConfig(workers=workers, backend="interp"))
+            for traces in (forward, backward):
+                check(runner.run_suite(SPEC, traces), traces)
+        with Runner(RunnerConfig(workers=1, backend="interp"), persistent=True) as runner:
+            for traces in (forward, backward):
+                check(runner.run_suite(SPEC, traces), traces)
+            assert runner.pool.stats()["tasks_executed"] == 2 * len(forward)

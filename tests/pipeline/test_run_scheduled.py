@@ -75,7 +75,6 @@ class TestCombinedPass:
             stats = runner.pool.stats()
             # The exact request is one ordinary pool task; no shard jobs.
             assert stats["tasks_executed"] == 2
-            assert stats["exact_shards"] == 0
             assert stats["batches"] == 1
         (trace,) = resolve_trace_ref(REF)
         assert suites[0].results[0] == SimulationEngine(PredictorSpec("bimodal").build()).run(trace)

@@ -1,10 +1,10 @@
-"""Serial runners in several threads of one process must not share predictors.
+"""Serial runners in several threads of one process must not share state.
 
-The serial path reuses predictor instances across tasks (reset instead of
-rebuild).  Service lanes and in-process fleet workers each drive their own
-serial runner from their own thread, so that reuse cache must be per
-thread: a shared instance would be reset under another thread's running
-simulation and corrupt both results.
+Service lanes and in-process fleet workers each drive their own serial
+runner from their own thread.  Every task builds its own predictor and
+the default route runs the native kernel in the calling thread, so two
+threads simulating the same spec at once must each get exactly the
+results a single thread gets.
 """
 
 import sys

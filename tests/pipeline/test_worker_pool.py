@@ -1,4 +1,4 @@
-"""WorkerPool: warm reset-reuse parity, lifecycle, scheduling integration."""
+"""WorkerPool: persistent-pool parity, lifecycle, scheduling integration."""
 
 import pickle
 
@@ -22,20 +22,19 @@ def _tasks(kind: str, ref: str, scenario=UpdateScenario.IMMEDIATE):
 
 class TestWorkerPool:
     def test_warm_pool_matches_cold_serial_byte_for_byte(self):
-        """Reset-reuse parity: a worker serving the same spec twice must
-        produce byte-identical results to a cold in-process run."""
+        """A persistent worker serving the same spec twice must produce
+        byte-identical results to a cold in-process run."""
         tasks = _tasks("gshare", REF_A)
         cold = [run_scheduled(tasks, max_workers=1) for _ in range(2)]
         with WorkerPool(max_workers=1) as pool:
             first = run_scheduled(tasks, pool=pool, backend="interp")
-            second = run_scheduled(tasks, pool=pool, backend="interp")  # warm predictor
-            assert pool.stats()["warm_hits"] >= len(tasks)
+            second = run_scheduled(tasks, pool=pool, backend="interp")  # same workers
         for warm in (first, second):
             assert [pickle.dumps(r) for r in warm] == [pickle.dumps(r) for r in cold[0]]
         assert [pickle.dumps(r) for r in cold[0]] == [pickle.dumps(r) for r in cold[1]]
 
     def test_warm_reuse_across_mixed_specs(self):
-        """Interleaved specs reuse cached instances without cross-talk."""
+        """Interleaved specs on one persistent pool show no cross-talk."""
         tasks = _tasks("gshare", REF_A) + _tasks("bimodal", REF_B)
         cold = run_scheduled(tasks, max_workers=1)
         with WorkerPool(max_workers=1) as pool:
@@ -73,7 +72,7 @@ class TestWorkerPool:
             WorkerPool(max_workers=0)
 
     def test_task_exception_leaves_pool_warm(self):
-        """One bad task must not cost every worker's warm predictor state."""
+        """One bad task must not tear down the persistent pool."""
         good = _tasks("gshare", REF_A)
         bad = [(PredictorSpec("gshare", {"bogus": 1}), good[0][1], good[0][2], good[0][3])]
         with WorkerPool(max_workers=1) as pool:
@@ -81,8 +80,7 @@ class TestWorkerPool:
             with pytest.raises(TypeError):
                 run_scheduled(bad, pool=pool)
             assert not pool.closed and pool.started
-            results = run_scheduled(good, pool=pool, backend="interp")  # still warm
-            assert pool.stats()["warm_hits"] >= 1
+            results = run_scheduled(good, pool=pool, backend="interp")  # same workers
         cold = run_scheduled(good, max_workers=1)
         assert [pickle.dumps(r) for r in results] == [pickle.dumps(r) for r in cold]
 

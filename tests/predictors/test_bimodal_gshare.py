@@ -82,13 +82,3 @@ class TestGShare:
     def test_history_length_cannot_exceed_index(self):
         with pytest.raises(ValueError):
             GSharePredictor(log2_entries=10, history_length=12)
-
-    def test_reset_clears_learning(self):
-        predictor = GSharePredictor(log2_entries=10)
-        pc = 0x80
-        for _ in range(4):
-            info = predictor.predict(pc)
-            predictor.update(pc, False, info)
-            predictor.update_history(pc, False, info)
-        predictor.reset()
-        assert predictor.predict(pc).taken is True  # back to weakly-taken init

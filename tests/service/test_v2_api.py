@@ -246,6 +246,30 @@ class TestV1Shim:
             assert key not in stats
         assert {"uptime_seconds", "mode", "queue", "jobs"} <= set(stats)
 
+    def test_v1_stats_pool_section_is_frozen(self):
+        """A persistent interp pool that ran a two-task job: /v1 keeps the
+        frozen eight pool keys in order, /v2 drops the retired counters."""
+        service = SimulationService(
+            runner=Runner(RunnerConfig(workers=1, backend="interp"), persistent=True)
+        ).start()
+        server, thread = _serve(service)
+        client = ServiceClient(server.url)
+        try:
+            payload = [RunRequest("gshare", REF).to_dict(), RunRequest("bimodal", REF).to_dict()]
+            assert client.submit(payload, wait=True, timeout=60)["status"] == "done"
+            with urllib.request.urlopen(f"{server.url}/v1/stats") as response:
+                v1_pool = json.loads(response.read())["pool"]
+            v2_pool = client.stats()["pool"]
+        finally:
+            _stop(server, service, thread)
+        assert list(v1_pool) == [
+            "workers", "started", "closed", "batches", "tasks_executed",
+            "warm_hits", "warm_hit_rate", "exact_shards"]
+        assert v1_pool["tasks_executed"] == v2_pool["tasks_executed"] == 2
+        assert (v1_pool["warm_hits"], v1_pool["warm_hit_rate"], v1_pool["exact_shards"]) == (
+            0, 0.0, 0)
+        assert not {"warm_hits", "warm_hit_rate", "exact_shards"} & set(v2_pool)
+
     def test_v1_error_bodies_keep_the_old_shape(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{server.url}/v1/nope")
