@@ -224,16 +224,13 @@ def _snapshot_sum(snapshot: dict, name: str) -> float:
     return float(sum(record["values"].values()))
 
 
-def _snapshot_by_label(snapshot: dict, name: str) -> dict[str, float]:
-    """Per-label-value totals (histograms: observation counts)."""
-    record = snapshot.get(name)
-    if not record:
-        return {}
-    out: dict[str, float] = {}
-    for encoded, value in record["values"].items():
-        key = ",".join(json.loads(encoded)) or "_"
-        out[key] = value[2] if record["kind"] == "histogram" else value
-    return out
+def _snapshot_by_label(snapshot: dict, name: str) -> dict[str, int]:
+    """Per-label-value totals of a counter, as the integer counts they are."""
+    record = snapshot.get(name) or {"values": {}}
+    return {
+        ",".join(json.loads(encoded)) or "_": int(value)
+        for encoded, value in record["values"].items()
+    }
 
 
 def _batch_timings(snapshot: dict, wall_seconds: float) -> dict[str, Any]:
@@ -389,9 +386,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   f"plan {timings['plan_seconds']:.3f}s, resolve {resolve_text}, "
                   f"kernel {timings['kernel_seconds']:.3f}s, "
                   f"pool {timings['pool_task_seconds']:.3f}s")
-            scheduled = ", ".join(f"{k}={int(v)}" for k, v in sorted(timings["scheduled"].items()))
-            cache = ", ".join(f"{k}={int(v)}" for k, v in sorted(timings["cache"].items()))
-            generated = ", ".join(f"{k}={int(v)}" for k, v in sorted(timings["generated"].items()))
+            scheduled = ", ".join(f"{k}={v}" for k, v in sorted(timings["scheduled"].items()))
+            cache = ", ".join(f"{k}={v}" for k, v in sorted(timings["cache"].items()))
+            generated = ", ".join(f"{k}={v}" for k, v in sorted(timings["generated"].items()))
             print(f"scheduled: {scheduled or '-'}; cache: {cache or '-'}; "
                   f"generated: {generated or '-'}")
     elif args.json:
@@ -1047,9 +1044,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="run the HTTP simulation service",
         description="Serve the v2 HTTP API (POST/GET /v2/runs, /v2/capabilities, "
-                    "/v2/healthz, /v2/stats, /v2/metrics; /v1 stays as a "
-                    "deprecated shim) over a bounded job queue and a persistent "
-                    "warm worker pool.  SIGTERM/Ctrl-C drain gracefully: new "
+                    "/v2/healthz, /v2/stats, /v2/metrics; /v1 answers 410) "
+                    "over a bounded job queue and a persistent warm worker "
+                    "pool.  SIGTERM/Ctrl-C drain gracefully: new "
                     "submits answer 503, running jobs finish, still-queued jobs "
                     "are parked in the store for the next process.",
     )
@@ -1088,7 +1085,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="max queued+running jobs per client; over-cap "
                             "answers 429")
     serve.add_argument("--open-metrics", action="store_true",
-                       help="serve GET /v2/metrics and /v1/metrics without "
+                       help="serve GET /v2/metrics without "
                             "bearer auth (for Prometheus scrapers; exposes "
                             "operational counters — never results — to "
                             "anyone who can reach the port; default: "

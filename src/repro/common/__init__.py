@@ -3,8 +3,8 @@
 The module groups the small hardware-flavoured primitives that every branch
 predictor in this package is built from:
 
-* saturating counters (signed and unsigned), both as scalar helpers and as
-  array-backed tables (:mod:`repro.common.counters`),
+* saturating counters, both as scalar helpers and as a list-backed table
+  of signed counters (:mod:`repro.common.counters`),
 * bit-manipulation helpers used by index/tag hash functions
   (:mod:`repro.common.bits`),
 * storage accounting helpers used to size predictors against a bit budget
@@ -15,7 +15,6 @@ from repro.common.bits import bit_select, fold_bits, mask, mix_hash
 from repro.common.counters import (
     SaturatingCounter,
     SignedCounterTable,
-    UnsignedCounterTable,
     clamp,
     saturating_update,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "SignedCounterTable",
     "StorageItem",
     "StorageReport",
-    "UnsignedCounterTable",
     "bit_select",
     "clamp",
     "fold_bits",

@@ -4,9 +4,10 @@ Almost every structure in a branch predictor is a small saturating counter:
 2-bit bimodal counters, 3-bit TAGE prediction counters, 6-bit GEHL weights,
 the 4-bit ``USE_ALT_ON_NA`` counter, the 8-bit allocation-throttle counter…
 This module provides a scalar :class:`SaturatingCounter` for the singleton
-counters and list-backed tables for the large arrays (a plain list of
+counters, a list-backed table for the large arrays (a plain list of
 ints reads and writes faster per entry than a numpy array, which is what
-the per-branch predictor loops do).
+the per-branch predictor loops do), and the O-GEHL threshold fitter the
+neural predictors and the statistical corrector share.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ __all__ = [
     "saturating_update",
     "SaturatingCounter",
     "SignedCounterTable",
-    "UnsignedCounterTable",
+    "adapt_threshold",
 ]
 
 
@@ -120,6 +121,21 @@ class SaturatingCounter:
         return 2 * self.value + 1
 
 
+def adapt_threshold(counter: SaturatingCounter, threshold: int, up: bool) -> int:
+    """O-GEHL dynamic threshold fitting; returns the new threshold.
+
+    ``counter`` (7 bits, signed) steps up on ``up`` and down otherwise; the
+    threshold moves one step the same way (never below 1) only when the
+    counter saturates, which then restarts at 0 — a low-pass filter on the
+    adaptation.  Mirrors ``adapt_threshold`` in ``backends/native/kernel.c``.
+    """
+    counter.update(up)
+    if counter.value != (counter.hi if up else counter.lo):
+        return threshold
+    counter.set(0)
+    return threshold + 1 if up else max(1, threshold - 1)
+
+
 class SignedCounterTable:
     """A table of signed saturating counters backed by a list.
 
@@ -165,59 +181,6 @@ class SignedCounterTable:
     def is_weak(self, index: int) -> bool:
         """True when the entry sits in one of the two central states."""
         return self._values[index] in (-1, 0)
-
-    def fill(self, value: int) -> None:
-        """Set every entry to ``value`` (clamped)."""
-        self._values[:] = [clamp(value, self.lo, self.hi)] * self.entries
-
-    @property
-    def storage_bits(self) -> int:
-        """Total number of storage bits held by the table."""
-        return self.entries * self.bits
-
-
-class UnsignedCounterTable:
-    """A table of unsigned saturating counters backed by a list.
-
-    Used for bimodal prediction/hysteresis bits, confidence counters and
-    age counters.  Counters of width ``bits`` range over ``[0, 2**bits-1]``
-    and predict taken when their MSB is set.
-    """
-
-    def __init__(self, entries: int, bits: int, initial: int = 0) -> None:
-        if entries <= 0:
-            raise ValueError("table needs a positive number of entries")
-        if bits < 1:
-            raise ValueError("counter needs at least one bit")
-        self.entries = entries
-        self.bits = bits
-        self.lo = 0
-        self.hi = (1 << bits) - 1
-        self._values = [clamp(initial, self.lo, self.hi)] * entries
-
-    def __len__(self) -> int:
-        return self.entries
-
-    def __getitem__(self, index: int) -> int:
-        return self._values[index]
-
-    def __setitem__(self, index: int, value: int) -> None:
-        self._values[index] = clamp(int(value), self.lo, self.hi)
-
-    def update(self, index: int, taken: bool) -> bool:
-        """Saturating update of one entry; returns True when the entry changed."""
-        old = self._values[index]
-        new = min(old + 1, self.hi) if taken else max(old - 1, self.lo)
-        self._values[index] = new
-        return new != old
-
-    def taken(self, index: int) -> bool:
-        """Prediction of one entry (MSB)."""
-        return self._values[index] >= (1 << (self.bits - 1))
-
-    def fill(self, value: int) -> None:
-        """Set every entry to ``value`` (clamped)."""
-        self._values[:] = [clamp(value, self.lo, self.hi)] * self.entries
 
     @property
     def storage_bits(self) -> int:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from operator import getitem
 
 from repro.common.bits import mask
-from repro.common.counters import SaturatingCounter, SignedCounterTable
+from repro.common.counters import SaturatingCounter, SignedCounterTable, adapt_threshold
 from repro.common.storage import StorageReport
 from repro.histories.local import LocalHistoryTable, SpeculativeLocalHistoryManager
 
@@ -194,16 +194,8 @@ class _CorrectorCore:
         # Threshold adaptation is driven by the disagreements (the only
         # cases where the corrector can help or hurt).
         if sc_taken != reading.tage_taken:
-            if sc_taken == taken:
-                self._threshold_counter.decrement()
-                if self._threshold_counter.value == self._threshold_counter.lo:
-                    self.threshold = max(1, self.threshold - 1)
-                    self._threshold_counter.set(0)
-            else:
-                self._threshold_counter.increment()
-                if self._threshold_counter.value == self._threshold_counter.hi:
-                    self.threshold += 1
-                    self._threshold_counter.set(0)
+            self.threshold = adapt_threshold(
+                self._threshold_counter, self.threshold, sc_taken != taken)
         return writes
 
     def storage_items(self, report: StorageReport) -> None:

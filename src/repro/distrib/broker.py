@@ -27,7 +27,7 @@ at-least-once delivery semantics:
 
 Workers additionally *register* with capability tags (live backends,
 core count, host/pid) and refresh a registration heartbeat, so the fleet
-is observable from any front end (``GET /v1/stats``, ``repro fleet``).
+is observable from any front end (``GET /v2/stats``, ``repro fleet``).
 
 :class:`Broker` writes this whole lifecycle once, over a *record store*
 that a subclass supplies as a few atomic primitives: exclusive create
@@ -205,7 +205,7 @@ class Broker:
         (failure re-queue), ``reaped`` (lease-expiry re-queue) and
         ``dead_lettered``.  Counts land wherever the broker object lives
         — the front end for publishes, each worker for its own leases —
-        and meet again on the front end's ``/v1/metrics`` via the
+        and meet again on the front end's ``/v2/metrics`` via the
         worker-heartbeat snapshot merge.
         """
         get_metrics().counter(
@@ -543,7 +543,7 @@ class Broker:
         """The most recently dead-lettered jobs, newest first.
 
         Each row carries ``id``, ``error`` (the last delivery's failure
-        string), ``attempts`` and ``finished`` — enough for ``/v1/stats``
+        string), ``attempts`` and ``finished`` — enough for ``/v2/stats``
         and ``repro fleet`` to say *why* a job died without a per-job
         lookup.
         """
@@ -558,10 +558,10 @@ class Broker:
         return rows[:limit]
 
     def stats(self) -> dict[str, Any]:
-        """The fleet document rendered into ``/v1/stats``."""
+        """The fleet document rendered into ``/v2/stats``."""
         now = self._now()
         # Worker rows minus the metrics snapshots they heartbeat in —
-        # those belong to /v1/metrics, not a human-facing stats document.
+        # those belong to /v2/metrics, not a human-facing stats document.
         workers = [
             {key: value for key, value in row.items() if key != "metrics"}
             for row in self.workers()
@@ -608,7 +608,7 @@ class Broker:
         snapshot (:meth:`repro.obs.MetricsRegistry.snapshot`); the broker
         stores only the most recent one per worker, so a lost heartbeat
         never loses counts — the next snapshot supersedes it.  Front ends
-        fold these into ``GET /v1/metrics``.
+        fold these into ``GET /v2/metrics``.
         """
         record = self._get("workers", worker_id)
         if record is None:

@@ -205,7 +205,7 @@ class FleetWorker:
                 failed=self.failed,
                 # Cumulative, not a delta: a lost heartbeat costs nothing,
                 # the next one supersedes it.  The front end merges the
-                # latest snapshot per worker into GET /v1/metrics, unless
+                # latest snapshot per worker into GET /v2/metrics, unless
                 # it shares this process and so this registry already.
                 metrics=None if self.broker.in_process else get_metrics().snapshot(),
             )

@@ -1,6 +1,6 @@
 """Trace-id propagation: one id follows a job across processes.
 
-A trace id is minted once — at the CLI or at ``POST /v1/runs`` — and
+A trace id is minted once — at the CLI or at ``POST /v2/runs`` — and
 then carried through job documents, broker payloads, and worker
 execution.  Inside a process it rides a :class:`contextvars.ContextVar`
 so log records pick it up without threading it through every call.

@@ -5,7 +5,7 @@ instrument can be serialised into a JSON-pure snapshot, shipped over a
 pipe / broker heartbeat, and folded back into another registry with
 :meth:`MetricsRegistry.merge`.  That is how ``WorkerPool`` children and
 ``FleetWorker`` hosts report back to the process that renders
-``GET /v1/metrics``.
+``GET /v2/metrics``.
 
 Two snapshot flavours:
 

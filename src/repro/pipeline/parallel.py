@@ -446,7 +446,7 @@ def _simulate_in_child(envelope: tuple) -> tuple[SimulationResult, dict, list]:
     """Pool child: :func:`_simulate_one`, plus the drained metrics delta
     and completed spans of the executing process — the parent merges
     both, so child-process instrumentation shows up in
-    ``GET /v1/metrics`` and the task's spans join the request's tree.
+    ``GET /v2/metrics`` and the task's spans join the request's tree.
 
     ``envelope`` is ``(task, span_context)``: the parent's span context
     (or ``None``) rides next to the task so the child's ``pool.task``

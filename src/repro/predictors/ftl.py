@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.bits import fold_bits, mask
-from repro.common.counters import SaturatingCounter, SignedCounterTable
+from repro.common.counters import SaturatingCounter, SignedCounterTable, adapt_threshold
 from repro.common.storage import StorageReport
 from repro.histories.folded import FoldedHistory
 from repro.histories.geometric import geometric_series
@@ -173,21 +173,8 @@ class FTLPredictor(Predictor):
                 stats.entry_writes += 1
                 stats.tables_written += 1
 
-        self._adapt_threshold(mispredicted)
+        self.threshold = adapt_threshold(self._threshold_counter, self.threshold, mispredicted)
         return stats
-
-    def _adapt_threshold(self, mispredicted: bool) -> None:
-        """Dynamic threshold fitting shared by the fused components."""
-        if mispredicted:
-            self._threshold_counter.increment()
-            if self._threshold_counter.value == self._threshold_counter.hi:
-                self.threshold += 1
-                self._threshold_counter.set(0)
-        else:
-            self._threshold_counter.decrement()
-            if self._threshold_counter.value == self._threshold_counter.lo:
-                self.threshold = max(1, self.threshold - 1)
-                self._threshold_counter.set(0)
 
     def storage_report(self) -> StorageReport:
         cfg = self.config

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.bits import mask
-from repro.common.counters import SaturatingCounter, SignedCounterTable
+from repro.common.counters import SaturatingCounter, SignedCounterTable, adapt_threshold
 from repro.common.storage import StorageReport
 from repro.histories.folded import FoldedHistory
 from repro.histories.geometric import geometric_series
@@ -157,26 +157,10 @@ class GEHLPredictor(Predictor):
                 stats.entry_writes += 1
                 stats.tables_written += 1
 
-        self._adapt_threshold(mispredicted)
+        # O-GEHL threshold fitting: mispredictions push it up,
+        # low-confidence correct predictions push it down.
+        self.threshold = adapt_threshold(self._threshold_counter, self.threshold, mispredicted)
         return stats
-
-    def _adapt_threshold(self, mispredicted: bool) -> None:
-        """O-GEHL dynamic threshold fitting.
-
-        Mispredictions push the threshold up, low-confidence correct
-        predictions push it down; the 7-bit counter has to saturate before
-        the threshold moves, which low-pass filters the adaptation.
-        """
-        if mispredicted:
-            self._threshold_counter.increment()
-            if self._threshold_counter.value == self._threshold_counter.hi:
-                self.threshold += 1
-                self._threshold_counter.set(0)
-        else:
-            self._threshold_counter.decrement()
-            if self._threshold_counter.value == self._threshold_counter.lo:
-                self.threshold = max(1, self.threshold - 1)
-                self._threshold_counter.set(0)
 
     def storage_report(self) -> StorageReport:
         report = StorageReport(self.name)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.bits import mask
-from repro.common.counters import SaturatingCounter
+from repro.common.counters import SaturatingCounter, adapt_threshold
 from repro.common.storage import StorageReport
 from repro.histories.global_history import GlobalHistoryRegister
 from repro.predictors.base import PredictionInfo, Predictor, UpdateStats
@@ -147,21 +147,8 @@ class SNAPPredictor(Predictor):
                 stats.entry_writes += 1
                 stats.tables_written += 1
 
-        self._adapt_threshold(mispredicted)
+        self.threshold = adapt_threshold(self._threshold_counter, self.threshold, mispredicted)
         return stats
-
-    def _adapt_threshold(self, mispredicted: bool) -> None:
-        """Dynamic threshold fitting, identical in spirit to O-GEHL's."""
-        if mispredicted:
-            self._threshold_counter.increment()
-            if self._threshold_counter.value == self._threshold_counter.hi:
-                self.threshold += 1
-                self._threshold_counter.set(0)
-        else:
-            self._threshold_counter.decrement()
-            if self._threshold_counter.value == self._threshold_counter.lo:
-                self.threshold = max(1, self.threshold - 1)
-                self._threshold_counter.set(0)
 
     def storage_report(self) -> StorageReport:
         report = StorageReport(self.name)

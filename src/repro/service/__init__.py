@@ -18,9 +18,9 @@ Layers (each usable on its own):
 * :mod:`repro.service.core` — :class:`SimulationService`: admission,
   priority lanes, brokered dispatch, graceful drain, stats,
 * :mod:`repro.service.aio` — the asyncio HTTP/1.1 transport,
-* :mod:`repro.service.app` — the application: the current ``/v2/``
-  API (error envelope, pagination, capabilities) plus the frozen
-  ``/v1/`` deprecation shim,
+* :mod:`repro.service.app` — the application: the ``/v2/`` API
+  (error envelope, pagination, capabilities); ``/v1/`` answers
+  ``410 Gone``,
 * :mod:`repro.service.client` — a urllib client (used by
   ``repro submit`` and the tests),
 * :mod:`repro.service.spec` — the machine-readable endpoint table

@@ -1,7 +1,7 @@
 """A minimal asyncio HTTP/1.1 server on stdlib streams.
 
 ``http.server`` gave the service one thread per connection, which made
-long-poll waiting (``POST /v?/runs?wait=1``) cost a thread per idle
+long-poll waiting (``POST /v2/runs?wait=1``) cost a thread per idle
 client.  This module replaces the transport with ``asyncio`` streams —
 one coroutine per connection — while keeping the exact thread-facing
 facade the rest of the code base drives
@@ -19,9 +19,9 @@ The parser is deliberately small and deliberately strict:
   ``Transfer-Encoding: chunked`` is rejected cleanly (the service's
   JSON submissions have no use for it) and oversized or unparsable
   lengths are surfaced to the application as a *body issue* rather
-  than handled here, because the two API generations render the same
-  defect differently (v1 replies with its historical plain-text
-  bodies, v2 with the error envelope);
+  than handled here, because only the application knows the route: a
+  bad body on the submit route is a 400 or 413, while any other route
+  gives its own answer (404, 405, 410);
 * keep-alive and pipelining work the obvious way: the connection
   coroutine loops, and any request that leaves unread bytes on the
   socket forces ``Connection: close`` so a later request can never

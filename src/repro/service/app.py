@@ -7,9 +7,7 @@ connection), so thousands of idle ``?wait=1`` long-polls cost an
 waiters through :meth:`SimulationService.subscribe` callbacks bridged
 onto the event loop with ``loop.call_soon_threadsafe``.
 
-Two API generations share one router:
-
-**v2** (current) — uniform JSON error envelope
+One router, one JSON error envelope
 ``{"error": {"code", "message", "retry_after?", "trace_id"}}`` on every
 non-2xx, paginated run listing, capability discovery:
 
@@ -28,17 +26,16 @@ non-2xx, paginated run listing, capability discovery:
 ``GET /v2/traces/<id>``            one trace's stitched span tree
 =================================  ==========================================
 
-**v1** (deprecated shim) — the original endpoints with frozen response
-bodies, byte-identical to what they were before v2 existed, plus a
-``Deprecation: true`` header.  New clients should use v2; v1 exists so
-deployed scripts keep working unchanged.
+The first API generation is gone: ``/v1`` and everything under it
+answer ``410`` (code ``gone``) for every method, naming the ``/v2``
+path to use instead.
 
 Auth: when a :class:`~repro.service.auth.TokenAuth` is configured,
-every endpoint except ``*/healthz`` requires ``Authorization: Bearer
+every endpoint except ``/v2/healthz`` requires ``Authorization: Bearer
 <token>`` (unauthenticated loopback peers are exempt unless disabled).
 ``open_metrics=True`` (``repro serve --open-metrics`` /
-``REPRO_SERVICE_OPEN_METRICS=1``) additionally exempts the two
-Prometheus endpoints so a scraper needs no credentials — a deliberate
+``REPRO_SERVICE_OPEN_METRICS=1``) additionally exempts the
+Prometheus endpoint so a scraper needs no credentials — a deliberate
 trade-off that exposes operational counters (never results) to anyone
 who can reach the port; the default keeps them locked.
 The token's client identity keys per-client quotas
@@ -94,20 +91,6 @@ MAX_WAIT_TIMEOUT = 600.0
 
 _TRUTHY = {"1", "true", "yes", "on"}
 
-#: The frozen ``/v1/stats`` key set (and order): the deprecation shim
-#: must not grow keys as the service does, or v1 bodies stop being
-#: byte-identical to the frozen v1 API's.
-_V1_STATS_KEYS = (
-    "uptime_seconds", "mode", "queue", "jobs", "dispatcher",
-    "pool", "result_cache", "store", "fleet",
-)
-
-#: Pool counters the frozen ``/v1/stats`` shape still carries, appended
-#: (in this order) to the v1 ``pool`` section with constant values:
-#: workers no longer reuse predictors, and exact-mode requests run
-#: whole traces.
-_V1_POOL_LEFTOVERS = {"warm_hits": 0, "warm_hit_rate": 0.0, "exact_shards": 0}
-
 _STATUS_VALUES = frozenset(status.value for status in JobStatus)
 
 _DEFAULT_PAGE = 50
@@ -121,8 +104,7 @@ def _http_requests():
 
 
 def _parser_error_response(status: int, code: str, message: str) -> HTTPResponse:
-    """Render transport-level parse failures (no API version to key on)
-    in the v2 envelope — these requests never had a valid v1 shape."""
+    """Render transport-level parse failures in the error envelope."""
     trace_id = new_trace_id()
     return HTTPResponse.json(
         status,
@@ -184,7 +166,6 @@ class ServiceHTTPServer(AsyncHTTPServer):
         return response
 
     async def _route(self, request: HTTPRequest, path: str) -> HTTPResponse:
-        v2 = path == "/v2" or path.startswith("/v2/")
         try:
             client = self._authenticate(request, path)
         except AuthError as error:
@@ -193,32 +174,37 @@ class ServiceHTTPServer(AsyncHTTPServer):
                 401, "unauthorized", str(error), trace_id,
                 headers={"WWW-Authenticate": "Bearer"},
             )
-        if v2:
+        if path == "/v2" or path.startswith("/v2/"):
             return await self._v2(request, path, client)
         if path == "/" and request.method == "GET":
             return HTTPResponse.json(200, {
                 "service": "repro",
                 "version": repro.__version__,
-                "api_versions": ["v1", "v2"],
+                "api_versions": ["v2"],
                 "capabilities": "/v2/capabilities",
-                "deprecated": {"v1": "frozen; use /v2/"},
             })
-        return await self._v1(request, path, client)
+        trace_id = ensure_trace_id(request.header("x-trace-id"))
+        if path == "/v1" or path.startswith("/v1/"):
+            return self._v2_error(
+                410, "gone", f"the /v1 API was removed; use '/v2{path[3:]}'",
+                trace_id)
+        return self._v2_error(
+            404, "not_found", f"no such resource {path!r}", trace_id)
 
     def _authenticate(self, request: HTTPRequest, path: str) -> str:
         """The request's client identity; raises :class:`AuthError`.
 
-        ``*/healthz`` stays open — load balancers probe it without
-        credentials.  With ``open_metrics`` the Prometheus endpoints
-        join the exemption (scrapers rarely carry bearer tokens); that
+        ``/v2/healthz`` stays open — load balancers probe it without
+        credentials.  With ``open_metrics`` the Prometheus endpoint
+        joins the exemption (scrapers rarely carry bearer tokens); that
         is opt-in because it exposes operational counters to anyone
         who can reach the port.
         """
         if self.auth is None:
             return ANONYMOUS_CLIENT
-        if path in ("/v1/healthz", "/v2/healthz"):
+        if path == "/v2/healthz":
             return ANONYMOUS_CLIENT
-        if self.open_metrics and path in ("/v1/metrics", "/v2/metrics"):
+        if self.open_metrics and path == "/v2/metrics":
             return ANONYMOUS_CLIENT
         token = None
         header = request.header("authorization")
@@ -256,124 +242,6 @@ class ServiceHTTPServer(AsyncHTTPServer):
         except ValueError:
             timeout = DEFAULT_WAIT_TIMEOUT
         return wait, max(0.0, min(timeout, MAX_WAIT_TIMEOUT))
-
-    # ------------------------------------------------------------------
-    # v1 — the deprecation shim (bodies byte-identical to the frozen v1
-    # API; the only addition is the Deprecation header)
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _v1_reply(code: int, payload: dict, headers: dict[str, str] | None = None,
-                  close: bool = False) -> HTTPResponse:
-        extra = dict(headers or {})
-        extra["Deprecation"] = "true"
-        return HTTPResponse.json(code, payload, extra, close=close)
-
-    @classmethod
-    def _v1_error(cls, code: int, message: str,
-                  headers: dict[str, str] | None = None,
-                  close: bool = False) -> HTTPResponse:
-        return cls._v1_reply(code, {"error": message}, headers, close=close)
-
-    async def _v1(self, request: HTTPRequest, path: str, client: str) -> HTTPResponse:
-        service = self.service
-        method = request.method
-        if method == "GET":
-            if path == "/v1/healthz":
-                # Liveness only — no filesystem scans (stats() walks the
-                # cache and store directories, far too heavy for a probe).
-                return self._v1_reply(200, {
-                    "status": "ok",
-                    "version": repro.__version__,
-                    **service.health(),
-                })
-            if path == "/v1/stats":
-                stats = service.stats()
-                body = {key: stats[key] for key in _V1_STATS_KEYS}
-                if body["pool"] is not None:
-                    body["pool"] = {**body["pool"], **_V1_POOL_LEFTOVERS}
-                return self._v1_reply(200, body)
-            if path == "/v1/metrics":
-                # Prometheus text exposition format, version 0.0.4.
-                response = HTTPResponse.text(
-                    200, service.metrics_text(),
-                    "text/plain; version=0.0.4; charset=utf-8")
-                response.headers.append(("Deprecation", "true"))
-                return response
-            if path.startswith("/v1/runs/"):
-                job_id = path[len("/v1/runs/"):]
-                if "/" in job_id or not job_id:
-                    return self._v1_error(404, f"no such resource {path!r}")
-                try:
-                    return self._v1_reply(200, service.job(job_id))
-                except UnknownJobError:
-                    return self._v1_error(404, f"unknown job {job_id!r}")
-            return self._v1_error(404, f"no such resource {path!r}")
-        if method == "DELETE":
-            if not path.startswith("/v1/runs/"):
-                return self._v1_error(404, f"no such resource {path!r}")
-            job_id = path[len("/v1/runs/"):]
-            if "/" in job_id or not job_id:
-                return self._v1_error(404, f"no such resource {path!r}")
-            try:
-                return self._v1_reply(200, service.cancel(job_id))
-            except UnknownJobError:
-                return self._v1_error(404, f"unknown job {job_id!r}")
-            except CancelConflictError as error:
-                return self._v1_error(409, str(error))
-        if method == "POST":
-            return await self._v1_post(request, path, client)
-        return self._v1_error(404, f"no such resource {path!r}")
-
-    async def _v1_post(self, request: HTTPRequest, path: str, client: str) -> HTTPResponse:
-        service = self.service
-        # Reconstruct the frozen v1 API's Content-Length view so every
-        # error body (and its Connection: close decision) stays
-        # byte-identical: chunked uploads had no Content-Length there.
-        if request.body_issue == "bad_length":
-            length = -1
-        elif request.body_issue == "too_large":
-            length = request.declared_length
-        elif request.body_issue == "chunked":
-            length = 0
-        else:
-            length = len(request.body)
-        close = path != "/v1/runs" or not (0 < length <= MAX_BODY_BYTES)
-        if path != "/v1/runs":
-            return self._v1_error(404, f"no such resource {path!r}", close=close)
-        if length < 0:
-            return self._v1_error(400, "invalid Content-Length", close=close)
-        if length == 0:
-            return self._v1_error(400, "request body required", close=close)
-        if length > MAX_BODY_BYTES:
-            return self._v1_error(
-                413, f"request body exceeds {MAX_BODY_BYTES} bytes", close=close)
-        try:
-            payload = json.loads(request.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            return self._v1_error(400, f"invalid JSON body: {error}")
-        try:
-            job = service.submit_payload(
-                payload, trace_id=request.header("x-trace-id"), client=client)
-        except ProtocolError as error:
-            return self._v1_error(400, str(error))
-        except QueueFullError as error:
-            return self._v1_error(503, str(error), headers={"Retry-After": "1"})
-        except RateLimitedError as error:
-            return self._v1_error(
-                429, str(error),
-                headers={"Retry-After": str(max(1, math.ceil(error.retry_after)))})
-        except ServiceClosedError as error:
-            # Draining: advertise the close so clients re-resolve.
-            return self._v1_error(503, str(error), close=service.draining)
-
-        location = {"Location": f"/v1/runs/{job.id}", "X-Trace-Id": job.trace_id}
-        wait, timeout = self._wait_params(request)
-        if wait:
-            document = await self._await_job(job.id, timeout)
-            finished = document["status"] in TERMINAL_STATUSES
-            return self._v1_reply(200 if finished else 202, document, location)
-        return self._v1_reply(202, job.to_dict(), location)
 
     # ------------------------------------------------------------------
     # v2 — the current surface
@@ -475,7 +343,7 @@ class ServiceHTTPServer(AsyncHTTPServer):
         quota = service.quota
         return {
             "version": repro.__version__,
-            "api_versions": ["v1", "v2"],
+            "api_versions": ["v2"],
             "mode": "broker" if service.broker is not None else "local",
             "draining": service.draining,
             "backends": live_backends(),

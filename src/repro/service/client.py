@@ -7,9 +7,7 @@ Speaks the v2 API: errors arrive in the uniform envelope
 (``{"error": {"code", "message", "retry_after?", "trace_id"}}``) and are
 surfaced as :class:`ServiceClientError` carrying the machine-readable
 ``code`` alongside the status; ``token`` adds the ``Authorization:
-Bearer`` header required by authenticated deployments.  v1-envelope
-bodies (a bare ``{"error": "..."}`` string) are still understood, so
-the client keeps working against the deprecation shim too.
+Bearer`` header required by authenticated deployments.
 """
 
 from __future__ import annotations
@@ -93,8 +91,6 @@ class ServiceClient:
             code = envelope.get("code")
             retry_after = envelope.get("retry_after")
             trace_id = envelope.get("trace_id")
-        elif isinstance(envelope, str):
-            detail = envelope  # v1: {"error": "<message>"}
         return ServiceClientError(
             error.code, detail, code=code, retry_after=retry_after,
             trace_id=trace_id)

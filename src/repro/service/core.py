@@ -662,11 +662,7 @@ class SimulationService:
         return tuple(self._lanes)
 
     def health(self) -> dict[str, Any]:
-        """Cheap liveness fields (no filesystem access; see ``/v1/healthz``).
-
-        Deliberately the v1 shape — ``/v1/healthz`` bodies are frozen by
-        the deprecation shim; v2 adds its extra fields itself.
-        """
+        """Cheap liveness fields (no filesystem access; see ``/v2/healthz``)."""
         return {
             "uptime_seconds": time.time() - self._started_at,
             "dispatcher_running": self._dispatchers_running(),
@@ -748,7 +744,7 @@ class SimulationService:
         }
 
     def metrics_text(self) -> str:
-        """The Prometheus exposition served by ``GET /v1/metrics``.
+        """The Prometheus exposition served by ``GET /v2/metrics``.
 
         Scrape-time gauges (queue depth, running jobs, lane depths,
         worker liveness) are refreshed here, and the latest per-worker

@@ -5,7 +5,7 @@ or a batch of them, travelling together through the queue and executed as
 one :meth:`~repro.api.runner.Runner.run_batch` call (so identical runs
 inside a batch are deduplicated by the scheduler).  The job document —
 :meth:`Job.to_dict` — is the single JSON shape served by
-``GET /v1/runs/<id>``, returned by ``POST /v1/runs?wait=1`` and persisted
+``GET /v2/runs/<id>``, returned by ``POST /v2/runs?wait=1`` and persisted
 in the result store, so a client never sees different layouts for live
 and stored jobs.
 """
@@ -159,7 +159,7 @@ class Job:
 
 
 def parse_submission(payload: Any) -> tuple[list[RunRequest], bool]:
-    """Parse a ``POST /v1/runs`` body into requests.
+    """Parse a ``POST /v2/runs`` body into requests.
 
     Accepts one request object or a non-empty list of at most
     :data:`MAX_BATCH_REQUESTS`; anything else (including invalid

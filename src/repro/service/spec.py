@@ -53,8 +53,7 @@ ENDPOINTS = (
              "One trace's stitched span tree (flat spans + nested tree); "
              "`404` when unsampled or expired."),
     Endpoint("*", "/v1/...",
-             "Deprecated shim: original endpoints, byte-identical bodies, "
-             "`Deprecation: true` header."),
+             "Removed: `410 Gone` with the error envelope naming the `/v2` path."),
 )
 
 

@@ -273,3 +273,28 @@ class TestRunTimings:
         assert code == 0
         assert "scheduled: interp=1;" in out
         assert re.search(r", resolve \d+\.\d{3}s,", out), out
+
+    @staticmethod
+    def _assert_int_counts(timings):
+        counts = [timings["scheduled"], timings["generated"], timings["cache"]]
+        assert all(counts[:2]), timings
+        for section in counts:
+            assert all(type(value) is int for value in section.values()), timings
+        assert type(timings["wall_seconds"]) is float
+
+    def test_counts_are_ints(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_SUITE_CACHE", "off")
+        timings = run_cli_json(
+            capsys, "run", "gshare", "--trace", self.REF, "--timings", "--json")["timings"]
+        assert timings["spans"] > 0
+        self._assert_int_counts(timings)
+
+    def test_counts_are_ints_when_tracing_is_sampled_off(self, capsys, tmp_path):
+        from repro.obs import SpanRecorder, set_tracer
+
+        set_tracer(SpanRecorder(sample_rate=0.0))
+        timings = run_cli_json(capsys, "run", "gshare", "--trace", self.REF,
+                               "--cache-dir", str(tmp_path), "--timings", "--json")["timings"]
+        assert "spans" not in timings
+        assert timings["cache"]
+        self._assert_int_counts(timings)

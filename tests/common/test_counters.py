@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.common.counters import (
     SaturatingCounter,
     SignedCounterTable,
-    UnsignedCounterTable,
+    adapt_threshold,
     clamp,
     saturating_update,
 )
@@ -121,11 +121,6 @@ class TestSignedCounterTable:
         table[1] = -100
         assert table[1] == -4
 
-    def test_fill(self):
-        table = SignedCounterTable(16, 4)
-        table.fill(5)
-        assert all(table[i] == 5 for i in range(16))
-
     def test_invalid_dimensions(self):
         with pytest.raises(ValueError):
             SignedCounterTable(0, 3)
@@ -140,22 +135,22 @@ class TestSignedCounterTable:
             assert table.lo <= table[index] <= table.hi
 
 
-class TestUnsignedCounterTable:
-    def test_taken_threshold_is_msb(self):
-        table = UnsignedCounterTable(4, 2, initial=1)
-        assert not table.taken(0)
-        table.update(0, True)
-        assert table.taken(0)
+class TestAdaptThreshold:
+    def test_threshold_moves_only_when_the_counter_saturates(self):
+        counter = SaturatingCounter(bits=7, value=0)
+        threshold = 10
+        for _ in range(62):
+            threshold = adapt_threshold(counter, threshold, True)
+        assert (threshold, counter.value) == (10, 62)
+        assert adapt_threshold(counter, threshold, True) == 11
+        assert counter.value == 0
+        for _ in range(63):
+            threshold = adapt_threshold(counter, 11, False)
+        assert (threshold, counter.value) == (11, -63)
+        assert adapt_threshold(counter, 11, False) == 10
+        assert counter.value == 0
 
-    def test_saturation(self):
-        table = UnsignedCounterTable(4, 2, initial=3)
-        assert table.update(0, True) is False
-        assert table[0] == 3
-
-    def test_storage(self):
-        assert UnsignedCounterTable(32768, 1).storage_bits == 32768
-
-    def test_fill_clamps(self):
-        table = UnsignedCounterTable(4, 2)
-        table.fill(9)
-        assert table[0] == 3
+    def test_threshold_never_drops_below_one(self):
+        counter = SaturatingCounter(bits=7, value=-63)
+        assert adapt_threshold(counter, 1, False) == 1
+        assert counter.value == 0

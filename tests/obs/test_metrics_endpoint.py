@@ -1,4 +1,4 @@
-"""GET /v1/metrics: Prometheus text exposition over live services."""
+"""GET /v2/metrics: Prometheus text exposition over live services."""
 
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ class TestLocalModeScrape:
     def test_content_type_and_core_series(self, local_server):
         client = ServiceClient(local_server.url)
         client.submit(REQUEST, wait=True)
-        with urllib.request.urlopen(f"{local_server.url}/v1/metrics") as response:
+        with urllib.request.urlopen(f"{local_server.url}/v2/metrics") as response:
             assert response.headers["Content-Type"].startswith("text/plain")
             text = response.read().decode()
         for series in (

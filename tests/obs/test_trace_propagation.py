@@ -51,7 +51,7 @@ class TestHTTPTraceIds:
     def test_response_header_echoes_the_id(self, local_server):
         body = json.dumps(REQUEST).encode()
         request = urllib.request.Request(
-            f"{local_server.url}/v1/runs", data=body, method="POST",
+            f"{local_server.url}/v2/runs", data=body, method="POST",
             headers={"Content-Type": "application/json",
                      "X-Trace-Id": "hdr-echo-7"})
         with urllib.request.urlopen(request) as response:

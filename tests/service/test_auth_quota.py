@@ -191,10 +191,9 @@ class TestAuthOverHTTP:
         assert document["status"] == "done"
 
     def test_healthz_is_auth_exempt(self, authed_server):
-        # Liveness probes must work without credentials on both surfaces.
-        for path in ("/v2/healthz", "/v1/healthz"):
-            with urllib.request.urlopen(f"{authed_server.url}{path}") as response:
-                assert json.loads(response.read())["status"] == "ok"
+        # Liveness probes must work without credentials.
+        with urllib.request.urlopen(f"{authed_server.url}/v2/healthz") as response:
+            assert json.loads(response.read())["status"] == "ok"
 
     def test_v1_shim_is_authenticated_too(self, authed_server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

@@ -147,7 +147,7 @@ class TestHTTPAndClient:
     def test_delete_bad_path_is_404(self, idle_server):
         client = ServiceClient(idle_server.url)
         with pytest.raises(ServiceClientError) as missing:
-            client._call("DELETE", "/v1/runs/")
+            client._call("DELETE", "/v2/runs/job-1/extra")
         assert missing.value.status == 404
 
     def test_cli_cancel_round_trip(self, idle_server, capsys):

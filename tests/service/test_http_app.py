@@ -70,12 +70,12 @@ class TestEndpoints:
 
     def test_unknown_route_is_404(self, client):
         with pytest.raises(ServiceClientError) as excinfo:
-            client._call("GET", "/v1/nope")
+            client._call("GET", "/v2/nope")
         assert excinfo.value.status == 404
 
     def test_malformed_json_is_400(self, server):
         request = urllib.request.Request(
-            f"{server.url}/v1/runs", data=b"{not json", method="POST",
+            f"{server.url}/v2/runs", data=b"{not json", method="POST",
             headers={"Content-Type": "application/json"},
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -88,7 +88,7 @@ class TestEndpoints:
         assert excinfo.value.status == 400
 
     def test_empty_body_is_400(self, server):
-        request = urllib.request.Request(f"{server.url}/v1/runs", data=b"", method="POST")
+        request = urllib.request.Request(f"{server.url}/v2/runs", data=b"", method="POST")
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
@@ -102,7 +102,7 @@ class TestEndpoints:
         host, port = server.server_address[:2]
         connection = http.client.HTTPConnection(host, port, timeout=10)
         try:
-            connection.putrequest("POST", "/v1/runs")
+            connection.putrequest("POST", "/v2/runs")
             connection.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
             connection.endheaders()  # headers only; the server must not wait for the body
             response = connection.getresponse()

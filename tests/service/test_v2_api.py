@@ -1,4 +1,4 @@
-"""The /v2 surface: envelopes, pagination, capabilities, lanes, drain, v1 shim."""
+"""The /v2 surface: envelopes, pagination, capabilities, lanes, drain, /v1 removal."""
 
 import json
 import pathlib
@@ -14,6 +14,7 @@ from repro.service import (
     ServiceClient,
     ServiceClientError,
     SimulationService,
+    TokenAuth,
     make_server,
 )
 from repro.service.spec import BEGIN_MARKER, END_MARKER, render_table
@@ -21,8 +22,8 @@ from repro.service.spec import BEGIN_MARKER, END_MARKER, render_table
 REF = "synthetic:biased?length=200&seed=3"
 
 
-def _serve(service):
-    server = make_server(service)
+def _serve(service, **kwargs):
+    server = make_server(service, **kwargs)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server, thread
@@ -179,7 +180,7 @@ class TestListing:
 class TestCapabilitiesAndStats:
     def test_capabilities_shape(self, client):
         capabilities = client.capabilities()
-        assert capabilities["api_versions"] == ["v1", "v2"]
+        assert capabilities["api_versions"] == ["v2"]
         assert capabilities["mode"] == "local"
         assert capabilities["auth"]["enabled"] is False
         assert capabilities["lanes"]["enabled"] is False
@@ -191,8 +192,8 @@ class TestCapabilitiesAndStats:
     def test_index_advertises_both_versions(self, server):
         with urllib.request.urlopen(f"{server.url}/") as response:
             index = json.loads(response.read())
-        assert index["api_versions"] == ["v1", "v2"]
-        assert "v1" in index["deprecated"]
+        assert index["api_versions"] == ["v2"]
+        assert "deprecated" not in index
 
     def test_v2_stats_carries_new_sections(self, client):
         stats = client.stats()
@@ -227,61 +228,47 @@ class TestCapabilitiesAndStats:
 
 
 class TestV1Shim:
-    def test_v1_carries_deprecation_header(self, server):
-        with urllib.request.urlopen(f"{server.url}/v1/healthz") as response:
-            assert response.headers["Deprecation"] == "true"
-            body = json.loads(response.read())
-        assert set(body) == {"status", "version", "uptime_seconds",
-                             "dispatcher_running", "mode"}
+    """The first API generation is gone: every ``/v1`` path answers 410."""
 
     def test_v2_does_not_carry_deprecation_header(self, server):
         with urllib.request.urlopen(f"{server.url}/v2/healthz") as response:
             assert response.headers["Deprecation"] is None
 
-    def test_v1_stats_body_is_frozen(self, server):
-        # The new sections are v2-only: v1 clients see the historical keys.
-        with urllib.request.urlopen(f"{server.url}/v1/stats") as response:
-            stats = json.loads(response.read())
-        for key in ("draining", "lanes", "clients"):
-            assert key not in stats
-        assert {"uptime_seconds", "mode", "queue", "jobs"} <= set(stats)
+    def test_every_v1_path_answers_410_gone_after_auth(self):
+        service = SimulationService(runner=Runner(RunnerConfig(workers=1))).start()
+        auth = TokenAuth({"sekrit": "ci"}, allow_loopback=False)
+        server, thread = _serve(service, auth=auth)
+        body = json.dumps(RunRequest("bimodal", REF).to_dict()).encode()
 
-    def test_v1_stats_pool_section_is_frozen(self):
-        """A persistent interp pool that ran a two-task job: /v1 keeps the
-        frozen eight pool keys in order, /v2 drops the retired counters."""
-        service = SimulationService(
-            runner=Runner(RunnerConfig(workers=1, backend="interp"), persistent=True)
-        ).start()
-        server, thread = _serve(service)
-        client = ServiceClient(server.url)
+        def call(method, path, headers):
+            return urllib.request.urlopen(urllib.request.Request(
+                f"{server.url}{path}", method=method,
+                data=body if method == "POST" else None,
+                headers={"X-Trace-Id": "tr-gone-1", **headers}))
+
         try:
-            payload = [RunRequest("gshare", REF).to_dict(), RunRequest("bimodal", REF).to_dict()]
-            assert client.submit(payload, wait=True, timeout=60)["status"] == "done"
-            with urllib.request.urlopen(f"{server.url}/v1/stats") as response:
-                v1_pool = json.loads(response.read())["pool"]
-            v2_pool = client.stats()["pool"]
+            for method, path, replacement in [
+                ("GET", "/v1", "/v2"),
+                ("GET", "/v1/healthz", "/v2/healthz"),
+                ("GET", "/v1/metrics", "/v2/metrics"),
+                ("GET", "/v1/runs/job-1", "/v2/runs/job-1"),
+                ("POST", "/v1/runs", "/v2/runs"),
+                ("DELETE", "/v1/runs/job-1", "/v2/runs/job-1"),
+            ]:
+                with pytest.raises(urllib.error.HTTPError) as unauthenticated:
+                    call(method, path, {})
+                assert unauthenticated.value.code == 401, (method, path)
+                with pytest.raises(urllib.error.HTTPError) as gone:
+                    call(method, path, {"Authorization": "Bearer sekrit"})
+                assert gone.value.code == 410, (method, path)
+                assert gone.value.headers["X-Trace-Id"] == "tr-gone-1"
+                envelope = json.loads(gone.value.read())["error"]
+                assert envelope["code"] == "gone"
+                assert envelope["trace_id"] == "tr-gone-1"
+                assert f"'{replacement}'" in envelope["message"]
+            assert service.documents() == []  # the POST submitted nothing
         finally:
             _stop(server, service, thread)
-        assert list(v1_pool) == [
-            "workers", "started", "closed", "batches", "tasks_executed",
-            "warm_hits", "warm_hit_rate", "exact_shards"]
-        assert v1_pool["tasks_executed"] == v2_pool["tasks_executed"] == 2
-        assert (v1_pool["warm_hits"], v1_pool["warm_hit_rate"], v1_pool["exact_shards"]) == (
-            0, 0.0, 0)
-        assert not {"warm_hits", "warm_hit_rate", "exact_shards"} & set(v2_pool)
-
-    def test_v1_error_bodies_keep_the_old_shape(self, server):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(f"{server.url}/v1/nope")
-        assert json.loads(excinfo.value.read()) == {
-            "error": "no such resource '/v1/nope'"}
-
-    def test_v1_and_v2_documents_agree(self, server):
-        client = ServiceClient(server.url)
-        document = client.run(RunRequest("bimodal", REF), timeout=30)
-        with urllib.request.urlopen(
-                f"{server.url}/v1/runs/{document['id']}") as response:
-            assert json.loads(response.read()) == client.job(document["id"])
 
 
 class TestDrain:
