@@ -113,7 +113,8 @@ def _parse_trace_id(value: str) -> str:
 def _add_runner_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("execution")
     group.add_argument("--workers", type=_parse_workers, default=_UNSET, metavar="N",
-                       help="worker processes (or 'auto' = cpu count); "
+                       help="native kernel threads and interp worker processes "
+                            "(or 'auto' = cpu count); "
                             "default: REPRO_SUITE_WORKERS or 1")
     group.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="result cache directory; default: REPRO_SUITE_CACHE")

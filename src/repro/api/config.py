@@ -175,8 +175,10 @@ class RunnerConfig:
     Attributes
     ----------
     workers:
-        Worker processes; ``None`` means ``os.cpu_count()``.  Default 1
-        (serial, in-process).
+        Parallelism of one scheduling pass: the threads native kernel
+        calls fan out over, and the worker processes interp tasks run
+        on; ``None`` means ``os.cpu_count()``.  Default 1 (serial,
+        in-process, no thread started).
     cache_dir:
         Directory for the per-(spec, trace, scenario, config) result
         cache; ``None`` disables caching.

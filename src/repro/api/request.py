@@ -57,7 +57,7 @@ def coerce_scenario(value: Any) -> UpdateScenario:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunRequest:
     """One (predictor, traces, scenario, pipeline) run, as pure data.
 

@@ -6,11 +6,17 @@ simulations.  The staged per-branch interpreter
 backend — it supports every registered predictor kind and every update
 scenario.  Alternative backends trade generality for throughput: the
 ``native`` backend (:mod:`repro.backends.native`) runs the whole staged
-simulation in C for the TAGE family, the two-bit tables, the perceptron
-and GEHL, and is the default route of a request that selects no backend;
-the ``numpy`` backend (:mod:`repro.backends.vector`) replaces the
-per-branch loop with one array scan for bimodal and gshare under
-scenario [I].
+simulation in C for the TAGE family, the static baselines, the two-bit
+tables, the perceptron and GEHL, and is the default route of a request
+that selects no backend; the ``numpy`` backend
+(:mod:`repro.backends.vector`) replaces the per-branch loop with one
+array scan for bimodal and gshare under scenario [I].
+
+The scheduler (:func:`~repro.pipeline.parallel.run_scheduled`) calls
+:meth:`Backend.run_tasks` once per (scenario, config) group, on the
+driving thread.  Native tasks instead run as one call each
+(:meth:`~repro.backends.native.NativeBackend.bind`), fanned out over
+``max_workers`` threads.
 
 The contract every backend honours:
 
@@ -88,8 +94,8 @@ class Backend(ABC):
         """Execute (spec, trace) pairs; results in task order.
 
         The entry point schedulers call, with one kernel group of
-        possibly several traces.  Every spec must satisfy
-        :meth:`supports` — schedulers filter before grouping.
+        possibly several traces, on the driving thread.  Every spec must
+        satisfy :meth:`supports` — schedulers filter before grouping.
         """
 
 

@@ -3,10 +3,12 @@
 :file:`kernel.c` restates the staged engine (window, execute and retire
 stages, [A]/[B]/[C] rereads, warmup replay) and the predictors it drives:
 the TAGE family (core, IUM, loop predictor, SC, LSC, bank interleaving),
-the bimodal and gshare tables, the perceptron and GEHL, bit for bit.  One
-call runs one (spec, trace) pair on the trace's numpy columns with all
-state allocated per call, so threads run calls side by side (``ctypes``
-releases the GIL).
+the static baselines, the bimodal and gshare tables, the perceptron and
+GEHL, bit for bit.  One call runs one (spec, trace) pair on the trace's
+numpy columns with all state allocated per call, and ``ctypes`` releases
+the GIL while it runs, so :meth:`NativeBackend.bind` hands out calls that
+threads run side by side (the scheduler fans them over ``--workers``
+threads).
 :func:`_plan` reads a spec's power-on predictor; anything the kernel does
 not model declines the spec, which then runs on the interpreter.
 :file:`generator.c`, linked into the same library, is the native path of
@@ -25,6 +27,7 @@ unavailable.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import logging
 import os
@@ -32,7 +35,7 @@ import stat
 import subprocess
 import tempfile
 import threading
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,6 +53,7 @@ from repro.predictors.gehl import GEHLPredictor
 from repro.predictors.gshare import GSharePredictor
 from repro.predictors.perceptron import PerceptronPredictor
 from repro.predictors.registry import PredictorSpec, backend_support
+from repro.predictors.static import AlwaysNotTakenPredictor, AlwaysTakenPredictor
 
 __all__ = ["NativeBackend"]
 
@@ -137,6 +141,8 @@ def _library():
 
 def _plan(predictor) -> list[int] | None:
     """The kernel plan of a power-on predictor (layout in kernel.c), or None."""
+    if type(predictor) in (AlwaysTakenPredictor, AlwaysNotTakenPredictor):
+        return [5, int(type(predictor) is AlwaysTakenPredictor)]
     if type(predictor) is BimodalPredictor:
         return [0, predictor.entries.bit_length() - 1, predictor.hysteresis_sharing]
     if type(predictor) is GSharePredictor:
@@ -238,30 +244,46 @@ class NativeBackend(Backend):
         return ("native" in backend_support(spec.kind) and self.available()
                 and self._plan_for(spec) is not None)
 
-    def run_tasks(self, tasks: Sequence, scenario, config) -> list[SimulationResult]:
-        library, results = _library(), []
+    def bind(self, tasks: Sequence, scenario,
+             config) -> list[Callable[[], SimulationResult]]:
+        """One zero-argument kernel call per (spec, trace) pair, in task order.
+
+        Every plan is resolved here, on the calling thread, so running a
+        call builds no predictor and reads no memo: the calls share only
+        the loaded library, and threads may run them side by side.
+        """
+        library, calls = _library(), []
         for spec, trace in tasks:
             entry = None if library is None else self._plan_for(spec)
             if entry is None:
                 raise ValueError(f"spec {spec!r} is not supported by the native backend; "
                                  "schedulers must check supports() and fall back")
-            (family, *body), name = entry
-            plan = np.array([family, "IABC".index(scenario.value), config.retire_delay,
-                             config.execute_delay, *body], dtype=np.int64)
-            columns = [np.ascontiguousarray(trace.pcs, dtype=np.int64),
-                       np.ascontiguousarray(trace.taken, dtype=np.bool_).view(np.uint8),
-                       np.ascontiguousarray(trace.preceding, dtype=np.int64)]
-            out = np.zeros(10, dtype=np.int64)
-            status = library.repro_simulate(plan.ctypes.data, len(plan),
-                                            *(column.ctypes.data for column in columns),
-                                            len(trace), trace.warmup_count, out.ctypes.data)
-            if status:  # -2: out of memory; -1: a plan the kernel cannot parse
-                raise (MemoryError if status == -2 else RuntimeError)(
-                    f"native kernel failed ({status}) on {spec!r}")
-            mispredicted, branches, instructions, *accesses, overrides, warmup = out.tolist()
-            results.append(SimulationResult(
-                trace.source_name or trace.name, name, branches, instructions, mispredicted,
-                config.misprediction_penalty,
-                AccessProfile(branches, mispredicted, branches, *accesses),
-                scenario.label, overrides, trace.window, warmup))
-        return results
+            calls.append(functools.partial(_simulate, library, spec, entry, trace, scenario,
+                                           config))
+        return calls
+
+    def run_tasks(self, tasks: Sequence, scenario, config) -> list[SimulationResult]:
+        return [call() for call in self.bind(tasks, scenario, config)]
+
+
+def _simulate(library, spec: PredictorSpec, entry: tuple[list[int], str], trace, scenario,
+              config) -> SimulationResult:
+    """One ``repro_simulate`` call (see :meth:`NativeBackend.bind`)."""
+    (family, *body), name = entry
+    plan = np.array([family, "IABC".index(scenario.value), config.retire_delay,
+                     config.execute_delay, *body], dtype=np.int64)
+    columns = [np.ascontiguousarray(trace.pcs, dtype=np.int64),
+               np.ascontiguousarray(trace.taken, dtype=np.bool_).view(np.uint8),
+               np.ascontiguousarray(trace.preceding, dtype=np.int64)]
+    out = np.zeros(10, dtype=np.int64)
+    status = library.repro_simulate(plan.ctypes.data, len(plan),
+                                    *(column.ctypes.data for column in columns),
+                                    len(trace), trace.warmup_count, out.ctypes.data)
+    if status:  # -2: out of memory; -1: a plan the kernel cannot parse
+        raise (MemoryError if status == -2 else RuntimeError)(
+            f"native kernel failed ({status}) on {spec!r}")
+    mispredicted, branches, instructions, *accesses, overrides, warmup = out.tolist()
+    return SimulationResult(
+        trace.source_name or trace.name, name, branches, instructions, mispredicted,
+        config.misprediction_penalty, AccessProfile(branches, mispredicted, branches, *accesses),
+        scenario.label, overrides, trace.window, warmup)

@@ -2,9 +2,10 @@
  *
  * This file re-states, statement for statement, the staged engine of
  * repro/pipeline/engine.py and the predictors it drives for the kinds the
- * native backend accepts: bimodal (repro/predictors/bimodal.py), gshare
- * (repro/predictors/gshare.py), perceptron (repro/predictors/perceptron.py),
- * GEHL (repro/predictors/gehl.py) and the TAGE family (repro/core/tage.py,
+ * native backend accepts: the static baselines (repro/predictors/static.py),
+ * bimodal (repro/predictors/bimodal.py), gshare (repro/predictors/gshare.py),
+ * perceptron (repro/predictors/perceptron.py), GEHL (repro/predictors/gehl.py)
+ * and the TAGE family (repro/core/tage.py,
  * augmented.py, ium.py, loop_predictor.py, statistical_corrector.py and
  * histories/local.py).  Results must equal the interpreter's bit for bit:
  * every table update, silent-write check and access count below mirrors
@@ -17,8 +18,10 @@
  * The plan is a flat int64 array read front to back (see _plan in
  * __init__.py, which writes it in the same order):
  *
- *   family (0 bimodal, 1 gshare, 2 TAGE, 3 perceptron, 4 GEHL), scenario
- *   (0 [I], 1 [A], 2 [B], 3 [C]), retire_delay, execute_delay, then per family
+ *   family (0 bimodal, 1 gshare, 2 TAGE, 3 perceptron, 4 GEHL, 5 static),
+ *   scenario (0 [I], 1 [A], 2 [B], 3 [C]), retire_delay, execute_delay, then
+ *   per family
+ *   static:  predicted direction (1 taken, 0 not taken)
  *   bimodal: log2 entries, hysteresis sharing
  *   gshare:  log2 entries, history length
  *   perceptron: log2 rows, history length, weight bits, training threshold
@@ -53,7 +56,7 @@
 #define LOOP_AGE_MAX 7
 #define SC_TAGE_WEIGHT 8
 
-enum { BIMODAL = 0, GSHARE = 1, TAGE = 2, PERCEPTRON = 3, GEHL = 4 };
+enum { BIMODAL = 0, GSHARE = 1, TAGE = 2, PERCEPTRON = 3, GEHL = 4, STATIC = 5 };
 enum { SCOPE_ALL = 0, SCOPE_TAGE_ONLY = 1, SCOPE_LOCAL_ONLY = 2 };
 
 static inline int imin(int a, int b) { return a < b ? a : b; }
@@ -807,7 +810,7 @@ typedef struct {
 } Slot;
 
 typedef struct {
-    int family, scenario, retire_delay, execute_delay;
+    int family, scenario, retire_delay, execute_delay, static_taken;
     Bimodal bimodal;
     int8_t *gshare;
     uint64_t gshare_mask, gshare_history, gshare_history_mask;
@@ -828,6 +831,11 @@ static int sim_init(Sim *s, const int64_t *plan, int64_t plan_len) {
     s->scenario = (int)*p++;
     s->retire_delay = (int)*p++;
     s->execute_delay = (int)*p++;
+    if (s->family == STATIC) {
+        if (plan_len != 5) return -1;
+        s->static_taken = p[0] != 0;
+        return 0;
+    }
     if (s->family == BIMODAL) return bimodal_init(&s->bimodal, p[0], p[1]);
     if (s->family == GSHARE) {
         s->gshare_mask = mask64(p[0]);
@@ -915,6 +923,10 @@ static uint64_t local_history(const Sim *s, uint64_t pc) {
 static void predict(Sim *s, Slot *slot) {
     uint64_t pc = slot->pc;
     slot->override = 0;
+    if (s->family == STATIC) {
+        slot->prediction = s->static_taken;
+        return;
+    }
     if (s->family == BIMODAL) {
         slot->counter = bimodal_read(&s->bimodal, pc, &slot->index, &slot->hindex);
         slot->prediction = slot->counter >= 2;
@@ -1017,6 +1029,7 @@ static void notify_execute(Sim *s, Slot *slot) {
 /* Retire: Predictor.update. */
 static void update(Sim *s, Slot *slot, int reread, Stats *st) {
     int taken = slot->taken;
+    if (s->family == STATIC) return;
     if (s->family == BIMODAL) {
         bimodal_update(&s->bimodal, slot->index, slot->hindex, slot->counter, taken, reread, st);
         return;

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 __all__ = ["PipelineConfig"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PipelineConfig:
     """In-flight window model and misprediction penalty.
 

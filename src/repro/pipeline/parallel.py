@@ -1,4 +1,4 @@
-"""Simulation scheduling: the process pool and the result cache.
+"""Simulation scheduling: native kernel threads, the process pool and the result cache.
 
 A full experiment sweeps predictor configurations over dozens of traces;
 each (predictor, trace) run is independent, so the work is
@@ -16,9 +16,12 @@ pass every :class:`~repro.api.runner.Runner` call goes through:
   it also stores the per-reference trace manifests that let a
   :class:`~repro.api.runner.Runner` plan a request without generating.
 
-With ``max_workers=1`` (or a single job) the pass runs in-process, which
-keeps it usable on single-core boxes and inside already-parallel
-harnesses.
+``max_workers`` sizes both kinds of parallelism: native kernel calls
+fan out over that many threads of the driving process (``ctypes``
+releases the GIL), and interpreter tasks over that many pool processes.
+With ``max_workers=1`` (or a single job) the pass runs serially in the
+driving thread and starts no thread or process, which keeps it usable on
+single-core boxes and inside already-parallel harnesses.
 """
 
 from __future__ import annotations
@@ -30,7 +33,11 @@ import os
 import pickle
 import threading
 import time
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor, wait
+from contextvars import copy_context
+from functools import partial
+from typing import Callable
 
 from repro.obs import (
     bind_span_context,
@@ -549,6 +556,55 @@ class WorkerPool:
         self.close(cancel=exc_info[0] is not None)
 
 
+def _fan_out(calls: list[Callable[[], SimulationResult]],
+             max_threads: int) -> list[SimulationResult]:
+    """Run zero-argument calls on ``min(max_threads, len(calls))`` threads.
+
+    The calling thread takes calls too; with one thread (or at most one
+    call) it runs them all in order and starts nothing.  Each helper runs in its own copy of the caller's
+    context, so spans it opens nest under the caller's span and carry
+    its trace id.  Results come back in call order.  Once a call raises,
+    no thread starts another; after every helper has stopped, the first
+    error in call order is raised.
+    """
+    if max_threads <= 1 or len(calls) <= 1:
+        return [call() for call in calls]
+    results: list = [None] * len(calls)
+    errors: list[BaseException | None] = [None] * len(calls)
+    pending = deque(range(len(calls)))  # popleft is thread-safe
+    stop = threading.Event()
+
+    def work(catch: type[BaseException]) -> None:
+        while not stop.is_set():
+            try:
+                index = pending.popleft()
+            except IndexError:
+                return
+            try:
+                results[index] = calls[index]()
+            except catch as error:  # re-raised below, on the calling thread
+                errors[index] = error
+                stop.set()
+
+    # Helpers keep whatever a call raises; the calling thread keeps only
+    # ordinary errors, so an interrupt there propagates at once.
+    helpers = [threading.Thread(target=copy_context().run, args=(work, BaseException),
+                                daemon=True, name=f"repro-kernel-{number}")
+               for number in range(1, min(max_threads, len(calls)))]
+    for helper in helpers:
+        helper.start()
+    try:
+        work(Exception)
+    finally:
+        stop.set()  # an interrupt here must not leave helpers taking calls
+        for helper in helpers:
+            helper.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
+
+
 def _route(selection, spec: PredictorSpec, scenario: UpdateScenario, config: PipelineConfig):
     """The backend one task runs on, or None for the interpreter pool.
 
@@ -608,19 +664,24 @@ def _run_scheduled(
 
     * tasks the selected backend supports — and, without a selection or
       when the selected backend declines, tasks the ``native`` kernel
-      supports — are grouped by (scenario, config) and executed as
-      **one kernel call per group** in the driving process
-      (:mod:`repro.backends`) — while any pool futures for the rest are
-      already in flight;
+      supports — run in the driving process (:mod:`repro.backends`)
+      while any pool futures for the rest are already in flight.  Each
+      native task is **one kernel call**, and the calls fan out over
+      ``min(max_workers, tasks)`` threads, the driving thread among
+      them (see :func:`_fan_out`); every plan is resolved on the driving
+      thread first, and with one worker no thread starts.  Other kernel
+      backends (``numpy``) run **one call per (scenario, config) group**
+      on the driving thread;
     * everything else (and every task of an explicit ``interp``
       selection) runs on the worker pool.
 
     With ``pool`` set, the pool work runs on that persistent
-    :class:`WorkerPool` (``max_workers`` is then ignored).  Otherwise a
+    :class:`WorkerPool`, whatever ``max_workers`` says.  Otherwise a
     short-lived pool of ``min(max_workers, jobs)`` workers runs it, or —
     with one worker or at most one job — this process does.
     ``max_workers=None`` means ``os.cpu_count()``.  Returns the results
-    in task order.
+    in task order.  A failing kernel call raises the first error in task
+    order once every kernel thread has stopped.
 
     ``backend`` is a name, a live :class:`~repro.backends.base.Backend`,
     ``None`` (the default route), or a per-task sequence of those (the
@@ -678,8 +739,8 @@ def _run_scheduled(
         spec, trace, scenario, config = task
         chosen = _route(selections[unique_positions[index][0]], spec, scenario, config)
         if chosen is not None:
-            # One kernel call per (backend, scenario, config) bucket,
-            # whatever traces it spans.
+            # One group per (backend, scenario, config), whatever traces
+            # it spans: one kernel call, or native calls to fan out.
             batch_key = (chosen.name, scenario, config)
             kernel_groups.setdefault(batch_key, []).append(index)
             kernel_backends[batch_key] = chosen
@@ -699,18 +760,37 @@ def _run_scheduled(
         route_counter.inc(len(interp_indices), route="interp")
     kernel_seconds = registry.histogram(
         "repro_backend_kernel_seconds",
-        "Wall time of one batched backend kernel call.", ("backend",))
+        "Wall time of one backend kernel call; calls on parallel threads overlap.",
+        ("backend",))
+
+    limit = max_workers if max_workers is not None else (os.cpu_count() or 1)
 
     def run_kernel_groups() -> None:
+        native_calls: list[tuple[int, Callable[[], SimulationResult]]] = []
         for batch_key, indices in kernel_groups.items():
             chosen = kernel_backends[batch_key]
             pairs = [(unique_tasks[index][0], unique_tasks[index][1]) for index in indices]
             _, _, scenario, config = unique_tasks[indices[0]]
+            if chosen.name == "native":
+                # Plans resolve here, on the driving thread; the calls run below.
+                native_calls += zip(indices, chosen.bind(pairs, scenario, config))
+                continue
             with kernel_seconds.time(backend=chosen.name), span(
                     "backend.kernel", backend=chosen.name, tasks=len(indices)):
                 outcomes = chosen.run_tasks(pairs, scenario, config)
             for index, result in zip(indices, outcomes):
                 fresh[index] = result
+
+        native_calls.sort(key=lambda pair: pair[0])  # task order, across groups
+
+        def timed(call: Callable[[], SimulationResult]) -> SimulationResult:
+            with kernel_seconds.time(backend="native"), span(
+                    "backend.kernel", backend="native", tasks=1):
+                return call()
+
+        outcomes = _fan_out([partial(timed, call) for _, call in native_calls], limit)
+        for (index, _), result in zip(native_calls, outcomes):
+            fresh[index] = result
 
     interp_tasks = [unique_tasks[index] for index in interp_indices]
 
@@ -750,7 +830,6 @@ def _run_scheduled(
             pool.close(cancel=True)
             raise
 
-    limit = max_workers if max_workers is not None else (os.cpu_count() or 1)
     if pool is not None:
         drive(pool)
     elif limit <= 1 or len(interp_tasks) <= 1:

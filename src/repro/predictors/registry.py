@@ -66,7 +66,7 @@ def _require_kind(kind: str) -> None:
         raise KeyError(f"unknown predictor kind {kind!r}; registered kinds: {available()}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictorSpec:
     """A serializable description of one predictor configuration.
 
@@ -82,6 +82,7 @@ class PredictorSpec:
 
     kind: str
     _config: tuple = field(default=())
+    _raw: dict | None = field(default=None, compare=False, repr=False)
 
     def __init__(self, kind: str, config: Mapping[str, Any] | None = None) -> None:
         object.__setattr__(self, "kind", kind)
@@ -89,15 +90,14 @@ class PredictorSpec:
         object.__setattr__(self, "_config", _freeze(raw))
         # The caller's values verbatim: equality and hashing go through the
         # frozen form, but factories must receive exactly what was supplied
-        # (nested dicts/lists included).
-        object.__setattr__(self, "_raw", raw)
+        # (nested dicts/lists included).  An empty config keeps no dict.
+        object.__setattr__(self, "_raw", raw or None)
 
     @property
     def config(self) -> dict[str, Any]:
         """The configuration as a plain keyword-argument dict."""
-        raw = getattr(self, "_raw", None)
-        if raw is not None:
-            return dict(raw)
+        if self._raw is not None:
+            return dict(self._raw)
         return {key: value for key, value in self._config}
 
     def build(self) -> Predictor:
@@ -204,14 +204,16 @@ def spec_of(predictor: Predictor) -> PredictorSpec:
 # ---------------------------------------------------------------------------
 
 
-@register("always-taken", description="static taken baseline, zero storage")
+@register("always-taken", description="static taken baseline, zero storage",
+          backends=("native",))
 def _always_taken() -> Predictor:
     from repro.predictors.static import AlwaysTakenPredictor
 
     return AlwaysTakenPredictor()
 
 
-@register("always-not-taken", description="static not-taken baseline, zero storage")
+@register("always-not-taken", description="static not-taken baseline, zero storage",
+          backends=("native",))
 def _always_not_taken() -> Predictor:
     from repro.predictors.static import AlwaysNotTakenPredictor
 

@@ -289,6 +289,17 @@ class TestRunTimings:
         assert timings["spans"] > 0
         self._assert_int_counts(timings)
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_default_route_reports_kernel_seconds(self, capsys, monkeypatch, workers):
+        """Native kernel time shows on the default route, summed over every
+        call (with two workers the calls run on two threads)."""
+        monkeypatch.setenv("REPRO_SUITE_CACHE", "off")
+        timings = run_cli_json(capsys, "run", "isl-tage", "--trace", "hard:all?branches=2000",
+                               "--workers", workers, "--timings", "--json")["timings"]
+        assert timings["scheduled"] == {"kernel": 7}, timings
+        assert timings["kernel_seconds"] > 0, timings
+        assert timings["breakdown"]["backend.kernel"] == timings["kernel_seconds"]
+
     def test_counts_are_ints_when_tracing_is_sampled_off(self, capsys, tmp_path):
         from repro.obs import SpanRecorder, set_tracer
 

@@ -100,3 +100,14 @@ class TestCoercionAndValidation:
         a = RunRequest("gshare", TINY_REF)
         b = RunRequest("gshare", TINY_REF)
         assert len({a, b}) == 1
+
+
+def test_value_types_carry_no_instance_dict():
+    """Requests, specs and pipeline configs are slotted, and a spec with
+    no config keeps no dict, so a client holding many requests pays for
+    their fields only."""
+    request = RunRequest("tage", TINY_REF)
+    for value in (request, request.predictor, request.pipeline):
+        assert not hasattr(value, "__dict__")
+    assert request.predictor._raw is None
+    assert request.predictor.config == {}

@@ -49,12 +49,12 @@ class TestCapabilityTags:
     def test_kernelised_families_are_tagged_for_numpy(self):
         for kind in ("bimodal", "gshare"):
             assert backend_support(kind) == frozenset({"interp", "numpy", "native"})
-        for kind in ("perceptron", "gehl", "tage", "l-tage", "isl-tage", "tage-lsc",
-                     "augmented-tage", "scaled-tage", "scaled-tage-lsc"):
+        for kind in ("always-taken", "always-not-taken", "perceptron", "gehl", "tage", "l-tage",
+                     "isl-tage", "tage-lsc", "augmented-tage", "scaled-tage", "scaled-tage-lsc"):
             assert backend_support(kind) == frozenset({"interp", "native"})
 
     def test_other_kinds_are_interp_only(self):
-        for kind in ("snap", "ftl", "always-taken"):
+        for kind in ("snap", "ftl"):
             assert backend_support(kind) == frozenset({"interp"})
 
     def test_unknown_kind_probes_empty(self):

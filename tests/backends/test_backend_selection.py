@@ -110,20 +110,21 @@ class TestSchedulerRouting:
     def test_lone_delayed_numpy_task_on_native(self, monkeypatch):
         """numpy has only the [I] scan: a lone [C] gshare task selected
         for numpy runs on the native kernel, never on the interp pool;
-        a lone [I] task runs on the numpy scan.  Calls into each backend's
-        ``run_tasks`` are the observable."""
+        a lone [I] task runs on the numpy scan.  Calls into the methods
+        the scheduler hands tasks to (numpy's ``run_tasks``, native's
+        ``bind``) are the observable."""
         from repro.backends import get_backend
 
         calls = []
-        for name in ("numpy", "native"):
+        for name, method in (("numpy", "run_tasks"), ("native", "bind")):
             backend = get_backend(name)
-            run_tasks = type(backend).run_tasks
+            entry = getattr(type(backend), method)
 
-            def spy(self, tasks, *args, _name=name, _run=run_tasks):
+            def spy(self, tasks, *args, _name=name, _entry=entry):
                 calls.append((_name, len(tasks)))
-                return _run(self, tasks, *args)
+                return _entry(self, tasks, *args)
 
-            monkeypatch.setattr(type(backend), "run_tasks", spy)
+            monkeypatch.setattr(type(backend), method, spy)
         spec = PredictorSpec("gshare", {"log2_entries": 10})
         trace = generate_trace("CLIENT01", branches_per_trace=300, seed=9)
         (delayed,) = run_scheduled(

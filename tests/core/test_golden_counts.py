@@ -245,7 +245,7 @@ def test_numpy_golden_counts(traces, case, on_kernel):
 
 #: Every golden row the native kernel runs: the whole TAGE family under
 #: every scenario (interleaved rows and the live-path trace included), the
-#: two-bit tables, the perceptron and GEHL.
+#: static baselines, the two-bit tables, the perceptron and GEHL.
 NATIVE_CASES = [case for case in GOLDEN if "native" in backend_support(case[1])]
 
 

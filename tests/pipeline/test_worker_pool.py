@@ -52,7 +52,7 @@ class TestWorkerPool:
     def test_pool_is_lazy_and_counts_batches(self):
         pool = WorkerPool(max_workers=1)
         assert not pool.started
-        run_scheduled(_tasks("always-taken", REF_A), pool=pool)
+        run_scheduled(_tasks("always-taken", REF_A), pool=pool, backend="interp")
         assert pool.started
         stats = pool.stats()
         assert stats["batches"] == 1 and stats["tasks_executed"] == 1
@@ -60,12 +60,12 @@ class TestWorkerPool:
 
     def test_close_is_idempotent_and_submit_after_close_raises(self):
         pool = WorkerPool(max_workers=1)
-        run_scheduled(_tasks("always-taken", REF_A), pool=pool)
+        run_scheduled(_tasks("always-taken", REF_A), pool=pool, backend="interp")
         pool.close()
         pool.close()
         assert pool.closed and not pool.started
         with pytest.raises(RuntimeError, match="closed"):
-            run_scheduled(_tasks("always-taken", REF_A), pool=pool)
+            run_scheduled(_tasks("always-taken", REF_A), pool=pool, backend="interp")
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError, match="max_workers"):
@@ -98,7 +98,7 @@ class TestRunnerLifecycle:
         assert [pickle.dumps(r) for r in rerun] == [pickle.dumps(r) for r in fresh]
 
     def test_context_exit_closes_pool(self):
-        with Runner(RunnerConfig(workers=1), persistent=True) as runner:
+        with Runner(RunnerConfig(workers=1, backend="interp"), persistent=True) as runner:
             runner.run(RunRequest("always-taken", REF_A))
             pool = runner.pool
             assert pool is not None and pool.started

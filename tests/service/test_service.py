@@ -184,7 +184,7 @@ class TestStats:
 
     def test_stats_expose_warm_pool_and_cache(self, tmp_path):
         runner = Runner(
-            RunnerConfig(workers=1, cache_dir=str(tmp_path)), persistent=True
+            RunnerConfig(workers=1, cache_dir=str(tmp_path), backend="interp"), persistent=True
         )
         with SimulationService(runner=runner) as service:
             request = RunRequest("always-taken", REF_A)
