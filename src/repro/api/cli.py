@@ -8,7 +8,7 @@ references and the named experiments)::
     repro run tage-lsc --trace hard:MM05 --scenario A --workers 4 --json
     repro run tage --trace "suite:INT01?branches=400000" --shards 4 --workers 4
     repro run --request saved-request.json
-    repro suite --predictor gshare --trace suite:INT --backend numpy
+    repro suite --predictor gshare --trace suite:INT --backend interp
     repro experiment fig10 --branches 3000
     repro list predictors|traces|experiments
     repro cache stats|clear|prune
@@ -125,9 +125,10 @@ def _add_runner_options(parser: argparse.ArgumentParser) -> None:
                             "default: REPRO_SUITE_CACHE_MAX_MB")
     group.add_argument("--backend", type=_parse_backend, default=None, metavar="NAME",
                        help="execution backend (interp, numpy or native; bit-identical "
-                            "results; unset runs native where it loads and supports "
-                            "the spec, interp otherwise); "
-                            "overrides REPRO_SUITE_BACKEND and request backends")
+                            "results; interp pins the reference, anything else runs "
+                            "native where it loads and supports the spec; numpy runs "
+                            "its two-bit [I] scan only where native cannot, interp "
+                            "the rest); overrides REPRO_SUITE_BACKEND and request backends")
 
 
 def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:

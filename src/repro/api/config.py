@@ -32,9 +32,10 @@ Environment variables (read by :meth:`RunnerConfig.from_env`):
     default (:data:`DEFAULT_AUTO_SHARD_BRANCHES`).
 ``REPRO_SUITE_BACKEND``
     Execution backend (:mod:`repro.backends`): ``interp`` (the
-    pure-Python reference), ``numpy`` or ``native``.  Unset, each task
-    runs on the native C kernel when it loads and supports the spec, on
-    the interpreter otherwise.  A per-request ``backend`` overrides this;
+    pure-Python reference), ``numpy`` or ``native``.  Unless ``interp``,
+    each task runs on the native C kernel when it loads and supports the
+    spec; ``numpy`` runs its two-bit [I] scan only where native cannot,
+    and the interpreter runs the rest.  A per-request ``backend`` overrides this;
     the CLI ``--backend`` flag overrides both (env < request < CLI).
 ``REPRO_LOG`` / ``REPRO_LOG_JSON``
     Structured-logging level (``debug``/``info``/``warning``/``error``/
@@ -196,10 +197,11 @@ class RunnerConfig:
         per-request :class:`~repro.traces.sharding.ShardingPolicy`
         always wins over this default.
     backend:
-        Execution backend name (:mod:`repro.backends`); ``None`` means
-        the default route (native where supported, else the
-        interpreter).  Results are bit-identical whichever
-        backend runs them — this is purely a throughput knob.
+        Execution backend name (:mod:`repro.backends`).  ``interp`` pins
+        the reference engine; anything else, ``None`` included, runs
+        native where it loads and supports the spec, and ``numpy`` its
+        scan only where native cannot.  Results are bit-identical
+        whichever backend runs them — this is purely a throughput knob.
     backend_forced:
         When true the config's backend overrides even per-request
         ``backend`` fields — set by the CLI ``--backend`` flag, giving

@@ -85,8 +85,9 @@ class RunRequest:
         Optional execution-backend name (:mod:`repro.backends`,
         e.g. ``"numpy"``; ``"interp"`` pins the pure-Python reference).
         Purely a throughput hint: results are bit-identical across
-        backends, and unset or unsupported combinations take the default
-        route (native where supported, else the interpreter).  Overrides
+        backends.  Any name but ``interp``, like none, runs native where
+        it loads and supports the spec; ``numpy`` runs its scan only
+        where native cannot, and the interpreter runs the rest.  Overrides
         the runner's environment default; the CLI ``--backend`` flag
         overrides both.
     """

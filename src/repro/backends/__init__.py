@@ -13,9 +13,10 @@ package registers the built-in backends (and builds nothing)::
         (result,) = backend.run_tasks([(spec, trace)], scenario, config)
 
 The scheduler (:func:`repro.pipeline.parallel.run_scheduled`, behind
-:class:`~repro.api.runner.Runner`) selects backends by name and falls
-back to the default route (native, else ``interp``) for anything a
-backend does not support.
+:class:`~repro.api.runner.Runner`) selects backends by name.  Unless
+``interp`` is selected, a task runs on native wherever the library loads
+and supports it; a selected backend runs what native cannot, and the
+interpreter the rest.
 """
 
 from repro.backends.base import (

@@ -7,10 +7,12 @@ backend — it supports every registered predictor kind and every update
 scenario.  Alternative backends trade generality for throughput: the
 ``native`` backend (:mod:`repro.backends.native`) runs the whole staged
 simulation in C for the TAGE family, the static baselines, the two-bit
-tables, the perceptron and GEHL, and is the default route of a request
-that selects no backend; the ``numpy`` backend
+tables, the perceptron and GEHL, and runs every task it supports unless
+``interp`` is selected; the ``numpy`` backend
 (:mod:`repro.backends.vector`) replaces the per-branch loop with one
-array scan for bimodal and gshare under scenario [I].
+array scan for bimodal and gshare under scenario [I], and runs only where
+the native library does not load.  So a ``numpy`` selection means native
+where it loads and the scan otherwise.
 
 The scheduler (:func:`~repro.pipeline.parallel.run_scheduled`) calls
 :meth:`Backend.run_tasks` once per (scenario, config) group, on the
@@ -25,10 +27,9 @@ The contract every backend honours:
   misprediction and access for access — so backend choice is purely a
   performance knob and results cache across backends;
 * :meth:`Backend.supports` is the capability gate: schedulers ask before
-  dispatching and route unsupported (spec, scenario, config) combinations
-  to the default route (native where it supports them, else the
-  interpreter), so selecting a backend never changes *which* runs
-  succeed, only how fast they do.
+  dispatching and route what neither native nor the selected backend
+  supports to the interpreter, so selecting a backend never changes
+  *which* runs succeed, only how fast they do.
 
 Backends register by name (:func:`register_backend`); selection travels
 as a plain string through :class:`~repro.api.config.RunnerConfig`

@@ -15,8 +15,9 @@ not model declines the spec, which then runs on the interpreter.
 :func:`repro.traces.synthetic.generate_workload`, which loads it through
 :func:`_library`.
 
-The library is built on first use (``gcc -O2 -shared -fPIC``) into
-``__pycache__/repro_native_<hash>.so`` beside :file:`kernel.c`, or a
+The library is built on first use (``gcc -O2 -shared -fPIC``, then the
+whitespace-separated flags of ``REPRO_NATIVE_CFLAGS``, e.g. sanitizers)
+into ``__pycache__/repro_native_<hash>.so`` beside :file:`kernel.c`, or a
 per-user directory under :func:`tempfile.gettempdir` when that is
 unusable; the hash covers both sources and the compiler command, and an
 atomic rename publishes it.  Importing :mod:`repro` builds and loads
@@ -59,8 +60,10 @@ __all__ = ["NativeBackend"]
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernel.c")
 _GENERATOR_SOURCE = os.path.join(os.path.dirname(_SOURCE), "generator.c")
-#: The compile command; ``-o <output> <sources>`` is appended.
+#: The compile command; ``REPRO_NATIVE_CFLAGS`` and ``-o <output> <sources>``
+#: are appended.
 _COMPILER = ["gcc", "-O2", "-shared", "-fPIC", "-std=c99"]
+ENV_CFLAGS = "REPRO_NATIVE_CFLAGS"
 _LOG = get_logger("backends")
 _LOCK = threading.Lock()
 #: None until the first load attempt, then the library or False.
@@ -89,7 +92,8 @@ def _usable(directory: str) -> bool:
 def _build() -> str:
     """Path of the compiled library, compiling it if no cached copy exists."""
     sources = [_SOURCE, _GENERATOR_SOURCE]
-    hasher = hashlib.sha256(" ".join(_COMPILER).encode())
+    compiler = [*_COMPILER, *os.environ.get(ENV_CFLAGS, "").split()]
+    hasher = hashlib.sha256(" ".join(compiler).encode())
     for source in sources:
         with open(source, "rb") as handle:
             hasher.update(handle.read())
@@ -102,7 +106,7 @@ def _build() -> str:
             continue
         partial = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
         try:
-            subprocess.run([*_COMPILER, "-o", partial, *sources], check=True,
+            subprocess.run([*compiler, "-o", partial, *sources], check=True,
                            capture_output=True, text=True)
             os.replace(partial, path)
         finally:

@@ -11,10 +11,12 @@ maps, retiring each position as soon as its prefix is known (its range
 reaches the segment start, or its map is constant) — no per-branch loop
 at all.
 
-Everything else — the delayed scenarios [A]/[B]/[C], shared-hysteresis
-bimodal, every other kind — is declined by :meth:`NumpyBackend.supports`
-and takes the scheduler's default route (the ``native`` C kernel where it
-supports the spec, otherwise the interpreter).
+The scheduler runs the scan only where the ``native`` C kernel cannot
+run the task — in practice, on hosts where :file:`kernel.c` does not
+build — so a ``numpy`` selection means native where it loads and the scan
+otherwise.  Everything else — the delayed scenarios [A]/[B]/[C],
+shared-hysteresis bimodal, every other kind — is declined by
+:meth:`NumpyBackend.supports` and then runs on the interpreter.
 
 The scan reproduces the engine's accounting exactly — mispredictions,
 fetch reads, *effective* (non-silent) writes, warmup replay for sharded

@@ -608,24 +608,26 @@ def _fan_out(calls: list[Callable[[], SimulationResult]],
 def _route(selection, spec: PredictorSpec, scenario: UpdateScenario, config: PipelineConfig):
     """The backend one task runs on, or None for the interpreter pool.
 
-    ``selection`` is a backend name, a live backend or None.  A selected
-    backend runs the tasks it supports; ``interp`` always means the
-    pure-Python reference engine.  Everything else — no selection, or a
-    spec the selected backend declines — takes the default route: the
-    ``native`` kernel when it loads and supports the spec, otherwise the
-    interpreter pool.
+    ``selection`` is a backend name, a live backend or None.  ``interp``
+    always means the pure-Python reference engine.  Any other selection,
+    like none, runs the task on the ``native`` kernel when it loads and
+    supports the spec; backends are bit-identical, so the fastest one
+    wins.  Only where native cannot does a selected backend run the task
+    it supports (``numpy``: the two-bit [I] scan on hosts where the
+    kernel does not build); everything else runs on the interpreter pool.
     """
     from repro.backends import DEFAULT_BACKEND, get_backend
     from repro.backends.base import Backend
 
+    backend = None
     if selection is not None:
         backend = selection if isinstance(selection, Backend) else get_backend(selection)
         if backend.name == DEFAULT_BACKEND:
             return None
-        if backend.supports(spec, scenario, config):
-            return backend
     native = get_backend("native")
-    return native if native.supports(spec, scenario, config) else None
+    if native.supports(spec, scenario, config):
+        return native
+    return backend if backend is not None and backend.supports(spec, scenario, config) else None
 
 
 def run_scheduled(
@@ -662,16 +664,16 @@ def _run_scheduled(
     results are written back.  The survivors are routed by ``backend``
     (see :func:`_route`):
 
-    * tasks the selected backend supports — and, without a selection or
-      when the selected backend declines, tasks the ``native`` kernel
-      supports — run in the driving process (:mod:`repro.backends`)
+    * tasks the ``native`` kernel supports — unless ``interp`` is
+      selected — and, where native cannot run them, tasks the selected
+      backend supports run in the driving process (:mod:`repro.backends`)
       while any pool futures for the rest are already in flight.  Each
       native task is **one kernel call**, and the calls fan out over
       ``min(max_workers, tasks)`` threads, the driving thread among
       them (see :func:`_fan_out`); every plan is resolved on the driving
       thread first, and with one worker no thread starts.  Other kernel
-      backends (``numpy``) run **one call per (scenario, config) group**
-      on the driving thread;
+      backends (``numpy``, on hosts where the kernel does not load) run
+      **one call per (scenario, config) group** on the driving thread;
     * everything else (and every task of an explicit ``interp``
       selection) runs on the worker pool.
 

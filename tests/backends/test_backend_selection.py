@@ -4,7 +4,10 @@ Precedence is env < request < CLI: ``REPRO_SUITE_BACKEND`` sets the
 ambient default, a request's ``backend`` field overrides it, and an
 explicit ``--backend`` flag (``backend_forced``) overrides both.  All
 selections are bit-identical, so every test can assert result equality
-against the plain interpreter path.
+against the plain interpreter path.  A ``numpy`` selection runs on the
+native kernel where it loads and on the numpy scan where it does not; the
+tests named ``*without_native*`` make the library unavailable so that
+the scan runs.
 """
 
 from __future__ import annotations
@@ -81,38 +84,10 @@ class TestPrecedence:
 
 
 class TestSchedulerRouting:
-    def test_run_scheduled_backend_matches_interp(self):
-        trace = generate_trace("WS01", branches_per_trace=800, seed=5)
-        specs = [
-            PredictorSpec("gshare", {"log2_entries": n}) for n in (8, 10, 12)
-        ] + [PredictorSpec("bimodal", {"entries": 512})]
-        tasks = [
-            (spec, trace, scenario, PipelineConfig())
-            for spec in specs
-            for scenario in (UpdateScenario.IMMEDIATE, UpdateScenario.FETCH_READ_ONLY)
-        ]
-        via_interp = run_scheduled(tasks, max_workers=1, backend="interp")
-        via_numpy = run_scheduled(tasks, max_workers=1, backend="numpy")
-        assert [pickle.dumps(r) for r in via_numpy] == [pickle.dumps(r) for r in via_interp]
-
-    def test_mixed_support_falls_back_per_task(self):
-        """A batch mixing kernel-supported and interp-only specs runs both."""
-        trace = generate_trace("INT03", branches_per_trace=400, seed=5)
-        tasks = [
-            (PredictorSpec("gshare", {"log2_entries": 10}), trace,
-             UpdateScenario.IMMEDIATE, PipelineConfig()),
-            (PredictorSpec("tage-lsc"), trace, UpdateScenario.IMMEDIATE, PipelineConfig()),
-        ]
-        via_numpy = run_scheduled(tasks, max_workers=1, backend="numpy")
-        via_interp = run_scheduled(tasks, max_workers=1, backend="interp")
-        assert [pickle.dumps(r) for r in via_numpy] == [pickle.dumps(r) for r in via_interp]
-
-    def test_lone_delayed_numpy_task_on_native(self, monkeypatch):
-        """numpy has only the [I] scan: a lone [C] gshare task selected
-        for numpy runs on the native kernel, never on the interp pool;
-        a lone [I] task runs on the numpy scan.  Calls into the methods
-        the scheduler hands tasks to (numpy's ``run_tasks``, native's
-        ``bind``) are the observable."""
+    @pytest.fixture
+    def entry_calls(self, monkeypatch):
+        """(backend, tasks) of every call into the methods the scheduler
+        hands kernel tasks to: numpy's ``run_tasks`` and native's ``bind``."""
         from repro.backends import get_backend
 
         calls = []
@@ -125,24 +100,61 @@ class TestSchedulerRouting:
                 return _entry(self, tasks, *args)
 
             monkeypatch.setattr(type(backend), method, spy)
+        return calls
+
+    @staticmethod
+    def lone_runs(backend):
+        """A lone gshare task under [C], then under [I], each in its own pass."""
         spec = PredictorSpec("gshare", {"log2_entries": 10})
         trace = generate_trace("CLIENT01", branches_per_trace=300, seed=9)
-        (delayed,) = run_scheduled(
-            [(spec, trace, UpdateScenario.REREAD_ON_MISPREDICTION, PipelineConfig())],
-            max_workers=1, backend="numpy",
-        )
-        assert calls == [("native", 1)]
-        (immediate,) = run_scheduled(
-            [(spec, trace, UpdateScenario.IMMEDIATE, PipelineConfig())],
-            max_workers=1, backend="numpy",
-        )
-        assert calls == [("native", 1), ("numpy", 1)]
-        for result, scenario in ((delayed, "C"), (immediate, "I")):
-            (reference,) = run_scheduled(
-                [(spec, trace, UpdateScenario(scenario), PipelineConfig())],
-                max_workers=1, backend="interp",
-            )
-            assert result == reference
+        return [
+            run_scheduled([(spec, trace, UpdateScenario(scenario), PipelineConfig())],
+                          max_workers=1, backend=backend)[0]
+            for scenario in ("C", "I")
+        ]
+
+    def test_run_scheduled_backend_matches_interp(self, numpy_selection):
+        trace = generate_trace("WS01", branches_per_trace=800, seed=5)
+        specs = [
+            PredictorSpec("gshare", {"log2_entries": n}) for n in (8, 10, 12)
+        ] + [PredictorSpec("bimodal", {"entries": 512})]
+        tasks = [
+            (spec, trace, scenario, PipelineConfig())
+            for spec in specs
+            for scenario in (UpdateScenario.IMMEDIATE, UpdateScenario.FETCH_READ_ONLY)
+        ]
+        via_interp = run_scheduled(tasks, max_workers=1, backend="interp")
+        via_numpy = numpy_selection(tasks)
+        assert [pickle.dumps(r) for r in via_numpy] == [pickle.dumps(r) for r in via_interp]
+
+    def test_mixed_support_falls_back_per_task(self, numpy_selection):
+        """A batch mixing kernel-supported and interp-only specs runs both."""
+        trace = generate_trace("INT03", branches_per_trace=400, seed=5)
+        tasks = [
+            (PredictorSpec("gshare", {"log2_entries": 10}), trace,
+             UpdateScenario.IMMEDIATE, PipelineConfig()),
+            (PredictorSpec("tage-lsc"), trace, UpdateScenario.IMMEDIATE, PipelineConfig()),
+        ]
+        via_numpy = numpy_selection(tasks)
+        via_interp = run_scheduled(tasks, max_workers=1, backend="interp")
+        assert [pickle.dumps(r) for r in via_numpy] == [pickle.dumps(r) for r in via_interp]
+
+    def test_lone_delayed_numpy_task_on_native(self, entry_calls):
+        """Where native loads it runs every task a numpy selection sends,
+        the [I] one the scan could take too: lone [C] and [I] gshare
+        tasks each reach native's ``bind``, never numpy's ``run_tasks``."""
+        results = self.lone_runs("numpy")
+        assert entry_calls == [("native", 1), ("native", 1)]
+        assert [pickle.dumps(r) for r in results] == [
+            pickle.dumps(r) for r in self.lone_runs("interp")]
+
+    def test_numpy_selection_without_native_runs_the_scan(self, entry_calls, without_native):
+        """Where native does not load, the lone [I] task reaches the numpy
+        scan and the [C] one, which the scan declines, the interp path."""
+        results = self.lone_runs("numpy")
+        assert entry_calls == [("numpy", 1)]
+        assert [pickle.dumps(r) for r in results] == [
+            pickle.dumps(r) for r in self.lone_runs("interp")]
 
     def test_per_task_backend_list(self):
         trace = generate_trace("INT03", branches_per_trace=400, seed=5)
@@ -153,15 +165,25 @@ class TestSchedulerRouting:
         with pytest.raises(ValueError, match="per-task backend"):
             run_scheduled([task], max_workers=1, backend=["numpy", "numpy"])
 
+    def test_per_task_backend_list_without_native(self, without_native, record_routes):
+        """Deduplicated tasks take the first one's selection: the scan."""
+        trace = generate_trace("INT03", branches_per_trace=400, seed=5)
+        task = (PredictorSpec("gshare", {"log2_entries": 10}), trace,
+                UpdateScenario.IMMEDIATE, PipelineConfig())
+        with record_routes() as routes:
+            mixed = run_scheduled([task, task], max_workers=1, backend=["numpy", None])
+        assert routes == {"numpy": 1}
+        assert mixed[0] == mixed[1] == run_scheduled([task], max_workers=1, backend="interp")[0]
+
 
 class TestRunnerEndToEnd:
     def test_run_batch_identical_across_backends(self):
         requests = [
             RunRequest("gshare", TINY, scenario="C"),
             RunRequest("bimodal", TINY),
-            RunRequest("tage", TINY),  # no numpy kernel: falls back to native
+            RunRequest("tage", TINY),
             RunRequest("tage-lsc", TINY),
-            RunRequest("perceptron", TINY, scenario="C"),  # no numpy kernel: native
+            RunRequest("perceptron", TINY, scenario="C"),
         ]
         baseline = Runner(RunnerConfig(backend="interp")).run_batch(requests)
         for backend in ("numpy", "native", None):
@@ -184,8 +206,48 @@ class TestRunnerEndToEnd:
         assert pickle.dumps(sharded) == pickle.dumps(interp)
         assert sharded.branches == whole.branches
 
+    def test_run_batch_without_native_runs_the_scan(self, without_native, record_routes):
+        """Where native does not load, a numpy selection runs bimodal and
+        sharded gshare under [I] on the scan and the rest on interp."""
+        ref = "synthetic:mixed?length=4000&seed=11"
+        requests = [
+            RunRequest("bimodal", TINY),
+            RunRequest("gshare", TINY, scenario="C"),
+            RunRequest("gshare", ref, sharding={"shards": 3, "warmup": 300}),
+        ]
+        baseline = Runner(RunnerConfig(backend="interp")).run_batch(requests)
+        with record_routes() as routes:
+            via_numpy = Runner(RunnerConfig(backend="numpy")).run_batch(requests)
+        assert routes == {"numpy": 1, "interp": 1}  # one scan call for the [I] group
+        assert [pickle.dumps(s) for s in via_numpy] == [pickle.dumps(s) for s in baseline]
+
+
+#: The two ``repro run`` arguments CI's scan step checks: a 4-entry bimodal
+#: puts the whole trace in four huge segments; a sharded gshare over a
+#: local pattern mixes short segments, warmup and maps that stay
+#: non-constant.
+SCAN_RUNS = {
+    "bimodal4": ["bimodal", "--config", '{"entries": 4}',
+                 "--trace", "synthetic:mixed?length=50000&seed=7"],
+    "local": ["gshare", "--trace", "synthetic:local-pattern?length=50000&seed=3",
+              "--shards", "2", "--warmup", "200"],
+}
+
 
 class TestCLI:
+    @pytest.mark.parametrize("name", sorted(SCAN_RUNS))
+    def test_numpy_without_native_runs_the_scan(self, name, without_native, record_routes,
+                                                capsys):
+        """Where native does not load, ``--backend numpy`` runs the scan
+        and prints the ``--backend interp`` bytes."""
+        printed = {}
+        for backend in ("numpy", "interp"):
+            with record_routes() as routes:
+                assert main(["run", *SCAN_RUNS[name], "--backend", backend, "--json"]) == 0
+            printed[backend] = capsys.readouterr().out
+            assert set(routes) == {backend}, routes
+        assert printed["numpy"] == printed["interp"]
+
     def test_run_backend_flag_matches_interp(self, capsys):
         code = main(["run", "gshare", "--trace", TINY, "--backend", "interp", "--json"])
         assert code == 0

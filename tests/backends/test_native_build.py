@@ -1,4 +1,4 @@
-"""Building and loading the native kernel: caching, races, failure, laziness.
+"""Building and loading the native kernel: caching, races, failure, laziness, flags.
 
 The library is compiled on first use into ``__pycache__`` beside
 ``kernel.c`` (or a per-user temp directory) and published by atomic
@@ -122,3 +122,25 @@ def test_import_builds_and_loads_nothing():
                             env=_child_env(), timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "None"
+
+
+def test_extra_cflags_are_compiled_in_and_hashed(monkeypatch, tmp_path):
+    """``REPRO_NATIVE_CFLAGS`` joins the compile command and its hash, so
+    a sanitized build never reuses (or replaces) the plain library."""
+    commands = []
+
+    def compile_command(command, **_):
+        commands.append(command)
+        open(command[command.index("-o") + 1], "wb").close()
+
+    monkeypatch.setattr(native.subprocess, "run", compile_command)
+    monkeypatch.setattr(native, "_build_dirs", lambda: [str(tmp_path)])
+    monkeypatch.delenv(native.ENV_CFLAGS, raising=False)
+    plain = native._build()
+    monkeypatch.setenv(native.ENV_CFLAGS, " -O1  -fsanitize=address ")
+    sanitized = native._build()
+    assert plain != sanitized
+    assert [command[:command.index("-o")] for command in commands] == [
+        native._COMPILER, [*native._COMPILER, "-O1", "-fsanitize=address"]]
+    assert native._build() == sanitized  # cached: found, not rebuilt
+    assert len(commands) == 2

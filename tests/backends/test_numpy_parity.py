@@ -9,10 +9,12 @@ The dataclass equality below covers the full access profile, so one
 ``==`` asserts prediction bits, effective writes, retire reads and
 warmup accounting at once.
 
-A ``numpy`` selection runs the two-bit tables on the numpy scan under
-[I] and on the native kernel under [A]/[B]/[C]; every case goes through
-:func:`~repro.pipeline.parallel.run_scheduled` and must land on a kernel,
-never on the interp pool.
+A ``numpy`` selection runs on the native kernel wherever it loads, and
+on the numpy scan (the two-bit tables under [I]) only where it does not.
+Every case goes through :func:`~repro.pipeline.parallel.run_scheduled`
+on both kinds of host (the ``numpy_selection`` fixture): on the native
+kernel with the library loaded, and on the scan — the interp path for
+what the scan declines — with it unavailable.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import pytest
 from repro.backends import get_backend
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.engine import SimulationEngine
-from repro.pipeline.parallel import run_scheduled
 from repro.pipeline.scenarios import UpdateScenario
 from repro.predictors.registry import PredictorSpec
 from repro.traces.sharding import plan_shards, shard_trace
@@ -47,12 +48,12 @@ def engine_result(spec, trace, scenario, config=None):
 
 
 @pytest.fixture
-def via_numpy(on_kernel):
+def via_numpy(numpy_selection):
     """``via_numpy(specs, trace, scenario, config)``: a numpy selection's results."""
 
     def run(specs, trace, scenario, config=None):
         config = config or PipelineConfig()
-        return on_kernel([(spec, trace, scenario, config) for spec in specs], "numpy")
+        return numpy_selection([(spec, trace, scenario, config) for spec in specs])
 
     return run
 
@@ -152,18 +153,12 @@ def test_unsupported_specs_are_declined():
                                 UpdateScenario.REREAD_AT_RETIRE, config)
 
 
-def test_scheduler_falls_back_transparently(tiny_trace):
-    """Selecting numpy runs unsupported kinds on the default route."""
-    spec = PredictorSpec("bimodal", {"entries": 128, "hysteresis_sharing": 4})
-    config = PipelineConfig()
-    (via_scheduler,) = run_scheduled(
-        [(spec, tiny_trace, UpdateScenario.IMMEDIATE, config)], max_workers=1, backend="numpy"
-    )
-    assert via_scheduler == engine_result(spec, tiny_trace, UpdateScenario.IMMEDIATE)
-
-    supported = SUPPORTED_SPECS["gshare-small"]
-    (via_kernel,) = run_scheduled(
-        [(supported, tiny_trace, UpdateScenario.IMMEDIATE, config)],
-        max_workers=1, backend="numpy",
-    )
-    assert via_kernel == engine_result(supported, tiny_trace, UpdateScenario.IMMEDIATE)
+def test_scheduler_falls_back_transparently(numpy_selection, tiny_trace):
+    """A spec the scan declines (shared hysteresis) runs on the default
+    route beside one it takes, in one pass, on either kind of host."""
+    specs = [PredictorSpec("bimodal", {"entries": 128, "hysteresis_sharing": 4}),
+             SUPPORTED_SPECS["gshare-small"]]
+    results = numpy_selection(
+        [(spec, tiny_trace, UpdateScenario.IMMEDIATE, PipelineConfig()) for spec in specs])
+    for spec, result in zip(specs, results):
+        assert result == engine_result(spec, tiny_trace, UpdateScenario.IMMEDIATE)

@@ -3,15 +3,18 @@
 Same acceptance bar as :mod:`tests.backends.test_numpy_parity` — the
 :class:`SimulationResult` dataclass equality asserts prediction bits,
 effective writes, retire/entry reads and warmup accounting in one ``==``.
-The numpy backend has no kernel for these families, so a ``numpy``
-selection of them runs on the native C kernel: every case goes through
-:func:`~repro.pipeline.parallel.run_scheduled` and must land on a kernel,
-never on the interp pool — including one kernel group spanning several
-traces of different lengths.
+A ``numpy`` selection runs on the native C kernel wherever it loads:
+every case goes through :func:`~repro.pipeline.parallel.run_scheduled`
+and must land on the native kernel, never on the interp pool — including
+one pass spanning several traces of different lengths.  That pass and
+the fig10-shaped one also run with the library unavailable (the
+``numpy_selection`` fixture), where these families, which the numpy scan
+declines, take the interp path beside a scan group for gshare under [I].
 """
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -19,6 +22,7 @@ import pytest
 from repro.backends import get_backend
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.engine import SimulationEngine
+from repro.pipeline.parallel import run_scheduled
 from repro.pipeline.scenarios import UpdateScenario
 from repro.predictors.registry import PredictorSpec
 from repro.traces.sharding import plan_shards, shard_trace
@@ -62,12 +66,17 @@ def engine_result(spec, trace, scenario, config=None):
 
 
 @pytest.fixture
-def via_numpy(on_kernel):
-    """``via_numpy(pairs, scenario, config)``: a numpy selection's results."""
+def via_numpy(record_routes):
+    """``via_numpy(pairs, scenario, config)``: a numpy selection's results,
+    every one from the native kernel."""
 
     def run(pairs, scenario, config=None):
         config = config or PipelineConfig()
-        return on_kernel([(spec, trace, scenario, config) for spec, trace in pairs], "numpy")
+        with record_routes() as routes:
+            results = run_scheduled([(spec, trace, scenario, config) for spec, trace in pairs],
+                                    max_workers=1, backend="numpy")
+        assert set(routes) == {"native"}, routes
+        return results
 
     return run
 
@@ -146,7 +155,7 @@ def test_all_warmup_and_empty_traces(via_numpy):
     "scenario", [UpdateScenario.IMMEDIATE, UpdateScenario.REREAD_ON_MISPREDICTION],
     ids=["I", "C"],
 )
-def test_multi_trace_run_tasks_parity(via_numpy, scenario, mini_suite):
+def test_multi_trace_run_tasks_parity(numpy_selection, scenario, mini_suite):
     """One scheduled pass whose (spec, trace) tasks span a whole suite of
     different-length traces: one kernel group per backend."""
     traces = list(mini_suite) + [
@@ -156,7 +165,8 @@ def test_multi_trace_run_tasks_parity(via_numpy, scenario, mini_suite):
              HEADLINE_SPECS["tage-small"],
              PredictorSpec("gshare", {"log2_entries": 10})]
     pairs = [(spec, trace) for spec in specs for trace in traces]
-    for (spec, trace), result in zip(pairs, via_numpy(pairs, scenario)):
+    tasks = [(spec, trace, scenario, PipelineConfig()) for spec, trace in pairs]
+    for (spec, trace), result in zip(pairs, numpy_selection(tasks)):
         assert result == engine_result(spec, trace, scenario)
 
 
@@ -169,17 +179,13 @@ def test_run_tasks_rejects_unsupported_specs(tiny_trace):
         )
 
 
-def test_suite_trace_parity_through_scheduler(on_kernel, mini_suite):
+def test_suite_trace_parity_through_scheduler(numpy_selection, mini_suite):
     """fig10-shaped run: one config across a suite, through run_scheduled."""
-    import pickle
-
-    from repro.pipeline.parallel import run_scheduled
-
     spec = HEADLINE_SPECS["gehl-small"]
     tasks = [
         (spec, trace, UpdateScenario.REREAD_AT_RETIRE, PipelineConfig())
         for trace in mini_suite
     ]
-    via_numpy = on_kernel(tasks, "numpy")
+    via_numpy = numpy_selection(tasks)
     via_interp = run_scheduled(tasks, max_workers=1, backend="interp")
     assert [pickle.dumps(r) for r in via_numpy] == [pickle.dumps(r) for r in via_interp]

@@ -9,6 +9,8 @@ plain loop over a dict of 2-bit counters, on streams shaped to reach each
 retire rule: a single index (one segment spanning the trace), strictly
 alternating outcomes (maps that never go constant), all-distinct indices
 (every position a segment start), and the empty and one-branch streams.
+The native kernel's 64-entry bimodal is held to the same loop on the same
+streams, over a trace whose PCs index the drawn entries.
 """
 
 from __future__ import annotations
@@ -19,8 +21,13 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.backends import get_backend
 from repro.backends.vector.twobit import TableKernel, run_immediate
 from repro.hardware.access_counter import AccessProfile
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.scenarios import UpdateScenario
+from repro.predictors.registry import PredictorSpec
+from repro.traces.trace import Trace
 
 KERNEL = TableKernel(name="bimodal-64", entries=64, history_length=0)
 
@@ -96,3 +103,24 @@ class TestRunImmediate:
         idx = np.zeros(5000, dtype=np.int64)
         got = run_immediate(KERNEL, idx, taken, 100)
         assert got == sequential(idx.tolist(), taken.tolist(), 100)
+
+
+class TestNativeBimodal:
+    @given(streams())
+    @settings(max_examples=150, deadline=None)
+    @example(([], [], 0))
+    @example(([5], [True], 0))
+    @example(([5], [False], 1))
+    @example(([3] * 300, [True, False] * 150, 37))
+    def test_matches_sequential_counters(self, stream):
+        idx, taken, warmup = stream
+        # The bimodal table is indexed by ``(pc >> 2) & 63``.
+        trace = Trace(name="drawn", pcs=[index << 2 for index in idx], taken=taken,
+                      preceding=[0] * len(idx), warmup_count=warmup)
+        (result,) = get_backend("native").run_tasks(
+            [(PredictorSpec("bimodal", {"entries": KERNEL.entries}), trace)],
+            UpdateScenario.IMMEDIATE, PipelineConfig())
+        mispredictions, profile = sequential(idx, taken, warmup)
+        assert result.branches == len(idx) - warmup
+        assert result.mispredictions == mispredictions
+        assert asdict(result.accesses) == asdict(profile)

@@ -1,8 +1,10 @@
-"""Shared fixtures: small deterministic traces used across the test-suite."""
+"""Shared fixtures: small deterministic traces, and where scheduled tasks ran."""
 
 from __future__ import annotations
 
 import os
+import pickle
+from contextlib import contextmanager
 
 import pytest
 
@@ -55,24 +57,72 @@ def mini_suite():
     )
 
 
-@pytest.fixture
-def on_kernel():
-    """``on_kernel(tasks, backend)``: ``run_scheduled`` results, asserting
-    that every unique task ran on a backend kernel and none on the interp
-    pool (the ``repro_sched_tasks_total`` route counter is the observable)."""
+@contextmanager
+def _recording_routes():
+    """``with _recording_routes() as routes:`` — once the block ends,
+    ``routes`` says where its scheduled tasks ran: ``"interp"`` counts the
+    unique tasks on the interp path, a kernel backend's name its kernel
+    calls (the route counter and the kernel histogram are the observables)."""
+    from repro.backends import available_backends
     from repro.obs import MetricsRegistry, set_metrics
+
+    registry = MetricsRegistry()
+    previous = set_metrics(registry)
+    routes: dict[str, int] = {}
+    try:
+        yield routes
+    finally:
+        set_metrics(previous)
+    kernel = registry.histogram("repro_backend_kernel_seconds", "", ("backend",))
+    counts = {name: kernel.count(backend=name) for name in available_backends()}
+    counts["interp"] = int(
+        registry.counter("repro_sched_tasks_total", "", ("route",)).value(route="interp"))
+    routes.update((name, count) for name, count in counts.items() if count)
+
+
+@pytest.fixture
+def record_routes():
+    """``with record_routes() as routes:`` (see :func:`_recording_routes`)."""
+    return _recording_routes
+
+
+@pytest.fixture
+def without_native(monkeypatch):
+    """The native library reads as unavailable, as on a host where
+    ``kernel.c`` does not build: simulations route around the kernel and
+    traces come from the Python generator."""
+    from repro.backends import native
+
+    monkeypatch.setattr(native, "_library_state", False)
+
+
+@pytest.fixture
+def numpy_selection():
+    """``numpy_selection(tasks)``: one-worker ``run_scheduled`` results of a
+    ``numpy`` selection, run on both kinds of host.
+
+    With the native library loaded every task must run on the native
+    kernel.  With it unavailable, the tasks the numpy scan supports must
+    run on the scan and the rest on the interp path.  Both runs must be
+    pickle-identical; the first one's results are returned.
+    """
+    from repro.backends import get_backend, native
     from repro.pipeline.parallel import run_scheduled
 
-    def run(tasks, backend):
-        registry = MetricsRegistry()
-        previous = set_metrics(registry)
-        try:
-            results = run_scheduled(tasks, max_workers=1, backend=backend)
-        finally:
-            set_metrics(previous)
-        routes = registry.counter("repro_sched_tasks_total", "", ("route",))
-        assert routes.value(route="interp") == 0
-        assert routes.value(route="kernel") > 0
+    scan = get_backend("numpy")
+
+    def run(tasks):
+        with _recording_routes() as routes:
+            results = run_scheduled(tasks, max_workers=1, backend="numpy")
+        assert set(routes) == {"native"}, routes
+        with pytest.MonkeyPatch.context() as patch, _recording_routes() as fallback_routes:
+            patch.setattr(native, "_library_state", False)
+            fallback = run_scheduled(tasks, max_workers=1, backend="numpy")
+        expected = {"numpy" if scan.supports(spec, scenario, config) else "interp"
+                    for spec, _, scenario, config in tasks}
+        assert set(fallback_routes) == expected, fallback_routes
+        assert [pickle.dumps(result) for result in fallback] == [
+            pickle.dumps(result) for result in results]
         return results
 
     return run

@@ -10,8 +10,9 @@ override count.  The TAGE family runs under every update scenario, every
 other kind under [I] and [C], on two small deterministic traces.  Every
 trace generator emits 4-byte-aligned PCs, so TAGE's path history (low PC
 bits) stays 0 on them; a third, hand-built trace of odd and even PCs
-keeps it live under [I] and [C].  A ``numpy`` selection and the native C
-kernel are held to the same rows as the interp engine.
+keeps it live under [I] and [C].  A ``numpy`` selection (with the native
+library loaded and without it) and the native C kernel are held to the
+same rows as the interp engine.
 
 Regenerate the tables only when a change is *meant* to move results, and
 say so in the change description.
@@ -223,10 +224,9 @@ def test_golden_counts(traces, case):
     assert _counts(result) == _expected(ref, GOLDEN[case])
 
 
-#: Every golden row a ``numpy`` selection runs on a kernel: the numpy scan
-#: takes bimodal and gshare under [I]; their delayed rows, the neural
-#: kinds and plain TAGE have no numpy kernel and fall back to the native
-#: one (no numpy kernel takes ``interleaved``).
+#: Golden rows for a ``numpy`` selection, which runs on the native kernel
+#: where it loads; where it does not, the numpy scan takes bimodal and
+#: gshare under [I] and the interp path the rest.
 NUMPY_CASES = [
     case for case in GOLDEN
     if not case[2] and case[1] in ("bimodal", "gshare", "perceptron", "gehl", "tage")
@@ -234,11 +234,10 @@ NUMPY_CASES = [
 
 
 @pytest.mark.parametrize("case", NUMPY_CASES, ids=_case_id)
-def test_numpy_golden_counts(traces, case, on_kernel):
+def test_numpy_golden_counts(traces, case, numpy_selection):
     ref, kind, interleaved, scenario = case
-    (result,) = on_kernel(
-        [(_spec(kind, interleaved), traces[ref], UpdateScenario(scenario), PipelineConfig())],
-        "numpy",
+    (result,) = numpy_selection(
+        [(_spec(kind, interleaved), traces[ref], UpdateScenario(scenario), PipelineConfig())]
     )
     assert _counts(result) == _expected(ref, GOLDEN[case])
 

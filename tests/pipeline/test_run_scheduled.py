@@ -80,8 +80,9 @@ class TestCombinedPass:
         assert suites[0].results[0] == SimulationEngine(PredictorSpec("bimodal").build()).run(trace)
         assert suites[1].results[0] == SimulationEngine(PredictorSpec("gshare").build()).run(trace)
 
-    def test_backend_groups_overlap_with_pool_tasks(self, traces):
-        """Kernel-supported tasks run in-process while pool tasks run."""
+    @staticmethod
+    def mixed_selection_pass(traces):
+        """Three gshare sizes selected for numpy, two traces on the default route."""
         flat = [
             (PredictorSpec("gshare", {"log2_entries": n}), traces[0],
              UpdateScenario.IMMEDIATE, CONFIG)
@@ -90,6 +91,20 @@ class TestCombinedPass:
         results = run_scheduled(flat, max_workers=2, backend=["numpy"] * 3 + [None] * 2)
         for (spec, trace, _, _), result in zip(flat, results):
             assert result == expected_whole(trace, spec)
+
+    def test_backend_groups_overlap_with_pool_tasks(self, traces, record_routes):
+        """Where native loads, every task of the pass runs on it."""
+        with record_routes() as routes:
+            self.mixed_selection_pass(traces)
+        assert routes == {"native": 5}
+
+    def test_scan_overlaps_with_pool_tasks_without_native(self, traces, without_native,
+                                                          record_routes):
+        """Where native does not load, the numpy selection runs on the scan
+        in-process while the default-route tasks run on the pool."""
+        with record_routes() as routes:
+            self.mixed_selection_pass(traces)
+        assert routes == {"numpy": 1, "interp": 2}
 
     def test_exact_only_batch_matches_whole_runs(self):
         other = "synthetic:mixed?length=2500&seed=17"
