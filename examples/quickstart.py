@@ -14,7 +14,7 @@ which is also what the ``repro`` CLI drives::
 
 from __future__ import annotations
 
-from repro import simulate
+from repro import SimulationEngine
 from repro.api import Runner, RunRequest
 from repro.predictors.registry import create
 from repro.traces import generate_trace
@@ -30,7 +30,7 @@ def main() -> None:
     print("\npredictor:", predictor.name)
     print(predictor.config.describe())
 
-    result = simulate(predictor, trace)
+    result = SimulationEngine(predictor).run(trace)
     print("\nresult:", result.summary())
     print(f"accuracy          : {result.accuracy:.3%}")
     print(f"MPKI              : {result.mpki:.2f}")

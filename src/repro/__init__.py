@@ -31,11 +31,11 @@ Andre Seznec's MICRO 2011 paper:
 Quickstart
 ----------
 
->>> from repro import make_reference_tage, simulate
+>>> from repro import SimulationEngine, make_reference_tage
 >>> from repro.traces import generate_suite
 >>> trace = generate_suite(categories=["INT"], traces_per_category=1,
 ...                        branches_per_trace=20_000, seed=7)[0]
->>> result = simulate(make_reference_tage(), trace)
+>>> result = SimulationEngine(make_reference_tage()).run(trace)
 >>> result.mispredictions > 0
 True
 """
@@ -57,8 +57,6 @@ from repro.pipeline import (
     SimulationEngine,
     SimulationResult,
     UpdateScenario,
-    simulate,
-    simulate_delayed,
 )
 from repro.predictors import (
     BimodalPredictor,
@@ -97,7 +95,5 @@ __all__ = [
     "generate_suite",
     "make_reference_tage",
     "make_reference_tage_config",
-    "simulate",
-    "simulate_delayed",
     "__version__",
 ]

@@ -12,12 +12,14 @@ Predictors are described as registry specs
 (:class:`~repro.predictors.registry.PredictorSpec`) and every suite runs
 through the ambient :class:`~repro.api.runner.Runner` facade: drivers that
 need several suites submit them as one batch, so all (spec, trace) pairs
-interleave into a single process pool.  Configuration (worker count,
-result cache) comes from :meth:`~repro.api.config.RunnerConfig.from_env`
-— ``REPRO_SUITE_WORKERS``, ``REPRO_SUITE_CACHE`` and
-``REPRO_SUITE_CACHE_VERSION`` — unless an entry point installs its own
-runner with :func:`~repro.api.runner.using_runner` (the ``repro`` CLI
-does, so its ``--workers``/``--cache-dir`` flags reach every experiment).
+go through one scheduling pass: kernel-routed pairs fan out over native
+threads and only interp-routed ones (such as ``snap`` and ``ftl``) share
+one process pool.  Configuration (worker count, result cache) comes from
+:meth:`~repro.api.config.RunnerConfig.from_env` — ``REPRO_SUITE_WORKERS``,
+``REPRO_SUITE_CACHE`` and ``REPRO_SUITE_CACHE_VERSION`` — unless an
+entry point installs its own runner with
+:func:`~repro.api.runner.using_runner` (the ``repro`` CLI does, so its
+``--workers``/``--cache-dir`` flags reach every experiment).
 """
 
 from __future__ import annotations
@@ -97,9 +99,10 @@ def _suites(
 ) -> list[SuiteResult]:
     """Run several (spec, scenario, config) suites as one interleaved batch.
 
-    Every (spec, trace) pair of every run goes into the same pool, so a
-    driver comparing five predictors keeps all workers busy until the
-    whole experiment drains instead of parallelising one suite at a time.
+    Every (spec, trace) pair of every run goes into the same scheduling
+    pass, so a driver comparing five predictors keeps all workers busy
+    until the whole experiment drains instead of parallelising one suite
+    at a time.
     """
     return active_runner().run_suites(
         [(spec, traces, scenario, config) for spec, scenario, config in runs]

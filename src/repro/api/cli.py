@@ -125,10 +125,9 @@ def _add_runner_options(parser: argparse.ArgumentParser) -> None:
                             "default: REPRO_SUITE_CACHE_MAX_MB")
     group.add_argument("--backend", type=_parse_backend, default=None, metavar="NAME",
                        help="execution backend (interp, numpy or native; bit-identical "
-                            "results; interp pins the reference, anything else runs "
-                            "native where it loads and supports the spec; numpy runs "
-                            "its two-bit [I] scan only where native cannot, interp "
-                            "the rest); overrides REPRO_SUITE_BACKEND and request backends")
+                            "results; interp pins the reference engine, numpy and native "
+                            "mean the default route, see repro.pipeline.parallel._route); "
+                            "overrides REPRO_SUITE_BACKEND and request backends")
 
 
 def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:

@@ -31,12 +31,12 @@ Environment variables (read by :meth:`RunnerConfig.from_env`):
     shard count).  ``off`` disables auto-sharding; unset keeps the
     default (:data:`DEFAULT_AUTO_SHARD_BRANCHES`).
 ``REPRO_SUITE_BACKEND``
-    Execution backend (:mod:`repro.backends`): ``interp`` (the
-    pure-Python reference), ``numpy`` or ``native``.  Unless ``interp``,
-    each task runs on the native C kernel when it loads and supports the
-    spec; ``numpy`` runs its two-bit [I] scan only where native cannot,
-    and the interpreter runs the rest.  A per-request ``backend`` overrides this;
-    the CLI ``--backend`` flag overrides both (env < request < CLI).
+    Execution backend (:mod:`repro.backends`): ``interp``, ``numpy`` or
+    ``native``.  ``interp`` pins the pure-Python reference; the others
+    mean the default route (the rule is in
+    :func:`repro.pipeline.parallel._route`).  A per-request ``backend``
+    overrides this; the CLI ``--backend`` flag overrides both
+    (env < request < CLI).
 ``REPRO_LOG`` / ``REPRO_LOG_JSON``
     Structured-logging level (``debug``/``info``/``warning``/``error``/
     ``critical``; default ``warning``) and JSON-lines mode for the
@@ -137,14 +137,12 @@ def parse_auto_shard(text: str, context: str = "auto-shard threshold") -> int | 
 
 
 def parse_backend(text: str, context: str = "backend") -> str:
-    """Parse an execution-backend name against the registered backends."""
-    from repro.backends import available_backends
+    """Parse an execution-backend name (one of :data:`repro.backends.BACKENDS`)."""
+    from repro.backends import BACKENDS
 
     value = text.strip().lower()
-    if value not in available_backends():
-        raise ValueError(
-            f"{context} must be one of {available_backends()}, got {text!r}"
-        )
+    if value not in BACKENDS:
+        raise ValueError(f"{context} must be one of {list(BACKENDS)}, got {text!r}")
     return value
 
 
@@ -198,10 +196,9 @@ class RunnerConfig:
         always wins over this default.
     backend:
         Execution backend name (:mod:`repro.backends`).  ``interp`` pins
-        the reference engine; anything else, ``None`` included, runs
-        native where it loads and supports the spec, and ``numpy`` its
-        scan only where native cannot.  Results are bit-identical
-        whichever backend runs them — this is purely a throughput knob.
+        the reference engine; any other name, like ``None``, means the
+        default route (see :func:`repro.pipeline.parallel._route`).
+        Results are bit-identical whichever engine runs them.
     backend_forced:
         When true the config's backend overrides even per-request
         ``backend`` fields — set by the CLI ``--backend`` flag, giving

@@ -82,14 +82,12 @@ class RunRequest:
         fragment in ``trace`` — a reference that already names one shard
         must not be sharded again.
     backend:
-        Optional execution-backend name (:mod:`repro.backends`,
-        e.g. ``"numpy"``; ``"interp"`` pins the pure-Python reference).
-        Purely a throughput hint: results are bit-identical across
-        backends.  Any name but ``interp``, like none, runs native where
-        it loads and supports the spec; ``numpy`` runs its scan only
-        where native cannot, and the interpreter runs the rest.  Overrides
-        the runner's environment default; the CLI ``--backend`` flag
-        overrides both.
+        Optional execution-backend name (:mod:`repro.backends`):
+        ``"interp"`` pins the pure-Python reference; any other name, like
+        none, means the default route (see
+        :func:`repro.pipeline.parallel._route`).  Results are
+        bit-identical across backends.  Overrides the runner's
+        environment default; the CLI ``--backend`` flag overrides both.
     """
 
     predictor: PredictorSpec

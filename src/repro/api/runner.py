@@ -20,20 +20,23 @@ nothing; records are generated only for traces with a cache miss.
 Three altitudes, one engine:
 
 * :meth:`Runner.run` — one :class:`~repro.api.request.RunRequest`;
-* :meth:`Runner.run_batch` — many requests, one pool;
-* :meth:`Runner.run_product` — specs x trace refs x scenarios, one pool.
+* :meth:`Runner.run_batch` — many requests, one scheduling pass;
+* :meth:`Runner.run_product` — specs x trace refs x scenarios, one pass.
 
 Experiment drivers that already hold live ``Trace`` lists use the
 lower-level :meth:`Runner.run_suite` / :meth:`Runner.run_suites`, which
 share the same scheduling and cache.
 
-Lifecycle: by default each batch builds (and tears down) its own process
-pool.  With ``persistent=True`` the runner owns one long-lived
-:class:`~repro.pipeline.parallel.WorkerPool` whose worker processes
-outlive each batch, so later batches pay no process spawn — the mode
-the HTTP service and any many-small-requests caller should use.  Either way ``Runner`` is a
-context manager; :meth:`Runner.close` (idempotent, also on ``with``
-exit and Ctrl-C) shuts the pool down without orphaning workers.
+Lifecycle: kernel-routed tasks run in this process and need no pool;
+only interp-routed tasks (``snap``, ``ftl``, ``interp`` selections,
+anything the kernels decline) use worker processes.  By default a batch
+with more than one of those and more than one worker builds (and tears
+down) its own process pool.  With ``persistent=True`` the runner owns
+one long-lived :class:`~repro.pipeline.parallel.WorkerPool` whose worker
+processes outlive each batch, so later batches pay no process spawn.
+Either way ``Runner`` is a context manager; :meth:`Runner.close`
+(idempotent, also on ``with`` exit and Ctrl-C) shuts the pool down
+without orphaning workers.
 """
 
 from __future__ import annotations
@@ -88,14 +91,15 @@ def _coerce_spec(spec: PredictorSpec | str | Predictor) -> PredictorSpec:
 
 @dataclass
 class Runner:
-    """Executes run requests through one shared pool and cache.
+    """Executes run requests through one scheduler and cache.
 
     Build one from the environment (``Runner.from_env()``) or with an
-    explicit :class:`RunnerConfig`.  The runner is cheap to construct;
-    by default the process pool only exists while a batch is executing.
-    With ``persistent=True`` the runner instead keeps one
-    :class:`WorkerPool` alive across batches (created lazily, shut down
-    by :meth:`close` / ``with`` exit).
+    explicit :class:`RunnerConfig`.  The runner is cheap to construct.
+    Only interp-routed tasks use a process pool; by default it exists
+    only while a batch with several such tasks is executing.  With
+    ``persistent=True`` the runner instead keeps one :class:`WorkerPool`
+    alive across batches for them (created lazily, shut down by
+    :meth:`close` / ``with`` exit).
     """
 
     config: RunnerConfig = field(default_factory=RunnerConfig)
@@ -196,10 +200,9 @@ class Runner:
         The config's backend (``REPRO_SUITE_BACKEND``) is the ambient
         default; a request's own ``backend`` field overrides it; a
         *forced* config backend (the CLI ``--backend`` flag) overrides
-        both.  ``None`` means nothing selects one: the scheduler's
-        default route runs the native kernel where it loads and the
-        interpreter otherwise.  Backends are bit-identical, so this only
-        moves work between the interpreter pool and the kernels.
+        both.  Only ``interp`` changes where tasks run: it pins them to
+        the reference engine; any other name, like ``None``, means the
+        default route (see :func:`repro.pipeline.parallel._route`).
         """
         if self.config.backend is not None and self.config.backend_forced:
             return self.config.backend

@@ -10,7 +10,8 @@ the GIL while it runs, so :meth:`NativeBackend.bind` hands out calls that
 threads run side by side (the scheduler fans them over ``--workers``
 threads).
 :func:`_plan` reads a spec's power-on predictor; anything the kernel does
-not model declines the spec, which then runs on the interpreter.
+not model declines the spec, which the routing rule
+(:func:`repro.pipeline.parallel._route`) then sends elsewhere.
 :file:`generator.c`, linked into the same library, is the native path of
 :func:`repro.traces.synthetic.generate_workload`, which loads it through
 :func:`_library`.
@@ -40,7 +41,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.backends.base import Backend
 from repro.core.augmented import AugmentedTAGE, RetireReadScope
 from repro.core.composed import ISLTAGEPredictor, LTAGEPredictor, TAGELSCPredictor
 from repro.core.loop_predictor import LoopPredictor
@@ -126,7 +126,8 @@ def _library():
             except (OSError, subprocess.CalledProcessError) as error:
                 detail = getattr(error, "stderr", None) or str(error)
                 log_event(_LOG, logging.WARNING, "native backend unavailable; simulations "
-                          "run on the interpreter, traces on the Python generator",
+                          "run on the two-bit scan or the interpreter, traces on the "
+                          "Python generator",
                           error=detail.strip()[:500])
                 _library_state = False
             else:
@@ -211,7 +212,7 @@ def _plan(predictor) -> list[int] | None:
     return plan
 
 
-class NativeBackend(Backend):
+class NativeBackend:
     """The whole staged simulation in C, one call per (spec, trace)."""
 
     name = "native"

@@ -11,12 +11,10 @@ maps, retiring each position as soon as its prefix is known (its range
 reaches the segment start, or its map is constant) — no per-branch loop
 at all.
 
-The scheduler runs the scan only where the ``native`` C kernel cannot
-run the task — in practice, on hosts where :file:`kernel.c` does not
-build — so a ``numpy`` selection means native where it loads and the scan
-otherwise.  Everything else — the delayed scenarios [A]/[B]/[C],
-shared-hysteresis bimodal, every other kind — is declined by
-:meth:`NumpyBackend.supports` and then runs on the interpreter.
+When the scan runs is decided by the routing rule in
+:func:`repro.pipeline.parallel._route`, not by a selection.
+:meth:`NumpyBackend.supports` declines everything else — the delayed
+scenarios [A]/[B]/[C], shared-hysteresis bimodal, every other kind.
 
 The scan reproduces the engine's accounting exactly — mispredictions,
 fetch reads, *effective* (non-silent) writes, warmup replay for sharded
@@ -29,7 +27,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.backends.base import Backend
 from repro.backends.vector import twobit
 from repro.backends.vector.streams import StreamCache
 from repro.pipeline.config import PipelineConfig
@@ -41,7 +38,7 @@ from repro.traces.trace import Trace
 __all__ = ["NumpyBackend"]
 
 
-class NumpyBackend(Backend):
+class NumpyBackend:
     """The [I] prefix-scan kernel for bimodal and gshare tables."""
 
     name = "numpy"

@@ -8,15 +8,12 @@ with one staged machine and the scheduler built on top of it:
   core: an explicit fetch → execute → retire loop over the in-flight
   branch window.  The oracle immediate update of scenario [I] is the
   degenerate zero-delay configuration (window depth zero, update from
-  fresh values at fetch), so every scenario shares one code path,
-* :func:`~repro.pipeline.simulator.simulate` /
-  :func:`~repro.pipeline.simulator.simulate_delayed` — one-line shims
-  over the engine, preserved because experiments and papers reference
-  them,
+  fresh values at fetch), so every scenario shares one code path; it
+  runs one predictor over one trace,
 * :func:`~repro.pipeline.parallel.run_scheduled` — the scheduling pass
   behind :class:`~repro.api.runner.Runner`: (spec, trace, scenario,
-  config) tasks fanned out over a worker pool or run in-process, routed
-  to the batched backends (:mod:`repro.backends`) where supported, with
+  config) tasks routed to the kernels (:mod:`repro.backends`) or the
+  engine by one rule (:func:`~repro.pipeline.parallel._route`), with
   an opt-in on-disk :class:`~repro.pipeline.parallel.SuiteCache`,
 * :class:`~repro.pipeline.scenarios.UpdateScenario` — the four update
   policies compared in Section 4.1.2 ([I] oracle immediate update, [A]
@@ -35,7 +32,6 @@ from repro.pipeline.engine import SimulationEngine
 from repro.pipeline.metrics import SimulationResult, SuiteResult
 from repro.pipeline.parallel import SuiteCache, run_scheduled
 from repro.pipeline.scenarios import UpdateScenario
-from repro.pipeline.simulator import simulate, simulate_delayed
 
 __all__ = [
     "PipelineConfig",
@@ -45,6 +41,4 @@ __all__ = [
     "SuiteResult",
     "UpdateScenario",
     "run_scheduled",
-    "simulate",
-    "simulate_delayed",
 ]

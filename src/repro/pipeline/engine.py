@@ -16,9 +16,9 @@ values, and — because the update happens at fetch time — no retire-time
 read is charged and the execute stage never runs (the outcome is already
 known by assumption).
 
-The per-branch stage order exactly reproduces the historical ``simulate``
-and ``simulate_delayed`` loops (which are now thin wrappers over this
-engine, see :mod:`repro.pipeline.simulator`):
+The per-branch stage order exactly reproduces the historical immediate
+and delayed-update loops (``tests/pipeline/test_engine_parity.py`` keeps
+them as its oracle):
 
 1. **fetch** — ``predict``, accuracy accounting, ``update_history``,
    window entry;

@@ -605,29 +605,28 @@ def _fan_out(calls: list[Callable[[], SimulationResult]],
     return results
 
 
-def _route(selection, spec: PredictorSpec, scenario: UpdateScenario, config: PipelineConfig):
-    """The backend one task runs on, or None for the interpreter pool.
+def _route(pinned: bool, spec: PredictorSpec, scenario: UpdateScenario,
+           config: PipelineConfig):
+    """The routing rule: the kernel one task runs on, or None for the interpreter.
 
-    ``selection`` is a backend name, a live backend or None.  ``interp``
-    always means the pure-Python reference engine.  Any other selection,
-    like none, runs the task on the ``native`` kernel when it loads and
-    supports the spec; backends are bit-identical, so the fastest one
-    wins.  Only where native cannot does a selected backend run the task
-    it supports (``numpy``: the two-bit [I] scan on hosts where the
-    kernel does not build); everything else runs on the interpreter pool.
+    A task pinned to ``interp`` runs on the reference engine,
+    :class:`~repro.pipeline.engine.SimulationEngine`.  Every other task —
+    a ``native`` or ``numpy`` selection means the same as none — runs on
+    the ``native`` C kernel where the library loads and supports it, else
+    on the ``numpy`` two-bit [I] scan where the scan supports it, else on
+    the interpreter.  The engines are bit-identical, so the rule only
+    decides speed, and the platform, not a selection, decides when the
+    scan runs: on hosts where :file:`kernel.c` does not build.
     """
-    from repro.backends import DEFAULT_BACKEND, get_backend
-    from repro.backends.base import Backend
+    from repro.backends import get_backend
 
-    backend = None
-    if selection is not None:
-        backend = selection if isinstance(selection, Backend) else get_backend(selection)
-        if backend.name == DEFAULT_BACKEND:
-            return None
-    native = get_backend("native")
-    if native.supports(spec, scenario, config):
-        return native
-    return backend if backend is not None and backend.supports(spec, scenario, config) else None
+    if pinned:
+        return None
+    for name in ("native", "numpy"):
+        kernel = get_backend(name)
+        if kernel.supports(spec, scenario, config):
+            return kernel
+    return None
 
 
 def run_scheduled(
@@ -664,18 +663,15 @@ def _run_scheduled(
     results are written back.  The survivors are routed by ``backend``
     (see :func:`_route`):
 
-    * tasks the ``native`` kernel supports — unless ``interp`` is
-      selected — and, where native cannot run them, tasks the selected
-      backend supports run in the driving process (:mod:`repro.backends`)
-      while any pool futures for the rest are already in flight.  Each
-      native task is **one kernel call**, and the calls fan out over
-      ``min(max_workers, tasks)`` threads, the driving thread among
-      them (see :func:`_fan_out`); every plan is resolved on the driving
-      thread first, and with one worker no thread starts.  Other kernel
-      backends (``numpy``, on hosts where the kernel does not load) run
-      **one call per (scenario, config) group** on the driving thread;
-    * everything else (and every task of an explicit ``interp``
-      selection) runs on the worker pool.
+    * tasks routed to a kernel run in the driving process
+      (:mod:`repro.backends`) while any pool futures for the rest are
+      already in flight.  Each native task is **one kernel call**, and
+      the calls fan out over ``min(max_workers, tasks)`` threads, the
+      driving thread among them (see :func:`_fan_out`); every plan is
+      resolved on the driving thread first, and with one worker no
+      thread starts.  The two-bit scan runs **one call per (scenario,
+      config) group** on the driving thread;
+    * tasks routed to the interpreter run on the worker pool.
 
     With ``pool`` set, the pool work runs on that persistent
     :class:`WorkerPool`, whatever ``max_workers`` says.  Otherwise a
@@ -685,9 +681,11 @@ def _run_scheduled(
     in task order.  A failing kernel call raises the first error in task
     order once every kernel thread has stopped.
 
-    ``backend`` is a name, a live :class:`~repro.backends.base.Backend`,
-    ``None`` (the default route), or a per-task sequence of those (the
-    :class:`~repro.api.runner.Runner` resolves selection per request).
+    ``backend`` is a name from :data:`~repro.backends.BACKENDS`, ``None``
+    (the default route), or a per-task sequence of those (the
+    :class:`~repro.api.runner.Runner` resolves selection per request,
+    and its config and requests validate the names); all that matters
+    here is whether a task is pinned to ``interp``.
 
     With ``materialize`` set, tasks carry trace handles
     (:class:`~repro.traces.trace.TraceHandle`) instead of traces: cache
@@ -739,7 +737,8 @@ def _run_scheduled(
     kernel_backends: dict[tuple, object] = {}
     for index, task in enumerate(unique_tasks):
         spec, trace, scenario, config = task
-        chosen = _route(selections[unique_positions[index][0]], spec, scenario, config)
+        pinned = selections[unique_positions[index][0]] == "interp"
+        chosen = _route(pinned, spec, scenario, config)
         if chosen is not None:
             # One group per (backend, scenario, config), whatever traces
             # it spans: one kernel call, or native calls to fan out.

@@ -89,9 +89,9 @@ class Predictor(ABC):
         predictor.update(pc, taken, info,     # retire-time table update
                          reread=...)
 
-    The trace-driven simulators in :mod:`repro.pipeline` drive exactly this
-    sequence; :func:`repro.pipeline.simulate` collapses it into the
-    immediate-update oracle (scenario [I]).
+    :class:`~repro.pipeline.engine.SimulationEngine` drives exactly this
+    sequence; under scenario [I] it collapses it into the immediate-update
+    oracle.
 
     The constructor defines the power-on state, and it is the only
     definition: a simulation that must start from power-on (every trace

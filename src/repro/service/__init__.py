@@ -4,10 +4,12 @@ A stdlib-only front end that turns the serializable run API into a
 long-running server: clients ``POST`` :class:`~repro.api.request.RunRequest`
 JSON, jobs pass a bounded admission queue into per-lane brokers, and
 workers (one thread per lane, or a ``repro worker`` fleet) execute them
-on :class:`~repro.api.runner.Runner` instances in persistent mode —
-long-lived :class:`~repro.pipeline.parallel.WorkerPool` worker
-processes outlive each job, so many small requests never pay process
-spawn.
+on :class:`~repro.api.runner.Runner` instances in persistent mode.
+Most tasks run on the native kernel in the worker's own process; only
+interp-routed ones (``snap``, ``ftl``, ``interp`` selections, anything
+the kernels decline) go to a long-lived
+:class:`~repro.pipeline.parallel.WorkerPool`, whose processes outlive
+each job, so those requests pay process spawn once.
 
 Layers (each usable on its own):
 

@@ -4,10 +4,10 @@ Precedence is env < request < CLI: ``REPRO_SUITE_BACKEND`` sets the
 ambient default, a request's ``backend`` field overrides it, and an
 explicit ``--backend`` flag (``backend_forced``) overrides both.  All
 selections are bit-identical, so every test can assert result equality
-against the plain interpreter path.  A ``numpy`` selection runs on the
-native kernel where it loads and on the numpy scan where it does not; the
-tests named ``*without_native*`` make the library unavailable so that
-the scan runs.
+against the plain interpreter path.  Every selection but ``interp`` takes
+the default route (:func:`repro.pipeline.parallel._route`): the native
+kernel where it loads, else the numpy scan; the tests named
+``*without_native*`` make the library unavailable so that the scan runs.
 """
 
 from __future__ import annotations
@@ -238,15 +238,17 @@ class TestCLI:
     @pytest.mark.parametrize("name", sorted(SCAN_RUNS))
     def test_numpy_without_native_runs_the_scan(self, name, without_native, record_routes,
                                                 capsys):
-        """Where native does not load, ``--backend numpy`` runs the scan
-        and prints the ``--backend interp`` bytes."""
+        """Where native does not load, ``--backend numpy`` and the default
+        route (no ``--backend``) run the scan and print the ``--backend
+        interp`` bytes."""
         printed = {}
-        for backend in ("numpy", "interp"):
+        for backend in ("numpy", None, "interp"):
+            flag = [] if backend is None else ["--backend", backend]
             with record_routes() as routes:
-                assert main(["run", *SCAN_RUNS[name], "--backend", backend, "--json"]) == 0
+                assert main(["run", *SCAN_RUNS[name], *flag, "--json"]) == 0
             printed[backend] = capsys.readouterr().out
-            assert set(routes) == {backend}, routes
-        assert printed["numpy"] == printed["interp"]
+            assert set(routes) == {backend or "numpy"}, routes
+        assert printed["numpy"] == printed[None] == printed["interp"]
 
     def test_run_backend_flag_matches_interp(self, capsys):
         code = main(["run", "gshare", "--trace", TINY, "--backend", "interp", "--json"])

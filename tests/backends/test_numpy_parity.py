@@ -1,7 +1,7 @@
 """Numpy-selection parity: bit-identical to the staged engine, everywhere.
 
 The acceptance bar for any backend kernel (see
-:mod:`repro.backends.base`): for every supported registry kind, every
+:mod:`repro.backends`): for every supported registry kind, every
 update scenario and every trace shape — whole traces, warmup shards,
 empty measurement windows — the :class:`SimulationResult` must equal the
 interpreter's, misprediction for misprediction and access for access.
@@ -9,8 +9,9 @@ The dataclass equality below covers the full access profile, so one
 ``==`` asserts prediction bits, effective writes, retire reads and
 warmup accounting at once.
 
-A ``numpy`` selection runs on the native kernel wherever it loads, and
-on the numpy scan (the two-bit tables under [I]) only where it does not.
+A ``numpy`` selection means the default route: the native kernel
+wherever it loads, the numpy scan (the two-bit tables under [I]) only
+where it does not.
 Every case goes through :func:`~repro.pipeline.parallel.run_scheduled`
 on both kinds of host (the ``numpy_selection`` fixture): on the native
 kernel with the library loaded, and on the scan — the interp path for

@@ -7,7 +7,7 @@ from repro.core.composed import ISLTAGEPredictor, LTAGEPredictor, TAGELSCPredict
 from repro.core.tage import make_reference_tage
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.scenarios import UpdateScenario
-from repro.pipeline.simulator import simulate, simulate_delayed
+from repro.pipeline.engine import SimulationEngine
 
 
 class TestComposition:
@@ -49,9 +49,12 @@ class TestAccuracyOrdering:
     """The paper's central accuracy ladder must hold on the mini suite."""
 
     def test_side_predictors_do_not_hurt(self, mini_suite):
-        tage = sum(simulate(make_reference_tage(), t).mispredictions for t in mini_suite)
-        isl = sum(simulate(ISLTAGEPredictor(), t).mispredictions for t in mini_suite)
-        lsc = sum(simulate(TAGELSCPredictor(), t).mispredictions for t in mini_suite)
+        def total(factory):
+            return sum(SimulationEngine(factory()).run(t).mispredictions for t in mini_suite)
+
+        tage = total(make_reference_tage)
+        isl = total(ISLTAGEPredictor)
+        lsc = total(TAGELSCPredictor)
         assert isl <= tage * 1.02
         assert lsc <= tage * 1.02
 
@@ -62,8 +65,8 @@ class TestAccuracyOrdering:
         spec.add(LoopBranch(0x1000, iterations=17, body_branches=2, body_bias=0.85), 1.0)
         spec.add(BiasedBranch(0x9000, 0.9), 2.0)
         trace = generate_workload(spec, 4000, seed=23)
-        tage = simulate(make_reference_tage(), trace).mispredictions
-        ltage = simulate(LTAGEPredictor(), trace).mispredictions
+        tage = SimulationEngine(make_reference_tage()).run(trace).mispredictions
+        ltage = SimulationEngine(LTAGEPredictor()).run(trace).mispredictions
         assert ltage <= tage
 
     def test_lsc_helps_on_local_patterns(self):
@@ -74,38 +77,45 @@ class TestAccuracyOrdering:
         spec.add(BiasedBranch(0x2000, 0.8), 3.0)
         spec.add(BiasedBranch(0x3000, 0.7), 3.0)
         trace = generate_workload(spec, 5000, seed=29)
-        tage = simulate(make_reference_tage(), trace).mispredictions
-        lsc = simulate(TAGELSCPredictor(), trace).mispredictions
+        tage = SimulationEngine(make_reference_tage()).run(trace).mispredictions
+        lsc = SimulationEngine(TAGELSCPredictor()).run(trace).mispredictions
         assert lsc < tage
 
 
 class TestIUMIntegration:
     def test_ium_recovers_part_of_the_delayed_update_gap(self, tiny_trace):
         config = PipelineConfig(retire_delay=24, execute_delay=6)
-        immediate = simulate(make_reference_tage(), tiny_trace).mispredictions
-        delayed_plain = simulate_delayed(
-            make_reference_tage(), tiny_trace, UpdateScenario.REREAD_AT_RETIRE, config
-        ).mispredictions
-        delayed_ium = simulate_delayed(
-            AugmentedTAGE(use_ium=True, name="tage+ium"), tiny_trace,
-            UpdateScenario.REREAD_AT_RETIRE, config,
-        ).mispredictions
+        immediate = SimulationEngine(make_reference_tage()).run(tiny_trace).mispredictions
+        delayed_plain = (
+            SimulationEngine(make_reference_tage(), UpdateScenario.REREAD_AT_RETIRE, config)
+            .run(tiny_trace)
+            .mispredictions
+        )
+        delayed_ium = (
+            SimulationEngine(
+                AugmentedTAGE(use_ium=True, name="tage+ium"),
+                UpdateScenario.REREAD_AT_RETIRE,
+                config,
+            )
+            .run(tiny_trace)
+            .mispredictions
+        )
         assert delayed_plain >= immediate
         assert delayed_ium <= delayed_plain
 
     def test_ium_overrides_are_counted(self, tiny_trace):
         predictor = AugmentedTAGE(use_ium=True, name="tage+ium")
-        result = simulate_delayed(predictor, tiny_trace, UpdateScenario.REREAD_AT_RETIRE)
+        result = SimulationEngine(predictor, UpdateScenario.REREAD_AT_RETIRE).run(tiny_trace)
         assert result.ium_overrides >= 0
         assert result.ium_overrides == predictor.ium.overrides
 
 
 class TestBankInterleaving:
     def test_interleaving_changes_little_accuracy(self, tiny_trace):
-        plain = simulate(make_reference_tage(), tiny_trace).mispredictions
+        plain = SimulationEngine(make_reference_tage()).run(tiny_trace).mispredictions
         interleaved_predictor = AugmentedTAGE(use_ium=False, name="tage-banked")
         interleaved_predictor.enable_bank_interleaving()
-        banked = simulate(interleaved_predictor, tiny_trace).mispredictions
+        banked = SimulationEngine(interleaved_predictor).run(tiny_trace).mispredictions
         # Section 4.3: the accuracy loss from interleaving is marginal.
         assert banked <= plain * 1.15
 
@@ -113,7 +123,7 @@ class TestBankInterleaving:
         for scope in (RetireReadScope.ALL, RetireReadScope.TAGE_ONLY, RetireReadScope.LOCAL_ONLY):
             predictor = TAGELSCPredictor()
             predictor.enable_bank_interleaving(scope=scope)
-            result = simulate(predictor, tiny_trace)
+            result = SimulationEngine(predictor).run(tiny_trace)
             assert result.branches == len(tiny_trace)
 
     def test_invalid_scope_rejected(self):
@@ -127,6 +137,7 @@ class TestRetireReadScope:
                                        RetireReadScope.LOCAL_ONLY])
     def test_scenario_c_runs_under_every_scope(self, tiny_trace, scope):
         predictor = TAGELSCPredictor(retire_read_scope=scope)
-        result = simulate_delayed(predictor, tiny_trace, UpdateScenario.REREAD_ON_MISPREDICTION)
+        scenario = UpdateScenario.REREAD_ON_MISPREDICTION
+        result = SimulationEngine(predictor, scenario).run(tiny_trace)
         assert result.branches == len(tiny_trace)
         assert 0 < result.mispredictions < result.branches

@@ -3,7 +3,7 @@
 
 from repro.core.config import TAGEConfig
 from repro.core.tage import TAGEPredictor, make_reference_tage
-from repro.pipeline.simulator import simulate
+from repro.pipeline.engine import SimulationEngine
 from repro.predictors.bimodal import BimodalPredictor
 
 
@@ -107,12 +107,12 @@ class TestAllocation:
 
 class TestAccuracy:
     def test_perfect_on_constant_loop(self, loop_trace):
-        result = simulate(make_reference_tage(), loop_trace)
+        result = SimulationEngine(make_reference_tage()).run(loop_trace)
         assert result.mispredictions / result.branches < 0.01
 
     def test_beats_bimodal_on_structured_trace(self, tiny_trace):
-        tage = simulate(make_reference_tage(), tiny_trace)
-        bimodal = simulate(BimodalPredictor(entries=65536), tiny_trace)
+        tage = SimulationEngine(make_reference_tage()).run(tiny_trace)
+        bimodal = SimulationEngine(BimodalPredictor(entries=65536)).run(tiny_trace)
         assert tage.mispredictions < bimodal.mispredictions
 
     def test_captures_long_range_correlation(self):
@@ -128,8 +128,8 @@ class TestAccuracy:
             spec.add(BiasedBranch(0x2000 + i * 0x100, 0.97), weight=2.0)
         spec.add(GloballyCorrelatedBranch(0x9000, source_pc=0x1000), weight=1.0)
         trace = generate_workload(spec, 4000, seed=17)
-        tage = simulate(make_reference_tage(), trace)
-        bimodal = simulate(BimodalPredictor(entries=65536), trace)
+        tage = SimulationEngine(make_reference_tage()).run(trace)
+        bimodal = SimulationEngine(BimodalPredictor(entries=65536)).run(trace)
         correlated = [r for r in trace if r.pc == 0x9000]
         assert len(correlated) > 50
         assert tage.mispredictions < bimodal.mispredictions

@@ -1,8 +1,8 @@
 """Parity tests: the staged engine vs. the seed per-branch loops.
 
 ``_legacy_simulate`` and ``_legacy_simulate_delayed`` below are verbatim
-copies of the original (pre-engine) simulation loops.  The engine-backed
-``simulate``/``simulate_delayed`` wrappers must produce *identical*
+copies of the original (pre-engine) simulation loops.
+:class:`~repro.pipeline.engine.SimulationEngine` must produce *identical*
 ``SimulationResult`` values — same mispredictions, same access profile,
 same IUM override counts — for every update scenario, including the
 end-of-trace drain of the in-flight window.
@@ -21,7 +21,6 @@ from repro.pipeline.config import PipelineConfig
 from repro.pipeline.engine import SimulationEngine
 from repro.pipeline.metrics import SimulationResult
 from repro.pipeline.scenarios import UpdateScenario
-from repro.pipeline.simulator import simulate, simulate_delayed
 from repro.predictors.gehl import GEHLConfig, GEHLPredictor
 from repro.predictors.gshare import GSharePredictor
 from repro.traces.suite import generate_trace
@@ -131,7 +130,7 @@ def test_engine_matches_legacy_loop(name, scenario, tiny_trace):
     """Engine results equal the seed loops for every predictor x scenario."""
     factory = PREDICTOR_FACTORIES[name]
     legacy = _legacy_simulate_delayed(factory(), tiny_trace, scenario)
-    engine = simulate_delayed(factory(), tiny_trace, scenario)
+    engine = SimulationEngine(factory(), scenario).run(tiny_trace)
     assert engine == legacy
 
 
@@ -143,27 +142,27 @@ def test_engine_drain_path(scenario):
     legacy = _legacy_simulate_delayed(
         AugmentedTAGE(use_ium=True, name="tage+ium"), trace, scenario, config
     )
-    engine = simulate_delayed(
-        AugmentedTAGE(use_ium=True, name="tage+ium"), trace, scenario, config
-    )
+    engine = SimulationEngine(
+        AugmentedTAGE(use_ium=True, name="tage+ium"), scenario, config
+    ).run(trace)
     assert engine == legacy
     # Every fetched branch must have retired (updated the tables).
     assert engine.accesses.branches == trace.branch_count
 
 
 def test_simulate_wrapper_is_zero_delay_engine(tiny_trace):
-    """simulate() is exactly the engine in its degenerate zero-delay setup."""
-    wrapper = simulate(make_reference_tage(), tiny_trace)
+    """The engine's default run is exactly its degenerate zero-delay [I] setup."""
+    default = SimulationEngine(make_reference_tage()).run(tiny_trace)
     staged = SimulationEngine(make_reference_tage(), UpdateScenario.IMMEDIATE).run(tiny_trace)
-    assert wrapper == staged
-    assert wrapper.scenario == "[I]"
+    assert default == staged
+    assert default.scenario == "[I]"
     # The oracle never charges a retire-time read.
-    assert wrapper.accesses.retire_reads == 0
+    assert default.accesses.retire_reads == 0
 
 
 def test_engine_immediate_matches_legacy_simulate(tiny_trace):
     legacy = _legacy_simulate(make_reference_tage(), tiny_trace)
-    engine = simulate(make_reference_tage(), tiny_trace)
+    engine = SimulationEngine(make_reference_tage()).run(tiny_trace)
     assert engine == legacy
 
 
@@ -191,7 +190,7 @@ def test_engine_matches_legacy_across_window_shapes(config, tiny_trace):
     legacy = _legacy_simulate_delayed(
         AugmentedTAGE(use_ium=True, name="tage+ium"), tiny_trace, scenario, config
     )
-    engine = simulate_delayed(
-        AugmentedTAGE(use_ium=True, name="tage+ium"), tiny_trace, scenario, config
-    )
+    engine = SimulationEngine(
+        AugmentedTAGE(use_ium=True, name="tage+ium"), scenario, config
+    ).run(tiny_trace)
     assert engine == legacy

@@ -7,7 +7,7 @@ from repro.core.tage import make_reference_tage
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.metrics import SimulationResult, SuiteResult
 from repro.pipeline.scenarios import UpdateScenario
-from repro.pipeline.simulator import simulate, simulate_delayed
+from repro.pipeline.engine import SimulationEngine
 from repro.predictors.gshare import GSharePredictor
 from repro.predictors.registry import PredictorSpec
 from repro.predictors.static import AlwaysTakenPredictor
@@ -89,40 +89,41 @@ class TestMetrics:
 
 class TestSimulate:
     def test_counts_are_consistent(self, tiny_trace):
-        result = simulate(make_reference_tage(), tiny_trace)
+        result = SimulationEngine(make_reference_tage()).run(tiny_trace)
         assert result.branches == len(tiny_trace)
         assert 0 < result.mispredictions < result.branches
         assert result.accesses.branches == result.branches
         assert result.accesses.fetch_reads == result.branches
 
     def test_always_taken_matches_taken_rate(self, tiny_trace):
-        result = simulate(AlwaysTakenPredictor(), tiny_trace)
+        result = SimulationEngine(AlwaysTakenPredictor()).run(tiny_trace)
         not_taken = sum(1 for record in tiny_trace if not record.taken)
         assert result.mispredictions == not_taken
 
     def test_scenario_label_is_immediate(self, tiny_trace):
-        assert simulate(make_reference_tage(), tiny_trace).scenario == "[I]"
+        assert SimulationEngine(make_reference_tage()).run(tiny_trace).scenario == "[I]"
 
 
 class TestSimulateDelayed:
-    def test_immediate_scenario_dispatches_to_simulate(self, tiny_trace):
-        delayed = simulate_delayed(make_reference_tage(), tiny_trace, UpdateScenario.IMMEDIATE)
-        immediate = simulate(make_reference_tage(), tiny_trace)
-        assert delayed.mispredictions == immediate.mispredictions
+    def test_immediate_scenario_ignores_the_window(self, tiny_trace):
+        """[I] is the zero-delay oracle whatever window the config describes."""
+        deep = PipelineConfig(retire_delay=64, execute_delay=16)
+        windowed = SimulationEngine(make_reference_tage(), UpdateScenario.IMMEDIATE, deep)
+        immediate = SimulationEngine(make_reference_tage()).run(tiny_trace)
+        assert windowed.run(tiny_trace) == immediate
 
     def test_delayed_update_never_beats_immediate(self, tiny_trace):
-        immediate = simulate(GSharePredictor(log2_entries=14), tiny_trace)
-        delayed = simulate_delayed(
-            GSharePredictor(log2_entries=14), tiny_trace, UpdateScenario.REREAD_AT_RETIRE
-        )
+        immediate = SimulationEngine(GSharePredictor(log2_entries=14)).run(tiny_trace)
+        delayed = SimulationEngine(
+            GSharePredictor(log2_entries=14), UpdateScenario.REREAD_AT_RETIRE
+        ).run(tiny_trace)
         assert delayed.mispredictions >= immediate.mispredictions
 
     def test_scenario_ordering_for_gshare(self, tiny_trace):
         """The paper's ordering [A] <= [C] <= [B] must hold for gshare."""
         def run(scenario):
-            return simulate_delayed(
-                GSharePredictor(log2_entries=14), tiny_trace, scenario
-            ).mispredictions
+            engine = SimulationEngine(GSharePredictor(log2_entries=14), scenario)
+            return engine.run(tiny_trace).mispredictions
 
         a = run(UpdateScenario.REREAD_AT_RETIRE)
         b = run(UpdateScenario.FETCH_READ_ONLY)
@@ -130,23 +131,23 @@ class TestSimulateDelayed:
         assert a <= c <= b or (a <= b and c <= b)  # B is always the worst
 
     def test_retire_reads_follow_scenario(self, tiny_trace):
-        result_a = simulate_delayed(make_reference_tage(), tiny_trace,
-                                    UpdateScenario.REREAD_AT_RETIRE)
-        result_b = simulate_delayed(make_reference_tage(), tiny_trace,
-                                    UpdateScenario.FETCH_READ_ONLY)
-        result_c = simulate_delayed(make_reference_tage(), tiny_trace,
-                                    UpdateScenario.REREAD_ON_MISPREDICTION)
+        def run(scenario):
+            return SimulationEngine(make_reference_tage(), scenario).run(tiny_trace)
+
+        result_a = run(UpdateScenario.REREAD_AT_RETIRE)
+        result_b = run(UpdateScenario.FETCH_READ_ONLY)
+        result_c = run(UpdateScenario.REREAD_ON_MISPREDICTION)
         assert result_a.accesses.retire_reads == result_a.branches
         assert result_b.accesses.retire_reads == 0
         assert result_c.accesses.retire_reads == result_c.mispredictions
 
     def test_larger_window_hurts_more(self, tiny_trace):
-        small = simulate_delayed(make_reference_tage(), tiny_trace,
-                                 UpdateScenario.FETCH_READ_ONLY,
-                                 PipelineConfig(retire_delay=4, execute_delay=1))
-        large = simulate_delayed(make_reference_tage(), tiny_trace,
-                                 UpdateScenario.FETCH_READ_ONLY,
-                                 PipelineConfig(retire_delay=64, execute_delay=16))
+        def run(config):
+            engine = SimulationEngine(make_reference_tage(), UpdateScenario.FETCH_READ_ONLY, config)
+            return engine.run(tiny_trace)
+
+        small = run(PipelineConfig(retire_delay=4, execute_delay=1))
+        large = run(PipelineConfig(retire_delay=64, execute_delay=16))
         assert large.mispredictions >= small.mispredictions
 
 

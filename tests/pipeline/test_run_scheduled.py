@@ -81,14 +81,14 @@ class TestCombinedPass:
         assert suites[1].results[0] == SimulationEngine(PredictorSpec("gshare").build()).run(trace)
 
     @staticmethod
-    def mixed_selection_pass(traces):
-        """Three gshare sizes selected for numpy, two traces on the default route."""
+    def mixed_selection_pass(traces, rest=None):
+        """Three gshare sizes selected for numpy, two traces selected by ``rest``."""
         flat = [
             (PredictorSpec("gshare", {"log2_entries": n}), traces[0],
              UpdateScenario.IMMEDIATE, CONFIG)
             for n in (8, 10, 12)
         ] + [(SPEC, trace, UpdateScenario.IMMEDIATE, CONFIG) for trace in traces[1:]]
-        results = run_scheduled(flat, max_workers=2, backend=["numpy"] * 3 + [None] * 2)
+        results = run_scheduled(flat, max_workers=2, backend=["numpy"] * 3 + [rest] * 2)
         for (spec, trace, _, _), result in zip(flat, results):
             assert result == expected_whole(trace, spec)
 
@@ -100,10 +100,14 @@ class TestCombinedPass:
 
     def test_scan_overlaps_with_pool_tasks_without_native(self, traces, without_native,
                                                           record_routes):
-        """Where native does not load, the numpy selection runs on the scan
-        in-process while the default-route tasks run on the pool."""
+        """Where native does not load, the default route runs all five [I]
+        gshare tasks in one scan call; with the last two pinned to interp,
+        the scan runs in-process while those run on the pool."""
         with record_routes() as routes:
             self.mixed_selection_pass(traces)
+        assert routes == {"numpy": 1}
+        with record_routes() as routes:
+            self.mixed_selection_pass(traces, rest="interp")
         assert routes == {"numpy": 1, "interp": 2}
 
     def test_exact_only_batch_matches_whole_runs(self):

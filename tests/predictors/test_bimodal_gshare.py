@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.pipeline.simulator import simulate
+from repro.pipeline.engine import SimulationEngine
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.gshare import GSharePredictor
 
@@ -73,7 +73,7 @@ class TestGShare:
         assert info_a.index != info_b.index
 
     def test_learns_history_correlated_branch(self, loop_trace):
-        result = simulate(GSharePredictor(log2_entries=14), loop_trace)
+        result = SimulationEngine(GSharePredictor(log2_entries=14)).run(loop_trace)
         assert result.mispredictions / result.branches < 0.05
 
     def test_paper_configuration_storage(self):

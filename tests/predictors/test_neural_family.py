@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.pipeline.simulator import simulate
+from repro.pipeline.engine import SimulationEngine
 from repro.predictors.ftl import FTLConfig, FTLPredictor
 from repro.predictors.gehl import GEHLConfig, GEHLPredictor
 from repro.predictors.perceptron import PerceptronPredictor
@@ -54,7 +54,7 @@ class TestGEHL:
         assert last.entry_writes == 0
 
     def test_learns_loop_behaviour(self, loop_trace):
-        result = simulate(self.make(), loop_trace)
+        result = SimulationEngine(self.make()).run(loop_trace)
         assert result.mispredictions / result.branches < 0.08
 
     def test_indices_within_tables(self):
@@ -91,7 +91,7 @@ class TestPerceptron:
 class TestSNAP:
     def test_learns_biased_branch(self, biased_trace):
         predictor = SNAPPredictor(history_length=16, log2_entries=8)
-        result = simulate(predictor, biased_trace)
+        result = SimulationEngine(predictor).run(biased_trace)
         assert result.mispredictions / result.branches < 0.25
 
     def test_scales_decrease_with_position(self):
@@ -116,7 +116,7 @@ class TestFTL:
 
         spec = WorkloadSpec().add(LocalPatternBranch(0x1000, (True, True, False)))
         trace = generate_workload(spec, 1500, seed=3)
-        result = simulate(FTLPredictor(), trace)
+        result = SimulationEngine(FTLPredictor()).run(trace)
         assert result.mispredictions / result.branches < 0.10
 
     def test_invalid_configuration(self):

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.composed import ISLTAGEPredictor, LTAGEPredictor, TAGELSCPredictor
 from repro.core.tage import TAGEPredictor
-from repro.pipeline.simulator import simulate
+from repro.pipeline.engine import SimulationEngine
 from repro.predictors.base import PredictionInfo, UpdateStats
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.ftl import FTLPredictor
@@ -83,7 +83,7 @@ def test_learns_a_strongly_biased_branch(name, biased_trace):
     """Every learning predictor must end up close to the bias floor on a
     workload made only of biased branches (no structure to exploit)."""
     predictor = PREDICTOR_FACTORIES[name]()
-    result = simulate(predictor, biased_trace)
+    result = SimulationEngine(predictor).run(biased_trace)
     # The trace mixes a 0.95 branch (2/3 weight) and a 0.7 branch (1/3):
     # the achievable floor is ~13%; anything under 25% shows real learning.
     assert result.mispredictions / result.branches < 0.25, name

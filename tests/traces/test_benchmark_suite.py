@@ -63,12 +63,12 @@ class TestGenerateTrace:
     def test_hard_traces_are_harder_to_predict(self):
         """The designated hard traces must show a clearly higher misprediction
         rate than an easy trace of the same category (Section 2.2)."""
-        from repro import BimodalPredictor, simulate
+        from repro import BimodalPredictor, SimulationEngine
 
         hard = generate_trace("INT01", branches_per_trace=2000, seed=3)
         easy = generate_trace("INT05", branches_per_trace=2000, seed=3)
-        hard_rate = simulate(BimodalPredictor(65536), hard).mispredictions / len(hard)
-        easy_rate = simulate(BimodalPredictor(65536), easy).mispredictions / len(easy)
+        hard_rate = SimulationEngine(BimodalPredictor(65536)).run(hard).mispredictions / len(hard)
+        easy_rate = SimulationEngine(BimodalPredictor(65536)).run(easy).mispredictions / len(easy)
         assert hard_rate > easy_rate
 
 
