@@ -1,12 +1,12 @@
 """Backend throughput: kernels vs the per-branch interp loop.
 
 A fig9-style configuration sweep (table sizes across the gshare/bimodal
-families) on the ``numpy`` [I] scan, the TAGE group on the ``native`` C
-kernel under [I], and the neural (perceptron/GEHL) group on it under [I]
-and [C].
+families) on the ``numpy`` [I] scan and on the ``native`` C kernel under
+[I] and [C], the TAGE group on the kernel under [I], and the neural
+(perceptron/GEHL) group on it under [I] and [C].
 Parity is asserted bit for bit before any timing claim; the measured
 speedup is recorded in the benchmark JSON ``extra_info`` (and so lands in
-the CI ``BENCH_*.json`` artifacts).
+the CI ``BENCH_*.json`` artifacts), beside the kernel's branches/s.
 
 The sweeps use at least :data:`MIN_BRANCHES` branches however small
 ``REPRO_BENCH_BRANCHES`` is: sub-millisecond interp times would make the
@@ -97,6 +97,8 @@ def _record_tasks(benchmark, tasks, runs, minimum_speedup, label, backend_name="
         benchmark.extra_info[f"{prefix}interp_seconds"] = round(interp_seconds, 4)
         benchmark.extra_info[f"{prefix}{backend_name}_seconds"] = round(kernel_seconds, 4)
         benchmark.extra_info[f"{prefix}speedup"] = round(speedup, 2)
+        benchmark.extra_info[f"{prefix}{backend_name}_branches_per_s"] = round(
+            branches / kernel_seconds)
         print(
             f"\n{scenario.label} {label} of {len(tasks)} lanes / {branches} branches: "
             f"interp {interp_seconds:.3f}s, {backend_name} {kernel_seconds:.3f}s, {speedup:.1f}x"
@@ -116,6 +118,19 @@ def test_bench_backend_immediate_sweep(benchmark):
     _record_tasks(benchmark, [(spec, trace) for spec in SWEEP_SPECS],
                   [(UpdateScenario.IMMEDIATE, PipelineConfig())], minimum_speedup=3.0,
                   label="sweep")
+
+
+def test_bench_backend_twobit_native(benchmark):
+    """The same two-bit sweep on the native C kernel vs interp, [I] and [C] (>= 10x).
+
+    Each (family, scenario) pair runs its own compiled instance of the
+    kernel loop; one timed call covers both scenarios, each gated on its own.
+    """
+    trace = _sweep_trace()
+    runs = [(UpdateScenario.IMMEDIATE, PipelineConfig()),
+            (UpdateScenario.REREAD_ON_MISPREDICTION, BENCH_PIPELINE)]
+    _record_tasks(benchmark, [(spec, trace) for spec in SWEEP_SPECS], runs,
+                  minimum_speedup=10.0, label="sweep", backend_name="native")
 
 
 def test_bench_backend_tage_native(benchmark):

@@ -16,7 +16,7 @@ not model declines the spec, which the routing rule
 :func:`repro.traces.synthetic.generate_workload`, which loads it through
 :func:`_library`.
 
-The library is built on first use (``gcc -O2 -shared -fPIC``, then the
+The library is built on first use (:data:`_COMPILER`, then the
 whitespace-separated flags of ``REPRO_NATIVE_CFLAGS``, e.g. sanitizers)
 into ``__pycache__/repro_native_<hash>.so`` beside :file:`kernel.c`, or a
 per-user directory under :func:`tempfile.gettempdir` when that is
@@ -61,8 +61,12 @@ __all__ = ["NativeBackend"]
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernel.c")
 _GENERATOR_SOURCE = os.path.join(os.path.dirname(_SOURCE), "generator.c")
 #: The compile command; ``REPRO_NATIVE_CFLAGS`` and ``-o <output> <sources>``
-#: are appended.
-_COMPILER = ["gcc", "-O2", "-shared", "-fPIC", "-std=c99"]
+#: are appended.  The two ``--param``s make the compiler collect its garbage
+#: once its heap has grown 10% past 4 MiB, instead of letting it grow to a
+#: size set by the host's RAM: the first-use build runs inside the caller's
+#: process tree, and they keep its peak near 39 MiB (52 MiB without them).
+_COMPILER = ["gcc", "-O2", "-shared", "-fPIC", "-std=c99",
+             "--param", "ggc-min-expand=10", "--param", "ggc-min-heapsize=4096"]
 ENV_CFLAGS = "REPRO_NATIVE_CFLAGS"
 _LOG = get_logger("backends")
 _LOCK = threading.Lock()

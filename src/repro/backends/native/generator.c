@@ -14,7 +14,9 @@
  *
  * so the trace, the generator's final state and every conditional draw
  * (a zero skip probability, noise or jitter draws nothing) equal the
- * Python loop's bit for bit.
+ * Python loop's bit for bit.  genrand_uint32 is the fast path, a load and
+ * the tempering, inlined into every draw; the twist that refills the 624
+ * words every 624th draw is the out-of-line mt_refill.
  *
  * Entry point: repro_generate(plan, ...).  Every value it reads is checked:
  * a plan it cannot run bit-exactly (a draw wider than 32 bits, a PC or gap
@@ -63,24 +65,27 @@ typedef struct {
     int index;
 } MT;
 
-static uint32_t genrand_uint32(MT *g) {
+/* The twist, every 624th draw; out of line so genrand_uint32 inlines. */
+static __attribute__((noinline)) void mt_refill(MT *g) {
     static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
     uint32_t y, *mt = g->mt;
-    if (g->index >= MT_N) {
-        int kk;
-        for (kk = 0; kk < MT_N - MT_M; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        for (; kk < MT_N - 1; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
-        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
-        g->index = 0;
+    int kk;
+    for (kk = 0; kk < MT_N - MT_M; kk++) {
+        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+        mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
     }
-    y = mt[g->index++];
+    for (; kk < MT_N - 1; kk++) {
+        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+        mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+    }
+    y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+    mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+    g->index = 0;
+}
+
+static inline uint32_t genrand_uint32(MT *g) {
+    if (g->index >= MT_N) mt_refill(g);
+    uint32_t y = g->mt[g->index++];
     y ^= (y >> 11);
     y ^= (y << 7) & 0x9d2c5680U;
     y ^= (y << 15) & 0xefc60000U;

@@ -15,6 +15,17 @@
  * Entry point: repro_simulate(plan, ...).  All state is allocated per call,
  * so concurrent calls from several threads are independent.
  *
+ * There is one simulation loop, simulate(), and it is specialised by the
+ * compiler: the loop and the five stages it drives (predict,
+ * update_history, notify_execute, update, retire) are forced inline and
+ * take the predictor family and the immediate-update flag as arguments.
+ * Twelve small functions call it with constant arguments, so each
+ * (family, [I] or delayed) pair compiles to its own instance with the
+ * other families' code and the per-branch family and scenario tests folded
+ * away; repro_simulate picks the run's instance from a table, once per
+ * call.  The in-flight window is a ring whose indices wrap by compare,
+ * never by division.
+ *
  * The plan is a flat int64 array read front to back (see _plan in
  * __init__.py, which writes it in the same order):
  *
@@ -78,23 +89,26 @@ typedef struct {
 typedef struct {
     uint8_t *pred, *hyst;
     uint64_t mask;
-    int64_t sharing;
+    int shift; /* log2 of the hysteresis sharing */
 } Bimodal;
 
+/* The sharing divides the power-of-two table, so it is a power of two and
+ * the hysteresis index is a shift; any other value is a bad plan. */
 static int bimodal_init(Bimodal *b, int64_t log2, int64_t sharing) {
     size_t entries = (size_t)1 << log2;
+    if (sharing < 1 || (sharing & (sharing - 1)) || sharing > (int64_t)entries) return -1;
+    b->shift = __builtin_ctzll((unsigned long long)sharing);
     b->pred = malloc(entries);
-    b->hyst = calloc(entries / (size_t)sharing, 1);
+    b->hyst = calloc(entries >> b->shift, 1);
     if (!b->pred || !b->hyst) return -2;
     memset(b->pred, 1, entries); /* power-on: weakly taken */
     b->mask = entries - 1;
-    b->sharing = sharing;
     return 0;
 }
 
 static inline int bimodal_read(const Bimodal *b, uint64_t pc, uint32_t *index, uint32_t *hindex) {
     *index = (uint32_t)((pc >> 2) & b->mask);
-    *hindex = (uint32_t)(*index / b->sharing);
+    *hindex = *index >> b->shift;
     return 2 * b->pred[*index] + b->hyst[*hindex];
 }
 
@@ -263,7 +277,7 @@ static int tage_init(Tage *t, const int64_t **cursor) {
     }
     *cursor = p;
     if (ring_init(&t->history, longest)) return -2;
-    return bimodal_init(&t->base, bimodal_log2, sharing) ? -2 : 0;
+    return bimodal_init(&t->base, bimodal_log2, sharing);
 }
 
 static void tage_free(Tage *t) {
@@ -919,33 +933,37 @@ static uint64_t local_history(const Sim *s, uint64_t pc) {
     return s->local[index];
 }
 
+/* The stages and the loop: forced inline, so each (family, immediate) pair
+ * the loop is called with compiles to its own instance (see the header). */
+#define STAGE static inline __attribute__((always_inline))
+
 /* Fetch: Predictor.predict, ending in slot->prediction. */
-static void predict(Sim *s, Slot *slot) {
+STAGE void predict(Sim *s, Slot *slot, const int family) {
     uint64_t pc = slot->pc;
     slot->override = 0;
-    if (s->family == STATIC) {
+    if (family == STATIC) {
         slot->prediction = s->static_taken;
         return;
     }
-    if (s->family == BIMODAL) {
+    if (family == BIMODAL) {
         slot->counter = bimodal_read(&s->bimodal, pc, &slot->index, &slot->hindex);
         slot->prediction = slot->counter >= 2;
         return;
     }
-    if (s->family == GSHARE) {
+    if (family == GSHARE) {
         slot->index = (uint32_t)(((pc >> 2) ^ (s->gshare_history & s->gshare_history_mask)) &
                                  s->gshare_mask);
         slot->counter = s->gshare[slot->index];
         slot->prediction = slot->counter >= 2;
         return;
     }
-    if (s->family == PERCEPTRON) {
+    if (family == PERCEPTRON) {
         slot->head = s->perceptron.history.head;
         slot->counter = perceptron_predict(&s->perceptron, pc, slot->head, &slot->index);
         slot->prediction = slot->counter >= 0;
         return;
     }
-    if (s->family == GEHL) {
+    if (family == GEHL) {
         gehl_predict(&s->gehl, pc, &slot->gehl);
         slot->prediction = slot->gehl.total >= 0;
         return;
@@ -981,13 +999,13 @@ static void predict(Sim *s, Slot *slot) {
 }
 
 /* Fetch: Predictor.update_history. */
-static void update_history(Sim *s, Slot *slot) {
+STAGE void update_history(Sim *s, Slot *slot, const int family) {
     uint64_t pc = slot->pc;
     int taken = slot->taken;
-    if (s->family == GSHARE) s->gshare_history = (s->gshare_history << 1) | (uint64_t)taken;
-    if (s->family == PERCEPTRON) ring_push(&s->perceptron.history, taken);
-    if (s->family == GEHL) gehl_update_history(&s->gehl, taken);
-    if (s->family != TAGE) return;
+    if (family == GSHARE) s->gshare_history = (s->gshare_history << 1) | (uint64_t)taken;
+    if (family == PERCEPTRON) ring_push(&s->perceptron.history, taken);
+    if (family == GEHL) gehl_update_history(&s->gehl, taken);
+    if (family != TAGE) return;
     TagePrediction *t = &slot->tage;
     tage_update_history(&s->tage, pc, taken);
     if (s->banked) bank_advance(&s->banks, pc);
@@ -1017,8 +1035,8 @@ static void update_history(Sim *s, Slot *slot) {
 }
 
 /* Execute: Predictor.notify_execute (the IUM hook). */
-static void notify_execute(Sim *s, Slot *slot) {
-    if (s->family != TAGE || !s->ium_mode || slot->ium_sequence < 0) return;
+STAGE void notify_execute(Sim *s, Slot *slot, const int family) {
+    if (family != TAGE || !s->ium_mode || slot->ium_sequence < 0) return;
     Inflight *entry = buffer_find(&s->ium, slot->ium_sequence);
     if (!entry) return;
     entry->outcome = slot->taken;
@@ -1027,14 +1045,14 @@ static void notify_execute(Sim *s, Slot *slot) {
 }
 
 /* Retire: Predictor.update. */
-static void update(Sim *s, Slot *slot, int reread, Stats *st) {
+STAGE void update(Sim *s, Slot *slot, int reread, Stats *st, const int family) {
     int taken = slot->taken;
-    if (s->family == STATIC) return;
-    if (s->family == BIMODAL) {
+    if (family == STATIC) return;
+    if (family == BIMODAL) {
         bimodal_update(&s->bimodal, slot->index, slot->hindex, slot->counter, taken, reread, st);
         return;
     }
-    if (s->family == GSHARE) {
+    if (family == GSHARE) {
         int counter = slot->counter;
         if (reread) {
             counter = s->gshare[slot->index];
@@ -1047,12 +1065,12 @@ static void update(Sim *s, Slot *slot, int reread, Stats *st) {
         }
         return;
     }
-    if (s->family == PERCEPTRON) {
+    if (family == PERCEPTRON) {
         perceptron_update(&s->perceptron, slot->index, slot->head, slot->counter,
                           slot->mispredicted, taken, reread, st);
         return;
     }
-    if (s->family == GEHL) {
+    if (family == GEHL) {
         gehl_update(&s->gehl, &slot->gehl, slot->mispredicted, taken, reread, st);
         return;
     }
@@ -1087,15 +1105,14 @@ enum {
 };
 
 /* SimulationEngine._retire plus AccessProfile.record_update. */
-static void retire(Sim *s, Slot *slot, int64_t *out) {
-    int immediate = s->scenario == 0;
+STAGE void retire(Sim *s, Slot *slot, int64_t *out, const int family, const int immediate) {
     int reread = 1;
     if (!immediate) {
-        if (!slot->executed) notify_execute(s, slot);
+        if (!slot->executed) notify_execute(s, slot, family);
         reread = s->scenario == 1 || (s->scenario == 3 && slot->mispredicted);
     }
     Stats st = {0, 0, 0};
-    update(s, slot, reread, &st);
+    update(s, slot, reread, &st, family);
     if (!slot->measured) return;
     if (reread && !immediate) out[OUT_RETIRE_READS]++;
     out[OUT_ENTRY_READS] += st.reads;
@@ -1104,7 +1121,87 @@ static void retire(Sim *s, Slot *slot, int64_t *out) {
     if (st.writes) out[OUT_WRITE_ACCESSES]++;
 }
 
-/* SimulationEngine.run over one trace; returns 0, -1 (bad plan) or -2 (no memory). */
+/* SimulationEngine.run over one trace.  The in-flight window is a ring of
+ * depth + 1 slots (one under [I], which retires each branch as it is
+ * fetched) whose indices wrap by compare; the counts gather in a local
+ * array, copied to out at the end. */
+STAGE void simulate(Sim *s, Slot *window, const int64_t *pcs, const uint8_t *taken,
+                    const int64_t *preceding, int64_t n, int64_t warmup, int64_t *out,
+                    const int family, const int immediate) {
+    int depth = immediate ? 0 : s->retire_delay, capacity = depth + 1;
+    int head = 0, tail = 0, count = 0; /* tail: the slot of the next fetch */
+    int64_t totals[OUT_FIELDS] = {0};
+    for (int64_t i = 0; i < n; i++) {
+        int fetched = tail;
+        Slot *slot = &window[fetched];
+        if (++tail == capacity) tail = 0;
+        count++;
+        slot->pc = (uint64_t)pcs[i];
+        slot->taken = taken[i] != 0;
+        slot->measured = i >= warmup;
+        slot->executed = 0;
+        predict(s, slot, family);
+        slot->mispredicted = slot->prediction != slot->taken;
+        if (slot->measured) {
+            totals[OUT_MISPREDICTIONS] += slot->mispredicted;
+            totals[OUT_BRANCHES]++;
+            totals[OUT_INSTRUCTIONS] += preceding[i] + 1;
+            totals[OUT_IUM_OVERRIDES] += slot->override;
+        } else {
+            totals[OUT_WARMUP]++;
+        }
+        update_history(s, slot, family);
+        if (!immediate && count > s->execute_delay) {
+            int at = fetched - s->execute_delay; /* fetched execute_delay branches ago */
+            Slot *resolved = &window[at < 0 ? at + capacity : at];
+            if (!resolved->executed) {
+                notify_execute(s, resolved, family);
+                resolved->executed = 1;
+            }
+        }
+        while (count > depth) {
+            retire(s, &window[head], totals, family, immediate);
+            if (++head == capacity) head = 0;
+            count--;
+        }
+    }
+    for (; count; count--) {
+        retire(s, &window[head], totals, family, immediate);
+        if (++head == capacity) head = 0;
+    }
+    memcpy(out, totals, sizeof(totals));
+}
+
+/* The instances: one function per (family, immediate) pair, so the
+ * compiler builds and frees each on its own, and the table of them. */
+typedef void (*Instance)(Sim *, Slot *, const int64_t *, const uint8_t *, const int64_t *,
+                         int64_t, int64_t, int64_t *);
+
+#define INSTANCE(f, immediate)                                                            \
+    static void simulate_##f##_##immediate(Sim *s, Slot *window, const int64_t *pcs,     \
+                                           const uint8_t *taken, const int64_t *preceding, \
+                                           int64_t n, int64_t warmup, int64_t *out) {      \
+        simulate(s, window, pcs, taken, preceding, n, warmup, out, f, immediate);          \
+    }
+#define INSTANCES(f) INSTANCE(f, 0) INSTANCE(f, 1)
+INSTANCES(BIMODAL)
+INSTANCES(GSHARE)
+INSTANCES(TAGE)
+INSTANCES(PERCEPTRON)
+INSTANCES(GEHL)
+INSTANCES(STATIC)
+
+/* [family][immediate] */
+static const Instance instances[][2] = {
+    [BIMODAL] = {simulate_BIMODAL_0, simulate_BIMODAL_1},
+    [GSHARE] = {simulate_GSHARE_0, simulate_GSHARE_1},
+    [TAGE] = {simulate_TAGE_0, simulate_TAGE_1},
+    [PERCEPTRON] = {simulate_PERCEPTRON_0, simulate_PERCEPTRON_1},
+    [GEHL] = {simulate_GEHL_0, simulate_GEHL_1},
+    [STATIC] = {simulate_STATIC_0, simulate_STATIC_1},
+};
+
+/* One (predictor, trace, scenario) run; returns 0, -1 (bad plan) or -2 (no memory). */
 int repro_simulate(const int64_t *plan, int64_t plan_len, const int64_t *pcs,
                    const uint8_t *taken, const int64_t *preceding, int64_t n, int64_t warmup,
                    int64_t *out) {
@@ -1116,42 +1213,8 @@ int repro_simulate(const int64_t *plan, int64_t plan_len, const int64_t *pcs,
     int depth = immediate ? 0 : sim.retire_delay;
     Slot *window = status ? NULL : calloc((size_t)depth + 1, sizeof(Slot));
     if (!status && !window) status = -2;
-    int head = 0, count = 0, capacity = depth + 1;
-    for (int64_t i = 0; !status && i < n; i++) {
-        Slot *slot = &window[(head + count) % capacity];
-        count++;
-        slot->pc = (uint64_t)pcs[i];
-        slot->taken = taken[i] != 0;
-        slot->measured = i >= warmup;
-        slot->executed = 0;
-        predict(&sim, slot);
-        slot->mispredicted = slot->prediction != slot->taken;
-        if (slot->measured) {
-            out[OUT_MISPREDICTIONS] += slot->mispredicted;
-            out[OUT_BRANCHES]++;
-            out[OUT_INSTRUCTIONS] += preceding[i] + 1;
-            out[OUT_IUM_OVERRIDES] += slot->override;
-        } else {
-            out[OUT_WARMUP]++;
-        }
-        update_history(&sim, slot);
-        if (!immediate && count > sim.execute_delay) {
-            Slot *resolved = &window[(head + count - 1 - sim.execute_delay) % capacity];
-            if (!resolved->executed) {
-                notify_execute(&sim, resolved);
-                resolved->executed = 1;
-            }
-        }
-        while (count > depth) {
-            retire(&sim, &window[head], out);
-            head = (head + 1) % capacity;
-            count--;
-        }
-    }
-    for (; !status && count; count--) {
-        retire(&sim, &window[head], out);
-        head = (head + 1) % capacity;
-    }
+    if (!status)
+        instances[sim.family][immediate](&sim, window, pcs, taken, preceding, n, warmup, out);
     free(window);
     sim_free(&sim);
     return status;

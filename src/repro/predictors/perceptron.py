@@ -90,22 +90,18 @@ class PerceptronPredictor(Predictor):
         mispredicted = info.taken != taken
         if not mispredicted and abs(info.total) > self.threshold:
             return stats
-        row = info.row
-        weights = self._weights[row]
+        weights = self._weights[info.row]
         stats.entry_reads += 1 if reread else 0
-        direction = 1 if taken else -1
-        changed = False
-
-        new_bias = int(np.clip(weights[0] + direction, self._weight_min, self._weight_max))
-        if new_bias != int(weights[0]):
-            weights[0] = new_bias
-            changed = True
-        for i, bit in enumerate(info.history_bits):
-            agree = 1 if (bit == 1) == taken else -1
-            new_weight = int(np.clip(weights[1 + i] + agree, self._weight_min, self._weight_max))
-            if new_weight != int(weights[1 + i]):
-                weights[1 + i] = new_weight
-                changed = True
+        # One step per weight toward the outcome: the bias toward ``taken``,
+        # each history weight toward agreement of its bit with ``taken``.
+        steps = np.empty(len(weights), dtype=np.int64)
+        steps[0] = 1
+        steps[1:] = np.asarray(info.history_bits, dtype=np.int64) * 2 - 1
+        if not taken:
+            steps = -steps
+        updated = np.clip(weights + steps, self._weight_min, self._weight_max)
+        changed = bool((updated != weights).any())
+        weights[:] = updated
         if changed:
             stats.entry_writes += 1
             stats.tables_written += 1

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.backends import get_backend
+from repro.backends.native import _library
 from repro.core.loop_predictor import LoopPredictor
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.engine import SimulationEngine
@@ -201,3 +203,18 @@ def test_a_replaced_factory_is_declined():
     finally:
         registry._REGISTRY["gshare"] = original
         registry._BACKEND_SUPPORT["gshare"] = original_tags
+
+
+@pytest.mark.parametrize("sharing, status", [(1, 0), (4, 0), (16, 0), (3, -1), (32, -1), (0, -1)])
+def test_the_kernel_checks_the_hysteresis_sharing(sharing, status):
+    """The kernel takes the bimodal hysteresis index by shift, so a plan
+    whose sharing is not a power of two within the 16-entry table is
+    refused as a bad plan (-1) instead of indexed wrongly."""
+    library = _library()
+    plan = np.array([0, 0, 24, 6, 4, sharing], dtype=np.int64)  # bimodal, [I], 16 entries
+    columns = [np.zeros(8, dtype=np.int64), np.ones(8, dtype=np.uint8),
+               np.zeros(8, dtype=np.int64)]
+    out = np.zeros(10, dtype=np.int64)
+    assert library.repro_simulate(plan.ctypes.data, len(plan),
+                                  *(column.ctypes.data for column in columns), 8, 0,
+                                  out.ctypes.data) == status

@@ -7,6 +7,9 @@ property below draws small specs of every natively supported family and
 checks, for each, that the three routes give pickle-identical results and
 that each run went where the rule says.  The boundary cases probe every
 limit of :func:`repro.backends.native._plan` at the limit and one past it.
+A second property draws the in-flight window too (retire delay 1-64,
+execute delay 0 up to it), holding each compiled kernel instance to interp
+across window shapes.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import native
@@ -202,3 +205,45 @@ def test_native_limits(limit, trace, loop_tage):
         result, ran_on = routed(task)
         assert ran_on == engine, spec
         assert result == routed(task, "interp")[0]
+
+
+def pipeline_configs():
+    return st.integers(1, 64).flatmap(lambda retire: st.builds(
+        PipelineConfig, retire_delay=st.just(retire), execute_delay=st.integers(0, retire)))
+
+
+#: ``CONFIGS`` plus two small composites, so the IUM's execute-time hook
+#: (and the SC, LSC and loop predictor) sees every window shape too.
+WINDOW_CONFIGS = {
+    **CONFIGS,
+    "isl-tage": st.just({"config": SMALL}),
+    "tage-lsc": st.just({"config": SMALL}),
+}
+EDGE_SPEC = PredictorSpec("isl-tage", {"config": SMALL})
+
+
+@given(spec=st.sampled_from(sorted(WINDOW_CONFIGS)).flatmap(
+           lambda kind: WINDOW_CONFIGS[kind].map(lambda config: PredictorSpec(kind, config))),
+       scenario=st.sampled_from(list(UpdateScenario)), config=pipeline_configs(),
+       length=st.integers(50, 300), seed=st.integers(0, 50))
+@example(spec=EDGE_SPEC, scenario=UpdateScenario.REREAD_ON_MISPREDICTION,
+         config=PipelineConfig(retire_delay=1, execute_delay=0), length=120, seed=1)
+@example(spec=EDGE_SPEC, scenario=UpdateScenario.REREAD_AT_RETIRE,
+         config=PipelineConfig(retire_delay=1, execute_delay=1), length=120, seed=2)
+@example(spec=EDGE_SPEC, scenario=UpdateScenario.FETCH_READ_ONLY,
+         config=PipelineConfig(retire_delay=64, execute_delay=64), length=300, seed=3)
+@example(spec=PredictorSpec("gshare", {"log2_entries": 6}),
+         scenario=UpdateScenario.REREAD_ON_MISPREDICTION,
+         config=PipelineConfig(retire_delay=64, execute_delay=0), length=300, seed=4)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_every_window_shape_gives_the_interp_result(spec, scenario, config, length, seed):
+    """Native equals interp whatever the in-flight window's shape: the
+    kernel's ring wraps by compare, and each (family, scenario) instance
+    must hold for every retire and execute delay, including a one-slot
+    window and an execute delay equal to the retire delay."""
+    (trace,) = resolve_trace_ref(f"synthetic:mixed?length={length}&seed={seed}")
+    task = (spec, trace, scenario, config)
+    default, default_engine = routed(task)
+    pinned, pinned_engine = routed(task, "interp")
+    assert (default_engine, pinned_engine) == ("native", "interp")
+    assert default == pinned
