@@ -446,27 +446,37 @@ class _BatchTraces:
         self._traces: dict[str, Trace] = {}
 
     def handles(self, ref: str) -> list[TraceHandle]:
-        """``ref``'s handles: from the runner's memo, the cache's manifest, or by resolving."""
+        """``ref``'s handles: from the runner's memo, the cache's manifest, or by resolving.
+
+        A ``#shard=`` reference is planned on its base trace's handle and
+        cut through :meth:`shard`, so every shard reference of one trace
+        in a batch shares one resolution of the base.
+        """
         parsed = parse_trace_ref(ref)
-        handles = self._handles.get(parsed.canonical)
+        base = parsed if parsed.shard is None else parse_trace_ref(parsed.base)
+        handles = self._handles.get(base.canonical)
         if handles is None:
             runner = self._runner
             lengths = None
-            if runner.cache is not None and parsed.canonical not in runner._resolved:
-                lengths = runner.cache.get_manifest(parsed.base)
+            if runner.cache is not None and base.canonical not in runner._resolved:
+                lengths = runner.cache.get_manifest(base.canonical)
             if lengths is not None:
                 try:
-                    handles = trace_handles(parsed, lengths)
+                    handles = trace_handles(base, lengths)
                 except ValueError:
                     pass  # a manifest that cannot be this ref's: resolve instead
             if handles is None:
                 # Kept for the batch, whatever the runner's LRU drops meanwhile.
-                traces = self._resolved[parsed.canonical] = runner.resolve(parsed)
+                traces = self._resolved[base.canonical] = runner.resolve(base)
                 handles = [TraceHandle.of(trace) for trace in traces]
-            self._handles[parsed.canonical] = handles
+            self._handles[base.canonical] = handles
             for index, handle in enumerate(handles):
-                self._sources.setdefault(handle.identity, (parsed, index, None))
-        return handles
+                self._sources.setdefault(handle.identity, (base, index, None))
+        if parsed.shard is None:
+            return handles
+        index, count = parsed.shard
+        (handle,) = handles
+        return [self.shard(handle, plan_shards(handle.length, count, parsed.shard_warmup)[index])]
 
     def shard(self, handle: TraceHandle, window: ShardWindow) -> TraceHandle:
         shard = shard_handle(handle, window)

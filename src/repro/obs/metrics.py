@@ -2,20 +2,16 @@
 
 Pure stdlib, thread-safe, and **mergeable across processes**: every
 instrument can be serialised into a JSON-pure snapshot, shipped over a
-pipe / broker heartbeat, and folded back into another registry with
-:meth:`MetricsRegistry.merge`.  That is how ``WorkerPool`` children and
-``FleetWorker`` hosts report back to the process that renders
-``GET /v2/metrics``.
+broker heartbeat, and folded back into another registry with
+:meth:`MetricsRegistry.merge`.  That is how ``FleetWorker`` hosts report
+back to the process that renders ``GET /v2/metrics``.
 
-Two snapshot flavours:
-
-* :meth:`MetricsRegistry.snapshot` — cumulative, idempotent.  Fleet
-  workers ship this on every heartbeat; the front end keeps the latest
-  snapshot per worker and sums them, so a lost heartbeat never
-  double-counts.
-* :meth:`MetricsRegistry.drain` — snapshot counters/histograms *and
-  zero them*.  Pool children ship this once per task result; the parent
-  merges each delta exactly once.
+:meth:`MetricsRegistry.snapshot` is cumulative and idempotent.  Fleet
+workers ship it on every heartbeat; the front end keeps the latest
+snapshot per worker and sums them, so a lost heartbeat never
+double-counts.  Process-pool workers record nothing: the scheduler
+records each pool task in the driving process from the timing the task
+returns.
 
 Rendering follows the Prometheus text exposition format
 (``render_prometheus``).  The registry honours ``REPRO_METRICS=off``:
@@ -273,42 +269,8 @@ class MetricsRegistry:
                 out[name] = record
             return out
 
-    def drain(self) -> dict:
-        """Snapshot counters and histograms, then zero them.
-
-        Gauges are process-local (queue depth means nothing shipped
-        across a pipe) and are excluded.  Each drained delta must be
-        merged exactly once.
-        """
-        with self._lock:
-            out: dict[str, dict] = {}
-            for name, inst in self._instruments.items():
-                if isinstance(inst, Gauge):
-                    continue
-                if isinstance(inst, Histogram):
-                    if not inst._data:
-                        continue
-                    out[name] = {
-                        "kind": inst.kind, "help": inst.help,
-                        "labels": list(inst.labelnames),
-                        "buckets": list(inst.buckets),
-                        "values": {
-                            _encode_key(key): [list(e[0]), e[1], e[2]]
-                            for key, e in inst._data.items()}}
-                    inst._data.clear()
-                else:
-                    if not inst._values:
-                        continue
-                    out[name] = {
-                        "kind": inst.kind, "help": inst.help,
-                        "labels": list(inst.labelnames),
-                        "values": {_encode_key(key): value
-                                   for key, value in inst._values.items()}}
-                    inst._values.clear()
-            return out
-
     def merge(self, snapshot: Mapping[str, Mapping]) -> None:
-        """Fold a snapshot (from :meth:`snapshot` or :meth:`drain`) in."""
+        """Fold a :meth:`snapshot` in."""
         if not snapshot:
             return
         with self._lock:

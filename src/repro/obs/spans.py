@@ -3,19 +3,20 @@
 The metrics registry (:mod:`repro.obs.metrics`) answers *how much* —
 this module answers *where*: every hot boundary opens a :func:`span`
 and the resulting records form one tree per trace id, stitched across
-the service front end, pool children and fleet workers.
+the service front end and fleet workers.  Process-pool workers record
+no spans: the scheduler records each pool task in the driving process
+(``pool.task``, from the pid, start and duration the task returns).
 
 Design notes, mirroring the metrics idioms deliberately:
 
 * **Process-global recorder.**  ``get_tracer()`` returns the ambient
   :class:`SpanRecorder`; completed spans buffer there until someone
-  calls :meth:`SpanRecorder.drain` — pool children and fleet workers
-  ship the drained list home next to their results, exactly like
-  metrics deltas.
+  calls :meth:`SpanRecorder.drain` — fleet workers ship the drained
+  list home with their job results.
 * **Context propagation.**  Inside a process the active span rides a
-  :class:`contextvars.ContextVar`; across processes the parent ships a
+  :class:`contextvars.ContextVar`; across processes the service ships a
   small *span context* dict (``trace_id`` / ``span_id`` / ``sampled``)
-  in the task envelope or broker ticket and the child re-binds it with
+  in the broker ticket and the fleet worker re-binds it with
   :func:`bind_span_context`.
 * **Head sampling.**  ``REPRO_TRACE_SAMPLE`` (default ``1``) is a
   probability applied *per trace id* via a stable hash, so one request
@@ -190,9 +191,8 @@ def make_span(trace_id: str, span_id: str, parent_id: str | None, name: str,
 class SpanRecorder:
     """Process-local buffer of completed spans (bounded, drainable).
 
-    Mirrors :class:`~repro.obs.metrics.MetricsRegistry`: thread-safe,
-    with :meth:`drain` handing the buffered spans over exactly once —
-    pool children and fleet workers ship that list home with results.
+    Thread-safe, with :meth:`drain` handing the buffered spans over
+    exactly once — fleet workers ship that list home with results.
     """
 
     def __init__(self, enabled: bool | None = None,
@@ -244,17 +244,6 @@ class SpanRecorder:
             spans, self._spans = self._spans, []
         return spans
 
-    def merge(self, spans: Iterable[dict[str, Any]] | None) -> None:
-        """Absorb spans a child process shipped home with its results."""
-        if not spans:
-            return
-        with self._lock:
-            for record in spans:
-                if len(self._spans) >= self.max_spans:
-                    self.dropped += 1
-                    continue
-                self._spans.append(record)
-
 
 def span(name: str, **attrs: Any) -> "_ActiveSpan | _NoopSpan":
     """Open a span under the ambient trace: ``with span("plan"): ...``.
@@ -292,7 +281,7 @@ def current_span() -> "_ActiveSpan | _NoopSpan":
 
 
 def current_span_context() -> dict[str, Any] | None:
-    """The serializable context to ship in a task envelope, or ``None``.
+    """The serializable context to ship to another process, or ``None``.
 
     Only sampled contexts travel: a child with no context re-derives
     the (deterministic) sampling verdict from the trace id, so an
@@ -308,9 +297,8 @@ def current_span_context() -> dict[str, Any] | None:
 def bind_span_context(context: dict[str, Any] | None) -> Iterator[None]:
     """Adopt a shipped span context (see :func:`current_span_context`).
 
-    ``None`` restores the no-context state, which matters in pool
-    children: a recycled worker must not parent new tasks under the
-    previous task's span.
+    ``None`` restores the no-context state: a span opened inside has no
+    parent and takes the ambient trace id and its sampling verdict.
     """
     if context is None:
         token = _SPAN_CONTEXT.set(None)
@@ -344,9 +332,7 @@ def get_tracer() -> SpanRecorder:
 def set_tracer(recorder: SpanRecorder | None) -> SpanRecorder | None:
     """Swap the process-global recorder; returns the previous one.
 
-    ``set_tracer(None)`` resets to a lazily re-created default — pool
-    initializers call this so forked children do not inherit (and
-    re-ship) the parent's buffered spans.
+    ``set_tracer(None)`` resets to a lazily re-created default.
     """
     global _TRACER
     with _TRACER_LOCK:

@@ -11,6 +11,9 @@ pass every :class:`~repro.api.runner.Runner` call goes through:
   from the power-on state the predictor's constructor defines,
 * results come back as plain :class:`~repro.pipeline.metrics.SimulationResult`
   values in task order, identical to the in-process path's,
+* a task returns its timing next to its result and touches no metrics
+  or spans, so the driving process records every task the same way,
+  wherever it ran: one ``pool.task`` span and the two pool metrics,
 * an opt-in on-disk cache keyed by (spec, trace, scenario, pipeline
   config) lets repeated sweeps skip traces they have already simulated;
   it also stores the per-reference trace manifests that let a
@@ -40,12 +43,13 @@ from functools import partial
 from typing import Callable
 
 from repro.obs import (
-    bind_span_context,
-    current_span_context,
+    current_span,
     get_logger,
     get_metrics,
     get_tracer,
     log_event,
+    make_span,
+    new_span_id,
     span,
 )
 from repro.pipeline.config import PipelineConfig
@@ -80,42 +84,6 @@ def _cache_lookups():
     return get_metrics().counter(
         "repro_cache_lookups_total",
         "Result-cache lookups by outcome (hit/miss/corrupt).", ("outcome",))
-
-
-def _reset_child_metrics() -> None:
-    """Pool-child initializer: start the worker with an empty registry.
-
-    Under the fork start method a child inherits a *copy* of the
-    parent's registry; without this reset the first :meth:`~repro.obs.
-    MetricsRegistry.drain` would ship that inherited state back and
-    double-count everything the parent had already recorded.  The span
-    recorder gets the same treatment: inherited buffered spans must not
-    ship home a second time.
-    """
-    from repro.obs.metrics import set_metrics
-    from repro.obs.spans import set_tracer
-
-    set_metrics(None)  # next get_metrics() builds a fresh registry
-    set_tracer(None)  # next span() builds a fresh recorder
-
-
-def _pool_task_metrics(seconds: float) -> None:
-    """Per-task accounting recorded *inside* the executing process.
-
-    In a pool child this lands in the child's own registry and is
-    shipped back as a drained delta with the task result; in the serial
-    path it lands directly in the driving process's registry.  Every
-    task is one simulation, labelled ``kind="sim"``.
-    """
-    registry = get_metrics()
-    registry.counter(
-        "repro_pool_tasks_total",
-        "Simulation tasks executed by pool workers (or serially).",
-        ("kind",)).inc(kind="sim")
-    registry.histogram(
-        "repro_pool_task_seconds",
-        "Wall time of one simulation task on its worker.",
-        ("kind",)).observe(seconds, kind="sim")
 
 
 def trace_fingerprint(trace: Trace | TraceHandle) -> str:
@@ -433,44 +401,27 @@ def _manifest_traces(document, ref: str) -> list[tuple[str, int]] | None:
     return [(name, length) for name, length in traces]
 
 
-def _simulate_one(task: tuple) -> SimulationResult:
+def _simulate_one(task: tuple) -> tuple[SimulationResult, float, float, int]:
     """Simulate one (spec, trace, scenario, config) run from a fresh predictor.
 
-    The one task function: the serial path calls it directly, a pool
-    child through :func:`_simulate_in_child`.  The predictor is built
-    per task, so every trace starts from the power-on state its
-    constructor defines.
+    The one task function, run in the driving process or on a pool
+    worker alike.  It makes no :mod:`repro.obs` call: it returns the
+    result with the task's wall-clock start, its duration in seconds and
+    the pid of the process that ran it, and the scheduler records the
+    task from those.  The predictor is built per task, so every trace
+    starts from the power-on state its constructor defines.
     """
     spec, trace, scenario, config = task
-    start = time.perf_counter()
-    with span("pool.task", kind="sim", trace=trace.name):
-        result = SimulationEngine(spec.build(), scenario, config).run(trace)
-    _pool_task_metrics(time.perf_counter() - start)
-    return result
+    start, began = time.time(), time.perf_counter()
+    result = SimulationEngine(spec.build(), scenario, config).run(trace)
+    return result, start, time.perf_counter() - began, os.getpid()
 
 
-def _simulate_in_child(envelope: tuple) -> tuple[SimulationResult, dict, list]:
-    """Pool child: :func:`_simulate_one`, plus the drained metrics delta
-    and completed spans of the executing process — the parent merges
-    both, so child-process instrumentation shows up in
-    ``GET /v2/metrics`` and the task's spans join the request's tree.
-
-    ``envelope`` is ``(task, span_context)``: the parent's span context
-    (or ``None``) rides next to the task so the child's ``pool.task``
-    span parents under the submitting span, not under whatever the
-    recycled worker ran last.
-    """
-    task, context = envelope
-    with bind_span_context(context):
-        result = _simulate_one(task)
-    return result, get_metrics().drain(), _drain_child_spans()
-
-
-def _drain_child_spans() -> list:
-    """Ship-once spans for a finished pool task (empty when unsampled)."""
-    from repro.obs.spans import drain_spans
-
-    return drain_spans()
+def _run_here(task: tuple) -> Future:
+    """:func:`_simulate_one` in this process, as an already finished future."""
+    future: Future = Future()
+    future.set_result(_simulate_one(task))
+    return future
 
 
 class WorkerPool:
@@ -481,7 +432,9 @@ class WorkerPool:
     pay process spawn — the warm path a long-running service needs.
     Without one, :func:`run_scheduled` runs the batch on a short-lived
     pool of its own.  Workers keep no predictors between tasks: each
-    task builds its own.
+    task builds its own.  Workers keep no metrics or spans either: a
+    task returns its result and its timing, and the driving process
+    records it.
 
     The pool is lazy (processes start on the first submit), reusable
     across batches, and a context manager.  ``batches`` /
@@ -510,18 +463,18 @@ class WorkerPool:
         if self._closed:
             raise RuntimeError("worker pool is closed")
         if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.max_workers, initializer=_reset_child_metrics)
+            self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
         return self._executor
 
     def submit_sim(self, task: tuple) -> Future:
-        """Dispatch one flat simulation task.
+        """Dispatch one flat simulation task to a worker.
 
-        The future resolves to ``(result, metrics delta, spans)`` (see
-        :func:`_simulate_in_child`).  :func:`run_scheduled` reports each
-        finished pass through :meth:`record_batch`.
+        The future resolves to :func:`_simulate_one`'s ``(result, start,
+        seconds, pid)``; the worker records nothing, and
+        :func:`run_scheduled` records the task from those values.  It
+        reports each finished pass through :meth:`record_batch`.
         """
-        return self._ensure().submit(_simulate_in_child, (task, current_span_context()))
+        return self._ensure().submit(_simulate_one, task)
 
     def record_batch(self, executed: int) -> None:
         """Count one :meth:`submit_sim`-based batch of ``executed`` tasks."""
@@ -794,52 +747,59 @@ def _run_scheduled(
             fresh[index] = result
 
     interp_tasks = [unique_tasks[index] for index in interp_indices]
+    scheduled = current_span()  # this pass's sched.run, every pool.task's parent
+    task_count = registry.counter(
+        "repro_pool_tasks_total",
+        "Simulation tasks executed by pool workers (or serially).", ("kind",))
+    task_seconds = registry.histogram(
+        "repro_pool_task_seconds",
+        "Wall time of one simulation task on its worker.", ("kind",))
 
-    tracer = get_tracer()
+    def drive(pool: WorkerPool | None) -> None:
+        """Start the interp tasks, run the kernels meanwhile, collect.
 
-    def run_serial() -> None:
-        run_kernel_groups()
-        for index, task in zip(interp_indices, interp_tasks):
-            fresh[index] = _simulate_one(task)
-
-    def drive(pool: WorkerPool) -> None:
-        """Fan the interp tasks out, run the kernels meanwhile, collect.
-
-        An ordinary task exception (e.g. a predictor factory rejecting
-        its config) leaves the pool intact; a dead executor or an
-        interrupt closes it without orphaning workers: queued tasks are
-        dropped, running ones finish.
+        The tasks run on ``pool``, or in this process when it is None.
+        Either way each finished task is recorded here, in task order as
+        it completes: one ``pool.task`` span under ``sched.run`` with
+        the worker's pid, start and duration, and the two pool metrics.
+        A task that raises is not recorded.  An ordinary task exception
+        (e.g. a predictor factory rejecting its config) leaves the pool
+        intact; a dead executor or an interrupt closes it without
+        orphaning workers: queued tasks are dropped, running ones finish.
         """
+        submit = _run_here if pool is None else pool.submit_sim
         try:
-            pending = {
-                pool.submit_sim(task): index for index, task in zip(interp_indices, interp_tasks)
-            }
+            pending = {submit(task): index for index, task in zip(interp_indices, interp_tasks)}
             # The batched kernels crunch in this process while the workers
             # chew on the interp tasks just submitted.
             run_kernel_groups()
             while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
+                wait(pending, return_when=FIRST_COMPLETED)
+                for future in [future for future in pending if future.done()]:
                     index = pending.pop(future)
-                    result, deltas, spans = future.result()
-                    registry.merge(deltas)
-                    tracer.merge(spans)
+                    result, start, seconds, pid = future.result()
+                    task_count.inc(kind="sim")
+                    task_seconds.observe(seconds, kind="sim")
+                    if scheduled.span_id is not None:
+                        get_tracer().record(make_span(
+                            scheduled.trace_id, new_span_id(), scheduled.span_id, "pool.task",
+                            start, seconds, pid=pid,
+                            attrs={"kind": "sim", "trace": unique_tasks[index][1].name}))
                     fresh[index] = result
-            if interp_tasks:
-                pool.record_batch(len(interp_tasks))
         except (BrokenExecutor, KeyboardInterrupt, SystemExit):
-            pool.close(cancel=True)
+            if pool is not None:
+                pool.close(cancel=True)
             raise
+        if pool is not None and interp_tasks:
+            pool.record_batch(len(interp_tasks))
 
-    if pool is not None:
-        drive(pool)
-    elif limit <= 1 or len(interp_tasks) <= 1:
-        run_serial()
-    else:
+    if pool is None and limit > 1 and len(interp_tasks) > 1:
         # No persistent pool: one for this pass, closed (cancelling
         # queued work on any error) when it ends.
         with WorkerPool(max_workers=min(limit, len(interp_tasks))) as batch_pool:
             drive(batch_pool)
+    else:
+        drive(pool)
 
     for index, positions in enumerate(unique_positions):
         result = fresh[index]

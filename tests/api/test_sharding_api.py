@@ -1,13 +1,20 @@
 """Sharding through the run API: requests, runner scheduling, CLI flags."""
 
 import json
+import pickle
 
 import pytest
 
 from repro.api import Runner, RunnerConfig, RunRequest, ShardingPolicy, validate_shard_coverage
 from repro.api.cli import main
 from repro.api.config import ENV_AUTOSHARD, parse_auto_shard
+from repro.obs import MetricsRegistry, set_metrics
 from repro.pipeline.config import PipelineConfig
+from repro.pipeline.parallel import run_scheduled
+from repro.pipeline.scenarios import UpdateScenario
+from repro.predictors.registry import PredictorSpec
+from repro.traces.refs import resolve_trace_ref
+from repro.traces.sharding import shard_refs
 
 REF = "synthetic:mixed?length=4000&seed=21"
 
@@ -127,6 +134,27 @@ class TestRunnerSharding:
                  RunRequest("bimodal", REF, sharding=ShardingPolicy(2, mode="exact"))]
             )
         assert whole.results[0] == sharded.results[0]
+
+    def test_shard_refs_of_one_trace_generate_it_once(self):
+        """Every ``#shard=`` reference of one trace in a batch is cut from
+        one generation of the base, with the results each reference gives
+        when resolved on its own."""
+        refs = shard_refs(REF, 4, warmup=300)
+        registry = MetricsRegistry()
+        previous = set_metrics(registry)
+        try:
+            with _serial() as runner:
+                suites = runner.run_batch([RunRequest("gshare", ref) for ref in refs])
+        finally:
+            set_metrics(previous)
+        generated = registry.counter("repro_trace_generated_branches_total", "", ("path",))
+        (base,) = resolve_trace_ref(REF)
+        assert generated.value(path="native") + generated.value(path="python") == len(base)
+        alone = run_scheduled(
+            [(PredictorSpec("gshare"), resolve_trace_ref(ref)[0], UpdateScenario.IMMEDIATE,
+              PipelineConfig()) for ref in refs], max_workers=1)
+        assert [pickle.dumps(suite.results[0]) for suite in suites] == [
+            pickle.dumps(result) for result in alone]
 
     def test_duplicate_shard_batch_rejected(self):
         with _serial() as runner, pytest.raises(ValueError, match="duplicate shard"):

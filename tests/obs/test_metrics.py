@@ -128,27 +128,6 @@ class TestSnapshotAndMerge:
         target.merge(source.snapshot())
         assert target.gauge("repro_depth").value() == 9.0
 
-    def test_drain_zeroes_counters_but_not_gauges(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_total").inc(5)
-        registry.gauge("repro_depth").set(3)
-        registry.histogram("repro_seconds").observe(0.1)
-        delta = registry.drain()
-        assert "repro_total" in delta and "repro_seconds" in delta
-        assert "repro_depth" not in delta
-        assert registry.counter("repro_total").value() == 0.0
-        assert registry.histogram("repro_seconds").count() == 0
-        # Gauges survive a drain untouched.
-        assert registry.gauge("repro_depth").value() == 3.0
-
-    def test_drained_deltas_merge_exactly_once(self):
-        child = MetricsRegistry()
-        child.counter("repro_total").inc(2)
-        parent = MetricsRegistry()
-        parent.merge(child.drain())
-        parent.merge(child.drain())  # second drain is empty
-        assert parent.counter("repro_total").value() == 2.0
-
     def test_merge_rejects_bucket_mismatch(self):
         source = MetricsRegistry()
         source.histogram("repro_seconds", buckets=(1.0,)).observe(0.5)

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 
-import multiprocessing
 import pytest
 
 from repro.obs import (
@@ -20,7 +18,6 @@ from repro.obs import (
     current_span,
     current_span_context,
     drain_spans,
-    get_tracer,
     make_span,
     render_critical_path,
     render_waterfall,
@@ -97,11 +94,6 @@ class TestSpanRecording:
             recorder.record(make_span("t", f"s{index}", None, "n", 0.0, 0.0))
         assert len(recorder.drain()) == 2
         assert recorder.dropped == 2
-
-    def test_merge_absorbs_child_spans(self):
-        recorder = get_tracer()
-        recorder.merge([make_span("t", "child-1", None, "pool.task", 0.0, 0.1)])
-        assert [record["span_id"] for record in drain_spans()] == ["child-1"]
 
 
 class TestSampling:
@@ -255,46 +247,6 @@ class TestTreeAnalysis:
         metadata = [event for event in events if event["ph"] == "M"]
         assert metadata and metadata[0]["args"]["name"] == "serve"
         json.dumps(document)  # must be JSON-pure
-
-
-# ---------------------------------------------------------------------------
-# Pool children: span context rides the envelope under fork AND spawn
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("method", ["fork", "spawn"])
-def test_pool_child_spans_adopt_the_shipped_context(method):
-    from repro.pipeline.config import PipelineConfig
-    from repro.pipeline.parallel import _reset_child_metrics, _simulate_in_child
-    from repro.pipeline.scenarios import UpdateScenario
-    from repro.predictors.registry import PredictorSpec
-    from repro.traces.refs import resolve_trace_ref
-
-    try:
-        mp_context = multiprocessing.get_context(method)
-    except ValueError:
-        pytest.skip(f"start method {method!r} unavailable")
-    (trace,) = resolve_trace_ref("synthetic:biased?length=200&seed=5")
-    task = (PredictorSpec("bimodal"), trace, UpdateScenario.IMMEDIATE,
-            PipelineConfig())
-    context = {"trace_id": "tr-pool-1", "span_id": "parent-span-1",
-               "sampled": True}
-    with ProcessPoolExecutor(max_workers=1, mp_context=mp_context,
-                             initializer=_reset_child_metrics) as pool:
-        result, _, spans = pool.submit(
-            _simulate_in_child, (task, context)).result(timeout=120)
-        # Same worker, no context: must NOT parent under the previous
-        # task's span (the recycled-worker hazard under fork).
-        _, _, orphan_spans = pool.submit(
-            _simulate_in_child, (task, None)).result(timeout=120)
-    assert result.branches > 0
-    (pool_span,) = [record for record in spans
-                    if record["name"] == "pool.task"]
-    assert pool_span["trace_id"] == "tr-pool-1"
-    assert pool_span["parent_id"] == "parent-span-1"
-    # Child-side spans never include the parent's buffered spans.
-    assert all(record["trace_id"] == "tr-pool-1" for record in spans)
-    assert orphan_spans == []
 
 
 @pytest.mark.parametrize("path", ["native", "python"])

@@ -10,7 +10,10 @@ bitwise equality against fresh engine runs.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import pytest
 
@@ -185,6 +188,90 @@ class TestSchedulingPaths:
         pool_tasks = [record for record in spans if record["name"] == "pool.task"]
         assert [record["attrs"]["trace"] for record in pool_tasks] == [t.name for t in traces]
         assert {record["parent_id"] for record in pool_tasks} == {scheduled["span_id"]}
+
+
+class TestPoolObservability:
+    """Pool tasks are recorded once, in the driving process, under both
+    start methods: the workers ship a result and its timing, nothing else."""
+
+    @pytest.fixture(params=["fork", "spawn"], autouse=True)
+    def start_method(self, request, monkeypatch):
+        """Every pool of the test starts its workers with this method."""
+        try:
+            context = multiprocessing.get_context(request.param)
+        except ValueError:
+            pytest.skip(f"start method {request.param!r} unavailable")
+        monkeypatch.setattr(
+            parallel, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=context))
+
+    @pytest.fixture(scope="class")
+    def seven(self):
+        """Seven interp tasks, one per hard trace."""
+        return [(PredictorSpec("bimodal"), trace, UpdateScenario.REREAD_ON_MISPREDICTION, CONFIG)
+                for trace in resolve_trace_ref("hard:all?branches=400&seed=3")]
+
+    @staticmethod
+    def pass_spans(spans, trace_id):
+        """The ``sched.run`` span of ``trace_id`` and the ``pool.task`` spans under it."""
+        (scheduled,) = [record for record in spans
+                        if record["name"] == "sched.run" and record["trace_id"] == trace_id]
+        return scheduled, [record for record in spans if record["name"] == "pool.task"
+                           and record["parent_id"] == scheduled["span_id"]]
+
+    def test_a_pool_pass_records_every_task_once(self, obs, seven):
+        registry, recorder = obs
+        with bind_trace_id("tr-pool-pass"):
+            results = run_scheduled(seven, max_workers=2, backend="interp")
+        assert results == [SimulationEngine(spec.build(), scenario, CONFIG).run(trace)
+                           for spec, trace, scenario, _ in seven]
+        tasks = registry.counter("repro_pool_tasks_total", "", ("kind",))
+        seconds = registry.histogram("repro_pool_task_seconds", "", ("kind",))
+        assert tasks.value(kind="sim") == 7
+        assert seconds.count(kind="sim") == 7 and seconds.sum(kind="sim") > 0
+        spans = recorder.drain()
+        _, pool_tasks = self.pass_spans(spans, "tr-pool-pass")
+        assert len([record for record in spans if record["name"] == "pool.task"]) == 7
+        assert sorted(record["attrs"]["trace"] for record in pool_tasks) == sorted(
+            trace.name for _, trace, _, _ in seven)
+        assert all(record["attrs"]["kind"] == "sim" and record["status"] == "ok"
+                   and record["duration"] > 0 for record in pool_tasks)
+        pids = {record["pid"] for record in pool_tasks}
+        assert os.getpid() not in pids and len(pids) <= 2
+
+    def test_a_persistent_pool_keeps_each_batch_in_its_trace(self, obs, seven):
+        _, recorder = obs
+        with WorkerPool(max_workers=2) as pool:
+            for trace_id, batch in (("tr-batch-a", seven[:4]), ("tr-batch-b", seven[4:])):
+                with bind_trace_id(trace_id):
+                    run_scheduled(batch, pool=pool, backend="interp")
+        spans = recorder.drain()
+        for trace_id, batch in (("tr-batch-a", seven[:4]), ("tr-batch-b", seven[4:])):
+            _, pool_tasks = self.pass_spans(spans, trace_id)
+            assert sorted(record["attrs"]["trace"] for record in pool_tasks) == sorted(
+                trace.name for _, trace, _, _ in batch)
+            assert {record["trace_id"] for record in pool_tasks} == {trace_id}
+        assert len([record for record in spans if record["name"] == "pool.task"]) == 7
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "pool"])
+    def test_a_failing_task_records_no_span_then_or_later(self, obs, seven, workers):
+        """A task that raises leaves no ``pool.task`` span, in its own
+        request's spans or in the next request's."""
+        registry, recorder = obs
+        bad = (PredictorSpec("bimodal", {"bogus": 1}),) + seven[0][1:]
+        with WorkerPool(max_workers=1) as pool:
+            pool_arg = pool if workers == 2 else None
+            with bind_trace_id("tr-fails"), pytest.raises(TypeError):
+                run_scheduled([bad], max_workers=workers, pool=pool_arg, backend="interp")
+            with bind_trace_id("tr-after"):
+                run_scheduled(seven[1:3], max_workers=workers, pool=pool_arg, backend="interp")
+        spans = recorder.drain()
+        failed, failed_tasks = self.pass_spans(spans, "tr-fails")
+        assert failed["status"] == "error" and failed_tasks == []
+        _, later_tasks = self.pass_spans(spans, "tr-after")
+        pool_tasks = [record for record in spans if record["name"] == "pool.task"]
+        assert pool_tasks == later_tasks and len(pool_tasks) == 2
+        assert {record["trace_id"] for record in pool_tasks} == {"tr-after"}
+        assert registry.counter("repro_pool_tasks_total", "", ("kind",)).value(kind="sim") == 2
 
 
 class TestExactRequests:
