@@ -34,7 +34,9 @@ that a subclass supplies as a few atomic primitives: exclusive create
 (:meth:`~Broker._create`, first write wins), read, replace-write and
 remove, an atomic move between kinds (:meth:`~Broker._move`, the claim),
 listing (and pending tickets in delivery order), the last write time, and
-per-attempt span filing.  Records are JSON-pure dicts grouped in kinds:
+per-attempt span filing.  Records are dicts grouped in kinds (JSON-pure,
+except that an in-process store's payloads may hold live objects, since
+they never leave the process):
 ``jobs``, ``pending`` (tickets keyed by :func:`ticket_key`), ``leased``,
 ``done``, ``dead``, ``cancelled``, ``workers`` and ``tmp``.  The
 lifecycle never holds a lock across two primitives: it is written to
@@ -184,21 +186,24 @@ class Broker:
         """Delay before re-delivering after ``attempt`` deliveries."""
         return min(self.backoff_base * (2 ** max(attempt - 1, 0)), self.backoff_cap)
 
-    def listen(self, event: threading.Event) -> None:
-        """Set ``event`` whenever a job here changes state.
+    def listen(self, event: threading.Event, changes: set[str] | None = None) -> None:
+        """Set ``event`` whenever a job here changes state, after adding
+        the job's id to ``changes`` when one is given.
 
         Only an in-process broker fires it; a broker shared between
         processes cannot see its peers' writes, so its clients poll.
         """
-        self._listeners.append(event)
+        self._listeners.append((event, changes))
 
-    def _changed(self) -> None:
-        """A job changed state: wake the listeners of an in-process broker."""
+    def _changed(self, job_id: str) -> None:
+        """``job_id`` changed state: tell the listeners of an in-process broker."""
         if self.in_process:
-            for listener in self._listeners:
-                listener.set()
+            for event, changes in self._listeners:
+                if changes is not None:
+                    changes.add(job_id)
+                event.set()
 
-    def _note(self, event: str) -> None:
+    def _note(self, event: str, job_id: str) -> None:
         """Count a delivery event in *this* process' metrics registry.
 
         Events: ``published``, ``leased``, ``completed``, ``retried``
@@ -213,7 +218,7 @@ class Broker:
             "Broker delivery events by type.",
             ("event",),
         ).inc(event=event)
-        self._changed()
+        self._changed(job_id)
 
     # ------------------------------------------------------------------
     # Store primitives: each one atomic, nothing else shared
@@ -268,7 +273,8 @@ class Broker:
     # ------------------------------------------------------------------
 
     def publish(self, job_id: str, payload: dict, max_attempts: int | None = None) -> None:
-        """Enqueue ``payload`` (JSON-pure) for delivery as ``job_id``.
+        """Enqueue ``payload`` (JSON-pure, unless :attr:`in_process`) for
+        delivery as ``job_id``.
 
         The caller supplies the id so the broker job keeps the identity
         of the service job that produced it.  Re-publishing an id is a
@@ -283,7 +289,7 @@ class Broker:
         }):
             raise BrokerError(f"job {job_id!r} is already published")
         self._enqueue(job_id, 1, now, None)
-        self._note("published")
+        self._note("published", job_id)
 
     def lease(self, worker_id: str) -> Lease | None:
         """Claim the oldest deliverable job, or ``None`` when idle.
@@ -316,7 +322,7 @@ class Broker:
                 "deadline": deadline,
                 "started": now,
             })
-            self._note("leased")
+            self._note("leased", job_id)
             return Lease(job_id, record["payload"], ticket["attempt"],
                          deadline, worker_id)
         return None
@@ -374,7 +380,7 @@ class Broker:
             key = self._find_ticket(job_id)
             if key is not None:
                 self._remove("pending", key)
-            self._note("completed")
+            self._note("completed", job_id)
         return won
 
     def fail(self, job_id: str, worker_id: str, error: str,
@@ -403,7 +409,7 @@ class Broker:
         if key is None or not self._remove("pending", key):
             return False  # not pending, or leased in the race window
         self._create("cancelled", job_id, {"finished": self._now()})
-        self._changed()
+        self._changed(job_id)
         return True
 
     def reap(self) -> int:
@@ -442,7 +448,7 @@ class Broker:
         now = self._now()
         if attempt < record.get("max_attempts", self.max_attempts):
             self._enqueue(job_id, attempt + 1, now + self.backoff(attempt), error)
-            self._note(event)
+            self._note(event, job_id)
         elif self._create("dead", job_id, {
             "error": error, "attempts": attempt,
             "started": lease.get("started"), "finished": now,
@@ -453,7 +459,7 @@ class Broker:
             if self._exists("done", job_id):
                 self._remove("dead", job_id)
             else:
-                self._note("dead_lettered")
+                self._note("dead_lettered", job_id)
 
     def _enqueue(self, job_id: str, attempt: int, not_before: float,
                  error: str | None) -> None:

@@ -6,10 +6,11 @@ runs under one lock, which makes it atomic for any number of front-end
 and worker *threads* within one process.  Each lane of a local
 ``SimulationService`` runs on one, drained by an in-thread
 ``FleetWorker``.  Every state change sets the events passed to
-:meth:`~repro.distrib.broker.Broker.listen`, so the worker and the
-service's watcher wake at once instead of polling.  Terminal jobs are
-forgotten oldest first beyond :data:`TERMINAL_ENTRIES`, which keeps a
-long-running service bounded.  It cannot span processes; deploys use
+:meth:`~repro.distrib.broker.Broker.listen` and names the job in their
+change sets, so the worker and the service's watcher wake at once
+instead of polling, and the watcher looks only at the jobs that moved.
+Terminal jobs are forgotten oldest first beyond
+:data:`TERMINAL_ENTRIES`, which keeps a long-running service bounded.  It cannot span processes; deploys use
 :class:`~repro.distrib.fsbroker.FileBroker`, the same lifecycle over a
 shared directory.
 """

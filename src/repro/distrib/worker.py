@@ -11,9 +11,10 @@ outlives each job, shared result cache), registers with the broker under capabil
 2. execute its requests as one ``Runner.run_batch`` call — the same
    code path as ``repro run`` and the single-process service, so fleet
    results are byte-identical to local ones,
-3. heartbeat from a background thread while the batch runs, so a long
-   job never loses its lease while a *dead* worker loses it within one
-   visibility timeout,
+3. heartbeat while the batch runs, from one background thread that
+   lives as long as :meth:`FleetWorker.run` and extends whichever lease
+   is executing, so a long job never loses its lease while a *dead*
+   worker loses it within one visibility timeout,
 4. :meth:`~repro.distrib.broker.Broker.complete` (first write wins — a
    re-delivered twin finishing later is a quiet no-op) or
    :meth:`~repro.distrib.broker.Broker.fail` (retry with backoff, then
@@ -118,7 +119,10 @@ class FleetWorker:
         Idle wait between empty lease attempts.
     heartbeat_interval:
         Lease-extension period while executing; defaults to a third of
-        the broker's visibility timeout.
+        the broker's visibility timeout.  One heartbeat thread, started
+        by :meth:`run` and joined before it returns, wakes every interval
+        and extends the running job's lease, if any; no job starts or
+        ends a thread.
     """
 
     def __init__(
@@ -144,6 +148,12 @@ class FleetWorker:
         self._wake = threading.Event()
         broker.listen(self._wake)
         self._registered = False
+        #: Guards the lease the heartbeat thread extends (``None`` between
+        #: jobs); held across each beat, see :meth:`_beat_for`.  Notified
+        #: only when :meth:`run` ends.
+        self._beat = threading.Condition()
+        self._beating: Lease | None = None
+        self._beat_closed = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -169,6 +179,11 @@ class FleetWorker:
         log_event(_LOG, logging.INFO, "worker registered",
                   worker=self.worker_id, broker=self.broker.describe())
         processed = 0
+        self._beat_closed = False
+        beat = threading.Thread(target=self._heartbeat_loop,
+                                name=f"repro-worker-heartbeat-{self.worker_id}",
+                                daemon=True)
+        beat.start()
         try:
             while not self._stop.is_set():
                 if max_jobs is not None and processed >= max_jobs:
@@ -183,6 +198,10 @@ class FleetWorker:
                 processed += 1
                 self._touch_registration()
         finally:
+            with self._beat:
+                self._beat_closed = True
+                self._beat.notify()
+            beat.join()
             if self._registered:
                 try:
                     self.broker.deregister_worker(self.worker_id)
@@ -219,53 +238,31 @@ class FleetWorker:
     # ------------------------------------------------------------------
 
     def _execute(self, lease: Lease) -> None:
-        trace_id = lease.payload.get("trace_id")
-        stop_beat = threading.Event()
-        beat = threading.Thread(
-            target=self._heartbeat_loop,
-            args=(lease, stop_beat, trace_id),
-            name=f"repro-worker-heartbeat-{lease.job_id}",
-            daemon=True,
-        )
-        beat.start()
-        with bind_trace_id(trace_id):
+        with bind_trace_id(lease.payload.get("trace_id")):
             log_event(_LOG, logging.INFO, "job leased",
                       worker=self.worker_id, job=lease.job_id,
                       attempt=lease.attempt,
                       requests=len(lease.payload.get("requests", ())))
             started = time.perf_counter()
+            failure: Exception | None = None
+            self._beat_for(lease)
             try:
-                requests = [
-                    RunRequest.from_dict(entry) for entry in lease.payload["requests"]
-                ]
-                # Adopt the front end's span context from the ticket: the
-                # worker's subtree parents under the serve-side request
-                # span, and each delivery is its own attempt-tagged span —
-                # a re-delivered lease becomes a sibling, never a merge.
-                with bind_span_context(lease.payload.get("span")):
-                    with span("worker.execute", attempt=lease.attempt,
-                              worker=self.worker_id,
-                              proc=f"worker:{self.worker_id}"):
-                        results = self.runner.run_batch(requests)
-                payloads = [
-                    suite_payload(request, result)
-                    for request, result in zip(requests, results)
-                ]
+                payloads = self._simulate(lease)
             except Exception as error:  # noqa: BLE001 - job faults must not kill the worker
-                stop_beat.set()
-                beat.join()
-                message = str(error.args[0]) if error.args else str(error)
+                failure = error
+            finally:
+                self._beat_for(None)
+            if failure is not None:
+                args = failure.args
+                message = f"{type(failure).__name__}: {args[0] if args else failure}"
                 self.failed += 1
                 _job_counter().inc(outcome="failed")
                 log_event(_LOG, logging.WARNING, "job failed",
                           worker=self.worker_id, job=lease.job_id,
-                          attempt=lease.attempt, error=f"{type(error).__name__}: {message}")
-                self.broker.fail(lease.job_id, self.worker_id,
-                                 f"{type(error).__name__}: {message}",
+                          attempt=lease.attempt, error=message)
+                self.broker.fail(lease.job_id, self.worker_id, message,
                                  spans=drain_spans() or None)
                 return
-            stop_beat.set()
-            beat.join()
             seconds = time.perf_counter() - started
             _execute_seconds().observe(seconds)
             # complete() is idempotent: if the lease expired mid-run and a
@@ -284,25 +281,60 @@ class FleetWorker:
                           worker=self.worker_id, job=lease.job_id,
                           attempt=lease.attempt, seconds=round(seconds, 6))
 
-    def _heartbeat_loop(self, lease: Lease, stop: threading.Event,
-                        trace_id: str | None) -> None:
-        # contextvars do not cross thread boundaries — re-bind explicitly
-        # so lease-loss warnings carry the job's trace id.
-        with bind_trace_id(trace_id):
-            while not stop.wait(self.heartbeat_interval):
-                try:
-                    self.broker.heartbeat(lease.job_id, self.worker_id)
-                except LeaseLostError:
-                    # Keep executing: completion stays correct (idempotent)
-                    # and abandoning mid-run would waste the work when the
-                    # re-delivered twin also dies.
-                    log_event(_LOG, logging.WARNING, "lease lost mid-run",
-                              worker=self.worker_id, job=lease.job_id,
-                              attempt=lease.attempt)
-                    return
-                except Exception as error:  # noqa: BLE001 - transient: retry next beat
-                    _obs_errors().inc(component="worker.heartbeat")
-                    log_event(_LOG, logging.WARNING, "lease heartbeat failed",
-                              worker=self.worker_id, job=lease.job_id,
-                              error=repr(error))
-                    continue
+    def _simulate(self, lease: Lease) -> list[dict]:
+        """Run the lease's requests as one ``run_batch``; their payloads."""
+        # A local lane's broker carries the validated requests themselves;
+        # a shared broker carries their wire form.
+        requests = [
+            entry if isinstance(entry, RunRequest) else RunRequest.from_dict(entry)
+            for entry in lease.payload["requests"]
+        ]
+        # Adopt the front end's span context from the ticket: the
+        # worker's subtree parents under the serve-side request span, and
+        # each delivery is its own attempt-tagged span — a re-delivered
+        # lease becomes a sibling, never a merge.
+        with bind_span_context(lease.payload.get("span")):
+            with span("worker.execute", attempt=lease.attempt,
+                      worker=self.worker_id, proc=f"worker:{self.worker_id}"):
+                results = self.runner.run_batch(requests)
+        return [suite_payload(request, result)
+                for request, result in zip(requests, results)]
+
+    def _beat_for(self, lease: Lease | None) -> None:
+        """Have the heartbeat thread extend ``lease``; ``None`` stops it.
+
+        Returns with no beat in flight (the thread holds the condition
+        across each beat), so a completion or failure report never races
+        a heartbeat of its own lease.
+        """
+        with self._beat:
+            self._beating = lease
+
+    def _heartbeat_loop(self) -> None:
+        # Beats on its own clock rather than being woken per job: a lease
+        # is extended within one interval of its start, and every
+        # interval after, and short jobs cost this thread nothing.
+        with self._beat:
+            while not self._beat_closed:
+                self._beat.wait(self.heartbeat_interval)
+                if self._beating is not None and not self._beat_closed:
+                    self._extend(self._beating)
+
+    def _extend(self, lease: Lease) -> None:
+        """One heartbeat of ``lease``; called with the condition held."""
+        trace_id = lease.payload.get("trace_id")
+        try:
+            self.broker.heartbeat(lease.job_id, self.worker_id)
+        except LeaseLostError:
+            # Keep executing: completion stays correct (idempotent) and
+            # abandoning mid-run would waste the work when the
+            # re-delivered twin also dies.  Stop beating this lease.
+            self._beating = None
+            log_event(_LOG, logging.WARNING, "lease lost mid-run",
+                      trace_id=trace_id, worker=self.worker_id,
+                      job=lease.job_id, attempt=lease.attempt)
+        except Exception as error:  # noqa: BLE001 - transient: retry next beat
+            _obs_errors().inc(component="worker.heartbeat")
+            log_event(_LOG, logging.WARNING, "lease heartbeat failed",
+                      trace_id=trace_id, worker=self.worker_id,
+                      job=lease.job_id, error=repr(error))

@@ -51,7 +51,6 @@ from repro.obs.spans import (
     build_tree,
     critical_path,
     current_span,
-    current_span_context,
     drain_spans,
     get_tracer,
     make_span,
@@ -84,7 +83,6 @@ __all__ = [
     "configure_logging",
     "critical_path",
     "current_span",
-    "current_span_context",
     "current_trace_id",
     "drain_spans",
     "ensure_trace_id",

@@ -12,8 +12,8 @@ id explicitly with :func:`bind_trace_id`.
 
 from __future__ import annotations
 
+import os
 import re
-import uuid
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterator
@@ -28,7 +28,7 @@ _TRACE_ID: ContextVar[str | None] = ContextVar("repro_trace_id",
 
 
 def new_trace_id() -> str:
-    return "tr-" + uuid.uuid4().hex[:16]
+    return "tr-" + os.urandom(8).hex()
 
 
 def valid_trace_id(value: object) -> bool:

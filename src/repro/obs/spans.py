@@ -40,7 +40,6 @@ import json
 import os
 import threading
 import time
-import uuid
 from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -56,7 +55,6 @@ __all__ = [
     "build_tree",
     "critical_path",
     "current_span",
-    "current_span_context",
     "drain_spans",
     "get_tracer",
     "make_span",
@@ -82,7 +80,7 @@ _CURRENT_SPAN: ContextVar["_ActiveSpan | None"] = ContextVar("repro_current_span
 
 
 def new_span_id() -> str:
-    return uuid.uuid4().hex[:16]
+    return os.urandom(8).hex()
 
 
 def _env_sample_rate() -> float:
@@ -280,22 +278,13 @@ def current_span() -> "_ActiveSpan | _NoopSpan":
     return _CURRENT_SPAN.get() or NOOP_SPAN
 
 
-def current_span_context() -> dict[str, Any] | None:
-    """The serializable context to ship to another process, or ``None``.
-
-    Only sampled contexts travel: a child with no context re-derives
-    the (deterministic) sampling verdict from the trace id, so an
-    unsampled trace stays unsampled fleet-wide without extra plumbing.
-    """
-    context = _SPAN_CONTEXT.get()
-    if context is None or not context[2]:
-        return None
-    return {"trace_id": context[0], "span_id": context[1], "sampled": True}
-
-
 @contextmanager
 def bind_span_context(context: dict[str, Any] | None) -> Iterator[None]:
-    """Adopt a shipped span context (see :func:`current_span_context`).
+    """Adopt a span context shipped from another process or thread.
+
+    ``context`` is ``{"trace_id", "span_id", "sampled"}``, the dict a
+    service puts on a broker ticket: spans opened inside parent under
+    ``span_id``, or record nothing when ``sampled`` is false.
 
     ``None`` restores the no-context state: a span opened inside has no
     parent and takes the ambient trace id and its sampling verdict.

@@ -76,6 +76,9 @@ CACHE_SCHEMA_VERSION = 3
 
 #: File suffixes of cache entries (results, trace manifests) the LRU bound covers.
 _ENTRY_SUFFIXES = (".pkl", ".manifest")
+#: File in a cache directory holding the bytes its entries take, as
+#: bounded puts estimate it (see :class:`SuiteCache`).
+SIZE_ESTIMATE = "size-estimate"
 
 _LOG = get_logger("pipeline")
 
@@ -119,7 +122,11 @@ class SuiteCache:
     evicts least-recently-used entries (by mtime; :meth:`get` refreshes
     the mtime of served entries) until the directory fits, which is what
     makes a default-on shared cache safe.  :meth:`prune` runs the same
-    eviction on demand.
+    eviction on demand.  A bounded put does not list the directory: it
+    adds its bytes to a size estimate kept in the directory
+    (:data:`SIZE_ESTIMATE`, shared by every cache on it), and only an
+    estimate past the bound, or a missing one, runs the listing
+    :meth:`prune`, which rewrites the estimate with the true total.
 
     Next to the results (``<key>.pkl``) the cache keeps small trace
     manifests (``<key>.manifest``, see :meth:`get_manifest`), under the
@@ -138,9 +145,6 @@ class SuiteCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        # Running size estimate so bounded puts stay O(1): synced to the
-        # real directory total by every prune() scan, bumped per write.
-        self._approx_bytes: int | None = None
 
     def _path(self, key: str, suffix: str = ".pkl") -> str:
         return os.path.join(self.directory, f"{key}{suffix}")
@@ -256,7 +260,7 @@ class SuiteCache:
             get_metrics().counter(
                 "repro_cache_evictions_total",
                 "Result-cache entries evicted by the LRU bound.").inc(removed)
-        self._approx_bytes = total
+        self._store_estimate(total)
         return {"removed": removed, "reclaimed_bytes": reclaimed, "remaining_bytes": total}
 
     def clear(self) -> int:
@@ -267,11 +271,11 @@ class SuiteCache:
         comparable with :meth:`stats`'s ``entries``.
         """
         removed = 0
-        self._approx_bytes = None  # directory emptied; resync lazily
         try:
             names = os.listdir(self.directory)
         except OSError:
             return 0
+        self._store_estimate(0)
         for name in names:
             is_entry = name.endswith(".pkl")
             if not (name.endswith(_ENTRY_SUFFIXES) or ".tmp." in name):
@@ -329,12 +333,35 @@ class SuiteCache:
         os.replace(tmp, path)
         if self.max_bytes is None:
             return
-        if self._approx_bytes is None:
-            self.prune()  # first bounded write: one full scan seeds the estimate
-            return
-        self._approx_bytes += len(blob)
-        if self._approx_bytes > self.max_bytes:
+        estimate = self._read_estimate()
+        if estimate is None or estimate + len(blob) > self.max_bytes:
             self.prune()
+        else:
+            self._store_estimate(estimate + len(blob))
+
+    def _read_estimate(self) -> int | None:
+        """The directory's size estimate; ``None`` when missing or unreadable."""
+        try:
+            with open(os.path.join(self.directory, SIZE_ESTIMATE), "rb") as handle:
+                return int(handle.read())
+        except (OSError, ValueError):
+            return None
+
+    def _store_estimate(self, total: int) -> None:
+        # Overwritten in place at a fixed width, which costs a few µs
+        # where a temp file and rename cost ~100: a torn or unreadable
+        # estimate only makes some put run the prune that resyncs it.
+        try:
+            fd = os.open(os.path.join(self.directory, SIZE_ESTIMATE),
+                         os.O_WRONLY | os.O_CREAT, 0o644)
+        except OSError:
+            return  # no estimate: the next bounded put lists the directory
+        try:
+            os.write(fd, b"%020d" % total)
+        except OSError:
+            pass
+        finally:
+            os.close(fd)
 
     # -- trace manifests -------------------------------------------------
 

@@ -23,8 +23,8 @@ Layers (each usable on its own):
 * :mod:`repro.service.app` — the application: the ``/v2/`` API
   (error envelope, pagination, capabilities); ``/v1/`` answers
   ``410 Gone``,
-* :mod:`repro.service.client` — a urllib client (used by
-  ``repro submit`` and the tests),
+* :mod:`repro.service.client` — a keep-alive ``http.client`` client
+  (used by ``repro submit`` and the tests),
 * :mod:`repro.service.spec` — the machine-readable endpoint table
   (``python -m repro.service.spec``) CI diffs against the README.
 

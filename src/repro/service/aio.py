@@ -13,7 +13,8 @@ The parser is deliberately small and deliberately strict:
 
 * request line and header lines are size-capped, the header count is
   capped, and the whole head must arrive within ``header_timeout``
-  seconds — a slow-loris connection is dropped with a 408 instead of
+  seconds, read under one deadline scope rather than a timed task per
+  line — a slow-loris connection is dropped with a 408 instead of
   holding memory forever;
 * bodies are read only up to a declared, sane ``Content-Length``;
   ``Transfer-Encoding: chunked`` is rejected cleanly (the service's
@@ -25,7 +26,12 @@ The parser is deliberately small and deliberately strict:
 * keep-alive and pipelining work the obvious way: the connection
   coroutine loops, and any request that leaves unread bytes on the
   socket forces ``Connection: close`` so a later request can never
-  parse a stale body as its head.
+  parse a stale body as its head.  A kept-alive connection that sends
+  no byte of a next request within ``header_timeout`` is closed
+  without a response (a 408 there would be read as the answer to the
+  client's next request); one whose next head has started to arrive
+  still gets its 408.  Accepted connections are counted as
+  ``repro_service_http_connections_total``.
 
 The application is one ``async handler(request) -> HTTPResponse``
 callable; parse-level failures are rendered through a pluggable
@@ -40,6 +46,7 @@ import email.utils
 import json
 import logging
 import socket
+import sys
 import threading
 from dataclasses import dataclass, field
 from http.client import responses as _REASONS
@@ -47,7 +54,7 @@ from typing import Any, Awaitable, Callable
 from urllib.parse import parse_qs, urlsplit
 
 import repro
-from repro.obs import get_logger, log_event
+from repro.obs import get_logger, get_metrics, log_event
 
 __all__ = [
     "AsyncHTTPServer",
@@ -56,6 +63,7 @@ __all__ = [
     "MAX_BODY_BYTES",
     "MAX_HEADER_COUNT",
     "MAX_LINE_BYTES",
+    "within",
 ]
 
 _LOG = get_logger("service.http")
@@ -73,6 +81,26 @@ DEFAULT_HEADER_TIMEOUT = 30.0
 DEFAULT_BODY_TIMEOUT = 60.0
 
 _SERVER = f"repro-service/{repro.__version__}"
+
+
+async def within(deadline: float, awaitable: Awaitable[Any]) -> Any:
+    """Await ``awaitable``; raise :class:`asyncio.TimeoutError` at ``deadline``.
+
+    ``deadline`` is on the running loop's clock.  Python 3.11+ runs it
+    in a timeout scope, with no task of its own; 3.10 falls back to
+    :func:`asyncio.wait_for`.
+    """
+    if sys.version_info >= (3, 11):
+        async with asyncio.timeout_at(deadline):
+            return await awaitable
+    remaining = deadline - asyncio.get_running_loop().time()
+    return await asyncio.wait_for(awaitable, max(remaining, 0.0))
+
+
+def _http_connections():
+    return get_metrics().counter(
+        "repro_service_http_connections_total",
+        "HTTP connections accepted.")
 
 
 @dataclass
@@ -235,15 +263,18 @@ class AsyncHTTPServer:
             await self._stop_event.wait()
         finally:
             server.close()
-            with contextlib.suppress(OSError):
-                await server.wait_closed()
+            # Idle keep-alive connections end only when cancelled, and
+            # from Python 3.12 on wait_closed() waits for every one.
             for task in list(self._connections):
                 task.cancel()
             if self._connections:
                 await asyncio.gather(*self._connections, return_exceptions=True)
+            with contextlib.suppress(OSError):
+                await server.wait_closed()
 
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
+        _http_connections().inc()
         task = asyncio.current_task()
         if task is not None:
             self._connections.add(task)
@@ -301,79 +332,24 @@ class AsyncHTTPServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
         peer_host: str,
     ) -> "HTTPRequest | _Failure | None":
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.header_timeout
-
-        async def read_line() -> bytes | None:
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                raise asyncio.TimeoutError
-            try:
-                return await asyncio.wait_for(
-                    reader.readuntil(b"\n"), timeout=remaining)
-            except asyncio.IncompleteReadError as eof:
-                if not eof.partial:
-                    return None
-                raise
-
-        # -- request line ----------------------------------------------
+        """The next request, a parse failure, or ``None`` to close quietly
+        (end of stream, or no byte of a request within the head deadline)."""
+        deadline = asyncio.get_running_loop().time() + self.header_timeout
         try:
-            raw = await read_line()
+            first = await within(deadline, reader.read(1))
+        except asyncio.TimeoutError:
+            return None
+        if not first:
+            return None
+        try:
+            head = await within(deadline, self._read_head(reader, first))
         except asyncio.TimeoutError:
             return _Failure(408, "header_timeout",
                             f"request head not received within "
                             f"{self.header_timeout:g}s")
-        except asyncio.IncompleteReadError:
-            return _Failure(400, "truncated_request",
-                            "connection closed mid request line")
-        except asyncio.LimitOverrunError:
-            return _Failure(414, "uri_too_long", "request line too long")
-        if raw is None:
-            return None
-        if len(raw) > self.max_line_bytes:
-            return _Failure(414, "uri_too_long",
-                            f"request line exceeds {self.max_line_bytes} bytes")
-        parts = raw.decode("latin-1").rstrip("\r\n").split()
-        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-            return _Failure(400, "malformed_request",
-                            "request line is not 'METHOD TARGET HTTP/x.y'")
-        method, target, version = parts
-        if version not in ("HTTP/1.0", "HTTP/1.1"):
-            return _Failure(505, "http_version_not_supported",
-                            f"unsupported protocol version {version}")
-
-        # -- headers ---------------------------------------------------
-        headers: dict[str, str] = {}
-        count = 0
-        while True:
-            try:
-                raw = await read_line()
-            except asyncio.TimeoutError:
-                return _Failure(408, "header_timeout",
-                                f"request head not received within "
-                                f"{self.header_timeout:g}s")
-            except asyncio.IncompleteReadError:
-                return _Failure(400, "truncated_headers",
-                                "connection closed mid headers")
-            except asyncio.LimitOverrunError:
-                return _Failure(431, "header_too_large", "header line too long")
-            if raw is None:
-                return _Failure(400, "truncated_headers",
-                                "connection closed mid headers")
-            if raw in (b"\r\n", b"\n"):
-                break
-            if len(raw) > self.max_line_bytes:
-                return _Failure(431, "header_too_large",
-                                f"header line exceeds {self.max_line_bytes} bytes")
-            count += 1
-            if count > self.max_header_count:
-                return _Failure(431, "too_many_headers",
-                                f"more than {self.max_header_count} headers")
-            name, sep, value = raw.decode("latin-1").partition(":")
-            if not sep or not name.strip():
-                return _Failure(400, "malformed_header",
-                                f"malformed header line {raw!r}")
-            headers[name.strip().lower()] = value.strip()
+        if isinstance(head, _Failure):
+            return head
+        method, target, version, headers = head
 
         split = urlsplit(target)
         query = {key: values[-1]
@@ -410,8 +386,9 @@ class AsyncHTTPServer:
             writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
             await writer.drain()
         try:
-            request.body = await asyncio.wait_for(
-                reader.readexactly(length), timeout=self.body_timeout)
+            request.body = await within(
+                asyncio.get_running_loop().time() + self.body_timeout,
+                reader.readexactly(length))
         except asyncio.IncompleteReadError:
             return _Failure(400, "truncated_body",
                             f"connection closed {length} bytes short of "
@@ -421,6 +398,56 @@ class AsyncHTTPServer:
                             f"declared body not received within "
                             f"{self.body_timeout:g}s")
         return request
+
+    async def _read_head(
+        self, reader: asyncio.StreamReader, first: bytes,
+    ) -> "tuple[str, str, str, dict[str, str]] | _Failure":
+        """Request line and headers, ``first`` being the line's first byte."""
+        # -- request line ----------------------------------------------
+        try:
+            raw = first if first == b"\n" else first + await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError:
+            return _Failure(400, "truncated_request",
+                            "connection closed mid request line")
+        except asyncio.LimitOverrunError:
+            return _Failure(414, "uri_too_long", "request line too long")
+        if len(raw) > self.max_line_bytes:
+            return _Failure(414, "uri_too_long",
+                            f"request line exceeds {self.max_line_bytes} bytes")
+        parts = raw.decode("latin-1").rstrip("\r\n").split()
+        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+            return _Failure(400, "malformed_request",
+                            "request line is not 'METHOD TARGET HTTP/x.y'")
+        method, target, version = parts
+        if version not in ("HTTP/1.0", "HTTP/1.1"):
+            return _Failure(505, "http_version_not_supported",
+                            f"unsupported protocol version {version}")
+
+        # -- headers ---------------------------------------------------
+        headers: dict[str, str] = {}
+        count = 0
+        while True:
+            try:
+                raw = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError:
+                return _Failure(400, "truncated_headers",
+                                "connection closed mid headers")
+            except asyncio.LimitOverrunError:
+                return _Failure(431, "header_too_large", "header line too long")
+            if raw in (b"\r\n", b"\n"):
+                return method, target, version, headers
+            if len(raw) > self.max_line_bytes:
+                return _Failure(431, "header_too_large",
+                                f"header line exceeds {self.max_line_bytes} bytes")
+            count += 1
+            if count > self.max_header_count:
+                return _Failure(431, "too_many_headers",
+                                f"more than {self.max_header_count} headers")
+            name, sep, value = raw.decode("latin-1").partition(":")
+            if not sep or not name.strip():
+                return _Failure(400, "malformed_header",
+                                f"malformed header line {raw!r}")
+            headers[name.strip().lower()] = value.strip()
 
     async def _write_response(self, writer: asyncio.StreamWriter,
                               response: HTTPResponse, method: str) -> None:

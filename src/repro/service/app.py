@@ -66,6 +66,7 @@ from repro.service.aio import (
     AsyncHTTPServer,
     HTTPRequest,
     HTTPResponse,
+    within,
 )
 from repro.service.auth import ANONYMOUS_CLIENT, AuthError, TokenAuth
 from repro.service.core import (
@@ -231,7 +232,7 @@ class ServiceHTTPServer(AsyncHTTPServer):
             job_id, lambda: loop.call_soon_threadsafe(event.set))
         if subscribed and timeout > 0:
             with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(event.wait(), timeout)
+                await within(loop.time() + timeout, event.wait())
         return service.job(job_id)
 
     @staticmethod

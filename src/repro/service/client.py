@@ -1,7 +1,15 @@
-"""A small urllib client for the HTTP service (v2 surface).
+"""A small client for the HTTP service (v2 surface), over ``http.client``.
 
 Used by ``repro submit``, the tests and the throughput benchmark — and a
 reasonable starting point for any external caller.  Stdlib only.
+
+Each calling thread keeps one HTTP/1.1 connection and reuses it across
+calls, so a stream of submissions pays one TCP connect, not one per
+call.  A connection the server closed while it sat idle is noticed
+before the next request goes out on it and replaced.  A failure once a
+request was sent is raised, never retried (a POST is never sent
+twice); only a GET that finds its reused connection dropped is sent
+once more, on a fresh one.
 
 Speaks the v2 API: errors arrive in the uniform envelope
 (``{"error": {"code", "message", "retry_after?", "trace_id"}}``) and are
@@ -12,11 +20,13 @@ Bearer`` header required by authenticated deployments.
 
 from __future__ import annotations
 
+import http.client
 import json
+import select
+import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Sequence
+from urllib.parse import urlsplit
 
 from repro.api.request import RunRequest
 from repro.service.protocol import TERMINAL_STATUSES
@@ -38,18 +48,51 @@ class ServiceClientError(RuntimeError):
         self.trace_id = trace_id
 
 
+def _dropped(connection: http.client.HTTPConnection) -> bool:
+    """Whether an idle kept-alive connection can no longer carry a request.
+
+    An idle connection has nothing to read until the server closes it
+    (or writes what nobody asked for), so a readable socket is a dead one.
+    """
+    try:
+        return bool(select.select([connection.sock], [], [], 0)[0])
+    except ValueError:  # a descriptor past select's range: assume alive
+        return False
+
+
 class ServiceClient:
-    """Typed calls against one service base URL (e.g. ``http://127.0.0.1:8321``)."""
+    """Typed calls against one service base URL (e.g. ``http://127.0.0.1:8321``).
+
+    Safe to share between threads: each thread talks over its own
+    connection, which closes when the thread ends.
+    """
 
     def __init__(self, base_url: str, timeout: float = 30.0,
                  token: str | None = None) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.token = token
+        split = urlsplit(self.base_url)
+        if split.scheme not in ("http", "https") or not split.hostname:
+            raise ValueError(f"service URL must be http(s)://host[:port], got {base_url!r}")
+        self._connection_class = (http.client.HTTPSConnection if split.scheme == "https"
+                                  else http.client.HTTPConnection)
+        self._address = (split.hostname, split.port)
+        self._prefix = split.path
+        self._local = threading.local()
 
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
+
+    def _connection(self) -> http.client.HTTPConnection:
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._connection_class(*self._address)
+            self._local.connection = connection
+        elif connection.sock is not None and _dropped(connection):
+            connection.close()
+        return connection
 
     def _call(self, method: str, path: str, payload: Any = None,
               timeout: float | None = None,
@@ -59,27 +102,38 @@ class ServiceClient:
         if self.token:
             request_headers["Authorization"] = f"Bearer {self.token}"
         request_headers.update(headers or {})
-        request = urllib.request.Request(
-            f"{self.base_url}{path}",
-            data=body,
-            method=method,
-            headers=request_headers,
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout if timeout is None else timeout
-            ) as response:
-                text = response.read().decode("utf-8")
-                return text if raw else json.loads(text)
-        except urllib.error.HTTPError as error:
-            raise self._decode_error(error) from None
-        except urllib.error.URLError as error:
-            raise ServiceClientError(
-                0, f"cannot reach {self.base_url}: {error.reason}") from None
+        limit = self.timeout if timeout is None else timeout
+        while True:
+            connection = self._connection()
+            reused = connection.sock is not None
+            connection.timeout = limit
+            if reused:
+                connection.sock.settimeout(limit)
+            try:
+                connection.request(method, self._prefix + path, body, request_headers)
+            except OSError as error:
+                connection.close()
+                raise ServiceClientError(
+                    0, f"cannot reach {self.base_url}: {error}") from None
+            try:
+                response = connection.getresponse()
+                data = response.read()
+            except ConnectionError:
+                connection.close()
+                if reused and method == "GET":
+                    continue  # the server dropped it first: once more, afresh
+                raise
+            except BaseException:
+                connection.close()
+                raise
+            if not 200 <= response.status < 300:
+                raise self._decode_error(response.status,
+                                         data.decode("utf-8", errors="replace"))
+            text = data.decode("utf-8")
+            return text if raw else json.loads(text)
 
     @staticmethod
-    def _decode_error(error: urllib.error.HTTPError) -> ServiceClientError:
-        detail = error.read().decode("utf-8", errors="replace")
+    def _decode_error(status: int, detail: str) -> ServiceClientError:
         code = retry_after = trace_id = None
         try:
             envelope = json.loads(detail).get("error", detail)
@@ -92,7 +146,7 @@ class ServiceClient:
             retry_after = envelope.get("retry_after")
             trace_id = envelope.get("trace_id")
         return ServiceClientError(
-            error.code, detail, code=code, retry_after=retry_after,
+            status, detail, code=code, retry_after=retry_after,
             trace_id=trace_id)
 
     # ------------------------------------------------------------------

@@ -244,10 +244,12 @@ class SimulationService:
         self.spans = SpanStore()
         self._lock = threading.Lock()
         self._watcher: threading.Thread | None = None
-        #: Set by :meth:`close` and by every in-process broker change.
+        #: Set by :meth:`close` and by every in-process broker change;
+        #: those brokers also add the changed job's id to ``_changes``.
         self._wake = threading.Event()
+        self._changes: set[str] = set()
         for lane_broker in self._brokers():
-            lane_broker.listen(self._wake)
+            lane_broker.listen(self._wake, self._changes)
         self._closed = False
         self._draining = False
         self._started_at = time.time()
@@ -436,6 +438,10 @@ class SimulationService:
                 self.submitted += 1
                 self.recovered += 1
                 published = known or self._publish(job)
+            if known:
+                # No change may ever come for it: have the watcher look.
+                self._changes.add(job.id)
+                self._wake.set()
             if not published:
                 self._settle(job, JobStatus.FAILED)
             log_event(_LOG, logging.INFO, "parked job recovered",
@@ -522,7 +528,10 @@ class SimulationService:
         """Hand ``job`` to its lane's broker; on failure record the error."""
         lane = self._lanes[job.lane]
         payload = {
-            "requests": [request.to_dict() for request in job.requests],
+            # Nothing serializes an in-process broker's records, so its
+            # worker gets the validated requests themselves.
+            "requests": (list(job.requests) if lane.broker.in_process
+                         else [request.to_dict() for request in job.requests]),
             "batch": job.batch,
             "trace_id": job.trace_id,
         }
@@ -795,17 +804,30 @@ class SimulationService:
     def _watch(self) -> None:
         """Follow published jobs through their brokers until terminal.
 
-        The watcher is also the deployment's reaper of last resort: it
-        re-queues expired leases every tick, so jobs survive even when
-        every worker has died (they execute once a worker returns).
-        After :meth:`close` it keeps following live jobs until none
-        remain (``close`` bounds the wait).
+        An in-process broker names every job it changes (see
+        :meth:`~repro.distrib.broker.Broker.listen`), so the watcher
+        wakes at once and snapshots only those jobs.  A broker shared
+        between processes cannot signal: on each poll tick the watcher
+        snapshots every live job of it.  The tick also reaps expired
+        leases on every broker, which makes the watcher the deployment's
+        reaper of last resort, so jobs survive even when every worker
+        has died (they execute once a worker returns).  After
+        :meth:`close` it keeps following live jobs until none remain
+        (``close`` bounds the wait).
         """
+        next_tick = 0.0
         while True:
             self._wake.clear()
+            changed = set()
+            while self._changes:
+                changed.add(self._changes.pop())
+            tick = time.monotonic() >= next_tick
             with self._lock:
-                live = list(self._live.values())
-            if live:
+                live = bool(self._live)
+                jobs = [job for job in self._live.values()
+                        if job.id in changed
+                        or (tick and not self._lanes[job.lane].broker.in_process)]
+            if tick and live:
                 for broker in self._brokers():
                     try:
                         broker.reap()
@@ -813,18 +835,23 @@ class SimulationService:
                         _obs_errors().inc(component="service.watcher")
                         log_event(_LOG, logging.WARNING, "broker reap failed",
                                   error=repr(error))
-                for job in live:
-                    try:
-                        snapshot = self._lanes[job.lane].broker.snapshot(job.id)
-                    except Exception as error:  # noqa: BLE001 - transient broker IO
-                        _obs_errors().inc(component="service.watcher")
-                        log_event(_LOG, logging.WARNING,
-                                  "broker snapshot failed",
-                                  trace_id=job.trace_id, job=job.id,
-                                  error=repr(error))
-                        continue
-                    self._observe(job, snapshot)
-            self._wake.wait(self.broker_poll)
+            for job in jobs:
+                broker = self._lanes[job.lane].broker
+                try:
+                    snapshot = broker.snapshot(job.id)
+                except Exception as error:  # noqa: BLE001 - transient broker IO
+                    _obs_errors().inc(component="service.watcher")
+                    log_event(_LOG, logging.WARNING,
+                              "broker snapshot failed",
+                              trace_id=job.trace_id, job=job.id,
+                              error=repr(error))
+                    if broker.in_process:
+                        self._changes.add(job.id)  # look again next tick
+                    continue
+                self._observe(job, snapshot)
+            if tick:
+                next_tick = time.monotonic() + self.broker_poll
+            self._wake.wait(max(next_tick - time.monotonic(), 0.0))
             with self._lock:
                 if self._closed and not self._live:
                     return

@@ -15,8 +15,8 @@ from __future__ import annotations
 import enum
 import itertools
 import threading
+import os
 import time
-import uuid
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -78,7 +78,7 @@ TERMINAL_STATUSES = frozenset(status.value for status in JobStatus if status.ter
 
 def new_job_id() -> str:
     """A unique, filesystem- and URL-safe job id (``job-<seq>-<hex>``)."""
-    return f"job-{next(_COUNTER)}-{uuid.uuid4().hex[:8]}"
+    return f"job-{next(_COUNTER)}-{os.urandom(4).hex()}"
 
 
 @dataclass

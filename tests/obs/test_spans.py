@@ -16,7 +16,6 @@ from repro.obs import (
     build_tree,
     critical_path,
     current_span,
-    current_span_context,
     drain_spans,
     make_span,
     render_critical_path,
@@ -129,14 +128,17 @@ class TestSampling:
         assert NOOP_SPAN.span_id is None
 
 
+def _ticket_context(trace_id: str, span_id: str, sampled: bool = True) -> dict:
+    """The span context a service puts on a broker ticket (see core.py)."""
+    return {"trace_id": trace_id, "span_id": span_id, "sampled": sampled}
+
+
 class TestContextPropagation:
-    def test_context_round_trips_through_the_wire_dict(self):
+    def test_ticket_context_parents_adopted_spans(self):
         with bind_trace_id("tr-wire-1"):
             with span("parent") as parent:
-                shipped = current_span_context()
-        assert shipped == {"trace_id": "tr-wire-1",
-                           "span_id": parent.span_id, "sampled": True}
-        with bind_span_context(shipped):
+                pass
+        with bind_span_context(_ticket_context("tr-wire-1", parent.span_id)):
             with span("adopted"):
                 pass
         adopted = [record for record in drain_spans()
@@ -144,14 +146,23 @@ class TestContextPropagation:
         assert adopted[0]["parent_id"] == parent.span_id
         assert adopted[0]["trace_id"] == "tr-wire-1"
 
-    def test_no_context_ships_none(self):
-        assert current_span_context() is None
+    def test_unsampled_ticket_context_records_nothing(self):
+        # The ticket's verdict wins over the ambient trace id's draw.
+        with bind_trace_id("tr-unsampled-1"):
+            with bind_span_context(_ticket_context("tr-unsampled-1", "s1", sampled=False)):
+                assert span("adopted") is NOOP_SPAN
+        assert drain_spans() == []
 
     def test_binding_none_clears_inherited_context(self):
         with bind_trace_id("tr-clear-1"):
             with span("parent"):
                 with bind_span_context(None):
-                    assert current_span_context() is None
+                    with span("detached"):
+                        pass
+        detached = [record for record in drain_spans()
+                    if record["name"] == "detached"]
+        assert detached[0]["parent_id"] is None
+        assert detached[0]["trace_id"] == "tr-clear-1"
 
 
 class TestSpanStore:

@@ -59,6 +59,28 @@ class TestPrune:
         assert "cc" in _entry_names(tmp_path)  # the newest write is never the victim
         assert cache.evictions >= 1
 
+    def test_first_bounded_put_of_a_fresh_cache_lists_nothing(self, tmp_path, monkeypatch):
+        """The size estimate on disk spares each new cache a directory scan."""
+        _fill(SuiteCache(str(tmp_path), max_bytes=1 << 20), [f"e{i}" for i in range(20)])
+        listings = []
+        listdir = os.listdir
+        monkeypatch.setattr(os, "listdir", lambda path: listings.append(path) or listdir(path))
+        SuiteCache(str(tmp_path), max_bytes=1 << 20).put("fresh", b"f" * 100)
+        assert listings == []
+        assert "fresh" in _entry_names(tmp_path)
+
+    def test_bound_holds_across_two_caches_on_one_directory(self, tmp_path):
+        entry_size = len(pickle.dumps(b"w" * 100))
+        bound = 3 * entry_size
+        caches = [SuiteCache(str(tmp_path), max_bytes=bound) for _ in range(2)]
+        for index in range(12):
+            caches[index % 2].put(f"k{index:02d}", b"w" * 100)
+            total = sum(os.path.getsize(tmp_path / f"{name}.pkl")
+                        for name in _entry_names(tmp_path))
+            assert total <= bound, (index, total)
+        assert "k11" in _entry_names(tmp_path)
+        assert sum(cache.evictions for cache in caches) == 9
+
     def test_negative_max_bytes_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="max_bytes"):
             SuiteCache(str(tmp_path), max_bytes=-1)

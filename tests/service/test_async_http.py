@@ -210,3 +210,19 @@ class TestKeepAlive:
         )[0]
         assert status == 200
         assert headers.get("connection") == "close"
+
+    def test_idle_keep_alive_connection_closes_without_a_response(self, server):
+        # No byte of a next request: a 408 there would be read as the
+        # answer to whatever the client sends next, so none is written.
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=5.0) as sock:
+            sock.sendall(b"GET /v2/healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            buffer = b""
+            while not _split_responses(buffer):
+                buffer += sock.recv(65536)
+            assert [status for status, _, _ in _split_responses(buffer)] == [200]
+            # The server closes after HEADER_TIMEOUT, sending nothing more.
+            assert sock.recv(65536) == b""
+
+    def test_silent_fresh_connection_closes_without_a_response(self, server):
+        assert exchange(server, b"") == []

@@ -138,3 +138,41 @@ def test_concurrent_submitters_settle_every_job_once():
     assert stats["jobs"]["completed"] == 32
     assert sum(lane["executed"] for lane in stats["lanes"]["by_lane"].values()) == 32
     assert sum(lane.worker.completed for lane in service._lanes.values()) == 32
+
+
+def test_watcher_reads_only_the_jobs_that_changed():
+    """A job running on one lane is not re-read for every state change of
+    jobs on the other: an in-process broker names the jobs that moved."""
+    batch_runner = GatedRunner()
+    service = SimulationService(
+        runner=batch_runner,
+        interactive_runner=Runner(RunnerConfig(workers=1)),
+        small_job_branches=1000,
+    )
+    batch_broker = service._lanes["batch"].broker
+    reads: list[str] = []
+    snapshot = batch_broker.snapshot
+
+    def counting(job_id):
+        reads.append(job_id)
+        return snapshot(job_id)
+
+    batch_broker.snapshot = counting
+    service.start()
+    try:
+        big = service.submit([RunRequest("bimodal", BIG_REF)])
+        assert batch_runner.entered.wait(30)
+        deadline = time.monotonic() + 10
+        while service.job(big.id)["status"] != "running":
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        before = len(reads)
+        for _ in range(20):
+            small = service.submit([RunRequest("bimodal", REF)])
+            assert service.wait(small.id, timeout=30)["status"] == "done"
+        assert len(reads) == before
+        batch_runner.release.set()
+        assert service.wait(big.id, timeout=30)["status"] == "done"
+    finally:
+        batch_runner.release.set()
+        service.close()
